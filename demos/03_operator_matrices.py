@@ -1,57 +1,53 @@
 """
-The operator pipeline behind the interpolant
-============================================
+The operator behind the interpolant
+===================================
 
-Three matrices per dimension do all the work, built once per process:
+One matrix per dimension turns a cell's 4-wide sample neighborhood
+into its polynomial coefficients: the Kronecker power of the 4x4
+Catmull-Rom basis matrix M. The paper derives the same operator from
+two exact matrices,
 
-  constraint  -- integer; polynomial coefficients -> corner constraints
-  difference  -- exact dyadic rationals; samples  -> corner constraints
-  fused       -- their exact composition; samples -> coefficients
+  constraint C -- integer; polynomial coefficients -> corner constraints
+  difference F -- exact dyadic rationals; samples  -> corner constraints
 
-This script inspects their structure and double-checks the fused route
-against an independent dense solve.
+as inv(C) @ F. This script prints M, checks that the runtime operator is
+kron(M, ..., M), verifies C @ operator == F exactly in integers, and
+cross-checks the operator against an independent dense solve.
 """
+
+from functools import reduce
 
 import numpy as np
 
-from hyperspline import constraint_quantities, operator_set
-from hyperspline.operators import export_csv
+from hyperspline import constraint_matrix, constraint_quantities, difference_matrix
+from hyperspline.operators import CATMULL_ROM, operator_is_exact, operator_set
+
+print("Catmull-Rom basis matrix M (row k: coefficient of u^k;")
+print("columns: samples at offsets -1, 0, 1, 2):")
+print(CATMULL_ROM)
 
 for dim in (3, 4):
-    ops = operator_set(dim)
-    n = ops.size
-    print(f"\n=== dimension {dim}: {n} x {n} operators ===")
+    op = operator_set(dim)
+    n = op.shape[0]
+    print(f"\n=== dimension {dim}: {n} x {n} operator ===")
     qs = constraint_quantities(dim)
     print(f"{len(qs)} constraint quantities per corner:",
           ", ".join(q.label() for q in qs))
+    print(f"operator == kron(M, ..., M): "
+          f"{np.array_equal(op, reduce(np.kron, [CATMULL_ROM] * dim))}, "
+          f"{np.count_nonzero(op)} nonzero (11^{dim} = {11 ** dim})")
 
-    c = ops.constraint
+    c = constraint_matrix(dim)
     print(f"constraint matrix: integer entries in "
           f"[{c.min()}, {c.max()}], {np.count_nonzero(c)} nonzero")
-    print(f"exact inverse dtype: {ops.constraint_inv.dtype} "
-          f"(integer entries in [{ops.constraint_inv.min()}, "
-          f"{ops.constraint_inv.max()}])")
-
-    nnz = len(ops.difference.entries)
-    dens = ops.difference.to_dense()
-    print(f"difference matrix: {nnz} exact rational nonzeros, "
+    dens = difference_matrix(dim).to_dense()
+    print(f"difference matrix: {np.count_nonzero(dens)} nonzeros, "
           f"denominators up to {2 ** dim}")
-    # rows for the plain value pass samples through; derivative rows are
-    # zero-sum stencils
-    sums = dens.sum(axis=1)
-    print(f"row sums: {sorted(set(np.round(sums, 12)))}")
+    print(f"C @ (2^{dim} operator) == 2^{dim} F exactly in int64: "
+          f"{operator_is_exact(dim)}")
 
-    # fused = inverse @ difference, composed in exact arithmetic
-    a = ops.fused
     rng = np.random.default_rng(dim)
     x = rng.standard_normal(n)
-    direct = a @ x
     two_step = np.linalg.solve(c.astype(float), dens @ x)
-    print(f"fused vs dense-solve on random samples: "
-          f"max diff {np.abs(direct - two_step).max():.2e}")
-
-# everything is exportable for inspection or cross-checks
-paths = export_csv(operator_set(3), "demo_output/operators_3d")
-print("\nwrote 3D operator CSVs:")
-for p in paths:
-    print("  ", p)
+    print(f"operator vs dense-solve on random samples: "
+          f"max diff {np.abs(op @ x - two_step).max():.2e}")

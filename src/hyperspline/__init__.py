@@ -3,11 +3,14 @@
 Each grid cell carries its own tensor-product cubic whose coefficients
 are pinned by the field value and all mixed first partials at the cell
 corners, estimated from centered differences of the surrounding
-samples. One precomputed operator per dimension turns a cell's raw
-4-wide sample neighborhood directly into polynomial coefficients, so
-queries cost a cache lookup plus a Horner contraction; values and all
-first partial derivatives are continuous across cell faces and the
-partials come out of the same polynomial analytically.
+samples. One operator per dimension, the Kronecker power of the 4x4
+Catmull-Rom basis matrix, turns a cell's raw 4-wide sample
+neighborhood directly into polynomial coefficients, so queries cost a
+cache lookup plus a Horner contraction; values and all first partial
+derivatives are continuous across cell faces and the partials come out
+of the same polynomial analytically. The paper's exact rational
+construction of that operator (constraint and difference matrices,
+exact inversion) is kept as the reference that validates it.
 
 Quick start::
 
@@ -54,13 +57,11 @@ from .grid import (
 )
 from .interpolator import BatchResult, Interpolator, QueryResult
 from .operators import (
-    OperatorSet,
     Quantity,
     SparseRational,
     constraint_matrix,
     constraint_quantities,
     difference_matrix,
-    fused_matrix,
     invert_exact,
     operator_set,
 )
@@ -94,7 +95,6 @@ __all__ = [
     "ConvergenceReport",
     "ElementRef",
     "Interpolator",
-    "OperatorSet",
     "Quantity",
     "QueryResult",
     "RegularGrid",
@@ -107,7 +107,6 @@ __all__ = [
     "continuity_scan",
     "convergence_study",
     "difference_matrix",
-    "fused_matrix",
     "infer_axis",
     "invert_exact",
     "linear_field",

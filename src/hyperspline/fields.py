@@ -20,13 +20,14 @@ Module contents:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid, neighborhood_block
 from .interpolator import Interpolator
-from .operators import operator_set
+from .operators import constraint_matrix, difference_matrix
 
 
 @dataclass(frozen=True)
@@ -255,14 +256,23 @@ def oracle_coefficients(grid: RegularGrid, elem: ElementRef,
 
     Builds the constraint vector ``difference @ samples`` explicitly and
     solves the constraint system with a generic dense solver, never
-    touching the fused operator. Shape ``(m, 4^dim)``, matching
+    touching the runtime operator. Shape ``(m, 4^dim)``, matching
     :meth:`Interpolator.coefficients`.
     """
-    ops = operator_set(grid.dim)
+    constraint, difference = _constraint_system(grid.dim)
     block = neighborhood_block(grid, elem, policy)  # (S, m)
-    b = ops.difference.to_dense() @ block
-    alpha = np.linalg.solve(ops.constraint.astype(np.float64), b)
+    alpha = np.linalg.solve(constraint, difference @ block)
     return alpha.T.copy()
+
+
+@functools.cache
+def _constraint_system(dim: int):
+    """Dense float constraint and difference matrices, built once per dim."""
+    mats = (constraint_matrix(dim).astype(np.float64),
+            difference_matrix(dim).to_dense())
+    for m in mats:
+        m.flags.writeable = False
+    return mats
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Element-local cubic interpolation with cached coefficients.
 
 An :class:`Interpolator` wraps a grid and a boundary policy. Per element
-it computes, on first touch, the coefficient tensor ``fused @ samples``
+it computes, on first touch, the coefficient tensor ``operator @ samples``
 (one row of 4^dim coefficients per field component, in unit-cell
-coordinates) and caches it. Queries locate the element, pull its cached
-tensor, and contract it with per-axis power vectors ``(1, u, u^2, u^3)``
-by nested Horner evaluation, innermost axis first. Substituting the
-differentiated vector ``(0, 1, 2u, 3u^2)`` on one axis gives that
-partial; first partials are rescaled by the axis spacing so results are
-in physical units.
+coordinates) and caches it; the operator is the Kronecker power of the
+Catmull-Rom basis matrix (see :mod:`hyperspline.operators`). Queries
+locate the element, pull its cached tensor, and contract it with
+per-axis power vectors ``(1, u, u^2, u^3)`` by nested Horner
+evaluation, innermost axis first. Substituting the differentiated
+vector ``(0, 1, 2u, 3u^2)`` on one axis gives that partial; first
+partials are rescaled by the axis spacing so results are in physical
+units.
 
 The batch path runs the very same elementwise kernel over stacked
 points, so batched, threaded and one-at-a-time evaluation agree bit for
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OutOfDomainError
+from .errors import HypersplineError, OutOfDomainError
 from .grid import (
     BoundaryPolicy,
     ElementRef,
@@ -109,11 +111,23 @@ def _resolve_threads(requested=None) -> int:
     ``HYPERSPLINE_THREADS`` caps (and, when no explicit count is given,
     supplies) the parallelism; the value 0 means one worker per CPU.
     Without the variable the default is serial.
+
+    Raises
+    ------
+    HypersplineError
+        If the variable is set to anything but a non-negative integer.
     """
     env = os.environ.get("HYPERSPLINE_THREADS", "").strip()
     cap = None
     if env:
-        cap = int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = -1
+        if cap < 0:
+            raise HypersplineError(
+                f"HYPERSPLINE_THREADS must be a non-negative integer, "
+                f"got {env!r}")
         if cap == 0:
             cap = os.cpu_count() or 1
     if requested is None or requested == 0:
@@ -145,7 +159,7 @@ class Interpolator:
             policy = BoundaryPolicy(policy)
         self.grid = grid
         self.policy = policy
-        self.operators = operator_set(grid.dim)
+        self.operator = operator_set(grid.dim)
         self._spacings = np.array([a.spacing for a in grid.axes])
         self._base_range = grid.element_base_range(policy)
         self._cache: dict = {}
@@ -177,7 +191,7 @@ class Interpolator:
                     f"element base {key} outside valid range under "
                     f"{self.policy.value}")
         block = neighborhood_block(self.grid, elem, self.policy)
-        coeffs = np.ascontiguousarray((self.operators.fused @ block).T)
+        coeffs = np.ascontiguousarray((self.operator @ block).T)
         coeffs.flags.writeable = False
         self._cache[key] = coeffs
         return coeffs
@@ -193,10 +207,10 @@ class Interpolator:
         """Insert an externally restored coefficient tensor (see io)."""
         base = tuple(int(b) for b in base)
         arr = np.ascontiguousarray(coeffs, dtype=np.float64)
-        if arr.shape != (self.components, self.operators.size):
+        shape = (self.components, 4 ** self.dim)
+        if arr.shape != shape:
             raise ValueError(
-                f"coefficient tensor must have shape "
-                f"{(self.components, self.operators.size)}, got {arr.shape}")
+                f"coefficient tensor must have shape {shape}, got {arr.shape}")
         arr.flags.writeable = False
         self._cache[base] = arr
 
@@ -237,7 +251,7 @@ class Interpolator:
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.dim,):
             raise ValueError(f"u must have {self.dim} entries")
-        if np.any(u < 0.0) or np.any(u > 1.0):
+        if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValueError(f"local coordinates must lie in [0, 1], got {u}")
         t = self._tensor(elem)
         us = [float(x) for x in u]
@@ -279,6 +293,8 @@ class Interpolator:
         (``HYPERSPLINE_THREADS`` caps this; output order is independent
         of scheduling).
         """
+        if chunk_size <= 0:
+            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(

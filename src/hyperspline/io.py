@@ -205,9 +205,10 @@ def save_cache(path, interp: Interpolator):
 def load_cache(path, interp: Interpolator):
     """Restore cached coefficient tensors saved by :func:`save_cache`.
 
-    The file's grid fingerprint must match the interpolator's grid. The
-    load is atomic: on any error the interpolator's cache is unchanged.
-    Returns the number of entries restored.
+    The file's grid fingerprint must match the interpolator's grid, and
+    every entry must name an element that is valid under the
+    interpolator's boundary policy. The load is atomic: on any error the
+    interpolator's cache is unchanged. Returns the number of entries restored.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -235,17 +236,18 @@ def load_cache(path, interp: Interpolator):
             f"{path}: cache was written for a different grid")
     (n_entries,) = struct.unpack("<Q", take(8, "entry count"))
     dim = interp.dim
-    tensor_len = interp.components * interp.operators.size
-    max_base = tuple(c - 2 for c in interp.grid.counts)
+    tensor_len = interp.components * 4 ** dim
+    ranges = interp.grid.element_base_range(interp.policy)
     entries = []
     for k in range(n_entries):
         base = struct.unpack(f"<{dim}I", take(4 * dim, f"entry {k} base"))
-        if any(b > mb for b, mb in zip(base, max_base)):
+        if not all(lo <= b <= hi for b, (lo, hi) in zip(base, ranges)):
             raise TruncatedFileError(
-                f"{path}: entry {k} names element {base}, outside this grid")
+                f"{path}: entry {k} names element {base}, outside the "
+                f"valid range under {interp.policy.value}")
         raw = take(8 * tensor_len, f"entry {k} coefficients")
         coeffs = np.frombuffer(raw, dtype="<f8").reshape(
-            interp.components, interp.operators.size)
+            interp.components, 4 ** dim)
         entries.append((base, coeffs))
     if pos != len(blob):
         raise TruncatedFileError(

@@ -1,22 +1,29 @@
-"""Construction of the per-dimension interpolation operators.
+"""The per-dimension interpolation operator and the exact derivation
+that verifies it.
 
 For dimension N (3 or 4) the cubic on each unit element has 4^N
 coefficients, pinned by 2^N constraint quantities (the value and every
 mixed first partial, each axis differentiated at most once) imposed at
-each of the 2^N element corners. Three matrices implement this:
+each of the 2^N element corners. Restricted to one axis this is the
+uniform Catmull-Rom cubic, so the operator taking an element's raw
+4-wide sample neighborhood to its polynomial coefficients is the N-th
+Kronecker power of the 4x4 Catmull-Rom basis matrix ``CATMULL_ROM``.
+Its entries are dyadic rationals with small numerators, so the float64
+matrix holds them exactly. Both powers are built at import and shared
+read-only; :func:`operator_set` returns them.
+
+The paper derives the same operator from two matrices, kept here as
+the reference that verifies it:
 
 * the *constraint matrix* C maps polynomial coefficients to the stacked
   constraint values; its entries are small integers and its inverse is
-  integer too (verified exactly at build time);
-* the *difference matrix* F maps the 4-wide sample neighborhood of an
-  element to the same constraint values via tensor-product central
-  differences (exact for per-axis degree <= 2);
-* the *fused matrix* is the exact rational product ``inv(C) @ F``,
-  rounded to floats once at the end, taking raw samples straight to
-  polynomial coefficients.
+  integer too (:func:`invert_exact` checks this exactly);
+* the *difference matrix* F maps the sample neighborhood to the same
+  constraint values via tensor-product central differences (exact for
+  per-axis degree <= 2).
 
-All matrices depend only on the dimension, never on the grid, so one
-set per dimension is built lazily and shared process-wide.
+:func:`operator_is_exact` checks ``C @ operator == F`` in integer
+arithmetic; as C is invertible, the operator is exactly ``inv(C) @ F``.
 
 Index conventions (shared with grid neighborhoods and coefficient
 tensors, so no permutations appear anywhere):
@@ -27,8 +34,8 @@ tensors, so no permutations appear anywhere):
 
 from __future__ import annotations
 
+import functools
 import itertools
-import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,11 +51,40 @@ from .errors import (
 
 SUPPORTED_DIMS = (3, 4)
 
+# Row k holds the coefficient of u^k of the cubic through samples at
+# offsets -1, 0, 1, 2 (columns) with centered-difference end slopes.
+CATMULL_ROM = np.array([[0.0, 1.0, 0.0, 0.0],
+                        [-0.5, 0.0, 0.5, 0.0],
+                        [1.0, -2.5, 2.0, -0.5],
+                        [-0.5, 1.5, -1.5, 0.5]])
+CATMULL_ROM.flags.writeable = False
+
 
 def _check_dim(dim: int):
     if dim not in SUPPORTED_DIMS:
         raise UnsupportedDimensionError(
             f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
+
+
+def _kron_power(dim: int) -> np.ndarray:
+    # adding +0.0 turns the -0.0 products of kron into +0.0, so the
+    # matrix matches the exact product inv(C) @ F bit for bit
+    op = functools.reduce(np.kron, [CATMULL_ROM] * dim) + 0.0
+    op.flags.writeable = False
+    return op
+
+
+_OPERATORS = {dim: _kron_power(dim) for dim in SUPPORTED_DIMS}
+
+
+def operator_set(dim: int) -> np.ndarray:
+    """The read-only ``(4^dim, 4^dim)`` samples-to-coefficients operator.
+
+    Row e (monomial column convention) times an element's flattened
+    sample neighborhood gives its coefficient of monomial e.
+    """
+    _check_dim(dim)
+    return _OPERATORS[dim]
 
 
 @dataclass(frozen=True)
@@ -146,9 +182,6 @@ class SparseRational:
         for (r, c), v in self.entries.items():
             out[r, c] = float(v)
         return out
-
-    def row_nonzeros(self, row: int):
-        return {c: v for (r, c), v in self.entries.items() if r == row}
 
 
 def difference_matrix(dim: int) -> SparseRational:
@@ -260,117 +293,17 @@ def invert_exact(matrix: np.ndarray) -> np.ndarray:
     return inv_arr
 
 
-def fused_matrix(constraint_inv: np.ndarray,
-                 difference: SparseRational) -> np.ndarray:
-    """Exact rational product ``constraint_inv @ difference`` as floats.
+def operator_is_exact(dim: int) -> bool:
+    """Whether ``constraint_matrix(dim) @ operator_set(dim)`` equals
+    ``difference_matrix(dim)`` exactly.
 
-    The product maps an element's raw sample neighborhood directly to
-    its polynomial coefficients; it is computed in exact arithmetic and
-    rounded to float64 only once, entry by entry.
+    Both sides are scaled by 2^dim, which makes every entry of a correct
+    operator an integer, and compared in int64 arithmetic. A scaled
+    operator entry that is not an integer fails the check.
     """
-    n = constraint_inv.shape[0]
-    if difference.shape[0] != n:
-        raise DimensionMismatchError(
-            f"operand shapes {constraint_inv.shape} and {difference.shape} "
-            "do not match")
-    acc = [[Fraction(0)] * difference.shape[1] for _ in range(n)]
-    integer_inv = constraint_inv.dtype != object
-    for (r, c), w in difference.entries.items():
-        if w == 0:
-            continue
-        for i in range(n):
-            b = constraint_inv[i, r]
-            if integer_inv:
-                b = int(b)
-            if b:
-                acc[i][c] += b * w
-    return np.array([[float(x) for x in row] for row in acc])
-
-
-@dataclass(frozen=True)
-class OperatorSet:
-    """The per-dimension operator bundle, built once and shared.
-
-    Attributes
-    ----------
-    dim : int
-    constraint : (S, S) int64 array
-    constraint_inv : (S, S) int64 array (exact inverse)
-    difference : SparseRational, S x S
-    fused : (S, S) float64 array, ``inv(constraint) @ difference``
-    """
-
-    dim: int
-    constraint: np.ndarray
-    constraint_inv: np.ndarray
-    difference: SparseRational
-    fused: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return 4 ** self.dim
-
-    @classmethod
-    def build(cls, dim: int) -> "OperatorSet":
-        _check_dim(dim)
-        c = constraint_matrix(dim)
-        cinv = invert_exact(c)
-        d = difference_matrix(dim)
-        a = fused_matrix(cinv, d)
-        for arr in (c, cinv, a):
-            if arr.dtype != object:
-                arr.flags.writeable = False
-        return cls(dim, c, cinv, d, a)
-
-
-_OPERATOR_CACHE: dict = {}
-_OPERATOR_LOCK = threading.Lock()
-
-
-def operator_set(dim: int) -> OperatorSet:
-    """Process-wide memoized OperatorSet for the given dimension."""
-    _check_dim(dim)
-    ops = _OPERATOR_CACHE.get(dim)
-    if ops is None:
-        with _OPERATOR_LOCK:
-            ops = _OPERATOR_CACHE.get(dim)
-            if ops is None:
-                ops = OperatorSet.build(dim)
-                _OPERATOR_CACHE[dim] = ops
-    return ops
-
-
-def export_csv(ops: OperatorSet, directory):
-    """Debug dump of all four matrices as CSV files in ``directory``.
-
-    Integer and rational entries are written as exact strings (``p/q``
-    for non-integers); the fused matrix is written as decimal floats
-    with full round-trip precision. Returns the four file paths.
-    """
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-
-    def write_rows(name, rows):
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(",".join(row) + "\n")
-        paths.append(path)
-
-    write_rows("constraint.csv",
-               ([str(int(x)) for x in row] for row in ops.constraint))
-    if ops.constraint_inv.dtype == object:
-        write_rows("constraint_inv.csv",
-                   ([str(x) for x in row] for row in ops.constraint_inv))
-    else:
-        write_rows("constraint_inv.csv",
-                   ([str(int(x)) for x in row] for row in ops.constraint_inv))
-    size = ops.size
-    dense = [[Fraction(0)] * size for _ in range(size)]
-    for (r, c), v in ops.difference.entries.items():
-        dense[r][c] = v
-    write_rows("difference.csv", ([str(x) for x in row] for row in dense))
-    write_rows("fused.csv", ([repr(float(x)) for x in row] for row in ops.fused))
-    return paths
+    scale = 1 << dim
+    op = scale * operator_set(dim)
+    op_int = op.astype(np.int64)
+    diff = scale * difference_matrix(dim).to_dense()
+    return (np.array_equal(op, op_int)
+            and np.array_equal(constraint_matrix(dim) @ op_int, diff))

@@ -127,6 +127,16 @@ class TestQuery:
     def test_no_points_exits_2(self, lin4d, capsys):
         assert main(["query", lin4d]) == 2
 
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
+    def test_bad_thread_env_exits_2(self, lin4d, tmp_path, capsys,
+                                    monkeypatch, value):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y,z,t\n1.5,1.5,1.5,1.5\n", encoding="utf-8")
+        monkeypatch.setenv("HYPERSPLINE_THREADS", value)
+        assert main(["query", lin4d, "--points", str(pts)]) == 2
+        err = capsys.readouterr().err
+        assert "HYPERSPLINE_THREADS" in err and repr(value) in err
+
     def test_ghost_policy_widens_domain(self, lin4d, capsys):
         assert main(["query", lin4d, "--point", "0.2,0.2,0.2,0.2",
                      "--policy", "linear-ghost"]) == 0

@@ -36,9 +36,32 @@ def trig4():
 class TestConstruction:
     def test_operator_sizes(self):
         grid3 = sample(constant_field(3), [Axis(0, 1, 4)] * 3)
-        assert Interpolator(grid3).operators.fused.shape == (64, 64)
+        assert Interpolator(grid3).operator.shape == (64, 64)
         grid4 = sample(constant_field(4), [Axis(0, 1, 4)] * 4)
-        assert Interpolator(grid4).operators.fused.shape == (256, 256)
+        assert Interpolator(grid4).operator.shape == (256, 256)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_runtime_path_skips_exact_derivation(self, dim, monkeypatch):
+        import hyperspline
+
+        def boom(*args, **kwargs):
+            raise AssertionError("exact derivation reached at runtime")
+
+        names = ("constraint_matrix", "difference_matrix", "invert_exact")
+        for mod in (hyperspline, hyperspline.operators,
+                    hyperspline.interpolator, hyperspline.fields,
+                    hyperspline.io, hyperspline.cli):
+            for name in names:
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, boom)
+        grid = sample(trig_product_field(dim), [Axis(0.0, 0.5, 6)] * dim)
+        interp = Interpolator(grid)
+        p = [1.3] * dim
+        interp.eval(p)
+        interp.eval_with_gradient(p)
+        interp.derivative(p, [1] * dim)
+        interp.eval_batch(np.full((3, dim), 1.7))
+        interp.precompute_all()
 
     def test_vector_components(self):
         rng = np.random.default_rng(0)
@@ -139,6 +162,14 @@ class TestEval:
         interp = Interpolator(grid)
         with pytest.raises(OutOfDomainError):
             interp.eval([0.5, 2.0, 2.0])
+
+    @pytest.mark.parametrize("u", [[np.nan, 0.5, 0.5], [0.5, -0.1, 0.5],
+                                   [0.5, 0.5, 1.5]])
+    def test_eval_local_rejects_bad_local_coordinates(self, u):
+        grid = sample(constant_field(3), [Axis(0, 1, 5)] * 3)
+        interp = Interpolator(grid)
+        with pytest.raises(ValueError):
+            interp.eval_local(ElementRef((1, 1, 1)), u)
 
     def test_vertex_reproduction(self, trig4):
         _, grid = trig4
@@ -412,6 +443,13 @@ class TestBatch:
         _, grid = trig4
         with pytest.raises(ValueError):
             Interpolator(grid).eval_batch(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_non_positive_chunk_size(self, trig4, chunk_size):
+        _, grid = trig4
+        with pytest.raises(ValueError, match="chunk_size"):
+            Interpolator(grid).eval_batch(np.full((5, 4), 1.5),
+                                          chunk_size=chunk_size)
 
 
 class TestLinearGhost:

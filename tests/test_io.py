@@ -6,6 +6,8 @@ from hyperspline import (
     Axis,
     BadMagicError,
     BoundaryPolicy,
+    CacheFormatError,
+    ElementRef,
     FingerprintMismatchError,
     GridFormatError,
     IncompleteGridError,
@@ -289,3 +291,18 @@ class TestCoefficientCache:
         load_cache(path, ghost)
         res = ghost.eval_batch(pts)
         assert np.array_equal(res.values, ref.values)
+
+    def test_ghost_cells_rejected_by_strict_load(self, interp, tmp_path):
+        ghost = Interpolator(interp.grid, BoundaryPolicy.LINEAR_GHOST)
+        self.touch(interp)
+        for base, _ in interp.cache_items():
+            ghost.coefficients(ElementRef(base))
+        ghost.coefficients(ElementRef((0, 0, 0, 0)))
+        path = tmp_path / "ghost.qcub"
+        save_cache(path, ghost)
+        strict = Interpolator(interp.grid)
+        with pytest.raises(CacheFormatError, match="outside"):
+            load_cache(path, strict)
+        assert strict.cache_size() == 0
+        with pytest.raises(IndexError):
+            strict.eval_local(ElementRef((0, 0, 0, 0)), [0.5] * 4)

@@ -4,21 +4,20 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hyperspline.operators as ops_mod
 from hyperspline import (
-    DimensionMismatchError,
     SingularMatrixError,
     UnsupportedDimensionError,
     constraint_matrix,
     constraint_quantities,
     difference_matrix,
-    fused_matrix,
     invert_exact,
     operator_set,
 )
 from hyperspline.operators import (
-    export_csv,
     monomial_exponents,
     neighborhood_offsets,
+    operator_is_exact,
 )
 
 
@@ -173,24 +172,26 @@ class TestDifferenceMatrix:
     def test_first_derivative_row(self):
         d = difference_matrix(4)
         # corner 0, d/dx: +1/2 at offset (1,0,0,0), -1/2 at (-1,0,0,0)
-        row = d.row_nonzeros(0 * 16 + 1)
+        row = d.to_dense()[0 * 16 + 1]
         col_plus = (1 + 1) + 4 + 16 + 64
         col_minus = (-1 + 1) + 4 + 16 + 64
-        assert row == {col_plus: Fraction(1, 2), col_minus: Fraction(-1, 2)}
+        want = np.zeros(256)
+        want[col_plus], want[col_minus] = 0.5, -0.5
+        assert np.array_equal(row, want)
 
     def test_mixed_second_derivative_row(self):
         d = difference_matrix(4)
         # corner (1,1,0,0), d2/dxdy
         v = 0b0011
-        row = d.row_nonzeros(v * 16 + 0b0011)
+        row = d.to_dense()[v * 16 + 0b0011]
 
         def col(ox, oy):
             return (ox + 1) + 4 * (oy + 1) + 16 * 1 + 64 * 1
 
-        assert row == {
-            col(2, 2): Fraction(1, 4), col(0, 0): Fraction(1, 4),
-            col(2, 0): Fraction(-1, 4), col(0, 2): Fraction(-1, 4),
-        }
+        want = np.zeros(256)
+        want[[col(2, 2), col(0, 0)]] = 0.25
+        want[[col(2, 0), col(0, 2)]] = -0.25
+        assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_row_structure(self, dim):
@@ -251,17 +252,38 @@ class TestDifferenceMatrix:
 
 class TestFusedMatrix:
     @pytest.mark.parametrize("dim", [3, 4])
+    def test_exact_integer_identity(self, dim):
+        # C @ (2^d K) == 2^d F in int64, with C invertible (see
+        # TestExactInverse): K is exactly inv(C) @ F
+        scale = 2 ** dim
+        k_int = (scale * operator_set(dim)).astype(np.int64)
+        assert np.array_equal(k_int, scale * operator_set(dim))
+        f_int = (scale * difference_matrix(dim).to_dense()).astype(np.int64)
+        assert np.array_equal(f_int, scale * difference_matrix(dim).to_dense())
+        assert np.array_equal(constraint_matrix(dim) @ k_int, f_int)
+        assert operator_is_exact(dim)
+        # the float matrix also has no -0.0, so it equals the rounded
+        # exact product bit for bit, not only in value
+        assert not np.any(np.signbit(operator_set(dim)[k_int == 0]))
+
+    @pytest.mark.parametrize("delta", [2.0 ** -3, 2.0 ** -60])
+    def test_exactness_check_detects_a_perturbed_entry(self, delta,
+                                                       monkeypatch):
+        bad = operator_set(3).copy()
+        bad[5, 21] += delta
+        monkeypatch.setattr(ops_mod, "operator_set", lambda dim: bad)
+        assert not operator_is_exact(3)
+
+    @pytest.mark.parametrize("dim", [3, 4])
     def test_constant_reproduction(self, dim):
-        ops = operator_set(dim)
-        alpha = ops.fused @ np.ones(ops.size)
+        alpha = operator_set(dim) @ np.ones(4 ** dim)
         assert alpha[0] == pytest.approx(1.0, abs=1e-14)
         assert np.max(np.abs(alpha[1:])) < 1e-14
 
     def test_linear_reproduction(self):
-        ops = operator_set(4)
         offs = neighborhood_offsets(4)
         x = np.array([2.0 + o[0] for o in offs])  # f = x, base at x-index 2
-        alpha = ops.fused @ x
+        alpha = operator_set(4) @ x
         assert alpha[0] == pytest.approx(2.0, abs=1e-13)
         assert alpha[1] == pytest.approx(1.0, abs=1e-13)
         mask = np.ones(256, dtype=bool)
@@ -270,22 +292,16 @@ class TestFusedMatrix:
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_matches_dense_solve_oracle(self, dim):
-        ops = operator_set(dim)
-        cf = ops.constraint.astype(np.float64)
-        df = ops.difference.to_dense()
+        cf = constraint_matrix(dim).astype(np.float64)
+        df = difference_matrix(dim).to_dense()
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(100):
-            x = rng.standard_normal(ops.size)
-            direct = ops.fused @ x
+            x = rng.standard_normal(4 ** dim)
+            direct = operator_set(dim) @ x
             ref = np.linalg.solve(cf, df @ x)
             worst = max(worst, float(np.max(np.abs(direct - ref))))
         assert worst < 1e-10
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            fused_matrix(operator_set(3).constraint_inv,
-                         operator_set(4).difference)
 
 
 class TestOperatorSet:
@@ -293,49 +309,8 @@ class TestOperatorSet:
         assert operator_set(3) is operator_set(3)
         assert operator_set(4) is operator_set(4)
 
-    def test_thread_safe_build(self):
-        import threading
-
-        import hyperspline.operators as ops_mod
-        ops_mod._OPERATOR_CACHE.pop(3, None)
-        results = []
-
-        def grab():
-            results.append(operator_set(3))
-
-        threads = [threading.Thread(target=grab) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r is results[0] for r in results)
-
     def test_matrices_write_protected(self):
-        ops = operator_set(3)
         with pytest.raises(ValueError):
-            ops.fused[0, 0] = 1.0
-
-
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        ops = operator_set(3)
-        paths = export_csv(ops, tmp_path)
-        assert len(paths) == 4
-
-        def read(name):
-            with open(tmp_path / name, encoding="utf-8") as fh:
-                return [line.strip().split(",") for line in fh]
-
-        con = read("constraint.csv")
-        assert np.array_equal(
-            np.array([[int(x) for x in row] for row in con]), ops.constraint)
-        inv = read("constraint_inv.csv")
-        assert np.array_equal(
-            np.array([[int(x) for x in row] for row in inv]),
-            ops.constraint_inv)
-        diff = read("difference.csv")
-        for (r, c), w in ops.difference.entries.items():
-            assert Fraction(diff[r][c]) == w
-        fused = read("fused.csv")
-        got = np.array([[float(x) for x in row] for row in fused])
-        assert np.array_equal(got, ops.fused)
+            operator_set(3)[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            ops_mod.CATMULL_ROM[0, 0] = 1.0
