@@ -3,12 +3,15 @@
 Each grid cell carries its own tensor-product cubic whose coefficients
 are pinned by the field value and all mixed first partials at the cell
 corners, estimated from centered differences of the surrounding
-samples. One operator per dimension, the Kronecker power of the 4x4
-Catmull-Rom basis matrix, turns a cell's raw 4-wide sample
-neighborhood directly into polynomial coefficients, so queries cost a
-cache lookup plus a Horner contraction; values and all first partial
-derivatives are continuous across cell faces and the partials come out
-of the same polynomial analytically. The paper's exact rational
+samples. That cubic is separable: restricted to a grid line it is the
+uniform Catmull-Rom cubic, so a query gathers the cell's 4-wide sample
+neighborhood and contracts it one axis at a time with Catmull-Rom
+weights, and each first partial swaps in the differentiated weights on
+its axis. Values and all first partial derivatives are continuous
+across cell faces and the partials come out of the same polynomial
+analytically. The coefficients themselves, the neighborhood times the
+Kronecker power of the 4x4 Catmull-Rom basis matrix, are available
+per cell for inspection and validation. The paper's exact rational
 construction of that operator (constraint and difference matrices,
 exact inversion) is kept as the reference that validates it.
 
@@ -52,7 +55,6 @@ from .grid import (
     RegularGrid,
     infer_axis,
     locate,
-    neighborhood,
     neighborhood_block,
 )
 from .interpolator import BatchResult, Interpolator, QueryResult
@@ -114,7 +116,6 @@ __all__ = [
     "load_grid_csv",
     "locate",
     "multilinear_field",
-    "neighborhood",
     "neighborhood_block",
     "operator_set",
     "oracle_coefficients",

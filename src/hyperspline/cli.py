@@ -22,7 +22,7 @@ import numpy as np
 
 from . import fields
 from .errors import HypersplineError
-from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid, locate
+from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid
 from .interpolator import Interpolator
 from .io import (
     AXIS_NAMES,
@@ -446,8 +446,7 @@ def cmd_bench(args) -> int:
     n = args.n
     pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1) \
         if n else np.empty((0, grid.dim))
-    print(f"bench: n={n} mode={args.mode} seed={args.seed} "
-          f"policy={policy.value}")
+    print(f"bench: n={n} seed={args.seed} policy={policy.value}")
     if n == 0:
         print("value-only     : 0 points")
         print("value+gradient : 0 points")
@@ -455,11 +454,6 @@ def cmd_bench(args) -> int:
         return 0
 
     interp = Interpolator(grid, policy)
-    if args.mode == "warm":
-        for p in pts:
-            elem, _ = locate(grid, p, policy)
-            interp.coefficients(elem)
-
     dts = np.empty(n)
     t0 = time.perf_counter()
     for i in range(n):
@@ -469,8 +463,6 @@ def cmd_bench(args) -> int:
     total = time.perf_counter() - t0
     print(f"value-only     : {n / total:.0f} points/s  {_percentiles(dts)}")
 
-    if args.mode == "cold":
-        interp.clear_cache()
     pvals = np.empty((n, grid.components))
     pgrads = np.empty((n, grid.components, grid.dim))
     t0 = time.perf_counter()
@@ -483,8 +475,6 @@ def cmd_bench(args) -> int:
     total = time.perf_counter() - t0
     print(f"value+gradient : {n / total:.0f} points/s  {_percentiles(dts)}")
 
-    if args.mode == "cold":
-        interp.clear_cache()
     t0 = time.perf_counter()
     res = interp.eval_batch(pts)
     total = time.perf_counter() - t0
@@ -545,7 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("grid")
     p.add_argument("--n", type=int, default=10000,
                    help="number of query points (default 10000)")
-    p.add_argument("--mode", choices=["cold", "warm"], default="cold")
     p.add_argument("--seed", type=int, default=0)
     add_policy(p)
     p.set_defaults(func=cmd_bench)

@@ -19,7 +19,8 @@ Module contents:
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
     locate         -- map a physical point to (element, local coords)
-    neighborhood   -- extract the 4^dim samples an element's cubic needs
+    gather_neighborhoods -- the 4^dim samples around many elements at once
+    neighborhood_block   -- the same for one element
 """
 
 from __future__ import annotations
@@ -179,6 +180,13 @@ class RegularGrid:
         self.components = components
         self.component_names = component_names
         self.values = vals
+        # flat vertex index = index @ _strides (x fastest); _stencil holds
+        # the flat offsets of the 4^dim neighborhood in sample-row order
+        self._strides = np.cumprod((1,) + counts[:-1], dtype=np.int64)
+        stencil = np.indices((4,) * len(axes)).reshape(len(axes), -1)[::-1]
+        self._stencil = (stencil.T + NEIGHBORHOOD_OFFSETS[0]) @ self._strides
+        self._base_bounds = {p: np.array(self.element_base_range(p)).T
+                             for p in BoundaryPolicy}
 
     @property
     def dim(self) -> int:
@@ -250,61 +258,62 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
     return ElementRef(tuple(base)), u
 
 
-def _gather_indices(axis: Axis, base: int, policy: BoundaryPolicy):
-    """Neighborhood indices along one axis, clipped, plus ghost flags."""
-    idx = [base + o for o in NEIGHBORHOOD_OFFSETS]
-    if policy is BoundaryPolicy.STRICT:
-        if idx[0] < 0 or idx[-1] >= axis.count:
-            raise IndexError(
-                f"element base {base} has no full stencil on an axis of "
-                f"{axis.count} points under strict policy")
-        return idx, False, False
-    if base < 0 or base > axis.count - 2:
+def gather_neighborhoods(grid: RegularGrid, bases,
+                         policy: BoundaryPolicy) -> np.ndarray:
+    """All-component sample neighborhoods of k elements in one fetch.
+
+    ``bases`` is a ``(k, dim)`` integer array of element base indices.
+    Returns an array of shape ``(4^dim, k, m)``: entry ``[n, i]`` holds
+    the samples at grid offset ``o`` with ``n = sum_d (o_d + 1) * 4^d``
+    relative to base i, for all m components. Under ``LinearGhost``,
+    offsets falling one layer outside the grid are filled with
+    ``2 * f(edge) - f(next-to-edge)``, axis by axis from axis 0, so a
+    corner ghost extrapolates already-extrapolated layers.
+
+    Raises
+    ------
+    IndexError
+        If any base lies outside ``grid.element_base_range(policy)``.
+    """
+    bases = np.asarray(bases, dtype=np.int64)
+    lo, hi = grid._base_bounds[policy]
+    bad = (bases < lo) | (bases > hi)
+    if bad.any():
+        first = bases[bad.any(axis=-1)][0]
         raise IndexError(
-            f"element base {base} outside the grid (axis of {axis.count} "
-            f"points admits bases 0..{axis.count - 2})")
-    low_ghost = idx[0] < 0
-    high_ghost = idx[-1] >= axis.count
-    clipped = [min(max(i, 0), axis.count - 1) for i in idx]
-    return clipped, low_ghost, high_ghost
+            f"element base {tuple(first.tolist())} outside valid range "
+            f"under {policy.value}")
+    # every stencil entry is read at its flat offset from the base; a
+    # ghost entry reads whatever in-range sample its clipped offset hits
+    # and is overwritten from real samples below
+    flat = grid._stencil[:, None] + bases @ grid._strides
+    samples = np.take(grid.values.reshape(-1, grid.components), flat,
+                      axis=0, mode="clip")
+    if policy is BoundaryPolicy.LINEAR_GHOST:
+        # under this policy the bases 0 and hi are the edge elements
+        low, high = bases == lo, bases == hi
+        dim = grid.dim
+        block = samples.reshape((4,) * dim + samples.shape[1:])
+        for d in np.flatnonzero(low.any(axis=0) | high.any(axis=0)):
+            # stencil axes run t..x: grid axis d is block axis dim-1-d
+            sub = np.moveaxis(block, dim - 1 - d, 0)
+            at = np.flatnonzero(low[:, d])
+            if at.size:
+                sub[0][..., at, :] = (2.0 * sub[1][..., at, :]
+                                      - sub[2][..., at, :])
+            at = np.flatnonzero(high[:, d])
+            if at.size:
+                sub[3][..., at, :] = (2.0 * sub[2][..., at, :]
+                                      - sub[1][..., at, :])
+    return samples
 
 
 def neighborhood_block(grid: RegularGrid, elem: ElementRef,
                        policy: BoundaryPolicy) -> np.ndarray:
-    """All-component sample neighborhood of an element.
+    """All-component sample neighborhood of one element, ``(4^dim, m)``.
 
-    Returns an array of shape ``(4^dim, m)``: row ``n`` holds the samples
-    at grid offset ``o`` with ``n = sum_d (o_d + 1) * 4^d`` relative to
-    the element base, for all m components. Under ``LinearGhost``,
-    offsets falling one layer outside the grid are filled with
-    ``2 * f(edge) - f(next-to-edge)``.
+    The one-element view of :func:`gather_neighborhoods`: row ``n``
+    holds the samples at grid offset ``o`` with
+    ``n = sum_d (o_d + 1) * 4^d`` relative to the element base.
     """
-    dim = grid.dim
-    idx_per_axis = []
-    ghosts = []
-    for d in range(dim):
-        idx, lo_g, hi_g = _gather_indices(grid.axes[d], elem.base[d], policy)
-        idx_per_axis.append(idx)
-        ghosts.append((lo_g, hi_g))
-    # values axes are ordered (t, z, y, x, component): grid axis d is
-    # array axis dim - 1 - d. Fancy indexing yields a fresh writable block.
-    ix = np.ix_(*[idx_per_axis[d] for d in reversed(range(dim))])
-    block = grid.values[ix]  # (4, 4[, 4], 4, m), axis order t..x
-    for d in range(dim):
-        lo_g, hi_g = ghosts[d]
-        if not (lo_g or hi_g):
-            continue
-        sub = np.moveaxis(block, dim - 1 - d, 0)
-        if lo_g:
-            # offsets were clipped to [0, 0, 1, 2]
-            sub[0] = 2.0 * sub[1] - sub[2]
-        if hi_g:
-            # offsets were clipped to [n-3, n-2, n-1, n-1]
-            sub[3] = 2.0 * sub[2] - sub[1]
-    return np.ascontiguousarray(block).reshape(4 ** dim, grid.components)
-
-
-def neighborhood(grid: RegularGrid, elem: ElementRef, component: int,
-                 policy: BoundaryPolicy) -> np.ndarray:
-    """One component of the element's sample neighborhood, flat ``(4^dim,)``."""
-    return neighborhood_block(grid, elem, policy)[:, component].copy()
+    return gather_neighborhoods(grid, [elem.base], policy)[:, 0]

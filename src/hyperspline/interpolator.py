@@ -1,29 +1,39 @@
-"""Element-local cubic interpolation with cached coefficients.
+"""Element-local cubic interpolation straight from the sample stencil.
 
-An :class:`Interpolator` wraps a grid and a boundary policy. Per element
-it computes, on first touch, the coefficient tensor ``operator @ samples``
-(one row of 4^dim coefficients per field component, in unit-cell
-coordinates) and caches it; the operator is the Kronecker power of the
-Catmull-Rom basis matrix (see :mod:`hyperspline.operators`). Queries
-locate the element, pull its cached tensor, and contract it with
-per-axis power vectors ``(1, u, u^2, u^3)`` by nested Horner
-evaluation, innermost axis first. Substituting the differentiated
-vector ``(0, 1, 2u, 3u^2)`` on one axis gives that partial; first
+An :class:`Interpolator` wraps a grid and a boundary policy. An
+element's cubic is the Kronecker power of the Catmull-Rom basis matrix
+``M`` (see :mod:`hyperspline.operators`) applied to its 4^dim sample
+neighborhood, so it is separable: its value at local coordinates ``u``
+is the neighborhood contracted axis by axis, x first, with the weights
+``w(u) = M^T (1, u, u^2, u^3)``, and a partial along one axis swaps in
+the differentiated weights ``M^T (0, 1, 2u, 3u^2)`` on that axis. The
+contraction carries the value and every partial opened so far, opening
+each axis's partial from the value part as it reaches that axis. First
 partials are rescaled by the axis spacing so results are in physical
-units.
+units. No coefficient tensor is formed on this path.
 
-The batch path runs the very same elementwise kernel over stacked
-points, so batched, threaded and one-at-a-time evaluation agree bit for
-bit.
+Point, pinned-element and batch queries all run the same kernel, and it
+sums every product in a fixed order with elementwise arithmetic only (no
+BLAS, whose summation order depends on array shapes). Batched, threaded
+and one-at-a-time evaluation therefore agree bit for bit, for any chunk
+size.
+
+Per-element coefficient tensors ``operator @ samples`` stay available
+through :meth:`Interpolator.coefficients`, cached, for validation
+against the exact derivation and for the coefficient-cache file format
+(:mod:`hyperspline.io`); evaluation neither reads nor fills that cache.
 
 Module contents:
     QueryResult   -- values + physical-unit gradient at one point
     BatchResult   -- struct-of-arrays result for many points
-    Interpolator  -- the stateful interpolant with its coefficient cache
+    Interpolator  -- the interpolant, its stencil kernel and coefficient cache
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -35,10 +45,11 @@ from .grid import (
     BoundaryPolicy,
     ElementRef,
     RegularGrid,
+    gather_neighborhoods,
     locate,
     neighborhood_block,
 )
-from .operators import operator_set
+from .operators import CATMULL_ROM, operator_set
 
 
 @dataclass(frozen=True)
@@ -75,34 +86,91 @@ class BatchResult:
         return QueryResult(self.values[i], self.gradients[i])
 
 
-def _contract(coeffs, us, orders=None):
-    """Contract trailing ``dim`` tensor axes with per-axis power vectors.
+def _horner_table() -> np.ndarray:
+    """Coefficients of the Catmull-Rom weights and their derivatives.
 
-    ``coeffs`` has trailing axes (e_last, ..., e_x); axis d of ``us`` is
-    consumed at step d, innermost (x) first. ``orders[d]`` selects the
-    d-th derivative of the cubic on that axis (0..3; higher gives 0).
-    Entries of ``us`` may be scalars or 1-d arrays over a leading batch
-    axis; every arithmetic operation is elementwise, so batched and
-    scalar evaluation produce bitwise-identical values per point.
+    Entry ``[i, k, 0, j, 0]`` is the coefficient of ``u^(3-i)`` in the
+    k-th derivative of weight j of ``M^T (1, u, u^2, u^3)``; orders
+    k > 0 are padded with leading zeros, which Horner's rule passes
+    through exactly. All entries are small dyadic rationals.
     """
-    r = coeffs
-    for d in range(len(us)):
-        ud = us[d]
-        k = 0 if orders is None else orders[d]
-        a3, a2, a1, a0 = r[..., 3], r[..., 2], r[..., 1], r[..., 0]
-        if isinstance(ud, np.ndarray) and ud.ndim == 1 and a3.ndim > 1:
-            ud = ud.reshape((-1,) + (1,) * (a3.ndim - 1))
-        if k == 0:
-            r = ((a3 * ud + a2) * ud + a1) * ud + a0
-        elif k == 1:
-            r = (3.0 * a3 * ud + 2.0 * a2) * ud + a1
-        elif k == 2:
-            r = 6.0 * a3 * ud + 2.0 * a2
-        elif k == 3:
-            r = 6.0 * a3
-        else:
-            r = np.zeros_like(a0)
-    return r
+    table = np.zeros((4, 4, 1, 4, 1))
+    for k in range(4):
+        for i in range(k, 4):
+            table[3 - (i - k), k, 0, :, 0] = math.perm(i, k) * CATMULL_ROM[i]
+    table.flags.writeable = False
+    return table
+
+
+_HORNER = _horner_table()
+
+
+def _weights(u: np.ndarray) -> np.ndarray:
+    """Catmull-Rom weights of orders 0..3 for local coordinates ``u``.
+
+    ``u`` is ``(dim, k)``. Entry ``[q, d, j, i]`` of the ``(4, dim, 4, k)``
+    result weighs the sample at offset ``j - 1`` on axis d for point i in
+    the order-q partial along d. Elementwise Horner.
+    """
+    u = u[:, None, :]
+    w = _HORNER[0] * u + _HORNER[1]
+    w = w * u + _HORNER[2]
+    return w * u + _HORNER[3]
+
+
+@functools.cache
+def _plan(rows: tuple):
+    """Contraction schedule for the partials ``rows`` (per-axis orders).
+
+    After axis d the kernel carries the distinct length-(d+1) prefixes
+    of the rows. Returns, per axis, the index of the carried partial
+    each new one extends, and for all steps together the derivative
+    order and axis of each new partial's weights.
+    """
+    carried = [()]
+    sources, orders, axes = [], [], []
+    for d in range(len(rows[0])):
+        keys = list(dict.fromkeys(r[:d + 1] for r in rows))
+        sources.append(np.array([carried.index(k[:-1]) for k in keys]))
+        orders += [k[-1] for k in keys]
+        axes += [d] * len(keys)
+        carried = keys
+    plan = sources + [np.array(orders), np.array(axes)]
+    for a in plan:
+        a.flags.writeable = False
+    return plan[:-2], plan[-2], plan[-1]
+
+
+def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
+                    rows: tuple) -> np.ndarray:
+    """Partials ``rows`` of k cubics straight from their sample stencils.
+
+    ``samples`` is ``(4^dim, k, m)`` as gathered, ``u`` the ``(dim, k)``
+    local coordinates, and ``rows`` a tuple of per-axis derivative
+    orders (0..3). Returns ``(len(rows), k, m)`` unit-cell partials.
+    Axes are contracted x first, each product sum in the order
+    j = 0..3, with elementwise operations only, so every output entry
+    is computed the same way whatever k or the other rows are.
+    """
+    k, m = samples.shape[1:]
+    sources, orders, axes = _plan(rows)
+    weights = _weights(u)[orders, axes]
+    part = samples[None]
+    start = 0
+    for source in sources:
+        if len(part) > 1:
+            part = part[source]
+        # sample rows run t..x, so the axis contracted next varies
+        # fastest; a single carried partial broadcasts against all the
+        # weight rows it opens
+        part = part.reshape(len(part), -1, 4, k, m)
+        w = weights[start:start + len(source), None, :, :, None]
+        start += len(source)
+        acc = part[:, :, 0] * w[:, :, 0]
+        for j in range(1, 4):
+            acc += part[:, :, j] * w[:, :, j]
+        part = acc
+    return part.reshape(len(rows), k, m)
 
 
 def _resolve_threads(requested=None) -> int:
@@ -148,9 +216,10 @@ class Interpolator:
         sample neighborhood; LinearGhost extends them to the whole grid
         via linear ghost layers.
 
-    Concurrent queries are safe: the coefficient cache is filled with
-    complete, immutable tensors only (a racing first touch may compute
-    the same tensor twice, never observe a partial one).
+    Concurrent queries are safe: evaluation only reads the immutable
+    grid, and the coefficient cache is filled with complete, immutable
+    tensors only (a racing first touch may compute the same tensor
+    twice, never observe a partial one).
     """
 
     def __init__(self, grid: RegularGrid,
@@ -162,6 +231,10 @@ class Interpolator:
         self.operator = operator_set(grid.dim)
         self._spacings = np.array([a.spacing for a in grid.axes])
         self._base_range = grid.element_base_range(policy)
+        # the value, then the first partial along each axis
+        self._gradient_rows = tuple(
+            tuple(int(e == d) for e in range(grid.dim))
+            for d in range(-1, grid.dim))
         self._cache: dict = {}
 
     @property
@@ -174,22 +247,26 @@ class Interpolator:
 
     # -- coefficient cache ------------------------------------------------
 
+    def _check_base(self, base: tuple):
+        for b, (lo, hi) in zip(base, self._base_range):
+            if not lo <= b <= hi:
+                raise IndexError(
+                    f"element base {base} outside valid range under "
+                    f"{self.policy.value}")
+
     def coefficients(self, elem: ElementRef) -> np.ndarray:
         """Coefficient tensor of one element, shape ``(m, 4^dim)``.
 
         Row c holds the flattened unit-cell coefficients of component c
         (monomial column e = sum_d exponent_d * 4^d). Computed on first
-        touch, then served read-only from the cache.
+        touch, then served read-only from the cache. Evaluation does not
+        use it; it serves validation and the coefficient-cache file.
         """
         key = elem.base
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        for b, (lo, hi) in zip(key, self._base_range):
-            if not lo <= b <= hi:
-                raise IndexError(
-                    f"element base {key} outside valid range under "
-                    f"{self.policy.value}")
+        self._check_base(key)
         block = neighborhood_block(self.grid, elem, self.policy)
         coeffs = np.ascontiguousarray((self.operator @ block).T)
         coeffs.flags.writeable = False
@@ -204,8 +281,13 @@ class Interpolator:
         return list(self._cache.items())
 
     def install_cache_entry(self, base, coeffs: np.ndarray):
-        """Insert an externally restored coefficient tensor (see io)."""
+        """Insert an externally restored coefficient tensor (see io).
+
+        Raises IndexError for a base outside the policy's valid range,
+        as :meth:`coefficients` does.
+        """
         base = tuple(int(b) for b in base)
+        self._check_base(base)
         arr = np.ascontiguousarray(coeffs, dtype=np.float64)
         shape = (self.components, 4 ** self.dim)
         if arr.shape != shape:
@@ -218,7 +300,7 @@ class Interpolator:
         self._cache = {}
 
     def precompute_all(self):
-        """Fill the cache for every valid element (bulk workloads only)."""
+        """Fill the cache for every valid element."""
         ranges = [range(lo, hi + 1) for lo, hi in self._base_range]
         grids = np.meshgrid(*ranges, indexing="ij")
         for base in zip(*(g.reshape(-1) for g in grids)):
@@ -226,15 +308,16 @@ class Interpolator:
 
     # -- point evaluation --------------------------------------------------
 
-    def _tensor(self, elem: ElementRef) -> np.ndarray:
-        c = self.coefficients(elem)
-        return c.reshape((self.components,) + (4,) * self.dim)
+    def _partials(self, elem: ElementRef, u, rows) -> np.ndarray:
+        """Unit-cell partials ``rows`` at local ``u`` in one element."""
+        block = neighborhood_block(self.grid, elem, self.policy)
+        u = np.asarray(u)[:, None]
+        return _stencil_kernel(block[:, None], u, rows)[:, 0]
 
     def eval(self, point) -> np.ndarray:
         """Interpolated field values at a point, shape ``(m,)``."""
         elem, u = locate(self.grid, point, self.policy)
-        t = self._tensor(elem)
-        return np.asarray(_contract(t, [float(x) for x in u]))
+        return self._partials(elem, u, self._gradient_rows[:1])[0]
 
     def eval_with_gradient(self, point) -> QueryResult:
         """Values plus all first partials (physical units) at a point."""
@@ -246,23 +329,16 @@ class Interpolator:
 
         Lets callers probe a shared face from both adjacent elements
         (u = 1 on one side, u = 0 on the other), which an ordinary
-        point query cannot express.
+        point query cannot express. Raises IndexError for an element
+        outside the policy's valid range.
         """
         u = np.asarray(u, dtype=np.float64)
         if u.shape != (self.dim,):
             raise ValueError(f"u must have {self.dim} entries")
         if not np.all((u >= 0.0) & (u <= 1.0)):
             raise ValueError(f"local coordinates must lie in [0, 1], got {u}")
-        t = self._tensor(elem)
-        us = [float(x) for x in u]
-        values = np.asarray(_contract(t, us))
-        gradient = np.empty((self.components, self.dim))
-        for d in range(self.dim):
-            orders = [0] * self.dim
-            orders[d] = 1
-            gradient[:, d] = _contract(t, us, orders)
-        gradient /= self._spacings
-        return QueryResult(values, gradient)
+        part = self._partials(elem, u, self._gradient_rows)
+        return QueryResult(part[0], part[1:].T / self._spacings)
 
     def derivative(self, point, orders) -> np.ndarray:
         """Raw mixed partial with per-axis derivative orders, ``(m,)``.
@@ -277,14 +353,13 @@ class Interpolator:
             raise ValueError(
                 f"orders must be {self.dim} integers in 0..3, got {orders}")
         elem, u = locate(self.grid, point, self.policy)
-        t = self._tensor(elem)
-        out = _contract(t, [float(x) for x in u], orders)
+        out = self._partials(elem, u, (orders,))[0]
         scale = float(np.prod(self._spacings ** np.array(orders)))
-        return np.asarray(out) / scale
+        return out / scale
 
     # -- batch evaluation ---------------------------------------------------
 
-    def eval_batch(self, points, threads=None, chunk_size: int = 4096
+    def eval_batch(self, points, threads=None, chunk_size: int = 2048
                    ) -> BatchResult:
         """Evaluate many points; out-of-domain ones are flagged, not fatal.
 
@@ -293,8 +368,10 @@ class Interpolator:
         (``HYPERSPLINE_THREADS`` caps this; output order is independent
         of scheduling).
         """
-        if chunk_size <= 0:
-            raise ValueError(f"chunk_size must be positive, got {chunk_size}")
+        if (not isinstance(chunk_size, numbers.Integral)
+                or isinstance(chunk_size, bool) or chunk_size <= 0):
+            raise ValueError(
+                f"chunk_size must be a positive integer, got {chunk_size!r}")
         pts = np.asarray(points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(
@@ -327,7 +404,7 @@ class Interpolator:
         # grid.locate, so element/u assignments agree bitwise with it
         n = pts.shape[0]
         bases = np.empty((n, self.dim), dtype=np.int64)
-        u_mat = np.empty((n, self.dim))
+        u_mat = np.empty((self.dim, n))
         good = np.ones(n, dtype=bool)
         for d in range(self.dim):
             a = self.grid.axes[d]
@@ -339,21 +416,12 @@ class Interpolator:
             b = np.clip(b, lo, hi)
             u = (x - (a.origin + b * a.spacing)) / a.spacing
             bases[:, d] = b
-            u_mat[:, d] = np.clip(u, 0.0, 1.0)
+            u_mat[d] = np.clip(u, 0.0, 1.0)
         ok[:] = good
-        hit = np.nonzero(good)[0]
+        hit = np.flatnonzero(good)
         if hit.size == 0:
             return
-        uniq, inv = np.unique(bases[hit], axis=0, return_inverse=True)
-        stacked = np.stack([self._tensor(ElementRef(tuple(row)))
-                            for row in uniq])
-        tensors = stacked[inv.reshape(-1)]  # (h, m, 4, ..., 4)
-        us = [u_mat[hit, d] for d in range(self.dim)]
-        values[hit] = _contract(tensors, us)
-        grads = np.empty((len(hit), self.components, self.dim))
-        for d in range(self.dim):
-            orders = [0] * self.dim
-            orders[d] = 1
-            grads[..., d] = _contract(tensors, us, orders)
-        grads /= self._spacings
-        gradients[hit] = grads
+        block = gather_neighborhoods(self.grid, bases[hit], self.policy)
+        part = _stencil_kernel(block, u_mat[:, hit], self._gradient_rows)
+        values[hit] = part[0]
+        gradients[hit] = part[1:].transpose(1, 2, 0) / self._spacings

@@ -51,7 +51,7 @@ class TestHelp:
         for cmd, flags in [
             ("query", ["--point", "--points", "--out", "--policy"]),
             ("sample", ["--counts", "--min", "--max", "--out"]),
-            ("bench", ["--n", "--mode", "--seed"]),
+            ("bench", ["--n", "--seed"]),
             ("validate", ["--seed"]),
         ]:
             with pytest.raises(SystemExit):
@@ -215,18 +215,17 @@ class TestBench:
         out = capsys.readouterr().out
         assert "n=0" in out
 
-    def test_warm_checksums_match(self, lin4d, capsys):
-        assert main(["bench", lin4d, "--n", "500", "--mode", "warm",
-                     "--seed", "3"]) == 0
+    @pytest.mark.parametrize("grid_name, n, seed",
+                             [("lin4d", 500, 3), ("trig3d", 200, 5)],
+                             ids=["lin4d", "trig3d"])
+    def test_checksums_match_and_rates_printed(self, grid_name, n, seed,
+                                               request, capsys):
+        grid = request.getfixturevalue(grid_name)
+        assert main(["bench", grid, "--n", str(n), "--seed", str(seed)]) == 0
         out = capsys.readouterr().out
+        assert "points/s" in out
         line = next(ln for ln in out.split("\n")
                     if ln.startswith("checksum_perpoint"))
         per_point = line.split()[0].split("=")[1]
         batch = line.split()[1].split("=")[1]
         assert per_point == batch
-
-    def test_cold_mode_runs(self, trig3d, capsys):
-        assert main(["bench", trig3d, "--n", "200", "--mode", "cold",
-                     "--seed", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "points/s" in out

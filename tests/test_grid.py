@@ -14,9 +14,9 @@ from hyperspline import (
     UnsupportedDimensionError,
     infer_axis,
     locate,
-    neighborhood,
     neighborhood_block,
 )
+from hyperspline.grid import gather_neighborhoods
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST
@@ -174,7 +174,7 @@ class TestLocate:
 class TestNeighborhood:
     def test_constant_field(self):
         grid = unit_grid(4, count=4, fill=5.0)
-        x = neighborhood(grid, ElementRef((1, 1, 1, 1)), 0, STRICT)
+        x = neighborhood_block(grid, ElementRef((1, 1, 1, 1)), STRICT)[:, 0]
         assert x.shape == (256,)
         assert np.all(x == 5.0)
 
@@ -185,7 +185,7 @@ class TestNeighborhood:
         for idx in np.ndindex(*counts[::-1]):
             vals[idx] = idx[3]  # f(x,y,z,t) = x
         grid = RegularGrid(axes, vals)
-        x = neighborhood(grid, ElementRef((2, 1, 1, 1)), 0, STRICT)
+        x = neighborhood_block(grid, ElementRef((2, 1, 1, 1)), STRICT)[:, 0]
         # offset (-1,0,0,0) has flat index 0+4+16+64, (2,0,0,0) is 3+4+16+64
         assert x[0 + 4 + 16 + 64] == 1.0
         assert x[3 + 4 + 16 + 64] == 4.0
@@ -197,7 +197,7 @@ class TestNeighborhood:
             return 2.0 + 3.0 * x - y + 0.5 * z + x * y - 2.0 * y * z
 
         grid = grid_from_function(axes, f)
-        x = neighborhood(grid, ElementRef((2, 2, 3)), 0, STRICT)
+        x = neighborhood_block(grid, ElementRef((2, 2, 3)), STRICT)[:, 0]
         n = 0
         for oz in (-1, 0, 1, 2):
             for oy in (-1, 0, 1, 2):
@@ -211,14 +211,14 @@ class TestNeighborhood:
     def test_strict_rejects_boundary_element(self):
         grid = unit_grid(3, count=6)
         with pytest.raises(IndexError):
-            neighborhood(grid, ElementRef((0, 1, 1)), 0, STRICT)
+            neighborhood_block(grid, ElementRef((0, 1, 1)), STRICT)[:, 0]
 
     def test_ghost_rejects_off_grid_element(self):
         grid = unit_grid(3, count=6)
         with pytest.raises(IndexError):
-            neighborhood(grid, ElementRef((-1, 1, 1)), 0, GHOST)
+            neighborhood_block(grid, ElementRef((-1, 1, 1)), GHOST)[:, 0]
         with pytest.raises(IndexError):
-            neighborhood(grid, ElementRef((5, 1, 1)), 0, GHOST)
+            neighborhood_block(grid, ElementRef((5, 1, 1)), GHOST)[:, 0]
 
     def test_ghost_values(self):
         # 1-axis check: edge samples 1, 3 extrapolate to 2*1 - 3 = -1
@@ -227,7 +227,7 @@ class TestNeighborhood:
         for i, v in enumerate([1.0, 3.0, 4.0, 10.0]):
             vals[:, :, i, 0] = v
         grid = RegularGrid(axes, vals)
-        x = neighborhood(grid, ElementRef((0, 1, 1)), 0, GHOST)
+        x = neighborhood_block(grid, ElementRef((0, 1, 1)), GHOST)[:, 0]
         # offset (-1, 0, 0) reads the low-x ghost layer
         assert x[0 + 4 + 16] == 2.0 * 1.0 - 3.0
         # offsets 0..2 read the real samples
@@ -235,7 +235,7 @@ class TestNeighborhood:
         assert x[2 + 4 + 16] == 3.0
         assert x[3 + 4 + 16] == 4.0
         # upper edge element: offset +2 reads the high-x ghost layer
-        x = neighborhood(grid, ElementRef((2, 1, 1)), 0, GHOST)
+        x = neighborhood_block(grid, ElementRef((2, 1, 1)), GHOST)[:, 0]
         assert x[3 + 4 + 16] == 2.0 * 10.0 - 4.0
 
     def test_ghost_preserves_linear_fields(self):
@@ -245,7 +245,7 @@ class TestNeighborhood:
             return 1.0 + 2.0 * x - 3.0 * y + 0.25 * z
 
         grid = grid_from_function(axes, f)
-        x = neighborhood(grid, ElementRef((0, 0, 0)), 0, GHOST)
+        x = neighborhood_block(grid, ElementRef((0, 0, 0)), GHOST)[:, 0]
         n = 0
         for oz in (-1, 0, 1, 2):
             for oy in (-1, 0, 1, 2):
@@ -262,5 +262,53 @@ class TestNeighborhood:
         elem = ElementRef((1, 2, 1))
         block = neighborhood_block(grid, elem, STRICT)
         for c in range(3):
-            assert np.array_equal(block[:, c],
-                                  neighborhood(grid, elem, c, STRICT))
+            single = RegularGrid(axes, vals[..., c])
+            one = neighborhood_block(single, elem, STRICT)
+            assert np.array_equal(block[:, c], one[:, 0])
+
+
+def reference_block(grid, base, policy):
+    """Per-element neighborhood by clipped per-axis indices (reference)."""
+    dim = grid.dim
+    idx = [np.clip(np.arange(b - 1, b + 3), 0, a.count - 1)
+           for a, b in zip(grid.axes, base)]
+    block = grid.values[np.ix_(*idx[::-1])]
+    if policy is GHOST:
+        for d, (a, b) in enumerate(zip(grid.axes, base)):
+            sub = np.moveaxis(block, dim - 1 - d, 0)
+            if b == 0:
+                sub[0] = 2.0 * sub[1] - sub[2]
+            if b == a.count - 2:
+                sub[3] = 2.0 * sub[2] - sub[1]
+    return block.reshape(4 ** dim, grid.components)
+
+
+class TestGather:
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_every_element_matches_reference_bitwise(self, dim, policy):
+        rng = np.random.default_rng(dim)
+        axes = [Axis(0.0, 1.0, 5), Axis(0.0, 0.5, 4), Axis(1.0, 2.0, 6),
+                Axis(0.0, 1.0, 4)][:dim]
+        counts = [a.count for a in axes]
+        grid = RegularGrid(axes, rng.standard_normal(counts[::-1] + [2]),
+                           components=2)
+        ranges = grid.element_base_range(policy)
+        bases = np.stack(np.meshgrid(
+            *[np.arange(lo, hi + 1) for lo, hi in ranges],
+            indexing="ij"), axis=-1).reshape(-1, dim)
+        bases = bases[rng.permutation(len(bases))]
+        got = gather_neighborhoods(grid, bases, policy)
+        assert got.shape == (4 ** dim, len(bases), 2)
+        for i, base in enumerate(bases):
+            want = reference_block(grid, base, policy)
+            assert np.array_equal(got[:, i], want)
+            assert np.array_equal(
+                neighborhood_block(grid, ElementRef(base), policy), want)
+
+    def test_any_base_out_of_range_rejected(self):
+        grid = unit_grid(3, count=6)
+        with pytest.raises(IndexError):
+            gather_neighborhoods(grid, [[1, 1, 1], [1, 4, 1]], STRICT)
+        with pytest.raises(IndexError):
+            gather_neighborhoods(grid, [[0, 0, 0], [0, -1, 0]], GHOST)

@@ -15,6 +15,7 @@ from hyperspline import (
     catmull_rom_1d,
     constant_field,
     linear_field,
+    locate,
     multilinear_field,
     oracle_coefficients,
     sample,
@@ -128,6 +129,17 @@ class TestCoefficients:
         interp = Interpolator(grid)
         with pytest.raises(IndexError):
             interp.coefficients(ElementRef((0, 1, 1)))
+
+    def test_install_rejects_element_outside_policy(self):
+        grid = sample(constant_field(3), [Axis(0, 1, 5)] * 3)
+        interp = Interpolator(grid)
+        with pytest.raises(IndexError, match="outside valid range"):
+            interp.install_cache_entry((0, 0, 0), np.zeros((1, 64)))
+        assert interp.cache_size() == 0
+        with pytest.raises(IndexError):
+            interp.eval_local(ElementRef((0, 0, 0)), [0.5] * 3)
+        interp.install_cache_entry((1, 1, 1), np.zeros((1, 64)))
+        assert interp.cache_size() == 1
 
 
 class TestEval:
@@ -417,7 +429,7 @@ class TestBatch:
         pts = np.stack([lo[d] + rng.uniform(0, 1, 2000)
                         * grid.axes[d].spacing for d in range(4)], axis=1)
         res = interp.eval_batch(pts)
-        assert interp.cache_size() == 1
+        assert interp.cache_size() == 0  # evaluation builds no coefficients
         for i in rng.integers(0, 2000, 25):
             r = interp.eval_with_gradient(pts[i])
             assert np.array_equal(res.values[i], r.values)
@@ -444,7 +456,7 @@ class TestBatch:
         with pytest.raises(ValueError):
             Interpolator(grid).eval_batch(np.zeros((5, 3)))
 
-    @pytest.mark.parametrize("chunk_size", [0, -1])
+    @pytest.mark.parametrize("chunk_size", [0, -1, 1.5])
     def test_non_positive_chunk_size(self, trig4, chunk_size):
         _, grid = trig4
         with pytest.raises(ValueError, match="chunk_size"):
@@ -510,3 +522,109 @@ class TestRawDerivative:
             interp.derivative([1.5, 1.5, 1.5], (4, 0, 0))
         with pytest.raises(ValueError):
             interp.derivative([1.5, 1.5, 1.5], (1, 0))
+
+
+def probe_points(grid, policy, rng, n=40):
+    """Random points plus points exactly on faces and vertices, the upper
+    domain corner, and points in the edge cells (ghost cells under
+    LinearGhost, out of domain under Strict)."""
+    dom = np.array(grid.queryable_domain(policy))
+    lo, hi = dom[:, 0], dom[:, 1]
+    dim = grid.dim
+    inner = lo + rng.uniform(0, 1, (n, dim)) * (hi - lo)
+    ranges = grid.element_base_range(policy)
+    vertices = np.stack([
+        [a.coordinate(int(rng.integers(lo_b, hi_b + 2)))
+         for a, (lo_b, hi_b) in zip(grid.axes, ranges)]
+        for _ in range(n)])
+    faces = inner.copy()
+    axis = rng.integers(0, dim, n)
+    faces[np.arange(n), axis] = vertices[np.arange(n), axis]
+    edge = inner.copy()
+    first = np.array([a.origin + rng.uniform(0, a.spacing) for a in grid.axes])
+    last = np.array([a.coordinate(a.count - 1) - rng.uniform(0, a.spacing)
+                     for a in grid.axes])
+    edge[: n // 2, axis[: n // 2]] = first[axis[: n // 2]]
+    edge[n // 2:, axis[n // 2:]] = last[axis[n // 2:]]
+    corners = np.array([lo, hi, [a.origin for a in grid.axes],
+                        [a.coordinate(a.count - 1) for a in grid.axes]])
+    return np.concatenate([inner, vertices, faces, edge, corners])
+
+
+@pytest.fixture(scope="module", params=[3, 4])
+def kernel_case(request):
+    dim = request.param
+    rng = np.random.default_rng(20 + dim)
+    axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 5), Axis(2.0, 1.5, 7),
+            Axis(0.0, 0.4, 5)][:dim]
+    counts = [a.count for a in axes]
+    grid = RegularGrid(axes, rng.standard_normal(counts[::-1] + [2]),
+                       components=2)
+    cases = {}
+    for policy in (STRICT, GHOST):
+        interp = Interpolator(grid, policy)
+        pts = probe_points(grid, policy, rng)
+        scalar = []
+        for p in pts:
+            try:
+                scalar.append(interp.eval_with_gradient(p))
+            except OutOfDomainError:
+                scalar.append(None)
+        cases[policy] = (interp, pts, scalar)
+    return cases
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+    def test_batch_equals_scalar_bitwise(self, kernel_case, policy,
+                                         threads, chunk_size):
+        interp, pts, scalar = kernel_case[policy]
+        res = interp.eval_batch(pts, threads=threads, chunk_size=chunk_size)
+        assert list(res.ok) == [r is not None for r in scalar]
+        if policy is GHOST:
+            assert res.ok.all()
+        for i, r in enumerate(scalar):
+            if r is not None:
+                assert np.array_equal(res.values[i], r.values)
+                assert np.array_equal(res.gradients[i], r.gradient)
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_eval_and_first_derivatives_match_gradient_bitwise(
+            self, kernel_case, policy):
+        interp, pts, scalar = kernel_case[policy]
+        for p, r in zip(pts, scalar):
+            if r is None:
+                continue
+            assert np.array_equal(interp.eval(p), r.values)
+            for d in range(interp.dim):
+                orders = [0] * interp.dim
+                orders[d] = 1
+                assert np.array_equal(interp.derivative(p, orders),
+                                      r.gradient[:, d])
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_matches_coefficient_polynomial(self, kernel_case, policy):
+        # reference: the element's monomial coefficients, evaluated
+        # directly; summation order differs, so rounding-level agreement
+        interp, pts, scalar = kernel_case[policy]
+        grid = interp.grid
+        scale = np.max(np.abs(grid.values))
+        exps = np.indices((4,) * interp.dim).reshape(interp.dim, -1)[::-1]
+        for p, r in zip(pts, scalar):
+            if r is None:
+                continue
+            elem, u = locate(grid, p, policy)
+            coeffs = interp.coefficients(elem)
+            powers = np.prod(u[:, None] ** exps, axis=0)
+            assert_allclose(r.values, coeffs @ powers, rtol=0,
+                            atol=1e-12 * scale)
+            for d in range(interp.dim):
+                lower = exps.copy()
+                lower[d] = np.maximum(lower[d] - 1, 0)
+                dpow = exps[d] * np.prod(u[:, None] ** lower, axis=0)
+                assert_allclose(r.gradient[:, d],
+                                coeffs @ dpow / grid.axes[d].spacing,
+                                rtol=0, atol=1e-12 * scale
+                                / grid.axes[d].spacing)

@@ -21,6 +21,7 @@ from hyperspline import (
     linear_field,
     load_cache,
     load_grid_csv,
+    locate,
     sample,
     save_cache,
     trig_product_field,
@@ -201,9 +202,12 @@ class TestCoefficientCache:
         return Interpolator(grid)
 
     def touch(self, interp, n=10, seed=2):
+        """Cache the coefficients of the cells holding n random points."""
         rng = np.random.default_rng(seed)
         dom = interp.grid.queryable_domain(interp.policy)
         pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)
+        for p in pts:
+            interp.coefficients(locate(interp.grid, p, interp.policy)[0])
         return pts, interp.eval_batch(pts)
 
     def test_round_trip_bit_identical(self, interp, tmp_path):
@@ -213,7 +217,7 @@ class TestCoefficientCache:
 
         fresh = Interpolator(interp.grid)
         n = load_cache(path, fresh)
-        assert n == interp.cache_size()
+        assert n == interp.cache_size() > 0
         assert fresh.cache_size() == n
         res = fresh.eval_batch(pts)
         assert np.array_equal(res.values, ref.values)
