@@ -27,6 +27,7 @@ from .interpolator import Interpolator
 from .io import (
     AXIS_NAMES,
     load_grid_csv,
+    parse_rows,
     result_header,
     write_grid_csv,
     write_results_csv,
@@ -72,25 +73,28 @@ def _load_grid(path) -> RegularGrid:
 
 
 def _read_points(args, dim: int) -> np.ndarray:
-    pts = []
-    for spec in args.point or []:
-        pts.append(_parse_floats(spec, dim, "--point"))
+    rows = [_parse_floats(spec, dim, "--point") for spec in args.point or []]
+    points = np.array(rows).reshape(len(rows), dim)
     if args.points:
         try:
-            with open(args.points, "r", encoding="utf-8") as fh:
-                lines = [ln.strip() for ln in fh if ln.strip()]
+            with open(args.points, "r", encoding="utf-8", newline="") as fh:
+                # the first non-empty line is a header if it names the axes
+                start, number = fh.tell(), 1
+                line = fh.readline()
+                while line and not line.strip():
+                    start, number = fh.tell(), number + 1
+                    line = fh.readline()
+                head = [c.strip() for c in line.split(",")]
+                if head[:dim] == list(AXIS_NAMES[:dim]):
+                    start, number = fh.tell(), number + 1
+                fh.seek(start)
+                points = np.concatenate(
+                    [points, parse_rows(fh, dim, args.points, number)])
         except OSError as exc:
             raise _InputError(f"cannot read {args.points}: {exc}") from None
-        start = 0
-        if lines:
-            head = [c.strip() for c in lines[0].split(",")]
-            if head[:dim] == list(AXIS_NAMES[:dim]):
-                start = 1
-        for ln in lines[start:]:
-            pts.append(_parse_floats(ln, dim, f"point row {ln!r}"))
-    if not pts:
+    if not len(points):
         raise _InputError("no query points given (use --point or --points)")
-    return np.stack(pts)
+    return points
 
 
 # ---------------------------------------------------------------- info --
@@ -174,8 +178,8 @@ def cmd_sample(args) -> int:
     for d in range(grid.dim):
         if not (dom[d][0] <= lo[d] < hi[d] <= dom[d][1]):
             raise _InputError(
-                f"target range [{lo[d]!r}, {hi[d]!r}] on axis "
-                f"{AXIS_NAMES[d]} outside queryable "
+                f"target range [{float(lo[d])!r}, {float(hi[d])!r}] on "
+                f"axis {AXIS_NAMES[d]} outside queryable "
                 f"[{dom[d][0]!r}, {dom[d][1]!r}]")
     try:
         axes = tuple(Axis(float(lo[d]), float((hi[d] - lo[d]) / (counts[d] - 1)),

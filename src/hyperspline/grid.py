@@ -110,8 +110,8 @@ def infer_axis(coords) -> Axis:
     if np.any(bad):
         i = int(np.argmax(bad))
         raise IrregularSpacingError(
-            f"gap {gaps[i]!r} at index {i} deviates from uniform "
-            f"spacing {spacing!r}")
+            f"gap {float(gaps[i])!r} at index {i} deviates from uniform "
+            f"spacing {float(spacing)!r}")
     return Axis(float(c[0]), float(spacing), int(c.size))
 
 
@@ -248,7 +248,7 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
         cmax = axis.coordinate(hi + 1)
         if not (cmin <= p[d] <= cmax):
             raise OutOfDomainError(
-                f"coordinate {p[d]!r} on axis {d} outside queryable "
+                f"coordinate {float(p[d])!r} on axis {d} outside queryable "
                 f"range [{cmin!r}, {cmax!r}] under {policy.value}")
         b = int(np.floor((p[d] - axis.origin) / axis.spacing))
         b = min(max(b, lo), hi)

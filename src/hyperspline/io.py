@@ -4,13 +4,19 @@ Grid CSV
     Header names the coordinate columns first, ``x,y,z`` (3D) or
     ``x,y,z,t`` (4D), then one column per field component. Rows hold one
     vertex each and may appear in any order; together they must form the
-    complete Cartesian product of the per-axis coordinate values.
+    complete Cartesian product of the per-axis coordinate values. The
+    body is parsed in one ``np.loadtxt`` call (see :func:`parse_rows` for
+    what a cell may hold) and placed by one scatter; a malformed line is
+    reported by number.
 
 Result CSV
     Coordinates, then value columns, then gradient columns named
     ``d<component>_d<axis>``, then an ``error`` column. Rows for points
     outside the queryable domain carry the literal token ``NaN`` in all
     result columns and ``out_of_domain`` in the error column.
+
+Both CSV writers format every number with ``repr`` (the shortest text
+that reads back as the same float64), a block of rows at a time.
 
 Coefficient cache ("QCUB")
     Little-endian binary: magic ``QCUB``, format version (u16), a grid
@@ -48,10 +54,66 @@ AXIS_NAMES = ("x", "y", "z", "t")
 CACHE_MAGIC = b"QCUB"
 CACHE_VERSION = 1
 
+_BLOCK_ROWS = 4096  # rows formatted and written at once
 
-def _format(v: float) -> str:
-    # shortest representation that round-trips the exact float64
-    return repr(float(v))
+
+def parse_rows(fh, ncols: int, path, first_line: int) -> np.ndarray:
+    """Parse the rest of an open CSV file as an ``(n, ncols)`` float64 table.
+
+    ``fh`` is a seekable text file positioned at line ``first_line``.
+    Every cell is read as ``float()`` reads it, bit for bit, but by
+    numpy's text reader: cells may be quoted with ``"``, ``#`` is not a
+    comment marker, and Python literal spellings such as ``1_0`` are
+    rejected. Empty lines are skipped.
+
+    Raises
+    ------
+    IncompleteGridError
+        Naming the first line with a cell count other than ``ncols``.
+    GridFormatError
+        Naming the first line with a cell that is not a number.
+    """
+    start = fh.tell()
+    if not any(line.strip() for line in fh):
+        return np.empty((0, ncols))
+    fh.seek(start)
+    try:
+        rows = _loadtxt(fh)
+        if rows.shape[1] == ncols:
+            return rows
+        problem = f"rows have {rows.shape[1]} columns, expected {ncols}"
+    except ValueError as exc:
+        problem = str(exc)
+    fh.seek(start)
+    raise (_bad_line(fh, ncols, path, first_line)
+           or GridFormatError(f"{path}: {problem}"))
+
+
+def _loadtxt(lines) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2,
+                      comments=None, quotechar='"')
+
+
+def _bad_line(lines, ncols, path, first_line):
+    """The error for the first line that does not parse as ``ncols`` numbers.
+
+    Runs only after the whole table failed to parse, so it may afford one
+    parse per line.
+    """
+    for number, line in enumerate(lines, first_line):
+        if not line.strip("\r\n"):
+            continue  # the table parse skipped it too
+        try:
+            width = _loadtxt([line]).shape[1]
+        except ValueError:
+            return GridFormatError(
+                f"{path}: line {number} has a non-numeric cell: "
+                f"{line.rstrip()!r}")
+        if width != ncols:
+            return IncompleteGridError(
+                f"{path}: line {number} has {width} columns, "
+                f"expected {ncols}")
+    return None
 
 
 def load_grid_csv(path) -> RegularGrid:
@@ -60,15 +122,13 @@ def load_grid_csv(path) -> RegularGrid:
     Raises
     ------
     MissingHeaderError, IrregularSpacingError, IncompleteGridError,
-    NonFiniteValueError
+    NonFiniteValueError, GridFormatError
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingHeaderError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
+        line = fh.readline()
+        if not line:
+            raise MissingHeaderError(f"{path}: file is empty")
+        header = [h.strip() for h in next(csv.reader([line]))]
         dim = 0
         for name in header:
             if dim < 4 and name == AXIS_NAMES[dim]:
@@ -82,27 +142,21 @@ def load_grid_csv(path) -> RegularGrid:
         component_names = header[dim:]
         if not component_names:
             raise MissingHeaderError(f"{path}: no field columns in header")
-        try:
-            rows = np.array([[float(cell) for cell in row]
-                             for row in reader if row], dtype=np.float64)
-        except ValueError as exc:
-            raise GridFormatError(f"{path}: non-numeric data row "
-                                  f"({exc})") from None
-    m = len(component_names)
-    if rows.ndim != 2 or rows.shape[1] != dim + m:
-        raise IncompleteGridError(
-            f"{path}: rows must have {dim + m} columns")
+        m = len(component_names)
+        rows = parse_rows(fh, dim + m, path, 2)
+    if rows.shape[0] == 0:
+        raise IncompleteGridError(f"{path}: no data rows")
     if not np.all(np.isfinite(rows[:, :dim])):
         raise NonFiniteValueError(f"{path}: non-finite coordinate")
     if not np.all(np.isfinite(rows[:, dim:])):
         raise NonFiniteValueError(f"{path}: non-finite field value")
 
     axes = []
-    index_of = []
+    index = []
     for d in range(dim):
-        uniq = np.unique(rows[:, d])
+        uniq, inverse = np.unique(rows[:, d], return_inverse=True)
         axes.append(infer_axis(uniq))
-        index_of.append({v: i for i, v in enumerate(uniq)})
+        index.append(inverse)
     counts = tuple(a.count for a in axes)
     expected = int(np.prod(counts))
     if rows.shape[0] != expected:
@@ -110,17 +164,37 @@ def load_grid_csv(path) -> RegularGrid:
             f"{path}: got {rows.shape[0]} rows, expected {expected} "
             f"({'x'.join(map(str, counts))})")
 
-    values = np.empty(counts[::-1] + (m,))
-    seen = np.zeros(counts[::-1], dtype=bool)
-    for row in rows:
-        rev_idx = tuple(index_of[d][row[d]] for d in reversed(range(dim)))
-        if seen[rev_idx]:
-            coord = tuple(row[:dim])
-            raise IncompleteGridError(f"{path}: duplicate vertex {coord}")
-        seen[rev_idx] = True
-        values[rev_idx] = row[dim:]
+    # flat vertex index with x varying fastest, the layout of the samples
+    flat = np.ravel_multi_index(index[::-1], counts[::-1])
+    if np.bincount(flat, minlength=expected).max() > 1:
+        repeat = np.ones(expected, dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        coord = tuple(rows[np.argmax(repeat), :dim].tolist())
+        raise IncompleteGridError(f"{path}: duplicate vertex {coord}")
+    values = np.empty((expected, m))
+    values[flat] = rows[:, dim:]
     return RegularGrid(axes, values, components=m,
                        component_names=component_names)
+
+
+def _write_rows(fh, table, row_format, ok=None, bad_format="",
+                bad_cells=0):
+    """Write ``row_format % row`` for each row of a float table.
+
+    ``%r`` of a Python float is ``repr``, the shortest text that reads
+    back as the same float64. Where ``ok`` is False the row is written
+    as ``bad_format % row[:bad_cells]`` instead. Rows are formatted and
+    written _BLOCK_ROWS at a time, so the text held at once stays small.
+    """
+    n = table.shape[0]
+    if ok is None:
+        ok = np.ones(n, dtype=bool)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = table[start:start + _BLOCK_ROWS].tolist()
+        flags = ok[start:start + _BLOCK_ROWS].tolist()
+        fh.write("".join([row_format % tuple(row) if good
+                          else bad_format % tuple(row[:bad_cells])
+                          for row, good in zip(rows, flags)]))
 
 
 def write_grid_csv(path, grid: RegularGrid, component_names=None):
@@ -131,14 +205,18 @@ def write_grid_csv(path, grid: RegularGrid, component_names=None):
     """
     names = _component_names(grid, component_names)
     dim = grid.dim
-    coords = [a.coordinates() for a in grid.axes]
+    mesh = np.meshgrid(*[a.coordinates() for a in grid.axes[::-1]],
+                       indexing="ij")
+    table = np.column_stack(
+        [mesh[dim - 1 - d].reshape(-1) for d in range(dim)]
+        + [grid.values.reshape(-1, grid.components)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(AXIS_NAMES[:dim] + tuple(names)) + "\n")
-        for rev_idx in np.ndindex(*grid.counts[::-1]):
-            point = [coords[d][rev_idx[dim - 1 - d]] for d in range(dim)]
-            cells = [_format(c) for c in point]
-            cells += [_format(v) for v in grid.values[rev_idx]]
-            fh.write(",".join(cells) + "\n")
+        _write_rows(fh, table, _row_format(table.shape[1]))
+
+
+def _row_format(n_cells: int, tail: str = "") -> str:
+    return ",".join(["%r"] * n_cells) + tail + "\n"
 
 
 def _component_names(grid: RegularGrid, names=None):
@@ -164,20 +242,17 @@ def write_results_csv(path, points, result: BatchResult, component_names):
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] != len(result.ok):
         raise ValueError("points must be (n, dim) and aligned with results")
-    dim = points.shape[1]
+    n, dim = points.shape
+    m = result.values.shape[1]
+    table = np.column_stack([points, result.values,
+                             result.gradients.reshape(n, m * dim)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(result_header(dim, component_names)) + "\n")
-        for i in range(points.shape[0]):
-            cells = [_format(c) for c in points[i]]
-            if result.ok[i]:
-                cells += [_format(v) for v in result.values[i]]
-                cells += [_format(g) for g in result.gradients[i].reshape(-1)]
-                cells.append("")
-            else:
-                n_res = result.values.shape[1] * (1 + dim)
-                cells += ["NaN"] * n_res
-                cells.append("out_of_domain")
-            fh.write(",".join(cells) + "\n")
+        _write_rows(fh, table, _row_format(table.shape[1], ","),
+                    ok=np.asarray(result.ok, dtype=bool),
+                    bad_format=_row_format(
+                        dim, ",NaN" * (m + m * dim) + ",out_of_domain"),
+                    bad_cells=dim)
 
 
 def _grid_fingerprint(grid: RegularGrid) -> bytes:

@@ -118,11 +118,33 @@ class TestQuery:
         assert [float(c) for c in lines[3].split(",")[:4]] == [1.1, 1.2,
                                                                1.3, 1.4]
 
+    def test_inline_points_first_then_file(self, lin4d, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(b'\r\n x , y,z,t\r\n1.5,1.5,"1.5",1.5\r\n\r\n'
+                        b" 2.5 ,2.5,2.5,2.5\r\n")
+        out_path = str(tmp_path / "res.csv")
+        assert main(["query", lin4d, "--point", "1.1,1.2,1.3,1.4",
+                     "--points", str(pts), "--point", "3,3,3,3",
+                     "--out", out_path]) == 0
+        lines = open(out_path, encoding="utf-8").read().strip().split("\n")
+        assert [ln.split(",")[:4] for ln in lines[1:]] == [
+            ["1.1", "1.2", "1.3", "1.4"], ["3.0"] * 4, ["1.5"] * 4,
+            ["2.5"] * 4]
+
     def test_malformed_points_file_exits_2(self, lin4d, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("1.5,abc,1.5,1.5\n", encoding="utf-8")
         assert main(["query", lin4d, "--points", str(pts)]) == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        assert "line 1 has a non-numeric cell: '1.5,abc,1.5,1.5'" in err
+
+    def test_short_points_row_exits_2(self, lin4d, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_text("x,y,z,t\n1.5,1.5,1.5,1.5\n1.5,1.5,1.5\n",
+                       encoding="utf-8")
+        assert main(["query", lin4d, "--points", str(pts)]) == 2
+        assert "line 3 has 3 columns, expected 4" in capsys.readouterr().err
 
     def test_no_points_exits_2(self, lin4d, capsys):
         assert main(["query", lin4d]) == 2
@@ -176,7 +198,9 @@ class TestSample:
                      "--min", "0,0,0,0", "--max", "4,4,4,4",
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "target range [0.0, 4.0] on axis x outside queryable " in err
+        assert "np." not in err
 
     def test_output_loadable(self, trig3d, tmp_path, capsys):
         out_path = str(tmp_path / "res.csv")

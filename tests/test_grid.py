@@ -62,8 +62,10 @@ class TestInferAxis:
         assert a.count == 4
 
     def test_irregular(self):
-        with pytest.raises(IrregularSpacingError):
+        with pytest.raises(IrregularSpacingError) as info:
             infer_axis([0.0, 1.0, 2.5, 3.0])
+        assert str(info.value) == ("gap 1.5 at index 1 deviates from "
+                                   "uniform spacing 1.0")
 
     def test_too_few(self):
         with pytest.raises(TooFewPointsError):
@@ -137,8 +139,10 @@ class TestLocate:
 
     def test_strict_rejects_edge_cell(self):
         grid = unit_grid(3, count=6)
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(OutOfDomainError) as info:
             locate(grid, [0.5, 1.0, 1.0], STRICT)
+        assert "coordinate 0.5 on axis 0" in str(info.value)
+        assert "np." not in str(info.value)
 
     def test_ghost_extends_domain(self):
         grid = unit_grid(3, count=6)

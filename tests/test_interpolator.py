@@ -44,6 +44,8 @@ class TestConstruction:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_runtime_path_skips_exact_derivation(self, dim, monkeypatch):
         import hyperspline
+        import hyperspline.cli
+        import hyperspline.io
 
         def boom(*args, **kwargs):
             raise AssertionError("exact derivation reached at runtime")

@@ -28,7 +28,9 @@ from hyperspline import (
     write_grid_csv,
     write_results_csv,
 )
-from hyperspline.io import CACHE_MAGIC, result_header
+from hyperspline import io as hio
+from hyperspline.interpolator import BatchResult
+from hyperspline.io import AXIS_NAMES, CACHE_MAGIC, result_header
 
 
 def rows_4d(counts=(4, 4, 4, 4), func=None):
@@ -92,9 +94,49 @@ class TestLoadGridCsv:
     def test_duplicate_vertex(self, tmp_path):
         rows = rows_4d()
         rows[-1] = rows[0]
-        with pytest.raises(IncompleteGridError):
+        with pytest.raises(IncompleteGridError) as info:
             load_grid_csv(write_lines(tmp_path / "g.csv",
                                       ["x,y,z,t,f"] + rows))
+        assert str(info.value).endswith(
+            "duplicate vertex (0.0, 0.0, 0.0, 0.0)")
+
+    def test_short_row_names_line_and_width(self, tmp_path):
+        rows = rows_4d()
+        rows[6] = "2,1,0,0"
+        with pytest.raises(IncompleteGridError,
+                           match="line 8 has 4 columns, expected 5"):
+            load_grid_csv(write_lines(tmp_path / "g.csv",
+                                      ["x,y,z,t,f"] + rows))
+
+    @pytest.mark.parametrize("row", [
+        "3,1,0,0,",       # empty cell
+        "3,1,0,0,1,",     # trailing comma
+        "3,1,0,0,1#2",    # not a comment marker
+        "3,1,0,0,1_0",    # Python-only number spelling
+        "3,1,0,0,1 2",
+    ])
+    def test_malformed_cell_names_line(self, tmp_path, row):
+        rows = rows_4d()
+        rows[7] = row
+        with pytest.raises(GridFormatError,
+                           match="line 9 has a non-numeric cell"):
+            load_grid_csv(write_lines(tmp_path / "g.csv",
+                                      ["x,y,z,t,f"] + rows))
+
+    def test_quoted_cells_accepted(self, tmp_path):
+        rows = rows_4d()
+        plain = load_grid_csv(write_lines(tmp_path / "a.csv",
+                                          ["x,y,z,t,f"] + rows))
+        quoted = [",".join(f'"{c}"' for c in r.split(",")) for r in rows]
+        grid = load_grid_csv(write_lines(tmp_path / "b.csv",
+                                         ['"x","y","z","t","f"'] + quoted))
+        assert np.array_equal(grid.values, plain.values)
+        assert grid.axes == plain.axes
+
+    def test_header_only(self, tmp_path):
+        with pytest.raises(IncompleteGridError, match="no data rows"):
+            load_grid_csv(write_lines(tmp_path / "g.csv",
+                                      ["x,y,z,t,f", "", ""]))
 
     def test_nan_value(self, tmp_path):
         rows = rows_4d()
@@ -138,6 +180,70 @@ class TestLoadGridCsv:
     def test_empty_file(self, tmp_path):
         with pytest.raises(MissingHeaderError):
             load_grid_csv(write_lines(tmp_path / "g.csv", [""]))
+
+
+def grid_lines(grid):
+    """Grid CSV lines, cells written with ``repr``, rows in array order."""
+    coords = [a.coordinates() for a in grid.axes]
+    lines = [",".join(AXIS_NAMES[:grid.dim] + grid.component_names)]
+    for rev in np.ndindex(*grid.counts[::-1]):
+        cells = [coords[d][rev[grid.dim - 1 - d]] for d in range(grid.dim)]
+        cells += list(grid.values[rev])
+        lines.append(",".join(repr(float(c)) for c in cells))
+    return lines
+
+
+class TestGridLoaderProperties:
+    @pytest.mark.parametrize("dim,m", [(3, 1), (3, 3), (4, 1), (4, 3)])
+    def test_row_order_and_layout_do_not_matter(self, tmp_path, dim, m):
+        rng = np.random.default_rng(dim * 10 + m)
+        axes = [Axis(-0.3, 0.7, 4), Axis(1.0, 0.25, 5), Axis(0.0, 2.0, 4),
+                Axis(5.0, 0.5, 4)][:dim]
+        counts = tuple(a.count for a in axes)
+        grid = RegularGrid(axes, rng.standard_normal(counts[::-1] + (m,)),
+                           components=m,
+                           component_names=[f"c{i}" for i in range(m)])
+        lines = grid_lines(grid)
+        for trial in range(3):
+            perm = rng.permutation(len(lines) - 1) + 1
+            rows = [lines[i] for i in perm]
+            if trial == 1:
+                rows = [" " + r.replace(",", " ,\t") + " " for r in rows]
+            newline = "\r\n" if trial == 2 else "\n"
+            path = tmp_path / f"g{trial}.csv"
+            path.write_bytes((newline.join([lines[0]] + rows) + newline)
+                             .encode("utf-8"))
+            back = load_grid_csv(path)
+            assert np.array_equal(back.values, grid.values)
+            assert back.axes == load_grid_csv(
+                write_lines(tmp_path / "ordered.csv", lines)).axes
+            assert back.counts == counts
+            assert back.component_names == grid.component_names
+
+    @pytest.mark.parametrize("fmt", [repr, "%.17g".__mod__, "%.6e".__mod__,
+                                     "int"])
+    def test_cells_parse_like_python_float(self, tmp_path, fmt):
+        rng = np.random.default_rng(7)
+        n = 4 ** 3 * 3
+        if fmt == "int":
+            ints = rng.integers(-2 ** 62, 2 ** 62, n)
+            ints[:4] = [0, -1, 2 ** 53 + 1, -(2 ** 53) - 1]
+            cells = [str(int(v) * 37) for v in ints]
+        else:
+            bits = rng.integers(0, 2 ** 64, 4 * n, dtype=np.uint64)
+            vals = bits.view(np.float64)
+            vals = vals[np.isfinite(vals)][:n]
+            vals[:6] = [-0.0, 5e-324, -2.2250738585072009e-308, 1e300,
+                        -1e300, np.finfo(np.float64).max]
+            cells = [fmt(float(v)) for v in vals]
+        lines = ["x,y,z,a,b,c"]
+        for k in range(4 ** 3):
+            x, y, z = k % 4, k // 4 % 4, k // 16
+            lines.append(f"{x},{y},{z}," + ",".join(cells[3 * k:3 * k + 3]))
+        grid = load_grid_csv(write_lines(tmp_path / "g.csv", lines))
+        want = np.array([float(c) for c in cells])
+        assert np.array_equal(grid.values.reshape(-1).view(np.uint64),
+                              want.view(np.uint64))
 
 
 class TestGridRoundTrip:
@@ -193,6 +299,99 @@ class TestResultsCsv:
         header = path.read_text(encoding="utf-8").split("\n")[0].split(",")
         assert len(header) == 3 + 3 + 9 + 1
         assert header == result_header(3, grid3.component_names)
+
+
+def reference_write_grid_csv(path, grid):
+    """The per-row writer the block writer replaced, kept as reference."""
+    names = grid.component_names
+    dim = grid.dim
+    coords = [a.coordinates() for a in grid.axes]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(AXIS_NAMES[:dim] + tuple(names)) + "\n")
+        for rev_idx in np.ndindex(*grid.counts[::-1]):
+            point = [coords[d][rev_idx[dim - 1 - d]] for d in range(dim)]
+            cells = [repr(float(c)) for c in point]
+            cells += [repr(float(v)) for v in grid.values[rev_idx]]
+            fh.write(",".join(cells) + "\n")
+
+
+def reference_write_results_csv(path, points, result, component_names):
+    """The per-row writer the block writer replaced, kept as reference."""
+    dim = points.shape[1]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(result_header(dim, component_names)) + "\n")
+        for i in range(points.shape[0]):
+            cells = [repr(float(c)) for c in points[i]]
+            if result.ok[i]:
+                cells += [repr(float(v)) for v in result.values[i]]
+                cells += [repr(float(g))
+                          for g in result.gradients[i].reshape(-1)]
+                cells.append("")
+            else:
+                n_res = result.values.shape[1] * (1 + dim)
+                cells += ["NaN"] * n_res
+                cells.append("out_of_domain")
+            fh.write(",".join(cells) + "\n")
+
+
+SPECIAL = np.array([-0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
+                    1e300, -1e300, 0.1, 1 / 3, -7.0])
+
+
+def special_values(rng, shape):
+    """Random normals with every SPECIAL value planted, for writer tests."""
+    v = rng.standard_normal(shape).reshape(-1)
+    v[:SPECIAL.size] = SPECIAL[:v.size]
+    rng.shuffle(v)
+    return v.reshape(shape)
+
+
+class TestWriterByteIdentity:
+    @pytest.fixture(params=[None, 7], ids=["one_block", "block_of_7"])
+    def block_rows(self, request, monkeypatch):
+        if request.param is not None:
+            monkeypatch.setattr(hio, "_BLOCK_ROWS", request.param)
+
+    @pytest.mark.parametrize("dim,m", [(3, 1), (3, 3), (4, 1), (4, 3)])
+    def test_grid_writer(self, tmp_path, block_rows, dim, m):
+        rng = np.random.default_rng(dim + m)
+        axes = [Axis(-0.7, 0.31, 5), Axis(1e-300, 3e-301, 4),
+                Axis(-0.0, 0.125, 6), Axis(10.0, 0.05, 4)][:dim]
+        counts = tuple(a.count for a in axes)
+        grid = RegularGrid(axes, special_values(rng, counts[::-1] + (m,)),
+                           components=m)
+        write_grid_csv(tmp_path / "new.csv", grid)
+        reference_write_grid_csv(tmp_path / "ref.csv", grid)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    def test_grid_writer_several_default_blocks(self, tmp_path):
+        grid = RegularGrid([Axis(0.0, 0.1, 17)] * 3,
+                           special_values(np.random.default_rng(3),
+                                          (17, 17, 17, 1)))
+        assert grid.values.size > hio._BLOCK_ROWS
+        write_grid_csv(tmp_path / "new.csv", grid)
+        reference_write_grid_csv(tmp_path / "ref.csv", grid)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("dim,m", [(3, 1), (3, 3), (4, 1), (4, 3)])
+    @pytest.mark.parametrize("n", [0, 1, 30])
+    def test_results_writer(self, tmp_path, block_rows, dim, m, n):
+        rng = np.random.default_rng(100 * dim + 10 * m + n)
+        points = special_values(rng, (n, dim))
+        ok = rng.random(n) < 0.7
+        values = special_values(rng, (n, m))
+        gradients = special_values(rng, (n, m, dim))
+        values[~ok] = np.nan
+        gradients[~ok] = np.nan
+        result = BatchResult(values, gradients, ok)
+        names = [f"c{i}" for i in range(m)]
+        write_results_csv(tmp_path / "new.csv", points, result, names)
+        reference_write_results_csv(tmp_path / "ref.csv", points, result,
+                                    names)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "ref.csv").read_bytes())
 
 
 class TestCoefficientCache:
