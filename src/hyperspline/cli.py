@@ -27,6 +27,7 @@ from .interpolator import Interpolator
 from .io import (
     AXIS_NAMES,
     load_grid_csv,
+    open_csv,
     parse_rows,
     result_header,
     write_grid_csv,
@@ -44,9 +45,8 @@ def _policy(name: str) -> BoundaryPolicy:
 
 
 def _parse_floats(text: str, want: int, what: str) -> np.ndarray:
-    parts = [p for p in text.split(",") if p.strip()]
     try:
-        vals = np.array([float(p) for p in parts])
+        vals = np.array([float(p) for p in text.split(",")])
     except ValueError:
         raise _InputError(f"{what} must be comma-separated numbers, "
                           f"got {text!r}") from None
@@ -77,7 +77,7 @@ def _read_points(args, dim: int) -> np.ndarray:
     points = np.array(rows).reshape(len(rows), dim)
     if args.points:
         try:
-            with open(args.points, "r", encoding="utf-8", newline="") as fh:
+            with open_csv(args.points) as fh:
                 # the first non-empty line is a header if it names the axes
                 start, number = fh.tell(), 1
                 line = fh.readline()

@@ -12,13 +12,21 @@ queryable region depends on how boundaries are handled:
   one layer of ghost samples per side from linear extrapolation of the
   two edge layers. First-order near edges, exact for linear fields.
 
+Samples are stored once, component-major: one contiguous ``(m, vertices)``
+array with the x index varying fastest among the vertices.
+``RegularGrid.values`` is a read-only ``(count_last, ..., count_first, m)``
+view of it. A gather takes whole stencils from every component row and
+returns ``(m, 4^dim, k)`` for k elements, so the evaluation kernel runs
+its elementwise loops along the contiguous element axis.
+
 Module contents:
     BoundaryPolicy -- Strict / LinearGhost enum
     Axis           -- origin, spacing, count of one grid direction
-    RegularGrid    -- axes + flattened multi-component samples
+    RegularGrid    -- axes + component-major samples
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
     locate         -- map a physical point to (element, local coords)
+    locate_points  -- the same for many points, flagging those outside
     gather_neighborhoods -- the 4^dim samples around many elements at once
     neighborhood_block   -- the same for one element
 """
@@ -26,6 +34,7 @@ Module contents:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,8 +151,10 @@ class RegularGrid:
     component_names : sequence of str, optional
         Labels for CSV headers; defaults to ``f`` or ``f0, f1, ...``.
 
-    The grid is immutable after construction; all operations on it are
-    read-only and safe for unrestricted concurrent use.
+    The samples are copied once into a component-major store (see the
+    module docstring); ``values`` is a read-only view of it. The grid is
+    immutable after construction; all operations on it are read-only and
+    safe for unrestricted concurrent use.
     """
 
     def __init__(self, axes, values, components: int = 1,
@@ -162,11 +173,12 @@ class RegularGrid:
                 f"expected {np.prod(shape)} values "
                 f"({'x'.join(map(str, counts))} vertices x {components} "
                 f"components), got {vals.size}")
-        vals = vals.reshape(shape)
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValueError("grid samples must all be finite")
-        vals = vals.copy()
-        vals.flags.writeable = False
+        # the one stored copy, component-major: one contiguous row of
+        # vertex samples per component
+        samples = vals.reshape(-1, components).T.copy()
+        samples.flags.writeable = False
         if component_names is None:
             component_names = (("f",) if components == 1 else
                                tuple(f"f{i}" for i in range(components)))
@@ -179,7 +191,9 @@ class RegularGrid:
         self.axes = axes
         self.components = components
         self.component_names = component_names
-        self.values = vals
+        self._samples = samples
+        # shaped (count_last, ..., count_first, m): a view, not a copy
+        self.values = samples.T.reshape(shape)
         # flat vertex index = index @ _strides (x fastest); _stencil holds
         # the flat offsets of the 4^dim neighborhood in sample-row order
         self._strides = np.cumprod((1,) + counts[:-1], dtype=np.int64)
@@ -229,7 +243,8 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
 
     Returns ``(ElementRef, u)`` with ``u`` in the unit cell ``[0, 1]^dim``.
     A point exactly on the upper queryable boundary maps to the last valid
-    element with ``u = 1``.
+    element with ``u = 1``. The arithmetic is that of
+    :func:`locate_points`, on Python floats, so both agree bit for bit.
 
     Raises
     ------
@@ -240,22 +255,44 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
     if p.shape != (grid.dim,):
         raise ValueError(
             f"point must have {grid.dim} coordinates, got shape {p.shape}")
-    base = np.empty(grid.dim, dtype=np.int64)
-    u = np.empty(grid.dim, dtype=np.float64)
-    for d, (axis, (lo, hi)) in enumerate(
-            zip(grid.axes, grid.element_base_range(policy))):
+    base, u = [], []
+    for d, (x, axis, (lo, hi)) in enumerate(
+            zip(p.tolist(), grid.axes, grid.element_base_range(policy))):
         cmin = axis.coordinate(lo)
         cmax = axis.coordinate(hi + 1)
-        if not (cmin <= p[d] <= cmax):
+        if not (cmin <= x <= cmax):
             raise OutOfDomainError(
-                f"coordinate {float(p[d])!r} on axis {d} outside queryable "
+                f"coordinate {x!r} on axis {d} outside queryable "
                 f"range [{cmin!r}, {cmax!r}] under {policy.value}")
-        b = int(np.floor((p[d] - axis.origin) / axis.spacing))
-        b = min(max(b, lo), hi)
-        base[d] = b
-        ud = (p[d] - axis.coordinate(b)) / axis.spacing
-        u[d] = min(max(ud, 0.0), 1.0)
-    return ElementRef(tuple(base)), u
+        b = min(max(math.floor((x - axis.origin) / axis.spacing), lo), hi)
+        base.append(b)
+        ud = (x - (axis.origin + b * axis.spacing)) / axis.spacing
+        u.append(min(max(ud, 0.0), 1.0))
+    return ElementRef(tuple(base)), np.array(u)
+
+
+def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
+    """Vectorised :func:`locate` for an ``(n, dim)`` array of points.
+
+    Returns ``(bases, u, ok)``: ``(n, dim)`` element base indices, the
+    ``(dim, n)`` local coordinates and an ``(n,)`` mask of the points
+    inside the queryable domain. Rows of points outside it hold
+    arbitrary in-range bases instead of raising.
+    """
+    n = points.shape[0]
+    bases = np.empty((n, grid.dim), dtype=np.int64)
+    u = np.empty((grid.dim, n))
+    ok = np.ones(n, dtype=bool)
+    for d, (a, (lo, hi)) in enumerate(
+            zip(grid.axes, grid.element_base_range(policy))):
+        x = points[:, d]
+        ok &= (x >= a.coordinate(lo)) & (x <= a.coordinate(hi + 1))
+        b = np.floor((x - a.origin) / a.spacing)
+        b = np.where(np.isfinite(b), b, lo)
+        b = np.clip(b, lo, hi)
+        bases[:, d] = b
+        u[d] = np.clip((x - (a.origin + b * a.spacing)) / a.spacing, 0.0, 1.0)
+    return bases, u, ok
 
 
 def gather_neighborhoods(grid: RegularGrid, bases,
@@ -263,12 +300,12 @@ def gather_neighborhoods(grid: RegularGrid, bases,
     """All-component sample neighborhoods of k elements in one fetch.
 
     ``bases`` is a ``(k, dim)`` integer array of element base indices.
-    Returns an array of shape ``(4^dim, k, m)``: entry ``[n, i]`` holds
-    the samples at grid offset ``o`` with ``n = sum_d (o_d + 1) * 4^d``
-    relative to base i, for all m components. Under ``LinearGhost``,
-    offsets falling one layer outside the grid are filled with
-    ``2 * f(edge) - f(next-to-edge)``, axis by axis from axis 0, so a
-    corner ghost extrapolates already-extrapolated layers.
+    Returns an array of shape ``(m, 4^dim, k)``: entry ``[c, n, i]`` holds
+    component c of the sample at grid offset ``o`` with
+    ``n = sum_d (o_d + 1) * 4^d`` relative to base i. Under
+    ``LinearGhost``, offsets falling one layer outside the grid are
+    filled with ``2 * f(edge) - f(next-to-edge)``, axis by axis from
+    axis 0, so a corner ghost extrapolates already-extrapolated layers.
 
     Raises
     ------
@@ -287,24 +324,22 @@ def gather_neighborhoods(grid: RegularGrid, bases,
     # ghost entry reads whatever in-range sample its clipped offset hits
     # and is overwritten from real samples below
     flat = grid._stencil[:, None] + bases @ grid._strides
-    samples = np.take(grid.values.reshape(-1, grid.components), flat,
-                      axis=0, mode="clip")
+    samples = np.take(grid._samples, flat, axis=1, mode="clip")
     if policy is BoundaryPolicy.LINEAR_GHOST:
         # under this policy the bases 0 and hi are the edge elements
         low, high = bases == lo, bases == hi
         dim = grid.dim
-        block = samples.reshape((4,) * dim + samples.shape[1:])
+        block = samples.reshape(samples.shape[:1] + (4,) * dim
+                                + samples.shape[-1:])
         for d in np.flatnonzero(low.any(axis=0) | high.any(axis=0)):
-            # stencil axes run t..x: grid axis d is block axis dim-1-d
-            sub = np.moveaxis(block, dim - 1 - d, 0)
+            # stencil axes run t..x: grid axis d is block axis dim-d
+            sub = np.moveaxis(block, dim - d, 0)
             at = np.flatnonzero(low[:, d])
             if at.size:
-                sub[0][..., at, :] = (2.0 * sub[1][..., at, :]
-                                      - sub[2][..., at, :])
+                sub[0][..., at] = 2.0 * sub[1][..., at] - sub[2][..., at]
             at = np.flatnonzero(high[:, d])
             if at.size:
-                sub[3][..., at, :] = (2.0 * sub[2][..., at, :]
-                                      - sub[1][..., at, :])
+                sub[3][..., at] = 2.0 * sub[2][..., at] - sub[1][..., at]
     return samples
 
 
@@ -312,8 +347,8 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
                        policy: BoundaryPolicy) -> np.ndarray:
     """All-component sample neighborhood of one element, ``(4^dim, m)``.
 
-    The one-element view of :func:`gather_neighborhoods`: row ``n``
-    holds the samples at grid offset ``o`` with
+    The one-element view of :func:`gather_neighborhoods`, transposed:
+    row ``n`` holds the samples at grid offset ``o`` with
     ``n = sum_d (o_d + 1) * 4^d`` relative to the element base.
     """
-    return gather_neighborhoods(grid, [elem.base], policy)[:, 0]
+    return gather_neighborhoods(grid, [elem.base], policy)[:, :, 0].T

@@ -30,6 +30,7 @@ Coefficient cache ("QCUB")
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import struct
@@ -116,6 +117,21 @@ def _bad_line(lines, ncols, path, first_line):
     return None
 
 
+@contextlib.contextmanager
+def open_csv(path):
+    """Open a CSV file as UTF-8 text for reading.
+
+    Bytes that do not decode raise ``GridFormatError`` naming the file.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise GridFormatError(
+                f"{path}: not UTF-8 text ({exc.reason}: "
+                f"{exc.object[exc.start:exc.end]!r})") from None
+
+
 def load_grid_csv(path) -> RegularGrid:
     """Read a grid CSV file (see module docstring for the schema).
 
@@ -124,7 +140,7 @@ def load_grid_csv(path) -> RegularGrid:
     MissingHeaderError, IrregularSpacingError, IncompleteGridError,
     NonFiniteValueError, GridFormatError
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_csv(path) as fh:
         line = fh.readline()
         if not line:
             raise MissingHeaderError(f"{path}: file is empty")

@@ -81,6 +81,15 @@ class TestInfo:
         assert main(["info", "/nonexistent/grid.csv"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_not_utf8_exits_2(self, lin4d, tmp_path, capsys):
+        path = tmp_path / "g.csv"
+        with open(lin4d, "rb") as fh:
+            lines = fh.read().splitlines()
+        lines[3] = b"\xff\xfe" + lines[3]
+        path.write_bytes(b"\n".join(lines))
+        assert main(["info", str(path)]) == 2
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
 
 class TestQuery:
     def test_inline_point(self, lin4d, capsys):
@@ -146,6 +155,19 @@ class TestQuery:
         assert main(["query", lin4d, "--points", str(pts)]) == 2
         assert "line 3 has 3 columns, expected 4" in capsys.readouterr().err
 
+    def test_not_utf8_points_file_exits_2(self, lin4d, tmp_path, capsys):
+        pts = tmp_path / "pts.csv"
+        pts.write_bytes(b"x,y,z,t\n1.5,1.5,1.5,1.5\n\xff\xfe1.5,1.5,1.5,1.5\n")
+        assert main(["query", lin4d, "--points", str(pts)]) == 2
+        assert f"{pts}: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [",1.5,,1.6,1.7,", "1.5,1.6,1.7,",
+                                      "1.5,,1.6", "1.5, ,1.6"])
+    def test_empty_point_cell_exits_2(self, trig3d, capsys, spec):
+        assert main(["query", trig3d, "--point", spec]) == 2
+        err = capsys.readouterr().err
+        assert f"--point must be comma-separated numbers, got {spec!r}" in err
+
     def test_no_points_exits_2(self, lin4d, capsys):
         assert main(["query", lin4d]) == 2
 
@@ -201,6 +223,15 @@ class TestSample:
         err = capsys.readouterr().err
         assert "target range [0.0, 4.0] on axis x outside queryable " in err
         assert "np." not in err
+
+    @pytest.mark.parametrize("flag", ["--min", "--max"])
+    def test_empty_range_cell_exits_2(self, lin4d, tmp_path, capsys, flag):
+        out_path = tmp_path / "x.csv"
+        assert main(["sample", lin4d, "--counts", "4,4,4,4",
+                     flag, "2,,2,2,2", "--out", str(out_path)]) == 2
+        assert f"{flag} must be comma-separated numbers" in (
+            capsys.readouterr().err)
+        assert not out_path.exists()
 
     def test_output_loadable(self, trig3d, tmp_path, capsys):
         out_path = str(tmp_path / "res.csv")

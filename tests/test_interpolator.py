@@ -22,6 +22,8 @@ from hyperspline import (
     tensor_polynomial_field,
     trig_product_field,
 )
+from hyperspline import interpolator as interpolator_module
+from hyperspline.grid import locate_points
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST
@@ -465,6 +467,31 @@ class TestBatch:
             Interpolator(grid).eval_batch(np.full((5, 4), 1.5),
                                           chunk_size=chunk_size)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_default_chunk_within_budget(self, dim, m, monkeypatch):
+        # the default chunk is the largest whose gathered samples fit in
+        # 1.5 MB
+        budget = 1.5 * 2 ** 20
+        per_point = m * 4 ** dim * 8
+        grid = RegularGrid([Axis(0.0, 1.0, 5)] * dim,
+                           np.ones((5,) * dim + (m,)), components=m)
+        blocks = []
+        original = interpolator_module.gather_neighborhoods
+
+        def gather(*args):
+            blocks.append(original(*args))
+            return blocks[-1]
+
+        n = 2 * int(budget // per_point) + 5
+        pts = np.random.default_rng(dim).uniform(1.0, 3.0, (n, dim))
+        monkeypatch.setattr(interpolator_module, "gather_neighborhoods",
+                            gather)
+        res = Interpolator(grid).eval_batch(pts)
+        assert res.ok.all() and len(blocks) == 3
+        assert blocks[0].nbytes <= budget < blocks[0].nbytes + per_point
+        assert sum(b.shape[-1] for b in blocks) == n
+
 
 class TestLinearGhost:
     def test_linear_field_exact_to_grid_edge(self):
@@ -553,15 +580,17 @@ def probe_points(grid, policy, rng, n=40):
     return np.concatenate([inner, vertices, faces, edge, corners])
 
 
-@pytest.fixture(scope="module", params=[3, 4])
+@pytest.fixture(scope="module", params=[
+    pytest.param((3, 2), id="3"), pytest.param((4, 2), id="4"),
+    pytest.param((3, 1), id="3-m1"), pytest.param((4, 1), id="4-m1")])
 def kernel_case(request):
-    dim = request.param
+    dim, m = request.param
     rng = np.random.default_rng(20 + dim)
     axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 5), Axis(2.0, 1.5, 7),
             Axis(0.0, 0.4, 5)][:dim]
     counts = [a.count for a in axes]
-    grid = RegularGrid(axes, rng.standard_normal(counts[::-1] + [2]),
-                       components=2)
+    grid = RegularGrid(axes, rng.standard_normal(counts[::-1] + [m]),
+                       components=m)
     cases = {}
     for policy in (STRICT, GHOST):
         interp = Interpolator(grid, policy)
@@ -579,7 +608,7 @@ def kernel_case(request):
 class TestSharedKernel:
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("chunk_size", [1, 7, 4096])
+    @pytest.mark.parametrize("chunk_size", [1, 7, None, 4096])
     def test_batch_equals_scalar_bitwise(self, kernel_case, policy,
                                          threads, chunk_size):
         interp, pts, scalar = kernel_case[policy]
@@ -591,6 +620,23 @@ class TestSharedKernel:
             if r is not None:
                 assert np.array_equal(res.values[i], r.values)
                 assert np.array_equal(res.gradients[i], r.gradient)
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_locate_matches_batch_locate_bitwise(self, kernel_case, policy):
+        interp, pts, scalar = kernel_case[policy]
+        # and the floats either side of every probe coordinate
+        pts = np.concatenate([pts, np.nextafter(pts, -np.inf),
+                              np.nextafter(pts, np.inf)])
+        bases, u, ok = locate_points(interp.grid, pts, policy)
+        for i, p in enumerate(pts):
+            try:
+                elem, u_i = locate(interp.grid, p, policy)
+            except OutOfDomainError:
+                assert not ok[i]
+                continue
+            assert ok[i]
+            assert elem.base == tuple(bases[i].tolist())
+            assert u_i.tobytes() == u[:, i].tobytes()
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     def test_eval_and_first_derivatives_match_gradient_bitwise(

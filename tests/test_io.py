@@ -181,6 +181,15 @@ class TestLoadGridCsv:
         with pytest.raises(MissingHeaderError):
             load_grid_csv(write_lines(tmp_path / "g.csv", [""]))
 
+    def test_not_utf8(self, tmp_path):
+        rows = rows_4d()
+        rows[7] = "\xff\xfe" + rows[7]
+        path = tmp_path / "g.csv"
+        path.write_bytes("\n".join(["x,y,z,t,f"] + rows).encode("latin-1"))
+        with pytest.raises(GridFormatError) as info:
+            load_grid_csv(str(path))
+        assert str(info.value).startswith(f"{path}: not UTF-8 text")
+
 
 def grid_lines(grid):
     """Grid CSV lines, cells written with ``repr``, rows in array order."""
