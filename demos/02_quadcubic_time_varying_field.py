@@ -10,7 +10,8 @@ arbitrary space-time points.
 
 import numpy as np
 
-from hyperspline import Interpolator, quadrupole_field, sample, Axis
+from hyperspline import Axis, Interpolator
+from hyperspline.fields import quadrupole_field, sample
 
 field = quadrupole_field()   # m = 3 components, dim = 4
 print("field:", field.descriptor)

@@ -19,8 +19,14 @@ from functools import reduce
 
 import numpy as np
 
-from hyperspline import constraint_matrix, constraint_quantities, difference_matrix
-from hyperspline.operators import CATMULL_ROM, operator_is_exact, operator_set
+from hyperspline.operators import (
+    CATMULL_ROM,
+    constraint_matrix,
+    constraint_quantities,
+    difference_matrix,
+    operator_is_exact,
+    operator_set,
+)
 
 print("Catmull-Rom basis matrix M (row k: coefficient of u^k;")
 print("columns: samples at offsets -1, 0, 1, 2):")

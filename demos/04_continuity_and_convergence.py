@@ -11,11 +11,12 @@ Two studies on smooth test fields:
   shrinks like roughly h^3 under grid refinement
 """
 
+import os
+
 import numpy as np
 
-from hyperspline import (
-    Axis,
-    Interpolator,
+from hyperspline import Axis, Interpolator
+from hyperspline.fields import (
     continuity_scan,
     convergence_study,
     sample,
@@ -64,6 +65,7 @@ try:
     ax.set_ylabel("max |error|")
     ax.legend()
     fig.tight_layout()
+    os.makedirs("demo_output", exist_ok=True)
     fig.savefig("demo_output/convergence.png", dpi=120)
     print("\nsaved demo_output/convergence.png")
 except ImportError:

@@ -21,14 +21,12 @@ import numpy as np
 from hyperspline import (
     Axis,
     Interpolator,
-    load_cache,
     load_grid_csv,
-    quadrupole_field,
-    sample,
-    save_cache,
     write_grid_csv,
     write_results_csv,
 )
+from hyperspline.fields import quadrupole_field, sample
+from hyperspline.io import load_cache, save_cache
 
 os.makedirs("demo_output", exist_ok=True)
 

@@ -15,6 +15,10 @@ per cell for inspection and validation. The paper's exact rational
 construction of that operator (constraint and difference matrices,
 exact inversion) is kept as the reference that validates it.
 
+The top level holds the documented API; test fields and release checks
+(``hyperspline.fields``), the exact derivation (``operators``) and the
+coefficient-cache files (``io``) are imported from their modules.
+
 Quick start::
 
     import numpy as np
@@ -48,82 +52,21 @@ from .errors import (
     UnsupportedDimensionError,
     VersionMismatchError,
 )
-from .grid import (
-    Axis,
-    BoundaryPolicy,
-    ElementRef,
-    RegularGrid,
-    infer_axis,
-    locate,
-    neighborhood_block,
-)
+from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid
 from .interpolator import BatchResult, Interpolator, QueryResult
-from .operators import (
-    Quantity,
-    SparseRational,
-    constraint_matrix,
-    constraint_quantities,
-    difference_matrix,
-    invert_exact,
-    operator_set,
-)
-from .fields import (
-    AnalyticField,
-    ContinuityReport,
-    ConvergenceReport,
-    builtin_fields,
-    catmull_rom_1d,
-    constant_field,
-    continuity_scan,
-    convergence_study,
-    linear_field,
-    multilinear_field,
-    oracle_coefficients,
-    quadrupole_field,
-    sample,
-    tensor_polynomial_field,
-    trig_product_field,
-)
-from .io import load_cache, load_grid_csv, save_cache, write_grid_csv, write_results_csv
+from .io import load_grid_csv, write_grid_csv, write_results_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Axis",
-    "AnalyticField",
     "BatchResult",
     "BoundaryPolicy",
-    "ContinuityReport",
-    "ConvergenceReport",
     "ElementRef",
     "Interpolator",
-    "Quantity",
     "QueryResult",
     "RegularGrid",
-    "SparseRational",
-    "builtin_fields",
-    "catmull_rom_1d",
-    "constant_field",
-    "constraint_matrix",
-    "constraint_quantities",
-    "continuity_scan",
-    "convergence_study",
-    "difference_matrix",
-    "infer_axis",
-    "invert_exact",
-    "linear_field",
-    "load_cache",
     "load_grid_csv",
-    "locate",
-    "multilinear_field",
-    "neighborhood_block",
-    "operator_set",
-    "oracle_coefficients",
-    "quadrupole_field",
-    "sample",
-    "save_cache",
-    "tensor_polynomial_field",
-    "trig_product_field",
     "write_grid_csv",
     "write_results_csv",
     # errors

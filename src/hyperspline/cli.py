@@ -4,7 +4,8 @@ Subcommands:
     info      -- describe a grid file (axes, domains, element counts)
     query     -- interpolate values + gradients at given points
     sample    -- resample a field onto a new regular lattice
-    validate  -- run the self-check suite, optionally on a user grid
+    validate  -- run the release checks of hyperspline.fields, or those
+                 that need no analytic truth on a user grid
     bench     -- throughput / latency measurement
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error.
@@ -17,12 +18,13 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
 from . import fields
 from .errors import HypersplineError
-from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid
+from .grid import Axis, BoundaryPolicy, RegularGrid
 from .interpolator import Interpolator
 from .io import (
     AXIS_NAMES,
@@ -33,7 +35,6 @@ from .io import (
     write_grid_csv,
     write_results_csv,
 )
-from .operators import operator_is_exact
 
 
 class _InputError(Exception):
@@ -57,7 +58,7 @@ def _parse_floats(text: str, want: int, what: str) -> np.ndarray:
 
 def _parse_ints(text: str, what: str):
     try:
-        return [int(p) for p in text.split(",") if p.strip()]
+        return [int(p) for p in text.split(",")]
     except ValueError:
         raise _InputError(f"{what} must be comma-separated integers, "
                           f"got {text!r}") from None
@@ -170,6 +171,9 @@ def cmd_sample(args) -> int:
     counts = _parse_ints(args.counts, "--counts")
     if len(counts) != grid.dim:
         raise _InputError(f"--counts needs {grid.dim} values")
+    if min(counts) < 4:
+        raise _InputError(f"--counts must each be at least 4 (an axis needs "
+                          f"4 points), got {args.counts!r}")
     dom = grid.queryable_domain(policy)
     lo = (_parse_floats(args.min, grid.dim, "--min") if args.min
           else np.array([d[0] for d in dom]))
@@ -208,221 +212,81 @@ class _Report:
         self.failed = 0
 
     def line(self, status, name, **metrics):
-        body = " ".join(f"{k}={v}" for k, v in metrics.items())
+        body = " ".join(f"{k}={_metric_text(v)}"
+                        for k, v in metrics.items())
         print(f"{status:4s} {name}" + (f" {body}" if body else ""))
         if status == "FAIL":
             self.failed += 1
 
-    def check(self, name, ok, **metrics):
-        self.line("PASS" if ok else "FAIL", name, **metrics)
+
+def _metric_text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_metric_text, value))
+    return f"{value:.3e}" if isinstance(value, float) else str(value)
 
 
-def _validate_builtin(rep: _Report, seed: int):
+def _validate_rows(grid, seed: int):
+    """The report's ``(name, call)`` rows in order. ``call()`` runs one
+    check of :mod:`hyperspline.fields` and returns ``(ok, metrics)``; a
+    string in its place is the reason the check is skipped."""
+    if grid is not None:
+        interp = Interpolator(grid)
+        ranges = grid.element_base_range(interp.policy)
+        return [
+            ("c1_continuity",
+             "too_few_elements" if all(lo == hi for lo, hi in ranges)
+             else partial(fields.check_c1_continuity, interp, 400, seed)),
+            ("vertex_reproduction",
+             partial(fields.check_vertex_reproduction, interp, 100, seed)),
+            ("fused_oracle",
+             partial(fields.check_fused_oracle, interp, 10, seed)),
+        ] + [(name, "needs_analytic_truth") for name in (
+            "exactness_quadratic", "cubic_inexact", "line_reduction",
+            "time_slice_consistency", "convergence_order")]
+    dims = (3, 4)
     rng = np.random.default_rng(seed)
-    for dim in (3, 4):
-        rep.check(f"operators_exact_dim{dim}", operator_is_exact(dim),
-                  size=4 ** dim)
-
-    for dim in (3, 4):
-        field = fields.tensor_polynomial_field(dim, 3, rng)
-        axes = tuple(Axis(-1.0, 0.4, 6) for _ in range(dim))
-        grid = fields.sample(field, axes)
-        interp = Interpolator(grid)
-        worst = 0.0
-        for _ in range(10):
-            base = tuple(int(rng.integers(1, a.count - 2)) for a in axes)
-            elem = ElementRef(base)
-            diff = np.abs(fields.oracle_coefficients(grid, elem)
-                          - interp.coefficients(elem))
-            worst = max(worst, float(diff.max()))
-        rep.check(f"fused_oracle_dim{dim}", worst <= 1e-10,
-                  max_abs_diff=f"{worst:.3e}")
-
-    for dim in (3, 4):
-        field = fields.trig_product_field(dim)
-        axes = tuple(Axis(0.0, 0.5, 7) for _ in range(dim))
-        grid = fields.sample(field, axes)
-        interp = Interpolator(grid)
-        worst = 0.0
-        for _ in range(100):
-            idx = tuple(int(rng.integers(1, a.count - 1)) for a in axes)
-            p = [grid.axes[d].coordinate(idx[d]) for d in range(dim)]
-            got = interp.eval(p)
-            want = grid.vertex_value(idx)
-            worst = max(worst, abs(got[0] - want) / max(abs(want), 1e-30))
-        rep.check(f"vertex_reproduction_dim{dim}", worst <= 1e-12,
-                  max_rel_err=f"{worst:.3e}")
-
-    for dim in (3, 4):
-        field = fields.tensor_polynomial_field(dim, 2, rng)
-        axes = tuple(Axis(-1.0, 0.5, 6) for _ in range(dim))
-        grid = fields.sample(field, axes)
-        interp = Interpolator(grid)
-        dom = grid.queryable_domain(BoundaryPolicy.STRICT)
-        pts = np.stack([rng.uniform(lo, hi, 200) for lo, hi in dom], axis=1)
-        res = interp.eval_batch(pts)
-        verr = gerr = 0.0
-        for i, p in enumerate(pts):
-            tv = field.value(p)[0]
-            tg = field.gradient(p)[0]
-            verr = max(verr, abs(res.values[i, 0] - tv) / max(abs(tv), 1.0))
-            gerr = max(gerr, float(np.max(np.abs(res.gradients[i, 0] - tg))
-                                   / max(np.max(np.abs(tg)), 1.0)))
-        rep.check(f"exactness_quadratic_dim{dim}",
-                  verr <= 1e-10 and gerr <= 1e-10,
-                  value_rel=f"{verr:.3e}", grad_rel=f"{gerr:.3e}")
-
-        cubic = fields.tensor_polynomial_field(dim, 3, rng)
-        cgrid = fields.sample(cubic, axes)
-        cinterp = Interpolator(cgrid)
-        cres = cinterp.eval_batch(pts)
-        cerr = float(np.max(np.abs(
-            cres.values[:, 0] - [cubic.value(p)[0] for p in pts])))
-        rep.check(f"cubic_inexact_dim{dim}", cerr > 1e-6,
-                  max_abs_err=f"{cerr:.3e}")
-
-    for dim in (3, 4):
-        field = fields.trig_product_field(dim)
-        axes = tuple(Axis(0.0, 0.5, 7) for _ in range(dim))
-        interp = Interpolator(fields.sample(field, axes))
-        scan = fields.continuity_scan(interp, 400, seed=seed)
-        rep.check(f"c1_continuity_dim{dim}",
-                  scan.max_value_jump <= 1e-9
-                  and scan.max_gradient_jump <= 1e-9,
-                  value_jump=f"{scan.max_value_jump:.3e}",
-                  gradient_jump=f"{scan.max_gradient_jump:.3e}")
-        jump = _second_derivative_jump(interp, rng)
-        rep.check(f"c2_jump_documented_dim{dim}", jump > 1e-9,
-                  second_partial_jump=f"{jump:.3e}")
-
-    err = _line_reduction_err(rng)
-    rep.check("line_reduction", err <= 1e-12, max_abs_diff=f"{err:.3e}")
-    err = _time_slice_err(rng)
-    rep.check("time_slice_consistency", err <= 1e-12,
-              max_abs_diff=f"{err:.3e}")
-
-    study = fields.convergence_study(
-        fields.trig_product_field(3), lo=np.zeros(3), hi=np.full(3, 3.0),
-        base_count=9, n_levels=4, n_probes=40, seed=seed)
-    rep.check("convergence_order",
-              study.fitted_order >= 2.7 and study.strictly_decreasing,
-              order=f"{study.fitted_order:.3f}",
-              errors=",".join(f"{e:.3e}" for e in study.max_errors))
-
-
-def _second_derivative_jump(interp: Interpolator, rng) -> float:
-    """Largest d2f/dx2 jump across an x face, via the raw partial call."""
-    (lo, hi) = interp.grid.element_base_range(interp.policy)[0]
-    worst = 0.0
-    for _ in range(50):
-        base = [int(rng.integers(l, h + 1))
-                for l, h in interp.grid.element_base_range(interp.policy)]
-        base[0] = int(rng.integers(lo, hi))
-        x_face = interp.grid.axes[0].coordinate(base[0] + 1)
-        p = [x_face] + [
-            interp.grid.axes[d].coordinate(base[d])
-            + rng.uniform(0.2, 0.8) * interp.grid.axes[d].spacing
-            for d in range(1, interp.dim)]
-        eps = 1e-7 * interp.grid.axes[0].spacing
-        orders = (2,) + (0,) * (interp.dim - 1)
-        left = interp.derivative([p[0] - eps] + p[1:], orders)
-        right = interp.derivative([p[0] + eps] + p[1:], orders)
-        worst = max(worst, float(np.max(np.abs(left - right))))
-    return worst
-
-
-def _line_reduction_err(rng) -> float:
-    field = fields.trig_product_field(3)
-    axes = tuple(Axis(0.0, 0.5, 8) for _ in range(3))
-    grid = fields.sample(field, axes)
-    interp = Interpolator(grid)
-    worst = 0.0
-    for _ in range(50):
-        j, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        i = int(rng.integers(1, 5))
-        u = float(rng.uniform(0, 1))
-        x = axes[0].coordinate(i) + u * axes[0].spacing
-        got = interp.eval([x, axes[1].coordinate(j), axes[2].coordinate(k)])[0]
-        f = [grid.vertex_value((i + o, j, k)) for o in (-1, 0, 1, 2)]
-        want = fields.catmull_rom_1d(*f, u)
-        worst = max(worst, abs(got - want))
-    return worst
-
-
-def _time_slice_err(rng) -> float:
-    field3 = fields.trig_product_field(3)
-    axes3 = tuple(Axis(0.0, 0.5, 6) for _ in range(3))
-    grid3 = fields.sample(field3, axes3)
-
-    field4 = fields.AnalyticField(
-        4, 1,
-        lambda p: field3.value(p[:3]),
-        lambda p: np.concatenate([field3.gradient(p[:3]), [[0.0]]], axis=1),
-        "t-independent extension")
-    axes4 = axes3 + (Axis(0.0, 1.0, 5),)
-    grid4 = fields.sample(field4, axes4)
-
-    i3 = Interpolator(grid3)
-    i4 = Interpolator(grid4)
-    dom = grid3.queryable_domain(BoundaryPolicy.STRICT)
-    worst = 0.0
-    for _ in range(60):
-        p3 = [float(rng.uniform(lo, hi)) for lo, hi in dom]
-        t = float(rng.uniform(1.0, 3.0))
-        r3 = i3.eval_with_gradient(p3)
-        r4 = i4.eval_with_gradient(p3 + [t])
-        worst = max(worst, float(np.max(np.abs(r3.values - r4.values))))
-        worst = max(worst, float(np.max(np.abs(
-            r3.gradient - r4.gradient[:, :3]))))
-        worst = max(worst, float(np.max(np.abs(r4.gradient[:, 3]))))
-    return worst
-
-
-def _validate_user_grid(rep: _Report, grid: RegularGrid, seed: int):
-    rng = np.random.default_rng(seed)
-    interp = Interpolator(grid)
-    try:
-        scan = fields.continuity_scan(interp, 400, seed=seed)
-    except ValueError:
-        rep.line("SKIP", "c1_continuity", reason="too_few_elements")
-    else:
-        rep.check("c1_continuity",
-                  scan.max_value_jump <= 1e-9
-                  and scan.max_gradient_jump <= 1e-9,
-                  value_jump=f"{scan.max_value_jump:.3e}",
-                  gradient_jump=f"{scan.max_gradient_jump:.3e}")
-    worst = 0.0
-    for _ in range(100):
-        idx = tuple(int(rng.integers(1, a.count - 1)) for a in grid.axes)
-        p = [grid.axes[d].coordinate(idx[d]) for d in range(grid.dim)]
-        got = interp.eval(p)
-        for c in range(grid.components):
-            want = grid.vertex_value(idx, c)
-            worst = max(worst, abs(got[c] - want) / max(abs(want), 1e-30))
-    rep.check("vertex_reproduction", worst <= 1e-12,
-              max_rel_err=f"{worst:.3e}")
-    worst = 0.0
-    for _ in range(10):
-        base = tuple(int(rng.integers(lo, hi + 1))
-                     for lo, hi in grid.element_base_range(interp.policy))
-        elem = ElementRef(base)
-        diff = np.abs(fields.oracle_coefficients(grid, elem)
-                      - interp.coefficients(elem))
-        worst = max(worst, float(diff.max()))
-    rep.check("fused_oracle", worst <= 1e-10, max_abs_diff=f"{worst:.3e}")
-    for name in ("exactness_quadratic", "cubic_inexact", "line_reduction",
-                 "time_slice_consistency", "convergence_order"):
-        rep.line("SKIP", name, reason="needs_analytic_truth")
+    poly = {d: Interpolator(fields.sample(
+        fields.tensor_polynomial_field(d, 3, rng), [Axis(-1.0, 0.4, 6)] * d))
+        for d in dims}
+    trig = {d: Interpolator(fields.sample(
+        fields.trig_product_field(d), [Axis(0.0, 0.5, 7)] * d))
+        for d in dims}
+    rows = [(f"operators_exact_dim{d}",
+             partial(fields.check_operators_exact, d)) for d in dims]
+    rows += [(f"fused_oracle_dim{d}",
+              partial(fields.check_fused_oracle, poly[d], 10, seed))
+             for d in dims]
+    rows += [(f"vertex_reproduction_dim{d}",
+              partial(fields.check_vertex_reproduction, trig[d], 100, seed))
+             for d in dims]
+    for d in dims:
+        rows += [(f"exactness_quadratic_dim{d}",
+                  partial(fields.check_quadratic_exactness, d, 200, seed)),
+                 (f"cubic_inexact_dim{d}",
+                  partial(fields.check_cubic_inexactness, d, 200, seed))]
+    for d in dims:
+        rows += [(f"c1_continuity_dim{d}",
+                  partial(fields.check_c1_continuity, trig[d], 400, seed)),
+                 (f"c2_jump_documented_dim{d}",
+                  partial(fields.check_c2_jump, trig[d], 50, seed))]
+    return rows + [
+        ("line_reduction", partial(fields.check_line_reduction, 50, seed)),
+        ("time_slice_consistency",
+         partial(fields.check_time_slice, 60, seed)),
+        ("convergence_order",
+         partial(fields.check_convergence_order, seed))]
 
 
 def cmd_validate(args) -> int:
     rep = _Report()
     print(f"validation seed={args.seed}")
-    if args.grid:
-        grid = _load_grid(args.grid)
-        _validate_user_grid(rep, grid, args.seed)
-    else:
-        _validate_builtin(rep, args.seed)
+    grid = _load_grid(args.grid) if args.grid else None
+    for name, call in _validate_rows(grid, args.seed):
+        if isinstance(call, str):
+            rep.line("SKIP", name, reason=call)
+        else:
+            ok, metrics = call()
+            rep.line("PASS" if ok else "FAIL", name, **metrics)
     print(f"result: {'FAIL' if rep.failed else 'PASS'} "
           f"({rep.failed} failed)")
     return 1 if rep.failed else 0

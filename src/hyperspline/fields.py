@@ -1,10 +1,12 @@
-"""Analytic test fields, the brute-force coefficient oracle, and
-validation studies (continuity scan, convergence order).
+"""Analytic test fields, the brute-force coefficient oracle, validation
+studies, and the release checks.
 
 Everything here exists to check the interpolator against ground truth:
 fields with known values *and* known gradients, an independent
-dense-solve route to the element coefficients, and scans that measure
-the continuity and accuracy the interpolant is supposed to deliver.
+dense-solve route to the element coefficients, scans that measure the
+continuity and accuracy the interpolant is supposed to deliver, and
+the release checks that ``hyperspline validate`` and the acceptance
+tests both run.
 
 Module contents:
     AnalyticField        -- value + gradient callables with a self-check
@@ -16,6 +18,7 @@ Module contents:
     continuity_scan      -- max value/gradient jump across element faces
     convergence_study    -- empirical accuracy order under refinement
     catmull_rom_1d       -- reference 1-d cubic through 4 uniform samples
+    check_*              -- the release checks, each -> (ok, metrics)
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import numpy as np
 
 from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid, neighborhood_block
 from .interpolator import Interpolator
-from .operators import constraint_matrix, difference_matrix
+from .operators import constraint_matrix, difference_matrix, operator_is_exact
 
 
 @dataclass(frozen=True)
@@ -391,3 +394,162 @@ def catmull_rom_1d(f_m1: float, f_0: float, f_1: float, f_2: float,
     a2 = f_m1 - 2.5 * f_0 + 2.0 * f_1 - 0.5 * f_2
     a3 = -0.5 * f_m1 + 1.5 * f_0 - 1.5 * f_1 + 0.5 * f_2
     return ((a3 * u + a2) * u + a1) * u + a0
+
+
+# --------------------------------------------------------- release checks
+# Each returns ``(ok, metrics)``, measured numbers by name, and holds its
+# own bound. ``seed`` is anything ``np.random.default_rng`` accepts.
+
+
+def check_operators_exact(dim: int):
+    """The runtime operator solves the exact constraint system
+    (:func:`hyperspline.operators.operator_is_exact`)."""
+    return operator_is_exact(dim), {"size": 4 ** dim}
+
+
+def check_fused_oracle(interp: Interpolator, n_elements: int, seed):
+    """Coefficients of random valid elements match the dense-solve
+    oracle to rounding."""
+    rng = np.random.default_rng(seed)
+    ranges = interp.grid.element_base_range(interp.policy)
+    worst = 0.0
+    for _ in range(n_elements):
+        elem = ElementRef(tuple(int(rng.integers(lo, hi + 1))
+                                for lo, hi in ranges))
+        diff = (interp.coefficients(elem)
+                - oracle_coefficients(interp.grid, elem, interp.policy))
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst <= 1e-10, {"max_abs_diff": worst}
+
+
+def check_vertex_reproduction(interp: Interpolator, n_vertices: int, seed):
+    """Queries at random interior vertices return the samples of every
+    component to rounding."""
+    rng = np.random.default_rng(seed)
+    grid = interp.grid
+    worst = 0.0
+    for _ in range(n_vertices):
+        idx = tuple(int(rng.integers(1, a.count - 1)) for a in grid.axes)
+        got = interp.eval([a.coordinate(i) for a, i in zip(grid.axes, idx)])
+        want = grid.values[idx[::-1]]
+        worst = max(worst, float(np.max(
+            np.abs(got - want) / np.maximum(np.abs(want), 1e-300))))
+    return worst <= 1e-12, {"max_rel_err": worst}
+
+
+def _polynomial_probes(dim: int, degree: int, n_points: int, seed):
+    """A random polynomial of per-axis ``degree`` sampled on 6^dim
+    vertices spaced 0.5, and its interpolant at ``n_points`` random
+    queryable points: ``(field, points, BatchResult)``."""
+    rng = np.random.default_rng(seed)
+    afield = tensor_polynomial_field(dim, degree, rng)
+    grid = sample(afield, [Axis(-1.0, 0.5, 6)] * dim)
+    dom = grid.queryable_domain(BoundaryPolicy.STRICT)
+    pts = np.stack([rng.uniform(lo, hi, n_points) for lo, hi in dom], axis=1)
+    return afield, pts, Interpolator(grid).eval_batch(pts)
+
+
+def check_quadratic_exactness(dim: int, n_points: int, seed):
+    """A random polynomial of per-axis degree 2 is reproduced, its value
+    and every partial, to rounding (relative; absolute below magnitude 1)."""
+    afield, pts, res = _polynomial_probes(dim, 2, n_points, seed)
+    value = np.array([afield.value(p) for p in pts])
+    grad = np.array([afield.gradient(p) for p in pts])
+    value_rel = float(np.max(np.abs(res.values - value)
+                             / np.maximum(np.abs(value), 1.0)))
+    grad_rel = float(np.max(np.abs(res.gradients - grad)
+                            / np.maximum(np.abs(grad), 1.0)))
+    return (max(value_rel, grad_rel) <= 1e-10,
+            {"value_rel": value_rel, "grad_rel": grad_rel})
+
+
+def check_cubic_inexactness(dim: int, n_points: int, seed):
+    """A random polynomial of per-axis degree 3 is not reproduced: its
+    largest value error is far above rounding, so degree 2 is the
+    exactness class."""
+    afield, pts, res = _polynomial_probes(dim, 3, n_points, seed)
+    value = np.array([afield.value(p) for p in pts])
+    err = float(np.max(np.abs(res.values - value)))
+    return err > 1e-6, {"max_abs_err": err}
+
+
+def check_c1_continuity(interp: Interpolator, n_samples: int, seed):
+    """Values and first partials agree across shared element faces to
+    rounding (:func:`continuity_scan`)."""
+    scan = continuity_scan(interp, n_samples, seed)
+    return (max(scan.max_value_jump, scan.max_gradient_jump) <= 1e-9,
+            {"value_jump": scan.max_value_jump,
+             "gradient_jump": scan.max_gradient_jump})
+
+
+def check_c2_jump(interp: Interpolator, n_probes: int, seed):
+    """The interpolant is not C2: the second x-partial, taken a hair to
+    either side of random faces between valid elements, jumps well above
+    rounding somewhere."""
+    rng = np.random.default_rng(seed)
+    axes = interp.grid.axes
+    ranges = interp.grid.element_base_range(interp.policy)
+    eps = 1e-7 * axes[0].spacing
+    orders = (2,) + (0,) * (interp.dim - 1)
+    worst = 0.0
+    for _ in range(n_probes):
+        face = axes[0].coordinate(int(rng.integers(*ranges[0])) + 1)
+        rest = [a.coordinate(int(rng.integers(lo, hi + 1)))
+                + rng.uniform(0.2, 0.8) * a.spacing
+                for a, (lo, hi) in zip(axes[1:], ranges[1:])]
+        left = interp.derivative([face - eps] + rest, orders)
+        right = interp.derivative([face + eps] + rest, orders)
+        worst = max(worst, float(np.max(np.abs(left - right))))
+    return worst > 1e-9, {"second_partial_jump": worst}
+
+
+def check_line_reduction(n_probes: int, seed):
+    """Along x grid lines of a 3D trig grid the interpolant is the 1-D
+    Catmull-Rom cubic through the line's samples, to rounding."""
+    grid = sample(trig_product_field(3), [Axis(0.0, 0.5, 8)] * 3)
+    interp = Interpolator(grid)
+    ax = grid.axes
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_probes):
+        j, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        i = int(rng.integers(1, 5))
+        u = float(rng.uniform(0, 1))
+        got = interp.eval([ax[0].coordinate(i) + u * ax[0].spacing,
+                           ax[1].coordinate(j), ax[2].coordinate(k)])[0]
+        f = [grid.vertex_value((i + o, j, k)) for o in (-1, 0, 1, 2)]
+        worst = max(worst, abs(float(got) - catmull_rom_1d(*f, u)))
+    return worst <= 1e-12, {"max_abs_diff": worst}
+
+
+def check_time_slice(n_probes: int, seed):
+    """A 4D grid holding the same 3D samples at every t matches the 3D
+    grid at every t, in values and x, y, z partials, and its t partial
+    is 0, all to rounding."""
+    grid3 = sample(trig_product_field(3), [Axis(0.0, 0.5, 6)] * 3)
+    i3 = Interpolator(grid3)
+    i4 = Interpolator(RegularGrid(grid3.axes + (Axis(0.0, 1.0, 5),),
+                                  np.stack([grid3.values] * 5)))
+    dom = grid3.queryable_domain(BoundaryPolicy.STRICT)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_probes):
+        p3 = [float(rng.uniform(lo, hi)) for lo, hi in dom]
+        r3 = i3.eval_with_gradient(p3)
+        r4 = i4.eval_with_gradient(p3 + [float(rng.uniform(1.0, 3.0))])
+        diff = np.concatenate([r4.values - r3.values,
+                               (r4.gradient[:, :3] - r3.gradient).ravel(),
+                               r4.gradient[:, 3]])
+        worst = max(worst, float(np.max(np.abs(diff))))
+    return worst <= 1e-12, {"max_abs_diff": worst}
+
+
+def check_convergence_order(seed):
+    """On a 3D trig field over [0, 3]^3 refined three times, the max
+    error falls at every level and its fitted order is close to the
+    design rate of 3."""
+    study = convergence_study(
+        trig_product_field(3), lo=np.zeros(3), hi=np.full(3, 3.0),
+        base_count=9, n_levels=4, n_probes=40, seed=seed)
+    return (study.fitted_order >= 2.7 and study.strictly_decreasing,
+            {"order": study.fitted_order, "errors": study.max_errors})

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from hyperspline import Axis, linear_field, sample, trig_product_field
+from hyperspline import Axis, interpolator
 from hyperspline.cli import main
+from hyperspline.fields import linear_field, sample, trig_product_field
 from hyperspline.io import load_grid_csv, write_grid_csv
 
 pytestmark = pytest.mark.usefixtures("no_thread_env")
@@ -233,6 +236,17 @@ class TestSample:
             capsys.readouterr().err)
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("counts", ["4,,4,4,", "4,4,4,", "1,4,4",
+                                        "0,4,4"])
+    def test_bad_counts_exit_2(self, trig3d, tmp_path, capsys, counts):
+        out_path = tmp_path / "x.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["sample", trig3d, "--counts", counts,
+                         "--out", str(out_path)]) == 2
+        assert "--counts" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_output_loadable(self, trig3d, tmp_path, capsys):
         out_path = str(tmp_path / "res.csv")
         assert main(["sample", trig3d, "--counts", "6,5,4",
@@ -262,6 +276,15 @@ class TestValidate:
         assert "SKIP exactness_quadratic" in out
         assert "SKIP convergence_order" in out
         assert "c1_continuity" in out
+
+    def test_failing_check_exits_1(self, trig3d, capsys, monkeypatch):
+        monkeypatch.setattr(interpolator, "_HORNER",
+                            interpolator._HORNER * (1 + 1e-6))
+        assert main(["validate", "--seed", "7"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL vertex_reproduction_dim3" in out
+        assert out.strip().split("\n")[-1].startswith("result: FAIL")
+        assert main(["validate", trig3d]) == 1
 
 
 class TestBench:

@@ -1,5 +1,9 @@
 import runpy
+import sys
+import types
 from pathlib import Path
+
+import pytest
 
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 
@@ -31,3 +35,45 @@ def test_files_and_cache_demo_runs(tmp_path, monkeypatch, capsys):
     assert "cache restored: 625 element tensors, bit-identical: True" in out
     assert sorted(p.name for p in (tmp_path / "demo_output").iterdir()) == [
         "coeffs.qcub", "field.csv", "results.csv"]
+
+
+def test_tricubic_basics_demo_runs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "01_tricubic_basics.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "5000 random points: max |error|" in out
+    assert "vertex query" in out
+    assert list(tmp_path.iterdir()) == []
+
+
+class _Plot:
+    """Stands in for a matplotlib figure and axes; savefig writes an
+    empty file."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: None
+
+    def savefig(self, path, **kwargs):
+        open(path, "wb").close()
+
+
+@pytest.mark.parametrize("with_matplotlib", [False, True])
+def test_continuity_demo_runs(tmp_path, monkeypatch, capsys, with_matplotlib):
+    if with_matplotlib:
+        mpl = types.ModuleType("matplotlib")
+        mpl.use = lambda backend: None
+        mpl.pyplot = types.ModuleType("matplotlib.pyplot")
+        mpl.pyplot.subplots = lambda **kwargs: (_Plot(), _Plot())
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", mpl.pyplot)
+    else:
+        mpl = None  # makes `import matplotlib` raise ImportError
+    monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(DEMOS / "04_continuity_and_convergence.py"),
+                   run_name="__main__")
+    out = capsys.readouterr().out
+    assert "max |gradient jump|" in out
+    assert "fitted order" in out
+    saved = tmp_path / "demo_output" / "convergence.png"
+    assert ("saved demo_output/convergence.png" in out) == with_matplotlib
+    assert saved.exists() == with_matplotlib

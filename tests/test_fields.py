@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyperspline import (
+from hyperspline import Axis, BoundaryPolicy, ElementRef, Interpolator
+from hyperspline.fields import (
     AnalyticField,
-    Axis,
-    BoundaryPolicy,
-    ElementRef,
-    Interpolator,
     builtin_fields,
     catmull_rom_1d,
     constant_field,

@@ -12,11 +12,13 @@ from hyperspline import (
     RegularGrid,
     TooFewPointsError,
     UnsupportedDimensionError,
+)
+from hyperspline.grid import (
+    gather_neighborhoods,
     infer_axis,
     locate,
     neighborhood_block,
 )
-from hyperspline.grid import gather_neighborhoods
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST

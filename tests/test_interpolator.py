@@ -12,18 +12,19 @@ from hyperspline import (
     OutOfDomainError,
     RegularGrid,
     TooFewPointsError,
+)
+from hyperspline import interpolator as interpolator_module
+from hyperspline.fields import (
     catmull_rom_1d,
     constant_field,
     linear_field,
-    locate,
     multilinear_field,
     oracle_coefficients,
     sample,
     tensor_polynomial_field,
     trig_product_field,
 )
-from hyperspline import interpolator as interpolator_module
-from hyperspline.grid import locate_points
+from hyperspline.grid import locate, locate_points
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST
@@ -331,7 +332,7 @@ class TestLineReduction:
 
 class TestTimeSliceConsistency:
     def test_time_constant_4d_matches_3d(self):
-        from hyperspline import AnalyticField
+        from hyperspline.fields import AnalyticField
 
         field3 = trig_product_field(3)
         axes3 = tuple(Axis(0.0, 0.5, 6) for _ in range(3))

@@ -18,19 +18,21 @@ from hyperspline import (
     RegularGrid,
     TruncatedFileError,
     VersionMismatchError,
-    linear_field,
-    load_cache,
     load_grid_csv,
-    locate,
-    sample,
-    save_cache,
-    trig_product_field,
     write_grid_csv,
     write_results_csv,
 )
 from hyperspline import io as hio
+from hyperspline.fields import linear_field, sample, trig_product_field
+from hyperspline.grid import locate
 from hyperspline.interpolator import BatchResult
-from hyperspline.io import AXIS_NAMES, CACHE_MAGIC, result_header
+from hyperspline.io import (
+    AXIS_NAMES,
+    CACHE_MAGIC,
+    load_cache,
+    result_header,
+    save_cache,
+)
 
 
 def rows_4d(counts=(4, 4, 4, 4), func=None):

@@ -5,19 +5,16 @@ import numpy as np
 import pytest
 
 import hyperspline.operators as ops_mod
-from hyperspline import (
-    SingularMatrixError,
-    UnsupportedDimensionError,
+from hyperspline import SingularMatrixError, UnsupportedDimensionError
+from hyperspline.operators import (
     constraint_matrix,
     constraint_quantities,
     difference_matrix,
     invert_exact,
-    operator_set,
-)
-from hyperspline.operators import (
     monomial_exponents,
     neighborhood_offsets,
     operator_is_exact,
+    operator_set,
 )
 
 
