@@ -41,6 +41,7 @@ from .errors import (
     GridFormatError,
     HypersplineError,
     IncompleteGridError,
+    InvalidPointError,
     IrregularSpacingError,
     MissingHeaderError,
     NonFiniteValueError,
@@ -77,6 +78,7 @@ __all__ = [
     "FingerprintMismatchError",
     "GridFormatError",
     "IncompleteGridError",
+    "InvalidPointError",
     "IrregularSpacingError",
     "MissingHeaderError",
     "NonFiniteValueError",

@@ -21,8 +21,14 @@ class UnsupportedDimensionError(HypersplineError):
     """Only 3- and 4-dimensional grids are supported."""
 
 
-class DimensionMismatchError(HypersplineError):
-    """Operands were built for different grid dimensions."""
+class DimensionMismatchError(HypersplineError, ValueError):
+    """An operand has the wrong shape for the grid: a point, batch,
+    local coordinate, derivative orders or element base with the wrong
+    number of entries, or a matrix of the wrong size."""
+
+
+class InvalidPointError(HypersplineError, ValueError):
+    """A query point has complex or non-numeric coordinates."""
 
 
 class SingularMatrixError(HypersplineError):

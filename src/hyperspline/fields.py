@@ -451,12 +451,13 @@ def _polynomial_probes(dim: int, degree: int, n_points: int, seed):
 
 def check_quadratic_exactness(dim: int, n_points: int, seed):
     """A random polynomial of per-axis degree 2 is reproduced, its value
-    and every partial, to rounding (relative; absolute below magnitude 1)."""
+    and every partial, to rounding (relative; absolute below magnitude
+    0.01 for values and 1 for partials)."""
     afield, pts, res = _polynomial_probes(dim, 2, n_points, seed)
     value = np.array([afield.value(p) for p in pts])
     grad = np.array([afield.gradient(p) for p in pts])
     value_rel = float(np.max(np.abs(res.values - value)
-                             / np.maximum(np.abs(value), 1.0)))
+                             / np.maximum(np.abs(value), 1e-2)))
     grad_rel = float(np.max(np.abs(res.gradients - grad)
                             / np.maximum(np.abs(grad), 1.0)))
     return (max(value_rel, grad_rel) <= 1e-10,

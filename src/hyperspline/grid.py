@@ -19,12 +19,21 @@ view of it. A gather takes whole stencils from every component row and
 returns ``(m, 4^dim, k)`` for k elements, so the evaluation kernel runs
 its elementwise loops along the contiguous element axis.
 
+The scalar path works on Python numbers the grid precomputes: per
+policy, one locate row per axis, ``(origin, spacing, lo, hi, cmin,
+cmax)``, so :func:`locate` does only the per-axis float arithmetic; and
+the strides, so :func:`neighborhood_block` fetches a cell whose whole
+stencil lies on the grid with one ``take`` at its flat offset. Only
+edge cells under ``LinearGhost`` go through the ghost fill of
+:func:`gather_neighborhoods`.
+
 Module contents:
     BoundaryPolicy -- Strict / LinearGhost enum
     Axis           -- origin, spacing, count of one grid direction
     RegularGrid    -- axes + component-major samples
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
+    as_coordinates -- query coordinates as float64, typed errors otherwise
     locate         -- map a physical point to (element, local coords)
     locate_points  -- the same for many points, flagging those outside
     gather_neighborhoods -- the 4^dim samples around many elements at once
@@ -40,6 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
+    InvalidPointError,
     IrregularSpacingError,
     NonFiniteValueError,
     OutOfDomainError,
@@ -201,6 +212,17 @@ class RegularGrid:
         self._stencil = (stencil.T + NEIGHBORHOOD_OFFSETS[0]) @ self._strides
         self._base_bounds = {p: np.array(self.element_base_range(p)).T
                              for p in BoundaryPolicy}
+        # for the scalar path, on Python numbers: per policy one locate
+        # row per axis, (origin, spacing, lo, hi, cmin, cmax) with the
+        # valid base range [lo, hi] and queryable range [cmin, cmax];
+        # the strides; and the bases whose whole stencil is on the grid
+        self._locate_rows = {
+            p: tuple((a.origin, a.spacing, lo, hi,
+                      a.coordinate(lo), a.coordinate(hi + 1))
+                     for a, (lo, hi) in zip(axes, self.element_base_range(p)))
+            for p in BoundaryPolicy}
+        self._stride_ints = tuple(self._strides.tolist())
+        self._interior = self.element_base_range(BoundaryPolicy.STRICT)
 
     @property
     def dim(self) -> int:
@@ -238,35 +260,58 @@ class RegularGrid:
         return tuple(hi - lo + 1 for lo, hi in self.element_base_range(policy))
 
 
+def as_coordinates(points) -> np.ndarray:
+    """``points`` as a float64 array, any shape.
+
+    Raises
+    ------
+    InvalidPointError
+        If the coordinates are not all real numbers: complex, text,
+        None or nested to uneven depth.
+    """
+    try:
+        p = np.asarray(points)
+    except (TypeError, ValueError) as exc:
+        raise InvalidPointError(
+            f"coordinates must be real numbers: {exc}") from None
+    if p.dtype.kind not in "biuf":
+        raise InvalidPointError(
+            f"coordinates must be real numbers, got dtype {p.dtype}")
+    return p if p.dtype == np.float64 else p.astype(np.float64)
+
+
 def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
     """Find the element containing ``point`` and its local coordinates.
 
     Returns ``(ElementRef, u)`` with ``u`` in the unit cell ``[0, 1]^dim``.
     A point exactly on the upper queryable boundary maps to the last valid
     element with ``u = 1``. The arithmetic is that of
-    :func:`locate_points`, on Python floats, so both agree bit for bit.
+    :func:`locate_points`, on Python floats and the grid's precomputed
+    locate rows, so both agree bit for bit.
 
     Raises
     ------
+    DimensionMismatchError
+        If the point does not have ``grid.dim`` coordinates.
+    InvalidPointError
+        If a coordinate is complex or not a number.
     OutOfDomainError
         If the point lies outside the policy's queryable domain.
     """
-    p = np.asarray(point, dtype=np.float64)
+    p = as_coordinates(point)
     if p.shape != (grid.dim,):
-        raise ValueError(
+        raise DimensionMismatchError(
             f"point must have {grid.dim} coordinates, got shape {p.shape}")
     base, u = [], []
-    for d, (x, axis, (lo, hi)) in enumerate(
-            zip(p.tolist(), grid.axes, grid.element_base_range(policy))):
-        cmin = axis.coordinate(lo)
-        cmax = axis.coordinate(hi + 1)
+    for d, (x, (origin, spacing, lo, hi, cmin, cmax)) in enumerate(
+            zip(p.tolist(), grid._locate_rows[policy])):
         if not (cmin <= x <= cmax):
             raise OutOfDomainError(
                 f"coordinate {x!r} on axis {d} outside queryable "
                 f"range [{cmin!r}, {cmax!r}] under {policy.value}")
-        b = min(max(math.floor((x - axis.origin) / axis.spacing), lo), hi)
+        b = min(max(math.floor((x - origin) / spacing), lo), hi)
         base.append(b)
-        ud = (x - (axis.origin + b * axis.spacing)) / axis.spacing
+        ud = (x - (origin + b * spacing)) / spacing
         u.append(min(max(ud, 0.0), 1.0))
     return ElementRef(tuple(base)), np.array(u)
 
@@ -349,6 +394,25 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
 
     The one-element view of :func:`gather_neighborhoods`, transposed:
     row ``n`` holds the samples at grid offset ``o`` with
-    ``n = sum_d (o_d + 1) * 4^d`` relative to the element base.
+    ``n = sum_d (o_d + 1) * 4^d`` relative to the element base. An
+    element whose whole stencil lies on the grid (every valid one under
+    ``Strict``, the interior ones under ``LinearGhost``) is fetched with
+    one ``np.take`` at its flat offset; the others go through
+    :func:`gather_neighborhoods`, which fills ghosts and rejects bases
+    outside the valid range.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If the element base does not have ``grid.dim`` entries.
+    IndexError
+        If the base lies outside ``grid.element_base_range(policy)``.
     """
-    return gather_neighborhoods(grid, [elem.base], policy)[:, :, 0].T
+    base = elem.base
+    if len(base) != grid.dim:
+        raise DimensionMismatchError(
+            f"element base must have {grid.dim} entries, got {base}")
+    if all(lo <= b <= hi for b, (lo, hi) in zip(base, grid._interior)):
+        offset = sum(b * s for b, s in zip(base, grid._stride_ints))
+        return grid._samples.take(grid._stencil + offset, 1).T
+    return gather_neighborhoods(grid, [base], policy)[:, :, 0].T

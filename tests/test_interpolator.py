@@ -1,4 +1,5 @@
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,15 +8,24 @@ from numpy.testing import assert_allclose
 from hyperspline import (
     Axis,
     BoundaryPolicy,
+    DimensionMismatchError,
     ElementRef,
+    HypersplineError,
     Interpolator,
+    InvalidPointError,
     OutOfDomainError,
     RegularGrid,
     TooFewPointsError,
 )
 from hyperspline import interpolator as interpolator_module
 from hyperspline.fields import (
-    catmull_rom_1d,
+    check_c1_continuity,
+    check_c2_jump,
+    check_cubic_inexactness,
+    check_line_reduction,
+    check_quadratic_exactness,
+    check_time_slice,
+    check_vertex_reproduction,
     constant_field,
     linear_field,
     multilinear_field,
@@ -24,7 +34,12 @@ from hyperspline.fields import (
     tensor_polynomial_field,
     trig_product_field,
 )
-from hyperspline.grid import locate, locate_points
+from hyperspline.grid import (
+    gather_neighborhoods,
+    locate,
+    locate_points,
+    neighborhood_block,
+)
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST
@@ -190,14 +205,8 @@ class TestEval:
 
     def test_vertex_reproduction(self, trig4):
         _, grid = trig4
-        interp = Interpolator(grid)
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            idx = tuple(int(rng.integers(1, a.count - 1)) for a in grid.axes)
-            p = [grid.axes[d].coordinate(idx[d]) for d in range(4)]
-            got = interp.eval(p)[0]
-            want = grid.vertex_value(idx)
-            assert got == pytest.approx(want, rel=1e-12)
+        ok, metrics = check_vertex_reproduction(Interpolator(grid), 200, 3)
+        assert ok, metrics
 
 
 class TestGradient:
@@ -252,110 +261,40 @@ class TestGradient:
 class TestExactnessClass:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_tensor_quadratics_reproduced(self, dim):
-        rng = np.random.default_rng(6)
-        field = tensor_polynomial_field(dim, 2, rng)
-        grid = sample(field, [Axis(-1.0, 0.5, 6)] * dim)
-        interp = Interpolator(grid)
-        dom = grid.queryable_domain(STRICT)
-        for _ in range(200):
-            p = np.array([rng.uniform(lo, hi) for lo, hi in dom])
-            r = interp.eval_with_gradient(p)
-            tv = field.value(p)[0]
-            tg = field.gradient(p)[0]
-            assert r.values[0] == pytest.approx(tv, rel=1e-10, abs=1e-12)
-            assert_allclose(r.gradient[0], tg, rtol=1e-10, atol=1e-10)
+        ok, metrics = check_quadratic_exactness(dim, 200, 6)
+        assert ok, metrics
 
     def test_tensor_cubic_not_reproduced(self):
         # centered differences misestimate cubic slopes; the error must
         # be plainly visible, not rounding-level
-        rng = np.random.default_rng(7)
-        field = tensor_polynomial_field(3, 3, rng)
-        grid = sample(field, [Axis(-1.0, 1.0, 6)] * 3)
-        interp = Interpolator(grid)
-        dom = grid.queryable_domain(STRICT)
-        pts = np.stack([rng.uniform(lo, hi, 200) for lo, hi in dom], axis=1)
-        errs = [abs(interp.eval(p)[0] - field.value(p)[0]) for p in pts]
-        assert max(errs) > 1e-6
+        ok, metrics = check_cubic_inexactness(3, 200, 7)
+        assert ok, metrics
 
 
 class TestContinuity:
     def test_c1_across_faces(self, trig4):
         _, grid = trig4
-        interp = Interpolator(grid)
-        rng = np.random.default_rng(8)
-        ranges = grid.element_base_range(STRICT)
-        for _ in range(100):
-            d = int(rng.integers(4))
-            base = [int(rng.integers(lo, hi)) for lo, hi in ranges]
-            left = ElementRef(tuple(base))
-            rb = list(base)
-            rb[d] += 1
-            right = ElementRef(tuple(rb))
-            u = rng.uniform(0.0, 1.0, 4)
-            ul, ur = u.copy(), u.copy()
-            ul[d], ur[d] = 1.0, 0.0
-            a = interp.eval_local(left, ul)
-            b = interp.eval_local(right, ur)
-            assert np.max(np.abs(a.values - b.values)) <= 1e-9
-            assert np.max(np.abs(a.gradient - b.gradient)) <= 1e-9
+        ok, metrics = check_c1_continuity(Interpolator(grid), 100, 8)
+        assert ok, metrics
 
     def test_c2_jump_remains(self, trig4):
         # second partials are NOT continuous across faces, by design of
         # any cubic-spline scheme; this guards against "fixing" it
         _, grid = trig4
-        interp = Interpolator(grid)
-        eps = 1e-7 * grid.axes[0].spacing
-        face_x = grid.axes[0].coordinate(3)
-        p = [face_x, 1.3, 1.7, 1.1]
-        left = interp.derivative([p[0] - eps] + p[1:], (2, 0, 0, 0))
-        right = interp.derivative([p[0] + eps] + p[1:], (2, 0, 0, 0))
-        assert abs(left[0] - right[0]) > 1e-9
+        ok, metrics = check_c2_jump(Interpolator(grid), 1, 8)
+        assert ok, metrics
 
 
 class TestLineReduction:
     def test_matches_catmull_rom_on_grid_lines(self):
-        field = trig_product_field(3)
-        grid = sample(field, [Axis(0.0, 0.5, 8)] * 3)
-        interp = Interpolator(grid)
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            j, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-            i = int(rng.integers(1, 5))
-            u = float(rng.uniform(0, 1))
-            x = grid.axes[0].coordinate(i) + u * grid.axes[0].spacing
-            got = interp.eval(
-                [x, grid.axes[1].coordinate(j), grid.axes[2].coordinate(k)])
-            f = [grid.vertex_value((i + o, j, k)) for o in (-1, 0, 1, 2)]
-            want = catmull_rom_1d(*f, u)
-            assert got[0] == pytest.approx(want, abs=1e-12)
+        ok, metrics = check_line_reduction(100, 9)
+        assert ok, metrics
 
 
 class TestTimeSliceConsistency:
     def test_time_constant_4d_matches_3d(self):
-        from hyperspline.fields import AnalyticField
-
-        field3 = trig_product_field(3)
-        axes3 = tuple(Axis(0.0, 0.5, 6) for _ in range(3))
-        grid3 = sample(field3, axes3)
-        field4 = AnalyticField(
-            4, 1,
-            lambda p: field3.value(p[:3]),
-            lambda p: np.concatenate([field3.gradient(p[:3]), [[0.0]]],
-                                     axis=1),
-            "t-independent")
-        grid4 = sample(field4, axes3 + (Axis(0.0, 1.0, 5),))
-        i3, i4 = Interpolator(grid3), Interpolator(grid4)
-        rng = np.random.default_rng(10)
-        dom = grid3.queryable_domain(STRICT)
-        for _ in range(100):
-            p3 = [rng.uniform(lo, hi) for lo, hi in dom]
-            t = rng.uniform(1.0, 3.0)
-            r3 = i3.eval_with_gradient(p3)
-            r4 = i4.eval_with_gradient(p3 + [t])
-            assert_allclose(r4.values, r3.values, rtol=1e-12, atol=1e-12)
-            assert_allclose(r4.gradient[:, :3], r3.gradient,
-                            rtol=1e-12, atol=1e-12)
-            assert abs(r4.gradient[0, 3]) < 1e-12
+        ok, metrics = check_time_slice(100, 10)
+        assert ok, metrics
 
 
 class TestCacheBehavior:
@@ -677,3 +616,131 @@ class TestSharedKernel:
                                 coeffs @ dpow / grid.axes[d].spacing,
                                 rtol=0, atol=1e-12 * scale
                                 / grid.axes[d].spacing)
+
+
+# every public way to query one point, plus eval_batch on a one-row batch
+POINT_CALLS = [
+    pytest.param(lambda f, p: f.eval(p), id="eval"),
+    pytest.param(lambda f, p: f.eval_with_gradient(p),
+                 id="eval_with_gradient"),
+    pytest.param(lambda f, p: f.derivative(p, (1, 0, 0)), id="derivative"),
+    pytest.param(lambda f, p: locate(f.grid, p, f.policy), id="locate"),
+    pytest.param(lambda f, p: f.eval_batch([p]), id="eval_batch"),
+]
+
+
+class TestMalformedPoints:
+    @pytest.fixture(scope="class")
+    def interp(self):
+        return Interpolator(sample(constant_field(3), [Axis(0, 1, 5)] * 3))
+
+    def test_error_classes(self):
+        assert issubclass(DimensionMismatchError, HypersplineError)
+        assert issubclass(DimensionMismatchError, ValueError)
+        assert issubclass(InvalidPointError, HypersplineError)
+
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    @pytest.mark.parametrize("point", [
+        [1.5, 1.5], [1.5] * 4, [[1.5] * 3], 1.5, []],
+        ids=["2", "4", "1x3", "scalar", "empty"])
+    def test_wrong_arity(self, interp, call, point):
+        with pytest.raises(DimensionMismatchError, match="3"):
+            call(interp, point)
+
+    @pytest.mark.parametrize("call", POINT_CALLS)
+    @pytest.mark.parametrize("point", [
+        [1.5 + 0j, 1.5, 1.5], np.full(3, 1.5 + 1e-3j), [1.5, "x", 1.5],
+        [1.5, None, 1.5], [1.5, [1.5], 1.5]],
+        ids=["complex", "complex-array", "text", "none", "ragged"])
+    def test_complex_or_non_numeric(self, interp, call, point):
+        with pytest.raises(InvalidPointError):
+            call(interp, point)
+
+    def test_eval_batch_bad_shapes(self, interp):
+        for pts in (np.zeros(3), np.zeros((5, 2)), np.zeros((2, 3, 1))):
+            with pytest.raises(DimensionMismatchError):
+                interp.eval_batch(pts)
+
+    def test_element_local_coordinates_and_orders_arity(self, interp):
+        with pytest.raises(DimensionMismatchError):
+            interp.eval_local(ElementRef((1, 1, 1)), [0.5, 0.5])
+        with pytest.raises(DimensionMismatchError):
+            interp.derivative([1.5] * 3, (1, 0))
+        with pytest.raises(InvalidPointError):
+            interp.eval_local(ElementRef((1, 1, 1)), [0.5, 0.5j, 0.5])
+        for short in (ElementRef((1, 1)), ElementRef((1, 1, 1, 1))):
+            with pytest.raises(DimensionMismatchError):
+                interp.eval_local(short, [0.5] * 3)
+            with pytest.raises(DimensionMismatchError):
+                interp.coefficients(short)
+
+
+@pytest.fixture(scope="module", params=[3, 4], ids=["6^3x2", "6^4x2"])
+def six_grid(request):
+    dim = request.param
+    rng = np.random.default_rng(30 + dim)
+    axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 6), Axis(2.0, 1.5, 6),
+            Axis(0.0, 0.4, 6)][:dim]
+    return RegularGrid(axes, rng.standard_normal((6,) * dim + (2,)),
+                       components=2)
+
+
+def every_base(grid, policy):
+    ranges = grid.element_base_range(policy)
+    mesh = np.meshgrid(*[np.arange(lo, hi + 1) for lo, hi in ranges],
+                       indexing="ij")
+    return [tuple(b) for b in np.stack(mesh, axis=-1).reshape(-1, grid.dim)
+            .tolist()]
+
+
+class TestScalarPath:
+    """The one-element gather (one ``take`` for a cell whose stencil lies
+    on the grid, the full gather for ghost edge cells) against the batch
+    gather, on every element."""
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_block_equals_gather_bitwise(self, six_grid, policy):
+        for base in every_base(six_grid, policy):
+            got = neighborhood_block(six_grid, ElementRef(base), policy)
+            want = gather_neighborhoods(six_grid, [base], policy)[:, :, 0].T
+            assert np.array_equal(got, want), base
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_scalar_equals_batch_on_every_element(self, six_grid, policy):
+        # at each cell's centre and at its u = 0 and u = 1 corners
+        interp = Interpolator(six_grid, policy)
+        axes = six_grid.axes
+        pts = np.array([
+            [a.coordinate(b + o) + h * a.spacing for a, b in zip(axes, base)]
+            for o, h in ((0, 0.5), (0, 0.0), (1, 0.0))
+            for base in every_base(six_grid, policy)])
+        res = interp.eval_batch(pts)
+        assert res.ok.all()
+        for i, p in enumerate(pts):
+            r = interp.eval_with_gradient(p)
+            assert np.array_equal(r.values, res.values[i]), p
+            assert np.array_equal(r.gradient, res.gradients[i]), p
+
+
+class TestLayerAttribution:
+    """Each scalar query locates and gathers exactly once, through the
+    module-level names that profilers and tracers wrap."""
+
+    @pytest.mark.parametrize("method", ["eval", "eval_with_gradient",
+                                        "derivative"])
+    def test_one_locate_one_gather(self, trig4, method, monkeypatch):
+        calls = Counter()
+        for name in ("locate", "neighborhood_block"):
+            original = getattr(interpolator_module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(interpolator_module, name, counted)
+        interp = Interpolator(trig4[1])
+        args = ([1.3, 1.1, 0.9, 1.6],)
+        if method == "derivative":
+            args += ((1, 0, 0, 0),)
+        getattr(interp, method)(*args)
+        assert calls == {"locate": 1, "neighborhood_block": 1}
