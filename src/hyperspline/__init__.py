@@ -41,6 +41,7 @@ from .errors import (
     GridFormatError,
     HypersplineError,
     IncompleteGridError,
+    InvalidArgumentError,
     InvalidPointError,
     IrregularSpacingError,
     MissingHeaderError,
@@ -78,6 +79,7 @@ __all__ = [
     "FingerprintMismatchError",
     "GridFormatError",
     "IncompleteGridError",
+    "InvalidArgumentError",
     "InvalidPointError",
     "IrregularSpacingError",
     "MissingHeaderError",

@@ -16,6 +16,7 @@ The environment variable ``HYPERSPLINE_THREADS`` caps batch parallelism
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import partial
@@ -306,6 +307,17 @@ def _percentiles(dts):
             f"p99={pick(0.99):.1f}us")
 
 
+def _machine() -> str:
+    """CPU count, numpy version and BLAS build: the kernel's speed and its
+    last-bit rounding depend on them."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # older numpy, or a build without BLAS
+        blas = "unknown"
+    return f"machine: cpus={os.cpu_count()} numpy={np.__version__} blas={blas}"
+
+
 def cmd_bench(args) -> int:
     grid = _load_grid(args.grid)
     policy = _policy(args.policy)
@@ -315,6 +327,7 @@ def cmd_bench(args) -> int:
     pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1) \
         if n else np.empty((0, grid.dim))
     print(f"bench: n={n} seed={args.seed} policy={policy.value}")
+    print(_machine())
     if n == 0:
         print("value-only     : 0 points")
         print("value+gradient : 0 points")

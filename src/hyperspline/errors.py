@@ -31,6 +31,12 @@ class InvalidPointError(HypersplineError, ValueError):
     """A query point has complex or non-numeric coordinates."""
 
 
+class InvalidArgumentError(HypersplineError, ValueError):
+    """An argument other than a point is out of its range: a derivative
+    order outside 0..3, a local coordinate outside [0, 1] or a batch
+    chunk size that is not a positive integer."""
+
+
 class SingularMatrixError(HypersplineError):
     """Exact elimination found no usable pivot (construction bug)."""
 

@@ -12,25 +12,27 @@ queryable region depends on how boundaries are handled:
   one layer of ghost samples per side from linear extrapolation of the
   two edge layers. First-order near edges, exact for linear fields.
 
-Samples are stored once, component-major: one contiguous ``(m, vertices)``
-array with the x index varying fastest among the vertices.
-``RegularGrid.values`` is a read-only ``(count_last, ..., count_first, m)``
-view of it. A gather takes whole stencils from every component row and
-returns ``(m, 4^dim, k)`` for k elements, so the evaluation kernel runs
-its elementwise loops along the contiguous element axis.
+Samples are stored once, vertex-major: one contiguous ``(vertices, m)``
+array with the x index varying fastest among the vertices, which is the
+layout of ``RegularGrid.values``, a read-only ``(count_last, ...,
+count_first, m)`` view of it. A gather takes whole stencils of sample
+rows and returns them point-major, ``(k, 4^dim, m)`` for k elements, so
+each point's stencil is one contiguous block for the evaluation kernel's
+per-point matrix products.
 
 The scalar path works on Python numbers the grid precomputes: per
 policy, one locate row per axis, ``(origin, spacing, lo, hi, cmin,
 cmax)``, so :func:`locate` does only the per-axis float arithmetic; and
 the strides, so :func:`neighborhood_block` fetches a cell whose whole
-stencil lies on the grid with one ``take`` at its flat offset. Only
+stencil lies on the grid with one ``take`` at its flat offset, the
+``(4^dim, m)`` slice a gather of that one cell would return. Only
 edge cells under ``LinearGhost`` go through the ghost fill of
 :func:`gather_neighborhoods`.
 
 Module contents:
     BoundaryPolicy -- Strict / LinearGhost enum
     Axis           -- origin, spacing, count of one grid direction
-    RegularGrid    -- axes + component-major samples
+    RegularGrid    -- axes + vertex-major samples
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
     as_coordinates -- query coordinates as float64, typed errors otherwise
@@ -162,7 +164,7 @@ class RegularGrid:
     component_names : sequence of str, optional
         Labels for CSV headers; defaults to ``f`` or ``f0, f1, ...``.
 
-    The samples are copied once into a component-major store (see the
+    The samples are copied once into a vertex-major store (see the
     module docstring); ``values`` is a read-only view of it. The grid is
     immutable after construction; all operations on it are read-only and
     safe for unrestricted concurrent use.
@@ -186,9 +188,8 @@ class RegularGrid:
                 f"components), got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValueError("grid samples must all be finite")
-        # the one stored copy, component-major: one contiguous row of
-        # vertex samples per component
-        samples = vals.reshape(-1, components).T.copy()
+        # the one stored copy, one row of components per vertex
+        samples = vals.reshape(-1, components).copy()
         samples.flags.writeable = False
         if component_names is None:
             component_names = (("f",) if components == 1 else
@@ -204,7 +205,7 @@ class RegularGrid:
         self.component_names = component_names
         self._samples = samples
         # shaped (count_last, ..., count_first, m): a view, not a copy
-        self.values = samples.T.reshape(shape)
+        self.values = samples.reshape(shape)
         # flat vertex index = index @ _strides (x fastest); _stencil holds
         # the flat offsets of the 4^dim neighborhood in sample-row order
         self._strides = np.cumprod((1,) + counts[:-1], dtype=np.int64)
@@ -345,7 +346,7 @@ def gather_neighborhoods(grid: RegularGrid, bases,
     """All-component sample neighborhoods of k elements in one fetch.
 
     ``bases`` is a ``(k, dim)`` integer array of element base indices.
-    Returns an array of shape ``(m, 4^dim, k)``: entry ``[c, n, i]`` holds
+    Returns an array of shape ``(k, 4^dim, m)``: entry ``[i, n, c]`` holds
     component c of the sample at grid offset ``o`` with
     ``n = sum_d (o_d + 1) * 4^d`` relative to base i. Under
     ``LinearGhost``, offsets falling one layer outside the grid are
@@ -368,8 +369,8 @@ def gather_neighborhoods(grid: RegularGrid, bases,
     # every stencil entry is read at its flat offset from the base; a
     # ghost entry reads whatever in-range sample its clipped offset hits
     # and is overwritten from real samples below
-    flat = grid._stencil[:, None] + bases @ grid._strides
-    samples = np.take(grid._samples, flat, axis=1, mode="clip")
+    flat = (bases @ grid._strides)[:, None] + grid._stencil
+    samples = np.take(grid._samples, flat, axis=0, mode="clip")
     if policy is BoundaryPolicy.LINEAR_GHOST:
         # under this policy the bases 0 and hi are the edge elements
         low, high = bases == lo, bases == hi
@@ -381,10 +382,10 @@ def gather_neighborhoods(grid: RegularGrid, bases,
             sub = np.moveaxis(block, dim - d, 0)
             at = np.flatnonzero(low[:, d])
             if at.size:
-                sub[0][..., at] = 2.0 * sub[1][..., at] - sub[2][..., at]
+                sub[0][at] = 2.0 * sub[1][at] - sub[2][at]
             at = np.flatnonzero(high[:, d])
             if at.size:
-                sub[3][..., at] = 2.0 * sub[2][..., at] - sub[1][..., at]
+                sub[3][at] = 2.0 * sub[2][at] - sub[1][at]
     return samples
 
 
@@ -392,7 +393,7 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
                        policy: BoundaryPolicy) -> np.ndarray:
     """All-component sample neighborhood of one element, ``(4^dim, m)``.
 
-    The one-element view of :func:`gather_neighborhoods`, transposed:
+    The one-element slice of :func:`gather_neighborhoods`:
     row ``n`` holds the samples at grid offset ``o`` with
     ``n = sum_d (o_d + 1) * 4^d`` relative to the element base. An
     element whose whole stencil lies on the grid (every valid one under
@@ -414,5 +415,5 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
             f"element base must have {grid.dim} entries, got {base}")
     if all(lo <= b <= hi for b, (lo, hi) in zip(base, grid._interior)):
         offset = sum(b * s for b, s in zip(base, grid._stride_ints))
-        return grid._samples.take(grid._stencil + offset, 1).T
-    return gather_neighborhoods(grid, [base], policy)[:, :, 0].T
+        return grid._samples.take(grid._stencil + offset, 0)
+    return gather_neighborhoods(grid, [base], policy)[0]

@@ -4,39 +4,35 @@ An :class:`Interpolator` wraps a grid and a boundary policy. An
 element's cubic is the Kronecker power of the Catmull-Rom basis matrix
 ``M`` (see :mod:`hyperspline.operators`) applied to its 4^dim sample
 neighborhood, so it is separable: its value at local coordinates ``u``
-is the neighborhood contracted axis by axis, x first, with the weights
+is the neighborhood contracted axis by axis with the weights
 ``w(u) = M^T (1, u, u^2, u^3)``, and a partial along one axis swaps in
-the differentiated weights ``M^T (0, 1, 2u, 3u^2)`` on that axis. The
-contraction carries the value and every partial opened so far, opening
-each axis's partial from the value part as it reaches that axis. First
-partials are rescaled by the axis spacing so results are in physical
-units. No coefficient tensor is formed on this path.
+the differentiated weights ``M^T (0, 1, 2u, 3u^2)`` on that axis. Each
+axis is contracted with the order-0 and the order-r weights at once, so
+after the last axis the kernel holds all 2^dim combinations, and the
+value, the first partials or one mixed partial are picked from them.
+First partials are rescaled by the axis spacing so results are in
+physical units. No coefficient tensor is formed on this path.
 
-Point, pinned-element and batch queries all run the same kernel, and it
-sums every product in a fixed order with elementwise arithmetic only (no
-BLAS, whose summation order depends on array shapes). Batched, threaded
-and one-at-a-time evaluation therefore agree bit for bit, for any chunk
-size.
-
-The kernel takes the component-major gather of :mod:`hyperspline.grid`,
-``(m, 4^dim, k)`` for k points, and keeps the point axis last and
-contiguous through every step, so each elementwise product runs k long.
-:meth:`Interpolator.eval_batch` evaluates its points in chunks; by
-default a chunk holds as many points as fit 1.5 MB of gathered samples,
-``max(1, 196608 // (m * 4^dim))`` (256 points in 4D, 1024 in 3D, with
-m = 3), so a chunk's working set stays in L2 and the kernel's
-temporaries reuse the same heap pages from chunk to chunk.
+Point, pinned-element and batch queries all run the same kernel on the
+point-major gather of :mod:`hyperspline.grid`, ``(k, 4^dim, m)`` for k
+points: per axis one ``np.matmul`` of k stacked per-point products
+``(rest, 4) @ (4, 2)``, 960 multiplies per component in 4D and 224 in
+3D. A point's products have the same shapes and strides whatever k,
+the chunk size or the thread count, so BLAS does the same arithmetic
+for it in a batch as alone, and batched, threaded and one-at-a-time
+evaluation agree bit for bit. :meth:`Interpolator.eval_batch` evaluates
+its points in chunks; by default a chunk holds as many points as fit
+1.5 MB of gathered samples, ``max(1, 196608 // (m * 4^dim))`` (256
+points in 4D, 1024 in 3D, with m = 3), so a chunk's working set stays
+in L2.
 
 A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
-takes about 100 µs in 4D on a 2-CPU Xeon VM, almost all of it numpy
-dispatch on tiny arrays, so its path keeps the call count low:
+is the same kernel with k = 1, about 65 µs in 4D on a 2-CPU Xeon VM,
+most of it numpy dispatch on tiny arrays:
 :func:`~hyperspline.grid.locate` reads the grid's precomputed per-axis
-locate rows on Python floats, :func:`~hyperspline.grid.neighborhood_block`
-fetches a cell whose stencil lies on the grid with one ``take``, the
-weights are evaluated only for the (order, axis) pairs the contraction
-opens, and with k = 1 the kernel forms each axis's products in one
-broadcast multiply and sums them in the same j = 0..3 order as the
-batch path's per-j loop.
+locate rows on Python floats and
+:func:`~hyperspline.grid.neighborhood_block` fetches a cell whose
+stencil lies on the grid with one ``take``.
 
 Per-element coefficient tensors ``operator @ samples`` stay available
 through :meth:`Interpolator.coefficients`, cached, for validation
@@ -51,7 +47,6 @@ Module contents:
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import os
@@ -60,7 +55,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, HypersplineError, OutOfDomainError
+from .errors import (
+    DimensionMismatchError,
+    HypersplineError,
+    InvalidArgumentError,
+    OutOfDomainError,
+)
 from .grid import (
     BoundaryPolicy,
     ElementRef,
@@ -111,15 +111,17 @@ class BatchResult:
 def _horner_table() -> np.ndarray:
     """Coefficients of the Catmull-Rom weights and their derivatives.
 
-    Entry ``[i, k, 0, j, 0]`` is the coefficient of ``u^(3-i)`` in the
-    k-th derivative of weight j of ``M^T (1, u, u^2, u^3)``; orders
-    k > 0 are padded with leading zeros, which Horner's rule passes
-    through exactly. All entries are small dyadic rationals.
+    Entry ``[r, i, j, 0]`` is the coefficient of ``u^(3-i)`` in weight j
+    of ``M^T (1, u, u^2, u^3)`` and ``[r, i, j, 1]`` that in its r-th
+    derivative; derivatives are padded with leading zeros, which
+    Horner's rule passes through exactly. All entries are small dyadic
+    rationals.
     """
-    table = np.zeros((4, 4, 1, 4, 1))
-    for k in range(4):
-        for i in range(k, 4):
-            table[3 - (i - k), k, 0, :, 0] = math.perm(i, k) * CATMULL_ROM[i]
+    table = np.zeros((4, 4, 4, 2))
+    for r in range(4):
+        for i in range(r, 4):
+            table[r, 3 - (i - r), :, 1] = math.perm(i, r) * CATMULL_ROM[i]
+    table[..., 0] = table[0, ..., 1]
     table.flags.writeable = False
     return table
 
@@ -131,85 +133,42 @@ _HORNER = _horner_table()
 _CHUNK_SAMPLES = 196608
 
 
-def _weights(u: np.ndarray, orders, axes) -> np.ndarray:
-    """Catmull-Rom weights of the (order, axis) pairs a plan opens.
+def _weights(u: np.ndarray, orders) -> np.ndarray:
+    """Catmull-Rom weights of order 0 and ``orders[d]`` on each axis d.
 
-    ``u`` is ``(dim, k)``. Entry ``[n, j, i]`` of the ``(len(orders), 4,
-    k)`` result weighs the sample at offset ``j - 1`` on axis
-    ``axes[n]`` for point i in the order-``orders[n]`` partial along it.
-    Elementwise Horner.
+    ``u`` is ``(dim, k)``. Entry ``[d, i, j, c]`` of the ``(dim, k, 4,
+    2)`` result weighs the sample at offset ``j - 1`` on axis d for
+    point i, in the value (c = 0) or the order-``orders[d]`` partial
+    (c = 1). Elementwise Horner.
     """
-    h = _HORNER.take(orders, 1)[:, :, 0]
-    u = u.take(axes, 0)[:, None]
-    w = h[0] * u + h[1]
-    w = w * u + h[2]
-    return w * u + h[3]
-
-
-@functools.cache
-def _plan(rows: tuple):
-    """Contraction schedule for the partials ``rows`` (per-axis orders).
-
-    After axis d the kernel carries the distinct length-(d+1) prefixes
-    of the rows. Returns, per axis, the index of the carried partial
-    each new one extends, and for all steps together the derivative
-    order and axis of each new partial's weights.
-    """
-    carried = [()]
-    sources, orders, axes = [], [], []
-    for d in range(len(rows[0])):
-        keys = list(dict.fromkeys(r[:d + 1] for r in rows))
-        sources.append(np.array([carried.index(k[:-1]) for k in keys]))
-        orders += [k[-1] for k in keys]
-        axes += [d] * len(keys)
-        carried = keys
-    plan = sources + [np.array(orders), np.array(axes)]
-    for a in plan:
-        a.flags.writeable = False
-    return plan[:-2], plan[-2], plan[-1]
+    h = _HORNER.take(orders, 0)[:, :, None]
+    u = u[:, :, None, None]
+    w = h[:, 0] * u + h[:, 1]
+    w = w * u + h[:, 2]
+    return w * u + h[:, 3]
 
 
 def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
-                    rows: tuple) -> np.ndarray:
-    """Partials ``rows`` of k cubics straight from their sample stencils.
+                    orders) -> np.ndarray:
+    """Partials of k cubics straight from their sample stencils.
 
-    ``samples`` is ``(m, 4^dim, k)`` as gathered, ``u`` the ``(dim, k)``
-    local coordinates, and ``rows`` a tuple of per-axis derivative
-    orders (0..3). Returns ``(len(rows), m, k)`` unit-cell partials.
-    Axes are contracted x first, each product sum in the order
-    j = 0..3, with elementwise operations only, so every output entry
-    is computed the same way whatever k or the other rows are.
+    ``samples`` is ``(k, 4^dim, m)`` as gathered, ``u`` the ``(dim, k)``
+    local coordinates and ``orders`` the derivative order (0..3) of the
+    partial taken on each axis. Returns ``(k, m, 2^dim)`` unit-cell
+    partials: entry ``[i, c, s]`` differentiates axis d ``orders[d]``
+    times if bit d of s is set, and not at all otherwise. Each axis is
+    one matrix product per point, ``(rest, 4) @ (4, 2)``, whose shapes
+    and strides do not depend on k, so every point is computed the same
+    way in any batch.
     """
-    m, _, k = samples.shape
-    sources, orders, axes = _plan(rows)
-    weights = _weights(u, orders, axes)
-    part = samples[None]
-    start = 0
-    for source in sources:
-        if len(part) > 1:
-            # ndarray.take: on one point's arrays, under half the cost
-            # of fancy indexing
-            part = part.take(source, 0)
-        # sample rows run t..x, so the axis contracted next varies
-        # fastest; a single carried partial broadcasts against all the
-        # weight rows it opens
-        part = part.reshape(len(part), m, -1, 4, k)
-        w = weights[start:start + len(source), None, None]
-        start += len(source)
-        if k == 1:
-            # one point: all the products in one multiply, summed in the
-            # same j = 0..3 order; for a chunk of points that product
-            # temporary would take megabytes and leave L2
-            prod = part * w
-            acc = prod[:, :, :, 0] + prod[:, :, :, 1]
-            acc += prod[:, :, :, 2]
-            acc += prod[:, :, :, 3]
-        else:
-            acc = part[:, :, :, 0] * w[:, :, :, 0]
-            for j in range(1, 4):
-                acc += part[:, :, :, j] * w[:, :, :, j]
-        part = acc
-    return part.reshape(len(rows), m, k)
+    k, _, m = samples.shape
+    w = _weights(u, orders)
+    part = samples
+    # stencil rows run t..x, so the slowest row axis is the last grid
+    # axis; each step moves its pair of partials to the end
+    for d in reversed(range(len(orders))):
+        part = np.matmul(part.reshape(k, 4, -1).transpose(0, 2, 1), w[d])
+    return part.reshape(k, m, -1)
 
 
 def _resolve_threads(requested=None) -> int:
@@ -270,10 +229,8 @@ class Interpolator:
         self.operator = operator_set(grid.dim)
         self._spacings = np.array([a.spacing for a in grid.axes])
         self._base_range = grid.element_base_range(policy)
-        # the value, then the first partial along each axis
-        self._gradient_rows = tuple(
-            tuple(int(e == d) for e in range(grid.dim))
-            for d in range(-1, grid.dim))
+        # kernel columns of the first partial along each axis
+        self._gradient_cols = [1 << d for d in range(grid.dim)]
         self._cache: dict = {}
 
     @property
@@ -347,23 +304,27 @@ class Interpolator:
 
     # -- point evaluation --------------------------------------------------
 
-    def _partials(self, elem: ElementRef, u, rows) -> np.ndarray:
-        """Unit-cell partials ``rows`` at local ``u`` in one element."""
+    def _partials(self, elem: ElementRef, u, orders=None) -> np.ndarray:
+        """Unit-cell partials ``(m, 2^dim)`` at local ``u`` in one element
+        (see :func:`_stencil_kernel`); first partials by default."""
         block = neighborhood_block(self.grid, elem, self.policy)
         u = np.asarray(u)[:, None]
-        return _stencil_kernel(block.T[:, :, None], u, rows)[:, :, 0]
+        return _stencil_kernel(block[None], u, orders or (1,) * self.dim)[0]
+
+    def _with_gradient(self, part: np.ndarray) -> QueryResult:
+        return QueryResult(part[:, 0],
+                           part[:, self._gradient_cols] / self._spacings)
 
     def eval(self, point) -> np.ndarray:
         """Interpolated field values at a point, shape ``(m,)``."""
         elem, u = locate(self.grid, point, self.policy)
-        return self._partials(elem, u, self._gradient_rows[:1])[0]
+        return self._partials(elem, u)[:, 0]
 
     def eval_with_gradient(self, point) -> QueryResult:
         """Values plus all first partials (physical units) at a point."""
         elem, u = locate(self.grid, point, self.policy)
         # locate has already clamped u to the unit cell
-        part = self._partials(elem, u, self._gradient_rows)
-        return QueryResult(part[0], part[1:].T / self._spacings)
+        return self._with_gradient(self._partials(elem, u))
 
     def eval_local(self, elem: ElementRef, u) -> QueryResult:
         """Evaluate in a pinned element at local coordinates ``u``.
@@ -377,9 +338,9 @@ class Interpolator:
         if u.shape != (self.dim,):
             raise DimensionMismatchError(f"u must have {self.dim} entries")
         if not np.all((u >= 0.0) & (u <= 1.0)):
-            raise ValueError(f"local coordinates must lie in [0, 1], got {u}")
-        part = self._partials(elem, u, self._gradient_rows)
-        return QueryResult(part[0], part[1:].T / self._spacings)
+            raise InvalidArgumentError(
+                f"local coordinates must lie in [0, 1], got {u}")
+        return self._with_gradient(self._partials(elem, u))
 
     def derivative(self, point, orders) -> np.ndarray:
         """Raw mixed partial with per-axis derivative orders, ``(m,)``.
@@ -394,10 +355,11 @@ class Interpolator:
             raise DimensionMismatchError(
                 f"orders must have {self.dim} entries, got {orders}")
         if any(k < 0 or k > 3 for k in orders):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"orders must be {self.dim} integers in 0..3, got {orders}")
         elem, u = locate(self.grid, point, self.policy)
-        out = self._partials(elem, u, (orders,))[0]
+        col = sum(1 << d for d, k in enumerate(orders) if k)
+        out = self._partials(elem, u, orders)[:, col]
         scale = float(np.prod(self._spacings ** np.array(orders)))
         return out / scale
 
@@ -419,7 +381,7 @@ class Interpolator:
                              // (self.components * 4 ** self.dim))
         if (not isinstance(chunk_size, numbers.Integral)
                 or isinstance(chunk_size, bool) or chunk_size <= 0):
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"chunk_size must be a positive integer, got {chunk_size!r}")
         pts = as_coordinates(points)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
@@ -455,6 +417,6 @@ class Interpolator:
         if hit.size == 0:
             return
         block = gather_neighborhoods(self.grid, bases[hit], self.policy)
-        part = _stencil_kernel(block, u[:, hit], self._gradient_rows)
-        values[hit] = part[0].T
-        gradients[hit] = part[1:].T / self._spacings
+        part = _stencil_kernel(block, u[:, hit], (1,) * self.dim)
+        values[hit] = part[:, :, 0]
+        gradients[hit] = part[:, :, self._gradient_cols] / self._spacings

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import hashlib
 import struct
 
 import numpy as np
@@ -272,6 +271,10 @@ def write_results_csv(path, points, result: BatchResult, component_names):
 
 
 def _grid_fingerprint(grid: RegularGrid) -> bytes:
+    # imported here: loading it maps OpenSSL's hash library, 3.6 MB
+    # resident, into every process that imports the package
+    import hashlib
+
     parts = [struct.pack("<BI", grid.dim, grid.components)]
     for a in grid.axes:
         parts.append(struct.pack("<Idd", a.count, a.origin, a.spacing))

@@ -293,6 +293,25 @@ class TestBench:
         out = capsys.readouterr().out
         assert "n=0" in out
 
+    def test_machine_line_before_timings(self, lin4d, capsys):
+        assert main(["bench", lin4d, "--n", "20"]) == 0
+        lines = capsys.readouterr().out.split("\n")
+        machine = next(i for i, ln in enumerate(lines)
+                       if ln.startswith("machine:"))
+        timing = next(i for i, ln in enumerate(lines) if "points/s" in ln)
+        assert machine < timing
+        assert f"numpy={np.__version__}" in lines[machine]
+        assert "cpus=" in lines[machine] and "blas=" in lines[machine]
+
+    def test_machine_line_without_show_config_modes(self, lin4d, capsys,
+                                                    monkeypatch):
+        def show_config():  # the signature of numpy before config modes
+            pass
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        assert main(["bench", lin4d, "--n", "0"]) == 0
+        assert "blas=unknown" in capsys.readouterr().out
+
     @pytest.mark.parametrize("grid_name, n, seed",
                              [("lin4d", 500, 3), ("trig3d", 200, 5)],
                              ids=["lin4d", "trig3d"])

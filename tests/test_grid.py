@@ -305,10 +305,10 @@ class TestGather:
             indexing="ij"), axis=-1).reshape(-1, dim)
         bases = bases[rng.permutation(len(bases))]
         got = gather_neighborhoods(grid, bases, policy)
-        assert got.shape == (2, 4 ** dim, len(bases))
+        assert got.shape == (len(bases), 4 ** dim, 2)
         for i, base in enumerate(bases):
             want = reference_block(grid, base, policy)
-            assert np.array_equal(got[:, :, i].T, want)
+            assert np.array_equal(got[i], want)
             assert np.array_equal(
                 neighborhood_block(grid, ElementRef(base), policy), want)
 

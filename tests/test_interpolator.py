@@ -1,3 +1,4 @@
+import math
 import threading
 from collections import Counter
 
@@ -12,6 +13,7 @@ from hyperspline import (
     ElementRef,
     HypersplineError,
     Interpolator,
+    InvalidArgumentError,
     InvalidPointError,
     OutOfDomainError,
     RegularGrid,
@@ -430,7 +432,7 @@ class TestBatch:
         res = Interpolator(grid).eval_batch(pts)
         assert res.ok.all() and len(blocks) == 3
         assert blocks[0].nbytes <= budget < blocks[0].nbytes + per_point
-        assert sum(b.shape[-1] for b in blocks) == n
+        assert sum(len(b) for b in blocks) == n
 
 
 class TestLinearGhost:
@@ -618,6 +620,63 @@ class TestSharedKernel:
                                 / grid.axes[d].spacing)
 
 
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "list"])
+    def test_batch_equals_scalar_for_any_point_layout(self, kernel_case,
+                                                      policy, layout):
+        interp, pts, scalar = kernel_case[policy]
+        if layout == "strided":
+            wide = np.zeros((2 * len(pts), interp.dim + 1))
+            wide[::2, 1:] = pts
+            pts = wide[::2, 1:]
+        elif layout == "fortran":
+            pts = np.asfortranarray(pts)
+        else:
+            pts = pts.tolist()
+        res = interp.eval_batch(pts, chunk_size=7)
+        assert list(res.ok) == [r is not None for r in scalar]
+        for i, r in enumerate(scalar):
+            if r is not None:
+                assert np.array_equal(res.values[i], r.values)
+                assert np.array_equal(res.gradients[i], r.gradient)
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_eval_equals_zero_order_derivative_bitwise(self, kernel_case,
+                                                       policy):
+        interp, pts, scalar = kernel_case[policy]
+        for p, r in zip(pts, scalar):
+            if r is not None:
+                assert np.array_equal(
+                    interp.derivative(p, (0,) * interp.dim), interp.eval(p))
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("orders", [
+        (2, 0, 0, 0), (0, 3, 0, 0), (1, 2, 0, 1), (2, 1, 3, 0), (3, 3, 3, 3)],
+        ids=["xx", "yyy", "mixed-1-2-0-1", "mixed-2-1-3-0", "all-3"])
+    def test_higher_orders_match_coefficient_polynomial(
+            self, kernel_case, policy, orders):
+        # rounding level relative to the reference's sum of absolute
+        # terms, which grows with the order
+        interp, pts, scalar = kernel_case[policy]
+        grid = interp.grid
+        orders = orders[:interp.dim]
+        exps = np.indices((4,) * interp.dim).reshape(interp.dim, -1)[::-1]
+        factor = np.prod([[math.perm(e, k) for e in row]
+                          for row, k in zip(exps, orders)], axis=0)
+        lowered = np.maximum(exps - np.array(orders)[:, None], 0)
+        scale = np.prod([a.spacing ** k for a, k in zip(grid.axes, orders)])
+        for p, r in zip(pts, scalar):
+            if r is None:
+                continue
+            elem, u = locate(grid, p, policy)
+            coeffs = interp.coefficients(elem)
+            dpow = factor * np.prod(u[:, None] ** lowered, axis=0)
+            want = coeffs @ dpow / scale
+            terms = np.abs(coeffs) @ np.abs(dpow) / scale
+            assert_allclose(interp.derivative(p, orders), want, rtol=0,
+                            atol=1e-12 * np.max(terms))
+
+
 # every public way to query one point, plus eval_batch on a one-row batch
 POINT_CALLS = [
     pytest.param(lambda f, p: f.eval(p), id="eval"),
@@ -675,6 +734,36 @@ class TestMalformedPoints:
                 interp.coefficients(short)
 
 
+class TestInvalidArguments:
+    """Arguments other than points that are out of range raise the typed
+    InvalidArgumentError, which is also a ValueError."""
+
+    @pytest.fixture(scope="class")
+    def interp(self):
+        return Interpolator(sample(constant_field(3), [Axis(0, 1, 5)] * 3))
+
+    def test_error_class(self):
+        assert issubclass(InvalidArgumentError, HypersplineError)
+        assert issubclass(InvalidArgumentError, ValueError)
+
+    @pytest.mark.parametrize("orders", [(4, 0, 0), (0, -1, 0), (0, 0, 7)])
+    def test_derivative_order_out_of_range(self, interp, orders):
+        with pytest.raises(InvalidArgumentError, match="0..3"):
+            interp.derivative([1.5] * 3, orders)
+
+    @pytest.mark.parametrize("u", [[0.5, 1.5, 0.5], [-0.1, 0.5, 0.5],
+                                   [0.5, 0.5, np.nan]],
+                             ids=["above", "below", "nan"])
+    def test_local_coordinates_out_of_range(self, interp, u):
+        with pytest.raises(InvalidArgumentError, match=r"\[0, 1\]"):
+            interp.eval_local(ElementRef((1, 1, 1)), u)
+
+    @pytest.mark.parametrize("chunk_size", [0, -1, 1.5, True])
+    def test_chunk_size_not_positive_integer(self, interp, chunk_size):
+        with pytest.raises(InvalidArgumentError, match="chunk_size"):
+            interp.eval_batch(np.full((5, 3), 1.5), chunk_size=chunk_size)
+
+
 @pytest.fixture(scope="module", params=[3, 4], ids=["6^3x2", "6^4x2"])
 def six_grid(request):
     dim = request.param
@@ -702,7 +791,7 @@ class TestScalarPath:
     def test_block_equals_gather_bitwise(self, six_grid, policy):
         for base in every_base(six_grid, policy):
             got = neighborhood_block(six_grid, ElementRef(base), policy)
-            want = gather_neighborhoods(six_grid, [base], policy)[:, :, 0].T
+            want = gather_neighborhoods(six_grid, [base], policy)[0]
             assert np.array_equal(got, want), base
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -403,6 +408,17 @@ class TestWriterByteIdentity:
                                     names)
         assert ((tmp_path / "new.csv").read_bytes()
                 == (tmp_path / "ref.csv").read_bytes())
+
+
+def test_import_leaves_hashlib_unloaded():
+    # the cache fingerprint imports hashlib when it is first needed
+    src = Path(hio.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, hyperspline; print('hashlib' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True).stdout
+    assert out.strip() == "False"
 
 
 class TestCoefficientCache:
