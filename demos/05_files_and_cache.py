@@ -1,11 +1,10 @@
 """
-Field maps on disk: CSV grids, result files, coefficient caches
-===============================================================
+Field maps on disk: CSV grids and result files
+==============================================
 
 The shapes a field-map workflow needs: ingest a grid CSV in any row
-order, write query results with gradients, and persist the per-element
-polynomial coefficients. Evaluation reads the samples directly and
-never needs them; they are there to inspect or hand to other tools.
+order and write query results with gradients. Every number is written
+as the shortest text that reads back as the same float64.
 
 The same files drive the command line:
 
@@ -26,7 +25,6 @@ from hyperspline import (
     write_results_csv,
 )
 from hyperspline.fields import quadrupole_field, sample
-from hyperspline.io import load_cache, save_cache
 
 os.makedirs("demo_output", exist_ok=True)
 
@@ -51,13 +49,3 @@ write_results_csv("demo_output/results.csv", pts, res, back.component_names)
 print(f"wrote demo_output/results.csv ({int((~res.ok).sum())} point "
       "flagged out_of_domain)")
 
-# persist per-element coefficients: evaluation never fills the cache,
-# so fill it explicitly, save it and restore it into a fresh interpolator
-interp.precompute_all()
-save_cache("demo_output/coeffs.qcub", interp)
-fresh = Interpolator(back)
-n = load_cache("demo_output/coeffs.qcub", fresh)
-restored = dict(fresh.cache_items())
-same = all(np.array_equal(restored[base], coeffs)
-           for base, coeffs in interp.cache_items())
-print(f"cache restored: {n} element tensors, bit-identical: {same}")

@@ -16,8 +16,8 @@ construction of that operator (constraint and difference matrices,
 exact inversion) is kept as the reference that validates it.
 
 The top level holds the documented API; test fields and release checks
-(``hyperspline.fields``), the exact derivation (``operators``) and the
-coefficient-cache files (``io``) are imported from their modules.
+(``hyperspline.fields``) and the exact derivation (``operators``) are
+imported from their modules.
 
 Quick start::
 
@@ -34,10 +34,7 @@ Quick start::
 """
 
 from .errors import (
-    BadMagicError,
-    CacheFormatError,
     DimensionMismatchError,
-    FingerprintMismatchError,
     GridFormatError,
     HypersplineError,
     IncompleteGridError,
@@ -50,9 +47,7 @@ from .errors import (
     OutOfDomainError,
     SingularMatrixError,
     TooFewPointsError,
-    TruncatedFileError,
     UnsupportedDimensionError,
-    VersionMismatchError,
 )
 from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid
 from .interpolator import BatchResult, Interpolator, QueryResult
@@ -73,10 +68,7 @@ __all__ = [
     "write_results_csv",
     # errors
     "HypersplineError",
-    "BadMagicError",
-    "CacheFormatError",
     "DimensionMismatchError",
-    "FingerprintMismatchError",
     "GridFormatError",
     "IncompleteGridError",
     "InvalidArgumentError",
@@ -88,7 +80,5 @@ __all__ = [
     "OutOfDomainError",
     "SingularMatrixError",
     "TooFewPointsError",
-    "TruncatedFileError",
     "UnsupportedDimensionError",
-    "VersionMismatchError",
 ]

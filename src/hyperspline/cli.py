@@ -123,8 +123,7 @@ def cmd_info(args) -> int:
         print(f"queryable {pol.value}: {spans}")
     tensor_bytes = 8 * m * 4 ** grid.dim
     print(f"memory: samples {grid.values.nbytes / 1024:.1f} KiB; "
-          f"coefficients {tensor_bytes / 1024:.1f} KiB/element, "
-          f"{tensor_bytes * n_ghost / 1024:.1f} KiB fully cached")
+          f"coefficients {tensor_bytes / 1024:.1f} KiB/element")
     return 0
 
 

@@ -32,9 +32,11 @@ class InvalidPointError(HypersplineError, ValueError):
 
 
 class InvalidArgumentError(HypersplineError, ValueError):
-    """An argument other than a point is out of its range: a derivative
-    order outside 0..3, a local coordinate outside [0, 1] or a batch
-    chunk size that is not a positive integer."""
+    """An argument other than a point is not of its type or out of its
+    range: a derivative order that is not an integer in 0..3, a local
+    coordinate outside [0, 1], a batch chunk size that is not a positive
+    integer or a thread count that is not a non-negative one, an unknown
+    boundary policy, or an axis or grid description that is not valid."""
 
 
 class SingularMatrixError(HypersplineError):
@@ -63,23 +65,3 @@ class IncompleteGridError(GridFormatError):
 
 class NonFiniteValueError(GridFormatError):
     """A sample value is NaN or infinite."""
-
-
-class CacheFormatError(HypersplineError):
-    """Base class for problems with a coefficient-cache file."""
-
-
-class BadMagicError(CacheFormatError):
-    """The file does not start with the cache magic bytes."""
-
-
-class VersionMismatchError(CacheFormatError):
-    """The cache file uses an unsupported format version."""
-
-
-class FingerprintMismatchError(CacheFormatError):
-    """The cache file was written for a different grid."""
-
-
-class TruncatedFileError(CacheFormatError):
-    """The cache file ends before the advertised payload is complete."""

@@ -35,6 +35,7 @@ Module contents:
     RegularGrid    -- axes + vertex-major samples
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
+    is_integer     -- whether an argument is an integer (bools are not)
     as_coordinates -- query coordinates as float64, typed errors otherwise
     locate         -- map a physical point to (element, local coords)
     locate_points  -- the same for many points, flagging those outside
@@ -46,12 +47,14 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidArgumentError,
     InvalidPointError,
     IrregularSpacingError,
     NonFiniteValueError,
@@ -94,8 +97,17 @@ class Axis:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "origin", float(self.origin))
-        object.__setattr__(self, "spacing", float(self.spacing))
+        try:
+            origin, spacing = float(self.origin), float(self.spacing)
+        except (TypeError, ValueError):
+            raise InvalidArgumentError(
+                f"axis origin and spacing must be real numbers, got "
+                f"{self.origin!r} and {self.spacing!r}") from None
+        if not is_integer(self.count):
+            raise InvalidArgumentError(
+                f"axis count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "count", int(self.count))
         if not np.isfinite(self.origin) or not np.isfinite(self.spacing):
             raise NonFiniteValueError("axis origin/spacing must be finite")
@@ -111,6 +123,12 @@ class Axis:
 
     def coordinates(self) -> np.ndarray:
         return self.origin + self.spacing * np.arange(self.count)
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; bools are not."""
+    return (isinstance(value, numbers.Integral)
+            and not isinstance(value, bool))
 
 
 def infer_axis(coords) -> Axis:
@@ -176,13 +194,14 @@ class RegularGrid:
         if len(axes) not in (3, 4):
             raise UnsupportedDimensionError(
                 f"grids must be 3- or 4-dimensional, got {len(axes)} axes")
-        if components < 1:
-            raise ValueError(f"components must be >= 1, got {components}")
+        if not is_integer(components) or components < 1:
+            raise InvalidArgumentError(
+                f"components must be a positive integer, got {components!r}")
         counts = tuple(a.count for a in axes)
         shape = counts[::-1] + (components,)
         vals = np.asarray(values, dtype=np.float64)
         if vals.size != np.prod(shape):
-            raise ValueError(
+            raise DimensionMismatchError(
                 f"expected {np.prod(shape)} values "
                 f"({'x'.join(map(str, counts))} vertices x {components} "
                 f"components), got {vals.size}")
@@ -197,7 +216,7 @@ class RegularGrid:
         else:
             component_names = tuple(str(n) for n in component_names)
             if len(component_names) != components:
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"need {components} component names, "
                     f"got {len(component_names)}")
         self.axes = axes
@@ -236,10 +255,6 @@ class RegularGrid:
     def vertex_value(self, index, component: int = 0) -> float:
         """Sample at integer vertex ``index = (i_x, i_y, i_z[, i_t])``."""
         return float(self.values[tuple(index[::-1]) + (component,)])
-
-    def flat_values(self) -> np.ndarray:
-        """Samples in the canonical flat layout (x fastest, component last)."""
-        return self.values.reshape(-1)
 
     def element_base_range(self, policy: BoundaryPolicy):
         """Per-axis inclusive (lo, hi) of valid element base indices."""

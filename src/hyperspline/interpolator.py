@@ -35,20 +35,19 @@ locate rows on Python floats and
 stencil lies on the grid with one ``take``.
 
 Per-element coefficient tensors ``operator @ samples`` stay available
-through :meth:`Interpolator.coefficients`, cached, for validation
-against the exact derivation and for the coefficient-cache file format
-(:mod:`hyperspline.io`); evaluation neither reads nor fills that cache.
+through :meth:`Interpolator.coefficients`, cached in memory, for
+validation against the exact derivation; evaluation neither reads nor
+fills that cache.
 
 Module contents:
     QueryResult   -- values + physical-unit gradient at one point
     BatchResult   -- struct-of-arrays result for many points
-    Interpolator  -- the interpolant, its stencil kernel and coefficient cache
+    Interpolator  -- the interpolant, its stencil kernel and cell coefficients
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -67,6 +66,7 @@ from .grid import (
     RegularGrid,
     as_coordinates,
     gather_neighborhoods,
+    is_integer,
     locate,
     locate_points,
     neighborhood_block,
@@ -215,15 +215,19 @@ class Interpolator:
         via linear ghost layers.
 
     Concurrent queries are safe: evaluation only reads the immutable
-    grid, and the coefficient cache is filled with complete, immutable
-    tensors only (a racing first touch may compute the same tensor
-    twice, never observe a partial one).
+    grid, and :meth:`coefficients` caches complete, immutable tensors
+    only (a racing first touch may compute the same tensor twice, never
+    observe a partial one).
     """
 
     def __init__(self, grid: RegularGrid,
                  policy: BoundaryPolicy = BoundaryPolicy.STRICT):
-        if not isinstance(policy, BoundaryPolicy):
+        try:
             policy = BoundaryPolicy(policy)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"unknown boundary policy {policy!r}, expected one of "
+                f"{[p.value for p in BoundaryPolicy]}") from None
         self.grid = grid
         self.policy = policy
         self.operator = operator_set(grid.dim)
@@ -241,14 +245,7 @@ class Interpolator:
     def components(self) -> int:
         return self.grid.components
 
-    # -- coefficient cache ------------------------------------------------
-
-    def _check_base(self, base: tuple):
-        for b, (lo, hi) in zip(base, self._base_range):
-            if not lo <= b <= hi:
-                raise IndexError(
-                    f"element base {base} outside valid range under "
-                    f"{self.policy.value}")
+    # -- per-cell coefficients ---------------------------------------------
 
     def coefficients(self, elem: ElementRef) -> np.ndarray:
         """Coefficient tensor of one element, shape ``(m, 4^dim)``.
@@ -256,13 +253,13 @@ class Interpolator:
         Row c holds the flattened unit-cell coefficients of component c
         (monomial column e = sum_d exponent_d * 4^d). Computed on first
         touch, then served read-only from the cache. Evaluation does not
-        use it; it serves validation and the coefficient-cache file.
+        use it; it serves validation. Raises IndexError for an element
+        outside the policy's valid range.
         """
         key = elem.base
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        self._check_base(key)
         block = neighborhood_block(self.grid, elem, self.policy)
         coeffs = np.ascontiguousarray((self.operator @ block).T)
         coeffs.flags.writeable = False
@@ -271,29 +268,6 @@ class Interpolator:
 
     def cache_size(self) -> int:
         return len(self._cache)
-
-    def cache_items(self):
-        """Snapshot of cached (base tuple, coefficient tensor) pairs."""
-        return list(self._cache.items())
-
-    def install_cache_entry(self, base, coeffs: np.ndarray):
-        """Insert an externally restored coefficient tensor (see io).
-
-        Raises IndexError for a base outside the policy's valid range,
-        as :meth:`coefficients` does.
-        """
-        base = tuple(int(b) for b in base)
-        self._check_base(base)
-        arr = np.ascontiguousarray(coeffs, dtype=np.float64)
-        shape = (self.components, 4 ** self.dim)
-        if arr.shape != shape:
-            raise ValueError(
-                f"coefficient tensor must have shape {shape}, got {arr.shape}")
-        arr.flags.writeable = False
-        self._cache[base] = arr
-
-    def clear_cache(self):
-        self._cache = {}
 
     def precompute_all(self):
         """Fill the cache for every valid element."""
@@ -345,18 +319,20 @@ class Interpolator:
     def derivative(self, point, orders) -> np.ndarray:
         """Raw mixed partial with per-axis derivative orders, ``(m,)``.
 
-        ``orders[d]`` in 0..3 differentiates axis d that many times; the
-        result is rescaled by ``spacing**order`` per axis to physical
-        units. Unlike values and first partials, partials of total
-        order >= 2 carry no continuity guarantee across element faces.
+        ``orders[d]``, an integer in 0..3, differentiates axis d that
+        many times; the result is rescaled by ``spacing**order`` per axis
+        to physical units. Unlike values and first partials, partials of
+        total order >= 2 carry no continuity guarantee across element
+        faces.
         """
-        orders = tuple(int(k) for k in orders)
+        orders = tuple(orders)
         if len(orders) != self.dim:
             raise DimensionMismatchError(
                 f"orders must have {self.dim} entries, got {orders}")
-        if any(k < 0 or k > 3 for k in orders):
+        if not all(is_integer(k) and 0 <= k <= 3 for k in orders):
             raise InvalidArgumentError(
                 f"orders must be {self.dim} integers in 0..3, got {orders}")
+        orders = tuple(int(k) for k in orders)
         elem, u = locate(self.grid, point, self.policy)
         col = sum(1 << d for d, k in enumerate(orders) if k)
         out = self._partials(elem, u, orders)[:, col]
@@ -373,16 +349,20 @@ class Interpolator:
         per point. Points are evaluated ``chunk_size`` at a time; the
         default is the largest chunk whose gathered samples take at most
         1.5 MB (256 points in 4D, 1024 in 3D, with 3 components). Chunks
-        may be processed by ``threads`` workers (``HYPERSPLINE_THREADS``
-        caps this; output order is independent of scheduling).
+        may be processed by ``threads`` workers, a non-negative integer;
+        None or 0 takes the default, serial unless ``HYPERSPLINE_THREADS``
+        sets one, and that variable also caps the count. Output order is
+        independent of scheduling.
         """
         if chunk_size is None:
             chunk_size = max(1, _CHUNK_SAMPLES
                              // (self.components * 4 ** self.dim))
-        if (not isinstance(chunk_size, numbers.Integral)
-                or isinstance(chunk_size, bool) or chunk_size <= 0):
+        if not is_integer(chunk_size) or chunk_size <= 0:
             raise InvalidArgumentError(
                 f"chunk_size must be a positive integer, got {chunk_size!r}")
+        if threads is not None and (not is_integer(threads) or threads < 0):
+            raise InvalidArgumentError(
+                f"threads must be a non-negative integer, got {threads!r}")
         pts = as_coordinates(points)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(

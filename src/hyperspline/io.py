@@ -1,4 +1,4 @@
-"""File formats: grid CSV, query-result CSV, binary coefficient cache.
+"""File formats: grid CSV and query-result CSV.
 
 Grid CSV
     Header names the coordinate columns first, ``x,y,z`` (3D) or
@@ -17,42 +17,25 @@ Result CSV
 
 Both CSV writers format every number with ``repr`` (the shortest text
 that reads back as the same float64), a block of rows at a time.
-
-Coefficient cache ("QCUB")
-    Little-endian binary: magic ``QCUB``, format version (u16), a grid
-    fingerprint (dim u8, components u32, per axis count u32 + origin f64
-    + spacing f64, then a 64-bit sample checksum), entry count (u64),
-    then per entry the element base (dim u32 values) and the coefficient
-    tensor (components x 4^dim f64 values, component-major). Loading
-    verifies the fingerprint and is atomic: a bad file leaves the
-    interpolator untouched.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import struct
 
 import numpy as np
 
 from .errors import (
-    BadMagicError,
-    FingerprintMismatchError,
     GridFormatError,
     IncompleteGridError,
     MissingHeaderError,
     NonFiniteValueError,
-    TruncatedFileError,
-    VersionMismatchError,
 )
 from .grid import RegularGrid, infer_axis
-from .interpolator import BatchResult, Interpolator
+from .interpolator import BatchResult
 
 AXIS_NAMES = ("x", "y", "z", "t")
-
-CACHE_MAGIC = b"QCUB"
-CACHE_VERSION = 1
 
 _BLOCK_ROWS = 4096  # rows formatted and written at once
 
@@ -268,84 +251,3 @@ def write_results_csv(path, points, result: BatchResult, component_names):
                     bad_format=_row_format(
                         dim, ",NaN" * (m + m * dim) + ",out_of_domain"),
                     bad_cells=dim)
-
-
-def _grid_fingerprint(grid: RegularGrid) -> bytes:
-    # imported here: loading it maps OpenSSL's hash library, 3.6 MB
-    # resident, into every process that imports the package
-    import hashlib
-
-    parts = [struct.pack("<BI", grid.dim, grid.components)]
-    for a in grid.axes:
-        parts.append(struct.pack("<Idd", a.count, a.origin, a.spacing))
-    digest = hashlib.sha256(grid.values.tobytes()).digest()[:8]
-    parts.append(digest)
-    return b"".join(parts)
-
-
-def save_cache(path, interp: Interpolator):
-    """Persist every cached coefficient tensor of an interpolator."""
-    items = interp.cache_items()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<H", CACHE_VERSION))
-        fh.write(_grid_fingerprint(interp.grid))
-        fh.write(struct.pack("<Q", len(items)))
-        for base, coeffs in items:
-            fh.write(struct.pack(f"<{interp.dim}I", *base))
-            fh.write(np.ascontiguousarray(coeffs, dtype="<f8").tobytes())
-
-
-def load_cache(path, interp: Interpolator):
-    """Restore cached coefficient tensors saved by :func:`save_cache`.
-
-    The file's grid fingerprint must match the interpolator's grid, and
-    every entry must name an element that is valid under the
-    interpolator's boundary policy. The load is atomic: on any error the
-    interpolator's cache is unchanged. Returns the number of entries restored.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n, what):
-        nonlocal pos
-        if pos + n > len(blob):
-            raise TruncatedFileError(
-                f"{path}: ended while reading {what} "
-                f"(need {n} bytes at offset {pos}, have {len(blob) - pos})")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4, "magic") != CACHE_MAGIC:
-        raise BadMagicError(f"{path}: not a coefficient cache file")
-    (version,) = struct.unpack("<H", take(2, "version"))
-    if version != CACHE_VERSION:
-        raise VersionMismatchError(
-            f"{path}: format version {version}, supported {CACHE_VERSION}")
-    expected_fp = _grid_fingerprint(interp.grid)
-    if take(len(expected_fp), "grid fingerprint") != expected_fp:
-        raise FingerprintMismatchError(
-            f"{path}: cache was written for a different grid")
-    (n_entries,) = struct.unpack("<Q", take(8, "entry count"))
-    dim = interp.dim
-    tensor_len = interp.components * 4 ** dim
-    ranges = interp.grid.element_base_range(interp.policy)
-    entries = []
-    for k in range(n_entries):
-        base = struct.unpack(f"<{dim}I", take(4 * dim, f"entry {k} base"))
-        if not all(lo <= b <= hi for b, (lo, hi) in zip(base, ranges)):
-            raise TruncatedFileError(
-                f"{path}: entry {k} names element {base}, outside the "
-                f"valid range under {interp.policy.value}")
-        raw = take(8 * tensor_len, f"entry {k} coefficients")
-        coeffs = np.frombuffer(raw, dtype="<f8").reshape(
-            interp.components, 4 ** dim)
-        entries.append((base, coeffs))
-    if pos != len(blob):
-        raise TruncatedFileError(
-            f"{path}: {len(blob) - pos} unexpected trailing bytes")
-    for base, coeffs in entries:
-        interp.install_cache_entry(base, coeffs)
-    return len(entries)

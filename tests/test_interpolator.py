@@ -146,22 +146,14 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             a[0, 0] = 99.0
 
-    def test_invalid_element_is_programming_error(self):
-        grid = sample(constant_field(3), [Axis(0, 1, 5)] * 3)
-        interp = Interpolator(grid)
-        with pytest.raises(IndexError):
-            interp.coefficients(ElementRef((0, 1, 1)))
-
-    def test_install_rejects_element_outside_policy(self):
-        grid = sample(constant_field(3), [Axis(0, 1, 5)] * 3)
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_invalid_element_is_programming_error(self, dim):
+        grid = sample(constant_field(dim), [Axis(0, 1, 5)] * dim)
         interp = Interpolator(grid)
         with pytest.raises(IndexError, match="outside valid range"):
-            interp.install_cache_entry((0, 0, 0), np.zeros((1, 64)))
-        assert interp.cache_size() == 0
-        with pytest.raises(IndexError):
-            interp.eval_local(ElementRef((0, 0, 0)), [0.5] * 3)
-        interp.install_cache_entry((1, 1, 1), np.zeros((1, 64)))
-        assert interp.cache_size() == 1
+            interp.coefficients(ElementRef((0,) + (1,) * (dim - 1)))
+        with pytest.raises(IndexError, match="outside valid range"):
+            interp.eval_local(ElementRef((0,) * dim), [0.5] * dim)
 
 
 class TestEval:
@@ -462,6 +454,15 @@ class TestLinearGhost:
         ra, rb = a.eval_with_gradient(p), b.eval_with_gradient(p)
         assert np.array_equal(ra.values, rb.values)
         assert np.array_equal(ra.gradient, rb.gradient)
+        # random points of the strict domain and its 16 corners
+        rng = np.random.default_rng(2)
+        dom = grid.queryable_domain(STRICT)
+        pts = np.stack([rng.uniform(lo, hi, 200) for lo, hi in dom], axis=1)
+        pts[:16] = np.stack(np.meshgrid(*dom), axis=-1).reshape(-1, 4)
+        ba, bb = a.eval_batch(pts), b.eval_batch(pts)
+        assert ba.ok.all() and bb.ok.all()
+        assert np.array_equal(ba.values, bb.values)
+        assert np.array_equal(ba.gradients, bb.gradients)
 
 
 class TestRawDerivative:
@@ -735,8 +736,9 @@ class TestMalformedPoints:
 
 
 class TestInvalidArguments:
-    """Arguments other than points that are out of range raise the typed
-    InvalidArgumentError, which is also a ValueError."""
+    """Arguments other than points that are not of their type or out of
+    range raise the typed InvalidArgumentError (DimensionMismatchError
+    for a sample array of the wrong size), both also ValueErrors."""
 
     @pytest.fixture(scope="class")
     def interp(self):
@@ -762,6 +764,46 @@ class TestInvalidArguments:
     def test_chunk_size_not_positive_integer(self, interp, chunk_size):
         with pytest.raises(InvalidArgumentError, match="chunk_size"):
             interp.eval_batch(np.full((5, 3), 1.5), chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("order", [1.7, "a", None, True, 1.0],
+                             ids=["fraction", "text", "none", "bool",
+                                  "float"])
+    def test_derivative_order_not_integer(self, interp, order):
+        with pytest.raises(InvalidArgumentError, match="integers in 0..3"):
+            interp.derivative([1.5] * 3, (order, 0, 0))
+
+    @pytest.mark.parametrize("order", [np.int64(1), np.uint8(1)])
+    def test_derivative_integer_orders_accepted(self, interp, order):
+        assert np.array_equal(interp.derivative([1.5] * 3, (order, 0, 0)),
+                              interp.derivative([1.5] * 3, (1, 0, 0)))
+
+    @pytest.mark.parametrize("threads", [-1, "x", 1.5, True])
+    def test_threads_not_non_negative_integer(self, interp, threads):
+        with pytest.raises(InvalidArgumentError, match="threads"):
+            interp.eval_batch(np.full((5, 3), 1.5), threads=threads)
+
+    @pytest.mark.parametrize("threads", [0, np.int64(2)])
+    def test_threads_accepted(self, interp, threads):
+        assert interp.eval_batch(np.full((5, 3), 1.5), threads=threads,
+                                 chunk_size=2).ok.all()
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda grid: Interpolator(grid, "bogus"), InvalidArgumentError),
+        (lambda grid: RegularGrid(grid.axes, np.zeros(64), components=0),
+         InvalidArgumentError),
+        (lambda grid: RegularGrid(grid.axes, np.zeros(63)),
+         DimensionMismatchError),
+        (lambda grid: RegularGrid(grid.axes, np.zeros(64),
+                                  component_names=("a", "b")),
+         InvalidArgumentError),
+        (lambda grid: Axis("a", 1, 4), InvalidArgumentError),
+        (lambda grid: Axis(0, 1, 4.5), InvalidArgumentError),
+    ], ids=["policy", "components", "sample-count", "component-names",
+            "axis-origin", "axis-count"])
+    def test_constructor_rejects_bad_argument(self, make, error):
+        grid = sample(constant_field(3), [Axis(0, 1, 4)] * 3)
+        with pytest.raises(error):
+            make(grid)
 
 
 @pytest.fixture(scope="module", params=[3, 4], ids=["6^3x2", "6^4x2"])

@@ -9,11 +9,6 @@ from numpy.testing import assert_allclose
 
 from hyperspline import (
     Axis,
-    BadMagicError,
-    BoundaryPolicy,
-    CacheFormatError,
-    ElementRef,
-    FingerprintMismatchError,
     GridFormatError,
     IncompleteGridError,
     Interpolator,
@@ -21,23 +16,14 @@ from hyperspline import (
     MissingHeaderError,
     NonFiniteValueError,
     RegularGrid,
-    TruncatedFileError,
-    VersionMismatchError,
     load_grid_csv,
     write_grid_csv,
     write_results_csv,
 )
 from hyperspline import io as hio
 from hyperspline.fields import linear_field, sample, trig_product_field
-from hyperspline.grid import locate
 from hyperspline.interpolator import BatchResult
-from hyperspline.io import (
-    AXIS_NAMES,
-    CACHE_MAGIC,
-    load_cache,
-    result_header,
-    save_cache,
-)
+from hyperspline.io import AXIS_NAMES, result_header
 
 
 def rows_4d(counts=(4, 4, 4, 4), func=None):
@@ -411,7 +397,8 @@ class TestWriterByteIdentity:
 
 
 def test_import_leaves_hashlib_unloaded():
-    # the cache fingerprint imports hashlib when it is first needed
+    # nothing in the package needs hashlib; loading it would map
+    # OpenSSL's hash library into every process that imports hyperspline
     src = Path(hio.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
@@ -419,120 +406,3 @@ def test_import_leaves_hashlib_unloaded():
          "import sys, hyperspline; print('hashlib' in sys.modules)"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "False"
-
-
-class TestCoefficientCache:
-    @pytest.fixture
-    def interp(self):
-        grid = sample(trig_product_field(4), [Axis(0.0, 0.5, 6)] * 4)
-        return Interpolator(grid)
-
-    def touch(self, interp, n=10, seed=2):
-        """Cache the coefficients of the cells holding n random points."""
-        rng = np.random.default_rng(seed)
-        dom = interp.grid.queryable_domain(interp.policy)
-        pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)
-        for p in pts:
-            interp.coefficients(locate(interp.grid, p, interp.policy)[0])
-        return pts, interp.eval_batch(pts)
-
-    def test_round_trip_bit_identical(self, interp, tmp_path):
-        pts, ref = self.touch(interp)
-        path = tmp_path / "coeffs.qcub"
-        save_cache(path, interp)
-
-        fresh = Interpolator(interp.grid)
-        n = load_cache(path, fresh)
-        assert n == interp.cache_size() > 0
-        assert fresh.cache_size() == n
-        res = fresh.eval_batch(pts)
-        assert np.array_equal(res.values, ref.values)
-        assert np.array_equal(res.gradients, ref.gradients)
-        for base, coeffs in interp.cache_items():
-            assert np.array_equal(dict(fresh.cache_items())[base], coeffs)
-
-    def test_empty_cache_round_trip(self, interp, tmp_path):
-        path = tmp_path / "empty.qcub"
-        save_cache(path, interp)
-        fresh = Interpolator(interp.grid)
-        assert load_cache(path, fresh) == 0
-
-    def test_fingerprint_mismatch(self, interp, tmp_path):
-        self.touch(interp)
-        path = tmp_path / "coeffs.qcub"
-        save_cache(path, interp)
-        other_grid = sample(trig_product_field(4), [Axis(0.0, 0.4, 6)] * 4)
-        other = Interpolator(other_grid)
-        with pytest.raises(FingerprintMismatchError):
-            load_cache(path, other)
-        assert other.cache_size() == 0
-
-    def test_value_change_flips_fingerprint(self, interp, tmp_path):
-        path = tmp_path / "coeffs.qcub"
-        save_cache(path, interp)
-        vals = interp.grid.values.copy()
-        vals[0, 0, 0, 0, 0] += 1e-9
-        tweaked = RegularGrid(interp.grid.axes, vals, components=1)
-        with pytest.raises(FingerprintMismatchError):
-            load_cache(path, Interpolator(tweaked))
-
-    def test_bad_magic(self, interp, tmp_path):
-        path = tmp_path / "bad.qcub"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(BadMagicError):
-            load_cache(path, interp)
-
-    def test_version_mismatch(self, interp, tmp_path):
-        path = tmp_path / "v9.qcub"
-        path.write_bytes(CACHE_MAGIC + (9).to_bytes(2, "little")
-                         + b"\x00" * 64)
-        with pytest.raises(VersionMismatchError):
-            load_cache(path, interp)
-
-    def test_truncated_file_leaves_interp_unchanged(self, interp, tmp_path):
-        pts, _ = self.touch(interp)
-        path = tmp_path / "coeffs.qcub"
-        save_cache(path, interp)
-        blob = path.read_bytes()
-        for cut in (len(blob) - 1, len(blob) // 2, 10):
-            trunc = tmp_path / f"cut{cut}.qcub"
-            trunc.write_bytes(blob[:cut])
-            fresh = Interpolator(interp.grid)
-            with pytest.raises(TruncatedFileError):
-                load_cache(trunc, fresh)
-            assert fresh.cache_size() == 0
-
-    def test_trailing_garbage_rejected(self, interp, tmp_path):
-        self.touch(interp)
-        path = tmp_path / "coeffs.qcub"
-        save_cache(path, interp)
-        path.write_bytes(path.read_bytes() + b"extra")
-        fresh = Interpolator(interp.grid)
-        with pytest.raises(TruncatedFileError):
-            load_cache(path, fresh)
-        assert fresh.cache_size() == 0
-
-    def test_cache_shared_across_policies_for_interior(self, interp,
-                                                       tmp_path):
-        pts, ref = self.touch(interp)
-        path = tmp_path / "coeffs.qcub"
-        save_cache(path, interp)
-        ghost = Interpolator(interp.grid, BoundaryPolicy.LINEAR_GHOST)
-        load_cache(path, ghost)
-        res = ghost.eval_batch(pts)
-        assert np.array_equal(res.values, ref.values)
-
-    def test_ghost_cells_rejected_by_strict_load(self, interp, tmp_path):
-        ghost = Interpolator(interp.grid, BoundaryPolicy.LINEAR_GHOST)
-        self.touch(interp)
-        for base, _ in interp.cache_items():
-            ghost.coefficients(ElementRef(base))
-        ghost.coefficients(ElementRef((0, 0, 0, 0)))
-        path = tmp_path / "ghost.qcub"
-        save_cache(path, ghost)
-        strict = Interpolator(interp.grid)
-        with pytest.raises(CacheFormatError, match="outside"):
-            load_cache(path, strict)
-        assert strict.cache_size() == 0
-        with pytest.raises(IndexError):
-            strict.eval_local(ElementRef((0, 0, 0, 0)), [0.5] * 4)
