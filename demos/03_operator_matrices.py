@@ -11,7 +11,8 @@ two exact matrices,
   difference F -- exact dyadic rationals; samples  -> corner constraints
 
 as inv(C) @ F. This script prints M, checks that the runtime operator is
-kron(M, ..., M), verifies C @ operator == F exactly in integers, and
+kron(M, ..., M), checks that C has an integer inverse (C @ inv == I
+exactly in int64), verifies C @ operator == F exactly in integers, and
 cross-checks the operator against an independent dense solve.
 """
 
@@ -24,6 +25,7 @@ from hyperspline.operators import (
     constraint_matrix,
     constraint_quantities,
     difference_matrix,
+    integer_inverse,
     operator_is_exact,
     operator_set,
 )
@@ -46,7 +48,9 @@ for dim in (3, 4):
     c = constraint_matrix(dim)
     print(f"constraint matrix: integer entries in "
           f"[{c.min()}, {c.max()}], {np.count_nonzero(c)} nonzero")
-    dens = difference_matrix(dim).to_dense()
+    print(f"C has an integer inverse (C @ inv == I in int64): "
+          f"{integer_inverse(c) is not None}")
+    dens = difference_matrix(dim)
     print(f"difference matrix: {np.count_nonzero(dens)} nonzeros, "
           f"denominators up to {2 ** dim}")
     print(f"C @ (2^{dim} operator) == 2^{dim} F exactly in int64: "

@@ -11,9 +11,10 @@ its axis. Values and all first partial derivatives are continuous
 across cell faces and the partials come out of the same polynomial
 analytically. The coefficients themselves, the neighborhood times the
 Kronecker power of the 4x4 Catmull-Rom basis matrix, are available
-per cell for inspection and validation. The paper's exact rational
-construction of that operator (constraint and difference matrices,
-exact inversion) is kept as the reference that validates it.
+per cell for inspection and validation. The paper's exact construction
+of that operator, ``inv(C) @ F`` from the integer constraint matrix C
+and the central-difference matrix F, is kept as the reference that
+validates it, checked in integer arithmetic.
 
 The top level holds the documented API; test fields and release checks
 (``hyperspline.fields``) and the exact derivation (``operators``) are
@@ -43,9 +44,7 @@ from .errors import (
     IrregularSpacingError,
     MissingHeaderError,
     NonFiniteValueError,
-    NonIntegerInverseWarning,
     OutOfDomainError,
-    SingularMatrixError,
     TooFewPointsError,
     UnsupportedDimensionError,
 )
@@ -76,9 +75,7 @@ __all__ = [
     "IrregularSpacingError",
     "MissingHeaderError",
     "NonFiniteValueError",
-    "NonIntegerInverseWarning",
     "OutOfDomainError",
-    "SingularMatrixError",
     "TooFewPointsError",
     "UnsupportedDimensionError",
 ]

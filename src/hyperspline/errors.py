@@ -24,7 +24,8 @@ class UnsupportedDimensionError(HypersplineError):
 class DimensionMismatchError(HypersplineError, ValueError):
     """An operand has the wrong shape for the grid: a point, batch,
     local coordinate, derivative orders or element base with the wrong
-    number of entries, or a matrix of the wrong size."""
+    number of entries, sample values of the wrong count, or result
+    points not aligned with the results they are written with."""
 
 
 class InvalidPointError(HypersplineError, ValueError):
@@ -37,18 +38,6 @@ class InvalidArgumentError(HypersplineError, ValueError):
     coordinate outside [0, 1], a batch chunk size that is not a positive
     integer or a thread count that is not a non-negative one, an unknown
     boundary policy, or an axis or grid description that is not valid."""
-
-
-class SingularMatrixError(HypersplineError):
-    """Exact elimination found no usable pivot (construction bug)."""
-
-
-class NonIntegerInverseWarning(UserWarning):
-    """The exact inverse of the constraint matrix was not integer-valued.
-
-    The inverse is kept in exact rational form instead; interpolation
-    results are unaffected.
-    """
 
 
 class GridFormatError(HypersplineError):

@@ -272,7 +272,7 @@ def oracle_coefficients(grid: RegularGrid, elem: ElementRef,
 def _constraint_system(dim: int):
     """Dense float constraint and difference matrices, built once per dim."""
     mats = (constraint_matrix(dim).astype(np.float64),
-            difference_matrix(dim).to_dense())
+            difference_matrix(dim))
     for m in mats:
         m.flags.writeable = False
     return mats

@@ -173,7 +173,7 @@ class RegularGrid:
     axes : sequence of Axis
         One per dimension, ordered x, y, z (, t). Length 3 or 4.
     values : array_like
-        Samples, either flat with layout
+        Real, finite samples, either flat with layout
         ``flat[(((i_t * nc_z + i_z) * nc_y + i_y) * nc_x + i_x) * m + c]``
         (x index varying fastest among the coordinates, component last),
         or already shaped ``(count_last, ..., count_first, m)``.
@@ -199,7 +199,11 @@ class RegularGrid:
                 f"components must be a positive integer, got {components!r}")
         counts = tuple(a.count for a in axes)
         shape = counts[::-1] + (components,)
-        vals = np.asarray(values, dtype=np.float64)
+        vals = np.asarray(values)
+        if vals.dtype.kind not in "biuf":
+            raise InvalidArgumentError(
+                f"grid samples must be real numbers, got dtype {vals.dtype}")
+        vals = vals.astype(np.float64, copy=False)
         if vals.size != np.prod(shape):
             raise DimensionMismatchError(
                 f"expected {np.prod(shape)} values "

@@ -27,6 +27,7 @@ import csv
 import numpy as np
 
 from .errors import (
+    DimensionMismatchError,
     GridFormatError,
     IncompleteGridError,
     MissingHeaderError,
@@ -195,13 +196,13 @@ def _write_rows(fh, table, row_format, ok=None, bad_format="",
                           for row, good in zip(rows, flags)]))
 
 
-def write_grid_csv(path, grid: RegularGrid, component_names=None):
+def write_grid_csv(path, grid: RegularGrid):
     """Dump a grid in the exact format ``load_grid_csv`` reads.
 
     Values round-trip bit-identically; axis coordinates are written with
-    full precision so re-inferred axes agree to 1e-15 relative.
+    full precision so re-inferred axes agree to 1e-15 relative. The
+    header names the grid's ``component_names``.
     """
-    names = _component_names(grid, component_names)
     dim = grid.dim
     mesh = np.meshgrid(*[a.coordinates() for a in grid.axes[::-1]],
                        indexing="ij")
@@ -209,21 +210,12 @@ def write_grid_csv(path, grid: RegularGrid, component_names=None):
         [mesh[dim - 1 - d].reshape(-1) for d in range(dim)]
         + [grid.values.reshape(-1, grid.components)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(AXIS_NAMES[:dim] + tuple(names)) + "\n")
+        fh.write(",".join(AXIS_NAMES[:dim] + grid.component_names) + "\n")
         _write_rows(fh, table, _row_format(table.shape[1]))
 
 
 def _row_format(n_cells: int, tail: str = "") -> str:
     return ",".join(["%r"] * n_cells) + tail + "\n"
-
-
-def _component_names(grid: RegularGrid, names=None):
-    if names is None:
-        return grid.component_names
-    if len(names) != grid.components:
-        raise ValueError(
-            f"need {grid.components} component names, got {len(names)}")
-    return tuple(names)
 
 
 def result_header(dim: int, component_names):
@@ -236,10 +228,17 @@ def result_header(dim: int, component_names):
 
 
 def write_results_csv(path, points, result: BatchResult, component_names):
-    """Write batch query results; see module docstring for the layout."""
+    """Write batch query results; see module docstring for the layout.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``points`` is not ``(n, dim)`` with one row per result.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] != len(result.ok):
-        raise ValueError("points must be (n, dim) and aligned with results")
+        raise DimensionMismatchError(
+            "points must be (n, dim) and aligned with results")
     n, dim = points.shape
     m = result.values.shape[1]
     table = np.column_stack([points, result.values,

@@ -17,13 +17,14 @@ the reference that verifies it:
 
 * the *constraint matrix* C maps polynomial coefficients to the stacked
   constraint values; its entries are small integers and its inverse is
-  integer too (:func:`invert_exact` checks this exactly);
+  integer too (:func:`integer_inverse` finds and certifies it);
 * the *difference matrix* F maps the sample neighborhood to the same
   constraint values via tensor-product central differences (exact for
-  per-axis degree <= 2).
+  per-axis degree <= 2); its entries are +-2^-k, exact in float64.
 
-:func:`operator_is_exact` checks ``C @ operator == F`` in integer
-arithmetic; as C is invertible, the operator is exactly ``inv(C) @ F``.
+:func:`operator_is_exact` is the one complete check: C has an integer
+inverse, and ``C @ operator == F`` holds in integer arithmetic, so the
+operator is exactly ``inv(C) @ F``.
 
 Index conventions (shared with grid neighborhoods and coefficient
 tensors, so no permutations appear anywhere):
@@ -36,18 +37,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import warnings
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonIntegerInverseWarning,
-    SingularMatrixError,
-    UnsupportedDimensionError,
-)
+from .errors import UnsupportedDimensionError
 
 SUPPORTED_DIMS = (3, 4)
 
@@ -170,33 +165,19 @@ def constraint_matrix(dim: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class SparseRational:
-    """Exact sparse matrix: ``entries[(row, col)]`` is a Fraction."""
-
-    shape: tuple
-    entries: dict
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        for (r, c), v in self.entries.items():
-            out[r, c] = float(v)
-        return out
-
-
-def difference_matrix(dim: int) -> SparseRational:
+def difference_matrix(dim: int) -> np.ndarray:
     """Central-difference operator from the sample neighborhood to the
-    constraint values.
+    constraint values, as a dense float64 matrix.
 
     The row for (corner v, quantity q) tensors together, per axis, either
     the two-point centered slope ``(f[+1] - f[-1]) / 2`` about the corner
     (differentiated axes) or the sample at the corner itself. A row of
-    derivative order k has 2^k nonzeros of magnitude 2^-k.
+    derivative order k has 2^k nonzeros of magnitude 2^-k, exact in
+    float64.
     """
     _check_dim(dim)
     size = 4 ** dim
-    entries = {}
-    half = Fraction(1, 2)
+    out = np.zeros((size, size))
     for v in range(1 << dim):
         pbits = [(v >> d) & 1 for d in range(dim)]
         for q in range(1 << dim):
@@ -205,105 +186,46 @@ def difference_matrix(dim: int) -> SparseRational:
             for d in range(dim):
                 if (q >> d) & 1:
                     per_axis.append(
-                        [(pbits[d] - 1, -half), (pbits[d] + 1, half)])
+                        [(pbits[d] - 1, -0.5), (pbits[d] + 1, 0.5)])
                 else:
-                    per_axis.append([(pbits[d], Fraction(1))])
+                    per_axis.append([(pbits[d], 1.0)])
             for combo in itertools.product(*per_axis):
                 col = sum((off + 1) * 4 ** d for d, (off, _) in enumerate(combo))
-                w = Fraction(1)
-                for _, wd in combo:
-                    w *= wd
-                entries[(row, col)] = entries.get((row, col), Fraction(0)) + w
-    return SparseRational((size, size), entries)
+                out[row, col] = math.prod(w for _, w in combo)
+    return out
 
 
-def invert_exact(matrix: np.ndarray) -> np.ndarray:
-    """Exact inverse of an integer matrix by rational Gauss-Jordan.
+def integer_inverse(matrix: np.ndarray):
+    """The inverse of an integer matrix as int64, or None if it has none.
 
-    Verifies ``matrix @ inverse == I`` exactly before returning. The
-    result is an int64 array when (as for the constraint matrices) every
-    inverse entry is an integer; otherwise a warning is issued and an
-    object array of Fractions is returned.
-
-    Raises
-    ------
-    SingularMatrixError
-        If elimination runs out of pivots.
+    The float inverse, rounded, is returned only if ``matrix @ inverse``
+    is exactly the identity in int64, which certifies it. A singular
+    matrix, or one whose inverse is not integer valued, gives None.
     """
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
-        raise DimensionMismatchError(f"matrix must be square, got {matrix.shape}")
-    left = [[Fraction(int(x)) for x in row] for row in matrix]
-    right = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        right[i][i] = Fraction(1)
-    for col in range(n):
-        # any nonzero pivot works; a +-1 pivot avoids fraction churn
-        piv = -1
-        for r in range(col, n):
-            if left[r][col] != 0:
-                piv = r
-                if abs(left[r][col]) == 1:
-                    break
-        if piv < 0:
-            raise SingularMatrixError(f"no pivot available in column {col}")
-        if piv != col:
-            left[col], left[piv] = left[piv], left[col]
-            right[col], right[piv] = right[piv], right[col]
-        pv = left[col][col]
-        if pv != 1:
-            inv = 1 / pv
-            left[col] = [x * inv if x else x for x in left[col]]
-            right[col] = [x * inv if x else x for x in right[col]]
-        lcol, rcol = left[col], right[col]
-        for r in range(n):
-            if r == col:
-                continue
-            f = left[r][col]
-            if f == 0:
-                continue
-            left[r] = [a - f * b if b else a for a, b in zip(left[r], lcol)]
-            right[r] = [a - f * b if b else a for a, b in zip(right[r], rcol)]
-
-    if all(x.denominator == 1 for row in right for x in row):
-        inv_arr = np.array([[int(x) for x in row] for row in right],
-                           dtype=np.int64)
-        prod = matrix.astype(np.int64) @ inv_arr
-        if not np.array_equal(prod, np.eye(n, dtype=np.int64)):
-            raise SingularMatrixError(
-                "exact inverse failed verification (construction bug)")
-        return inv_arr
-
-    warnings.warn(
-        "constraint-matrix inverse is not integer valued; keeping exact "
-        "rationals", NonIntegerInverseWarning, stacklevel=2)
-    inv_arr = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            inv_arr[i, j] = right[i][j]
-    for i in range(n):
-        for j in range(n):
-            acc = Fraction(0)
-            for k in range(n):
-                if matrix[i, k]:
-                    acc += int(matrix[i, k]) * right[k][j]
-            if acc != (1 if i == j else 0):
-                raise SingularMatrixError(
-                    "exact inverse failed verification (construction bug)")
-    return inv_arr
+    try:
+        inv = np.rint(np.linalg.inv(matrix)).astype(np.int64)
+    except np.linalg.LinAlgError:
+        return None
+    identity = np.eye(len(inv), dtype=np.int64)
+    return inv if np.array_equal(matrix @ inv, identity) else None
 
 
 def operator_is_exact(dim: int) -> bool:
-    """Whether ``constraint_matrix(dim) @ operator_set(dim)`` equals
-    ``difference_matrix(dim)`` exactly.
+    """Whether ``operator_set(dim)`` is exactly ``inv(C) @ F``, with C the
+    :func:`constraint_matrix` and F the :func:`difference_matrix`.
 
-    Both sides are scaled by 2^dim, which makes every entry of a correct
-    operator an integer, and compared in int64 arithmetic. A scaled
-    operator entry that is not an integer fails the check.
+    C must have an integer inverse (:func:`integer_inverse`); then
+    ``C @ operator == F`` pins the operator down. Both sides are scaled
+    by 2^dim, which makes every entry of a correct operator an integer,
+    and compared in int64 arithmetic. A scaled operator entry that is
+    not an integer fails the check.
     """
+    constraint = constraint_matrix(dim)
+    if integer_inverse(constraint) is None:
+        return False
     scale = 1 << dim
     op = scale * operator_set(dim)
     op_int = op.astype(np.int64)
-    diff = scale * difference_matrix(dim).to_dense()
+    diff = scale * difference_matrix(dim)
     return (np.array_equal(op, op_int)
-            and np.array_equal(constraint_matrix(dim) @ op_int, diff))
+            and np.array_equal(constraint @ op_int, diff))

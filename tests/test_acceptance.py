@@ -33,7 +33,7 @@ from hyperspline.fields import (
     trig_product_field,
 )
 from hyperspline.interpolator import _resolve_threads
-from hyperspline.operators import constraint_matrix, invert_exact
+from hyperspline.operators import constraint_matrix, integer_inverse
 
 STRICT = BoundaryPolicy.STRICT
 
@@ -58,7 +58,7 @@ def test_01_operator_exactness():
         exact, metrics = check_operators_exact(dim)
         ok &= exact and metrics["size"] == size
         constraint = constraint_matrix(dim)
-        constraint_inv = invert_exact(constraint)
+        constraint_inv = integer_inverse(constraint)
         ok &= constraint.shape == (size, size)
         ok &= constraint.dtype == np.int64
         ok &= constraint_inv.dtype == np.int64

@@ -14,6 +14,8 @@ def test_operator_demo_runs(tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "False" not in out
     assert out.count("exactly in int64: True") == 2
+    assert out.count("C has an integer inverse (C @ inv == I in int64): "
+                     "True") == 2
     assert list(tmp_path.iterdir()) == []
 
 

@@ -88,10 +88,11 @@ class TestRegularGrid:
             RegularGrid([Axis(0, 1, 4)] * 5, np.zeros((4,) * 5 + (1,)))
 
     def test_rejects_nonfinite(self):
-        vals = np.zeros((4, 4, 4, 1))
-        vals[1, 2, 3, 0] = np.nan
-        with pytest.raises(NonFiniteValueError):
-            RegularGrid([Axis(0, 1, 4)] * 3, vals)
+        for bad in (np.nan, np.inf, -np.inf):
+            vals = np.zeros((4, 4, 4, 1))
+            vals[1, 2, 3, 0] = bad
+            with pytest.raises(NonFiniteValueError):
+                RegularGrid([Axis(0, 1, 4)] * 3, vals)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):

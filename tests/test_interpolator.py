@@ -70,7 +70,7 @@ class TestConstruction:
         def boom(*args, **kwargs):
             raise AssertionError("exact derivation reached at runtime")
 
-        names = ("constraint_matrix", "difference_matrix", "invert_exact")
+        names = ("constraint_matrix", "difference_matrix", "integer_inverse")
         for mod in (hyperspline, hyperspline.operators,
                     hyperspline.interpolator, hyperspline.fields,
                     hyperspline.io, hyperspline.cli):
@@ -796,10 +796,14 @@ class TestInvalidArguments:
         (lambda grid: RegularGrid(grid.axes, np.zeros(64),
                                   component_names=("a", "b")),
          InvalidArgumentError),
+        (lambda grid: RegularGrid(grid.axes, ["a"] * 64),
+         InvalidArgumentError),
+        (lambda grid: RegularGrid(grid.axes, np.full(64, 1 + 2j)),
+         InvalidArgumentError),
         (lambda grid: Axis("a", 1, 4), InvalidArgumentError),
         (lambda grid: Axis(0, 1, 4.5), InvalidArgumentError),
     ], ids=["policy", "components", "sample-count", "component-names",
-            "axis-origin", "axis-count"])
+            "text-samples", "complex-samples", "axis-origin", "axis-count"])
     def test_constructor_rejects_bad_argument(self, make, error):
         grid = sample(constant_field(3), [Axis(0, 1, 4)] * 3)
         with pytest.raises(error):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from hyperspline import (
     Axis,
+    DimensionMismatchError,
     GridFormatError,
     IncompleteGridError,
     Interpolator,
@@ -266,6 +267,15 @@ class TestGridRoundTrip:
             # vertex coordinates round-trip to full double precision
             assert_allclose(b.coordinates(), a.coordinates(), rtol=1e-15)
 
+    def test_component_names_come_from_the_grid(self, tmp_path):
+        # the writer takes no names of its own; RegularGrid checks their
+        # count (TestInvalidArguments)
+        grid = sample(linear_field(3), [Axis(0, 1, 4)] * 3)
+        path = tmp_path / "grid.csv"
+        with pytest.raises(TypeError):
+            write_grid_csv(path, grid, component_names=("a", "b"))
+        assert not path.exists()
+
 
 class TestResultsCsv:
     def test_header_and_columns(self, tmp_path):
@@ -301,6 +311,20 @@ class TestResultsCsv:
         header = path.read_text(encoding="utf-8").split("\n")[0].split(",")
         assert len(header) == 3 + 3 + 9 + 1
         assert header == result_header(3, grid3.component_names)
+
+
+    @pytest.mark.parametrize("points", [
+        np.zeros((3, 3)),  # one row more than results
+        np.zeros((1, 3)),  # one row fewer
+        np.zeros(6),       # not (n, dim)
+    ], ids=["more-rows", "fewer-rows", "flat"])
+    def test_points_not_aligned_with_results(self, tmp_path, points):
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        res = Interpolator(grid).eval_batch(np.full((2, 3), 2.0))
+        path = tmp_path / "out.csv"
+        with pytest.raises(DimensionMismatchError, match="aligned"):
+            write_results_csv(path, points, res, grid.component_names)
+        assert not path.exists()
 
 
 def reference_write_grid_csv(path, grid):
@@ -397,12 +421,14 @@ class TestWriterByteIdentity:
 
 
 def test_import_leaves_hashlib_unloaded():
-    # nothing in the package needs hashlib; loading it would map
-    # OpenSSL's hash library into every process that imports hyperspline
+    # nothing in the package needs hashlib, fractions or decimal; loading
+    # hashlib would map OpenSSL's hash library into every process that
+    # imports hyperspline, and fractions pulls in decimal with it
     src = Path(hio.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, hyperspline; print('hashlib' in sys.modules)"],
+         "import sys, hyperspline; print(sorted({'hashlib', 'fractions', "
+         "'decimal'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 import hyperspline.operators as ops_mod
-from hyperspline import SingularMatrixError, UnsupportedDimensionError
+from hyperspline import UnsupportedDimensionError
+from hyperspline.cli import main
 from hyperspline.operators import (
     constraint_matrix,
     constraint_quantities,
     difference_matrix,
-    invert_exact,
+    integer_inverse,
     monomial_exponents,
     neighborhood_offsets,
     operator_is_exact,
@@ -113,7 +114,7 @@ class TestConstraintMatrix:
 class TestExactInverse:
     def test_dim3_matches_naive_oracle(self):
         c = constraint_matrix(3)
-        inv = invert_exact(c)
+        inv = integer_inverse(c)
         assert inv.dtype == np.int64
         oracle = naive_rational_inverse(c)
         for i in range(64):
@@ -123,7 +124,7 @@ class TestExactInverse:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_product_is_identity_exactly(self, dim):
         c = constraint_matrix(dim)
-        inv = invert_exact(c)
+        inv = integer_inverse(c)
         n = c.shape[0]
         assert np.array_equal(c @ inv, np.eye(n, dtype=np.int64))
         assert np.array_equal(inv @ c, np.eye(n, dtype=np.int64))
@@ -131,7 +132,7 @@ class TestExactInverse:
     def test_trilinear_product_field_coefficients(self):
         # constraints of f = xyz at the cell corners are hand-computable:
         # each quantity drops its differentiated axes from the product
-        inv = invert_exact(constraint_matrix(3))
+        inv = integer_inverse(constraint_matrix(3))
         b = np.zeros(64)
         for v in range(8):
             bits = [(v >> d) & 1 for d in range(3)]
@@ -147,29 +148,52 @@ class TestExactInverse:
         alpha[idx_xyz] = 0.0
         assert np.all(alpha == 0.0)
 
-    def test_singular_rejected(self):
+    def test_singular_matrix_has_none(self):
         bad = np.zeros((4, 4), dtype=np.int64)
         bad[0, 0] = 1
-        with pytest.raises(SingularMatrixError):
-            invert_exact(bad)
+        assert integer_inverse(bad) is None
 
-    def test_non_integer_inverse_downgrades_to_rationals(self):
-        from hyperspline import NonIntegerInverseWarning
+    def test_non_integer_inverse_is_none(self):
+        assert integer_inverse(np.array([[2, 0], [0, 1]])) is None
 
-        mat = np.array([[2, 0], [0, 1]], dtype=np.int64)
-        with pytest.warns(NonIntegerInverseWarning):
-            inv = invert_exact(mat)
-        assert inv.dtype == object
-        assert inv[0, 0] == Fraction(1, 2)
-        assert inv[1, 1] == Fraction(1)
-        assert inv[0, 1] == 0 and inv[1, 0] == 0
+
+def _singular_but_consistent(monkeypatch):
+    """Patch in a constraint system whose row 5 repeats row 6 in both C
+    and F: the runtime operator still solves ``C @ op == F``, but C is
+    singular, so that equation no longer pins the operator down."""
+    def with_row5_as_row6(build):
+        def patched(dim):
+            mat = build(dim).copy()
+            mat[5] = mat[6]
+            return mat
+        return patched
+
+    for name in ("constraint_matrix", "difference_matrix"):
+        monkeypatch.setattr(ops_mod, name,
+                            with_row5_as_row6(getattr(ops_mod, name)))
+
+
+class TestSingularConstraintSystem:
+    def test_operator_check_fails(self, monkeypatch):
+        _singular_but_consistent(monkeypatch)
+        c = ops_mod.constraint_matrix(3)
+        op = (8 * operator_set(3)).astype(np.int64)
+        assert np.array_equal(c @ op, 8 * ops_mod.difference_matrix(3))
+        assert not operator_is_exact(3)
+
+    def test_validate_reports_failure(self, monkeypatch, capsys):
+        _singular_but_consistent(monkeypatch)
+        assert main(["validate", "--seed", "7"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL operators_exact_dim3" in out
+        assert "FAIL operators_exact_dim4" in out
 
 
 class TestDifferenceMatrix:
     def test_first_derivative_row(self):
         d = difference_matrix(4)
         # corner 0, d/dx: +1/2 at offset (1,0,0,0), -1/2 at (-1,0,0,0)
-        row = d.to_dense()[0 * 16 + 1]
+        row = d[0 * 16 + 1]
         col_plus = (1 + 1) + 4 + 16 + 64
         col_minus = (-1 + 1) + 4 + 16 + 64
         want = np.zeros(256)
@@ -180,7 +204,7 @@ class TestDifferenceMatrix:
         d = difference_matrix(4)
         # corner (1,1,0,0), d2/dxdy
         v = 0b0011
-        row = d.to_dense()[v * 16 + 0b0011]
+        row = d[v * 16 + 0b0011]
 
         def col(ox, oy):
             return (ox + 1) + 4 * (oy + 1) + 16 * 1 + 64 * 1
@@ -193,24 +217,22 @@ class TestDifferenceMatrix:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_row_structure(self, dim):
         d = difference_matrix(dim)
-        rows = {}
-        for (r, c), w in d.entries.items():
-            rows.setdefault(r, {})[c] = w
+        assert d.dtype == np.float64
         for v in range(1 << dim):
             for q in range(1 << dim):
                 order = bin(q).count("1")
-                row = rows[v * (1 << dim) + q]
-                assert len(row) == 2 ** order
-                assert all(abs(w) == Fraction(1, 2 ** order)
-                           for w in row.values())
-                assert sum(row.values()) == (1 if q == 0 else 0)
+                row = d[v * (1 << dim) + q]
+                nonzero = row[row != 0]
+                assert nonzero.size == 2 ** order
+                assert np.all(np.abs(nonzero) == 2.0 ** -order)
+                assert row.sum() == (1 if q == 0 else 0)
 
     def test_exact_on_quadratic(self):
         # f(x) = x^2 about global x = 2: slope estimate (9 - 1)/2 = 4
         d = difference_matrix(4)
         offs = neighborhood_offsets(4)
         x = np.array([float(2 + o[0]) ** 2 for o in offs])
-        b = d.to_dense() @ x
+        b = d @ x
         assert b[0 * 16 + 1] == 4.0
 
     @pytest.mark.parametrize("dim", [3, 4])
@@ -240,7 +262,7 @@ class TestDifferenceMatrix:
         d = difference_matrix(dim)
         offs = neighborhood_offsets(dim)
         x = np.array([value(o) for o in offs])
-        b = d.to_dense() @ x
+        b = d @ x
         for v in range(1 << dim):
             corner = [(v >> k) & 1 for k in range(dim)]
             for q in range(1 << dim):
@@ -255,8 +277,8 @@ class TestFusedMatrix:
         scale = 2 ** dim
         k_int = (scale * operator_set(dim)).astype(np.int64)
         assert np.array_equal(k_int, scale * operator_set(dim))
-        f_int = (scale * difference_matrix(dim).to_dense()).astype(np.int64)
-        assert np.array_equal(f_int, scale * difference_matrix(dim).to_dense())
+        f_int = (scale * difference_matrix(dim)).astype(np.int64)
+        assert np.array_equal(f_int, scale * difference_matrix(dim))
         assert np.array_equal(constraint_matrix(dim) @ k_int, f_int)
         assert operator_is_exact(dim)
         # the float matrix also has no -0.0, so it equals the rounded
@@ -290,7 +312,7 @@ class TestFusedMatrix:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_matches_dense_solve_oracle(self, dim):
         cf = constraint_matrix(dim).astype(np.float64)
-        df = difference_matrix(dim).to_dense()
+        df = difference_matrix(dim)
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(100):
