@@ -97,9 +97,8 @@ def _read_points(args, dim: int) -> np.ndarray:
 
 def cmd_info(args) -> int:
     grid = _load_grid(args.grid)
-    m = grid.components
     print(f"grid: {args.grid}")
-    print(f"dim: {grid.dim}   components: {m} "
+    print(f"dim: {grid.dim}   components: {grid.components} "
           f"({','.join(grid.component_names)})")
     for d, a in enumerate(grid.axes):
         print(f"axis {AXIS_NAMES[d]}: origin={a.origin!r} "
@@ -115,9 +114,8 @@ def cmd_info(args) -> int:
             f"{AXIS_NAMES[d]} in [{lo!r}, {hi!r}]"
             for d, (lo, hi) in enumerate(dom))
         print(f"queryable {pol.value}: {spans}")
-    tensor_bytes = 8 * m * 4 ** grid.dim
-    print(f"memory: samples {grid.values.nbytes / 1024:.1f} KiB; "
-          f"coefficients {tensor_bytes / 1024:.1f} KiB/element")
+    print(f"memory: {grid._samples.nbytes / 1024:.1f} KiB of samples, "
+          f"ghost layers included")
     return 0
 
 

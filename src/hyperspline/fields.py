@@ -12,7 +12,7 @@ Module contents:
     AnalyticField        -- value + gradient callables with a self-check
     constant_field, linear_field, multilinear_field,
     tensor_polynomial_field, trig_product_field, quadrupole_field
-                         -- field builders (see builtin_fields)
+                         -- field builders
     sample               -- evaluate a field on a grid
     oracle_coefficients  -- dense-solve route to element coefficients
     continuity_scan      -- max value/gradient jump across element faces
@@ -211,29 +211,6 @@ def quadrupole_field() -> AnalyticField:
 
     return AnalyticField(4, 3, value, gradient, "time-varying quadrupole",
                          check_box=((-1.5, 1.5),))
-
-
-def builtin_fields(dim: int, seed: int = 0):
-    """The validation roster for one dimension.
-
-    Returns (exactly_reproduced, inexact) field lists: the first group
-    must be interpolated exactly (to rounding), the second is smooth but
-    beyond the exactness class.
-    """
-    rng = np.random.default_rng(seed)
-    exact = [
-        constant_field(dim),
-        linear_field(dim),
-        multilinear_field(dim),
-        tensor_polynomial_field(dim, 2, rng),
-    ]
-    inexact = [
-        tensor_polynomial_field(dim, 3, rng),
-        trig_product_field(dim),
-    ]
-    if dim == 4:
-        inexact.append(quadrupole_field())
-    return exact, inexact
 
 
 def sample(afield: AnalyticField, axes) -> RegularGrid:

@@ -12,27 +12,28 @@ queryable region depends on how boundaries are handled:
   one layer of ghost samples per side from linear extrapolation of the
   two edge layers. First-order near edges, exact for linear fields.
 
-Samples are stored once, vertex-major: one contiguous ``(vertices, m)``
-array with the x index varying fastest among the vertices, which is the
-layout of ``RegularGrid.values``, a read-only ``(count_last, ...,
-count_first, m)`` view of it. A gather takes whole stencils of sample
-rows and returns them point-major, ``(k, 4^dim, m)`` for k elements, so
-each point's stencil is one contiguous block for the evaluation kernel's
-per-point matrix products.
+Samples are stored once, vertex-major, padded by that ghost layer on
+every side: one contiguous ``(vertices, m)`` array over the
+``(count_last + 2, ..., count_first + 2)`` padded vertices, x index
+fastest. The grid fills the ghosts when it is built, so a policy only
+decides which element bases are valid; ``Strict`` simply never reads
+them. ``RegularGrid.values`` is the read-only ``(count_last, ...,
+count_first, m)`` inner view of the store. Every gather is one ``take``
+of whole stencils of sample rows at fixed flat offsets from each base,
+point-major, ``(k, 4^dim, m)`` for k elements, so each point's stencil
+is one contiguous block for the evaluation kernel's per-point matrix
+products.
 
 The scalar path works on Python numbers the grid precomputes: per
 policy, one locate row per axis, ``(origin, spacing, lo, hi, cmin,
-cmax)``, so :func:`locate` does only the per-axis float arithmetic; and
-the strides, so :func:`neighborhood_block` fetches a cell whose whole
-stencil lies on the grid with one ``take`` at its flat offset, the
-``(4^dim, m)`` slice a gather of that one cell would return. Only
-edge cells under ``LinearGhost`` go through the ghost fill of
-:func:`gather_neighborhoods`.
+cmax)``, so :func:`locate` does only the per-axis float arithmetic and
+:func:`neighborhood_block` only a range check on the same ``lo`` and
+``hi`` before its ``take``.
 
 Module contents:
     BoundaryPolicy -- Strict / LinearGhost enum
     Axis           -- origin, spacing, count of one grid direction
-    RegularGrid    -- axes + vertex-major samples
+    RegularGrid    -- axes + vertex-major samples with ghost layers
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
     is_integer     -- whether an argument is an integer (bools are not)
@@ -62,10 +63,6 @@ from .errors import (
     TooFewPointsError,
     UnsupportedDimensionError,
 )
-
-#: Offsets of the sample neighborhood on each axis, relative to an
-#: element's lowest-corner vertex.
-NEIGHBORHOOD_OFFSETS = (-1, 0, 1, 2)
 
 #: Relative tolerance used when checking that axis gaps are uniform.
 SPACING_RTOL = 1e-9
@@ -199,7 +196,11 @@ class RegularGrid:
                 f"components must be a positive integer, got {components!r}")
         counts = tuple(a.count for a in axes)
         shape = counts[::-1] + (components,)
-        vals = np.asarray(values)
+        try:
+            vals = np.asarray(values)
+        except (TypeError, ValueError) as exc:
+            raise InvalidArgumentError(
+                f"grid samples must be real numbers: {exc}") from None
         if vals.dtype.kind not in "biuf":
             raise InvalidArgumentError(
                 f"grid samples must be real numbers, got dtype {vals.dtype}")
@@ -211,9 +212,20 @@ class RegularGrid:
                 f"components), got {vals.size}")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValueError("grid samples must all be finite")
-        # the one stored copy, one row of components per vertex
-        samples = vals.reshape(-1, components).copy()
-        samples.flags.writeable = False
+        # the one stored copy, padded by one ghost layer per side; ghosts
+        # extrapolate the two edge layers, axis by axis from x, so a
+        # corner ghost extrapolates already-extrapolated layers and every
+        # ghost is written last from final values (finite samples near
+        # the float64 limit may give inf or NaN ghosts)
+        dim, inner = len(axes), (slice(1, -1),) * len(axes)
+        padded = np.empty(tuple(c + 2 for c in counts[::-1]) + (components,))
+        padded[inner] = vals.reshape(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d in range(dim):
+                sub = np.moveaxis(padded, dim - 1 - d, 0)
+                sub[0] = 2.0 * sub[1] - sub[2]
+                sub[-1] = 2.0 * sub[-2] - sub[-3]
+        padded.flags.writeable = False
         if component_names is None:
             component_names = (("f",) if components == 1 else
                                tuple(f"f{i}" for i in range(components)))
@@ -226,27 +238,28 @@ class RegularGrid:
         self.axes = axes
         self.components = components
         self.component_names = component_names
-        self._samples = samples
-        # shaped (count_last, ..., count_first, m): a view, not a copy
-        self.values = samples.reshape(shape)
-        # flat vertex index = index @ _strides (x fastest); _stencil holds
-        # the flat offsets of the 4^dim neighborhood in sample-row order
-        self._strides = np.cumprod((1,) + counts[:-1], dtype=np.int64)
-        stencil = np.indices((4,) * len(axes)).reshape(len(axes), -1)[::-1]
-        self._stencil = (stencil.T + NEIGHBORHOOD_OFFSETS[0]) @ self._strides
+        self._samples = padded.reshape(-1, components)
+        # the real samples, shaped (count_last, ..., count_first, m)
+        self.values = padded[inner]
+        # flat padded vertex index = (index + 1) @ _strides (x fastest);
+        # _stencil holds the flat offsets of the 4^dim neighborhood from
+        # its base's row, in sample-row order
+        self._strides = np.cumprod((1,) + tuple(c + 2 for c in counts[:-1]),
+                                   dtype=np.int64)
+        stencil = np.indices((4,) * dim).reshape(dim, -1)[::-1]
+        self._stencil = stencil.T @ self._strides
         self._base_bounds = {p: np.array(self.element_base_range(p)).T
                              for p in BoundaryPolicy}
         # for the scalar path, on Python numbers: per policy one locate
         # row per axis, (origin, spacing, lo, hi, cmin, cmax) with the
-        # valid base range [lo, hi] and queryable range [cmin, cmax];
-        # the strides; and the bases whose whole stencil is on the grid
+        # valid base range [lo, hi] and queryable range [cmin, cmax]; and
+        # the strides
         self._locate_rows = {
             p: tuple((a.origin, a.spacing, lo, hi,
                       a.coordinate(lo), a.coordinate(hi + 1))
                      for a, (lo, hi) in zip(axes, self.element_base_range(p)))
             for p in BoundaryPolicy}
         self._stride_ints = tuple(self._strides.tolist())
-        self._interior = self.element_base_range(BoundaryPolicy.STRICT)
 
     @property
     def dim(self) -> int:
@@ -362,15 +375,14 @@ def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
 
 def gather_neighborhoods(grid: RegularGrid, bases,
                          policy: BoundaryPolicy) -> np.ndarray:
-    """All-component sample neighborhoods of k elements in one fetch.
+    """All-component sample neighborhoods of k elements in one ``take``.
 
     ``bases`` is a ``(k, dim)`` integer array of element base indices.
     Returns an array of shape ``(k, 4^dim, m)``: entry ``[i, n, c]`` holds
     component c of the sample at grid offset ``o`` with
-    ``n = sum_d (o_d + 1) * 4^d`` relative to base i. Under
-    ``LinearGhost``, offsets falling one layer outside the grid are
-    filled with ``2 * f(edge) - f(next-to-edge)``, axis by axis from
-    axis 0, so a corner ghost extrapolates already-extrapolated layers.
+    ``n = sum_d (o_d + 1) * 4^d`` relative to base i. Offsets one layer
+    outside the grid read the ghost samples the grid was built with,
+    which only ``LinearGhost`` bases reach.
 
     Raises
     ------
@@ -385,41 +397,18 @@ def gather_neighborhoods(grid: RegularGrid, bases,
         raise IndexError(
             f"element base {tuple(first.tolist())} outside valid range "
             f"under {policy.value}")
-    # every stencil entry is read at its flat offset from the base; a
-    # ghost entry reads whatever in-range sample its clipped offset hits
-    # and is overwritten from real samples below
     flat = (bases @ grid._strides)[:, None] + grid._stencil
-    samples = np.take(grid._samples, flat, axis=0, mode="clip")
-    if policy is BoundaryPolicy.LINEAR_GHOST:
-        # under this policy the bases 0 and hi are the edge elements
-        low, high = bases == lo, bases == hi
-        dim = grid.dim
-        block = samples.reshape(samples.shape[:1] + (4,) * dim
-                                + samples.shape[-1:])
-        for d in np.flatnonzero(low.any(axis=0) | high.any(axis=0)):
-            # stencil axes run t..x: grid axis d is block axis dim-d
-            sub = np.moveaxis(block, dim - d, 0)
-            at = np.flatnonzero(low[:, d])
-            if at.size:
-                sub[0][at] = 2.0 * sub[1][at] - sub[2][at]
-            at = np.flatnonzero(high[:, d])
-            if at.size:
-                sub[3][at] = 2.0 * sub[2][at] - sub[1][at]
-    return samples
+    return grid._samples.take(flat, 0)
 
 
 def neighborhood_block(grid: RegularGrid, elem: ElementRef,
                        policy: BoundaryPolicy) -> np.ndarray:
     """All-component sample neighborhood of one element, ``(4^dim, m)``.
 
-    The one-element slice of :func:`gather_neighborhoods`:
-    row ``n`` holds the samples at grid offset ``o`` with
-    ``n = sum_d (o_d + 1) * 4^d`` relative to the element base. An
-    element whose whole stencil lies on the grid (every valid one under
-    ``Strict``, the interior ones under ``LinearGhost``) is fetched with
-    one ``np.take`` at its flat offset; the others go through
-    :func:`gather_neighborhoods`, which fills ghosts and rejects bases
-    outside the valid range.
+    The one-element slice of :func:`gather_neighborhoods`, with the same
+    row order and the same ghost samples: a range check on Python ints
+    against the policy's locate rows, then one ``take`` at the base's
+    flat offset.
 
     Raises
     ------
@@ -432,7 +421,9 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
     if len(base) != grid.dim:
         raise DimensionMismatchError(
             f"element base must have {grid.dim} entries, got {base}")
-    if all(lo <= b <= hi for b, (lo, hi) in zip(base, grid._interior)):
-        offset = sum(b * s for b, s in zip(base, grid._stride_ints))
-        return grid._samples.take(grid._stencil + offset, 0)
-    return gather_neighborhoods(grid, [base], policy)[0]
+    if not all(lo <= b <= hi for b, (_, _, lo, hi, _, _)
+               in zip(base, grid._locate_rows[policy])):
+        raise IndexError(
+            f"element base {base} outside valid range under {policy.value}")
+    offset = sum(b * s for b, s in zip(base, grid._stride_ints))
+    return grid._samples.take(grid._stencil + offset, 0)

@@ -31,8 +31,10 @@ is the same kernel with k = 1, about 65 µs in 4D on a 2-CPU Xeon VM,
 most of it numpy dispatch on tiny arrays:
 :func:`~hyperspline.grid.locate` reads the grid's precomputed per-axis
 locate rows on Python floats and
-:func:`~hyperspline.grid.neighborhood_block` fetches a cell whose
-stencil lies on the grid with one ``take``.
+:func:`~hyperspline.grid.neighborhood_block` fetches the cell's stencil
+with one ``take``. The grid stores its ghost layers, so the boundary
+policy only sets which cells are valid: an edge cell under
+``LinearGhost`` costs the same as an interior one, on both paths.
 
 Per-element coefficient tensors ``operator @ samples`` stay available
 through :meth:`Interpolator.coefficients`, cached in memory, for

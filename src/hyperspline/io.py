@@ -33,7 +33,7 @@ from .errors import (
     MissingHeaderError,
     NonFiniteValueError,
 )
-from .grid import RegularGrid, infer_axis
+from .grid import RegularGrid, as_coordinates, infer_axis
 from .interpolator import BatchResult
 
 AXIS_NAMES = ("x", "y", "z", "t")
@@ -233,10 +233,13 @@ def write_results_csv(path, points, result: BatchResult, component_names):
     Raises
     ------
     DimensionMismatchError
-        If ``points`` is not ``(n, dim)`` with one row per result.
+        If ``points`` is not ``(n, dim)`` with one row per result and
+        the results' dim.
+    InvalidPointError
+        If the coordinates are not all real numbers.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] != len(result.ok):
+    points = as_coordinates(points)
+    if points.shape != (len(result.ok), result.gradients.shape[-1]):
         raise DimensionMismatchError(
             "points must be (n, dim) and aligned with results")
     n, dim = points.shape

@@ -79,6 +79,8 @@ class TestInfo:
         assert "linear-ghost=256" in out
         assert "[1.0, 3.0]" in out
         assert "[0.0, 4.0]" in out
+        # 7^4 stored vertices: 5 per axis plus a ghost layer per side
+        assert "memory: 18.8 KiB of samples, ghost layers included" in out
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["info", "/nonexistent/grid.csv"]) == 2

@@ -28,9 +28,9 @@ def test_time_varying_field_demo_runs(tmp_path, monkeypatch, capsys):
     assert "coefficient tensors stored: 0 " in out
 
 
-def test_files_and_cache_demo_runs(tmp_path, monkeypatch, capsys):
+def test_files_demo_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(DEMOS / "05_files_and_cache.py"), run_name="__main__")
+    runpy.run_path(str(DEMOS / "05_files.py"), run_name="__main__")
     out = capsys.readouterr().out
     assert "reloaded bit-identical: True" in out
     assert "1 point flagged out_of_domain" in out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from hyperspline import (
     Axis,
     BoundaryPolicy,
     ElementRef,
+    HypersplineError,
     IrregularSpacingError,
     NonFiniteValueError,
     OutOfDomainError,
@@ -125,6 +128,29 @@ class TestRegularGrid:
         grid = unit_grid(3)
         with pytest.raises(ValueError):
             grid.values[0, 0, 0, 0] = 1.0
+
+    def test_ragged_samples_rejected(self):
+        with pytest.raises(HypersplineError):
+            RegularGrid([Axis(0, 1, 4)] * 3, [[1.0] * 63, [2.0]])
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_near_float64_max_builds_without_warning(self, dim):
+        # the ghost layers of such samples overflow to inf or NaN; that
+        # is the ghosts' arithmetic, not an error of the strict grid
+        big = np.finfo(np.float64).max
+        vals = np.where(np.indices((4,) * dim).sum(axis=0) % 2, big, -big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = RegularGrid([Axis(0, 1, 4)] * dim, vals)
+        assert np.array_equal(grid.values[..., 0], vals)
+        for policy in (STRICT, GHOST):
+            ranges = grid.element_base_range(policy)
+            for base in np.ndindex(*[hi - lo + 1 for lo, hi in ranges]):
+                base = tuple(b + lo for b, (lo, _) in zip(base, ranges))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    want = reference_block(grid, base, policy)
+                got = neighborhood_block(grid, ElementRef(base), policy)
+                assert np.array_equal(got, want, equal_nan=True), base
 
 
 class TestLocate:

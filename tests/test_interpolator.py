@@ -19,6 +19,7 @@ from hyperspline import (
     RegularGrid,
     TooFewPointsError,
 )
+from hyperspline import grid as grid_module
 from hyperspline import interpolator as interpolator_module
 from hyperspline.fields import (
     check_c1_continuity,
@@ -829,9 +830,9 @@ def every_base(grid, policy):
 
 
 class TestScalarPath:
-    """The one-element gather (one ``take`` for a cell whose stencil lies
-    on the grid, the full gather for ghost edge cells) against the batch
-    gather, on every element."""
+    """The one-element gather (a range check and one ``take`` of the
+    ghost-padded samples) against the batch gather, on every element,
+    edge cells under ``LinearGhost`` included."""
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     def test_block_equals_gather_bitwise(self, six_grid, policy):
@@ -879,3 +880,23 @@ class TestLayerAttribution:
             args += ((1, 0, 0, 0),)
         getattr(interp, method)(*args)
         assert calls == {"locate": 1, "neighborhood_block": 1}
+
+    def test_ghost_edge_cell_takes_one_block(self, trig4, monkeypatch):
+        # a LinearGhost edge cell reads the grid's ghost layers through
+        # the same one-element gather as an interior cell
+        calls = Counter()
+        for module, name in ((interpolator_module, "neighborhood_block"),
+                             (interpolator_module, "gather_neighborhoods"),
+                             (grid_module, "gather_neighborhoods")):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        interp = Interpolator(trig4[1], GHOST)
+        elem, _ = locate(trig4[1], [0.1, 2.9, 0.2, 1.6], GHOST)
+        assert elem.base == (0, 5, 0, 3)
+        interp.eval_with_gradient([0.1, 2.9, 0.2, 1.6])
+        assert calls == {"neighborhood_block": 1}

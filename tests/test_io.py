@@ -13,6 +13,7 @@ from hyperspline import (
     GridFormatError,
     IncompleteGridError,
     Interpolator,
+    InvalidPointError,
     IrregularSpacingError,
     MissingHeaderError,
     NonFiniteValueError,
@@ -324,6 +325,15 @@ class TestResultsCsv:
         path = tmp_path / "out.csv"
         with pytest.raises(DimensionMismatchError, match="aligned"):
             write_results_csv(path, points, res, grid.component_names)
+        assert not path.exists()
+
+    def test_text_points_rejected(self, tmp_path):
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        res = Interpolator(grid).eval_batch(np.full((2, 3), 2.0))
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidPointError):
+            write_results_csv(path, [["a", "b", "c"]] * 2, res,
+                              grid.component_names)
         assert not path.exists()
 
 
