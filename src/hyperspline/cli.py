@@ -9,8 +9,8 @@ Subcommands:
     bench     -- throughput / latency measurement
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error.
-The environment variable ``HYPERSPLINE_THREADS`` caps batch parallelism
-(0 = one worker per CPU).
+The environment variable ``HYPERSPLINE_THREADS`` sets the batch worker
+count: serial when unset, one worker per CPU for 0, n for n.
 """
 
 from __future__ import annotations

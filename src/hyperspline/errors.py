@@ -35,9 +35,9 @@ class InvalidPointError(HypersplineError, ValueError):
 class InvalidArgumentError(HypersplineError, ValueError):
     """An argument other than a point is not of its type or out of its
     range: a derivative order that is not an integer in 0..3, a local
-    coordinate outside [0, 1], a batch chunk size that is not a positive
-    integer or a thread count that is not a non-negative one, an unknown
-    boundary policy, or an axis or grid description that is not valid."""
+    coordinate outside [0, 1], an element that is not an ElementRef of
+    integers, an unknown boundary policy, an axis, grid or component
+    names that are not valid, or a bad ``HYPERSPLINE_THREADS``."""
 
 
 class GridFormatError(HypersplineError):

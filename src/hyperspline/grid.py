@@ -37,6 +37,7 @@ Module contents:
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
     is_integer     -- whether an argument is an integer (bools are not)
+    as_component_names -- component labels, checked against their count
     as_coordinates -- query coordinates as float64, typed errors otherwise
     locate         -- map a physical point to (element, local coords)
     locate_points  -- the same for many points, flagging those outside
@@ -49,6 +50,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,7 +98,7 @@ class Axis:
     def __post_init__(self):
         try:
             origin, spacing = float(self.origin), float(self.spacing)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise InvalidArgumentError(
                 f"axis origin and spacing must be real numbers, got "
                 f"{self.origin!r} and {self.spacing!r}") from None
@@ -154,12 +156,19 @@ def infer_axis(coords) -> Axis:
 
 @dataclass(frozen=True)
 class ElementRef:
-    """Grid index of an element's lowest-corner vertex, one per axis."""
+    """Grid index of an element's lowest-corner vertex, one per axis;
+    InvalidArgumentError unless ``base`` is a sequence of integers."""
 
     base: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "base", tuple(int(b) for b in self.base))
+        try:
+            base = tuple(map(operator.index, self.base))
+        except TypeError:
+            raise InvalidArgumentError(
+                f"element base must be a sequence of integers, "
+                f"got {self.base!r}") from None
+        object.__setattr__(self, "base", base)
 
 
 class RegularGrid:
@@ -187,7 +196,10 @@ class RegularGrid:
 
     def __init__(self, axes, values, components: int = 1,
                  component_names=None):
-        axes = tuple(axes)
+        axes = tuple(axes) if np.iterable(axes) else (axes,)
+        if not all(isinstance(a, Axis) for a in axes):
+            raise InvalidArgumentError(
+                f"axes must be a sequence of Axis, got {axes!r}")
         if len(axes) not in (3, 4):
             raise UnsupportedDimensionError(
                 f"grids must be 3- or 4-dimensional, got {len(axes)} axes")
@@ -230,11 +242,8 @@ class RegularGrid:
             component_names = (("f",) if components == 1 else
                                tuple(f"f{i}" for i in range(components)))
         else:
-            component_names = tuple(str(n) for n in component_names)
-            if len(component_names) != components:
-                raise InvalidArgumentError(
-                    f"need {components} component names, "
-                    f"got {len(component_names)}")
+            component_names = as_component_names(component_names,
+                                                 components)
         self.axes = axes
         self.components = components
         self.component_names = component_names
@@ -291,6 +300,16 @@ class RegularGrid:
         if policy is None:
             return tuple(a.count - 1 for a in self.axes)
         return tuple(hi - lo + 1 for lo, hi in self.element_base_range(policy))
+
+
+def as_component_names(names, components: int) -> tuple:
+    """``names`` as a tuple of ``components`` strings; InvalidArgumentError
+    unless ``names`` is a sequence of that many labels."""
+    labels = tuple(map(str, names)) if np.iterable(names) else ()
+    if len(labels) != components:
+        raise InvalidArgumentError(
+            f"need {components} component names, got {names!r}")
+    return labels
 
 
 def as_coordinates(points) -> np.ndarray:
@@ -412,11 +431,16 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
 
     Raises
     ------
+    InvalidArgumentError
+        If ``elem`` is not an :class:`ElementRef`.
     DimensionMismatchError
         If the element base does not have ``grid.dim`` entries.
     IndexError
         If the base lies outside ``grid.element_base_range(policy)``.
     """
+    if not isinstance(elem, ElementRef):
+        raise InvalidArgumentError(
+            f"element must be an ElementRef, got {elem!r}")
     base = elem.base
     if len(base) != grid.dim:
         raise DimensionMismatchError(

@@ -18,13 +18,12 @@ point-major gather of :mod:`hyperspline.grid`, ``(k, 4^dim, m)`` for k
 points: per axis one ``np.matmul`` of k stacked per-point products
 ``(rest, 4) @ (4, 2)``, 960 multiplies per component in 4D and 224 in
 3D. A point's products have the same shapes and strides whatever k,
-the chunk size or the thread count, so BLAS does the same arithmetic
-for it in a batch as alone, and batched, threaded and one-at-a-time
-evaluation agree bit for bit. :meth:`Interpolator.eval_batch` evaluates
-its points in chunks; by default a chunk holds as many points as fit
-1.5 MB of gathered samples, ``max(1, 196608 // (m * 4^dim))`` (256
-points in 4D, 1024 in 3D, with m = 3), so a chunk's working set stays
-in L2.
+its chunk or the worker count, so BLAS does the same arithmetic for it
+in a batch as alone, and batched, threaded and one-at-a-time evaluation
+agree bit for bit. :meth:`Interpolator.eval_batch` evaluates its points
+in chunks whose size the grid sets: as many points as fit 1.5 MB of
+gathered samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in 4D,
+1024 in 3D, with m = 3), so a chunk's working set stays in L2.
 
 A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
 is the same kernel with k = 1, about 65 µs in 4D on a 2-CPU Xeon VM,
@@ -58,7 +57,6 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
-    HypersplineError,
     InvalidArgumentError,
     OutOfDomainError,
 )
@@ -130,10 +128,6 @@ def _horner_table() -> np.ndarray:
 
 _HORNER = _horner_table()
 
-# gathered samples in a default eval_batch chunk (1.5 MB of float64; see
-# the module docstring)
-_CHUNK_SAMPLES = 196608
-
 
 def _weights(u: np.ndarray, orders) -> np.ndarray:
     """Catmull-Rom weights of order 0 and ``orders[d]`` on each axis d.
@@ -173,36 +167,16 @@ def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
     return part.reshape(k, m, -1)
 
 
-def _resolve_threads(requested=None) -> int:
-    """Worker count for batch evaluation.
-
-    ``HYPERSPLINE_THREADS`` caps (and, when no explicit count is given,
-    supplies) the parallelism; the value 0 means one worker per CPU.
-    Without the variable the default is serial.
-
-    Raises
-    ------
-    HypersplineError
-        If the variable is set to anything but a non-negative integer.
-    """
-    env = os.environ.get("HYPERSPLINE_THREADS", "").strip()
-    cap = None
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = -1
-        if cap < 0:
-            raise HypersplineError(
-                f"HYPERSPLINE_THREADS must be a non-negative integer, "
-                f"got {env!r}")
-        if cap == 0:
-            cap = os.cpu_count() or 1
-    if requested is None or requested == 0:
-        requested = cap if cap is not None else 1
-    if cap is not None:
-        requested = min(requested, cap)
-    return max(1, int(requested))
+def _workers() -> int:
+    """Batch worker count, set by ``HYPERSPLINE_THREADS`` alone: unset or
+    empty runs serially, 0 takes one worker per CPU and n takes n;
+    anything else raises InvalidArgumentError."""
+    env = os.environ.get("HYPERSPLINE_THREADS", "").strip() or "1"
+    if not (env.isascii() and env.isdigit()):
+        raise InvalidArgumentError(
+            f"HYPERSPLINE_THREADS must be a non-negative integer, "
+            f"got {env!r}")
+    return int(env) or os.cpu_count() or 1
 
 
 class Interpolator:
@@ -224,6 +198,9 @@ class Interpolator:
 
     def __init__(self, grid: RegularGrid,
                  policy: BoundaryPolicy = BoundaryPolicy.STRICT):
+        if not isinstance(grid, RegularGrid):
+            raise InvalidArgumentError(
+                f"grid must be a RegularGrid, got {grid!r}")
         try:
             policy = BoundaryPolicy(policy)
         except ValueError:
@@ -237,6 +214,8 @@ class Interpolator:
         self._base_range = grid.element_base_range(policy)
         # kernel columns of the first partial along each axis
         self._gradient_cols = [1 << d for d in range(grid.dim)]
+        # points per eval_batch chunk: 1.5 MB of gathered float64 samples
+        self._chunk = max(1, 196608 // (grid.components * 4 ** grid.dim))
         self._cache: dict = {}
 
     @property
@@ -258,14 +237,15 @@ class Interpolator:
         use it; it serves validation. Raises IndexError for an element
         outside the policy's valid range.
         """
-        key = elem.base
-        cached = self._cache.get(key)
+        # anything but an ElementRef misses; neighborhood_block rejects it
+        cached = (self._cache.get(elem.base) if isinstance(elem, ElementRef)
+                  else None)
         if cached is not None:
             return cached
         block = neighborhood_block(self.grid, elem, self.policy)
         coeffs = np.ascontiguousarray((self.operator @ block).T)
         coeffs.flags.writeable = False
-        self._cache[key] = coeffs
+        self._cache[elem.base] = coeffs
         return coeffs
 
     def cache_size(self) -> int:
@@ -327,7 +307,12 @@ class Interpolator:
         total order >= 2 carry no continuity guarantee across element
         faces.
         """
-        orders = tuple(orders)
+        try:
+            orders = tuple(orders)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"orders must be {self.dim} integers in 0..3, "
+                f"got {orders!r}") from None
         if len(orders) != self.dim:
             raise DimensionMismatchError(
                 f"orders must have {self.dim} entries, got {orders}")
@@ -343,28 +328,14 @@ class Interpolator:
 
     # -- batch evaluation ---------------------------------------------------
 
-    def eval_batch(self, points, threads=None, chunk_size: int | None = None
-                   ) -> BatchResult:
+    def eval_batch(self, points) -> BatchResult:
         """Evaluate many points; out-of-domain ones are flagged, not fatal.
 
         Equivalent, bit for bit, to calling :meth:`eval_with_gradient`
-        per point. Points are evaluated ``chunk_size`` at a time; the
-        default is the largest chunk whose gathered samples take at most
-        1.5 MB (256 points in 4D, 1024 in 3D, with 3 components). Chunks
-        may be processed by ``threads`` workers, a non-negative integer;
-        None or 0 takes the default, serial unless ``HYPERSPLINE_THREADS``
-        sets one, and that variable also caps the count. Output order is
-        independent of scheduling.
+        per point, in chunks whose size the grid sets (see the module
+        docstring) on as many workers as ``HYPERSPLINE_THREADS`` sets;
+        output order is independent of scheduling.
         """
-        if chunk_size is None:
-            chunk_size = max(1, _CHUNK_SAMPLES
-                             // (self.components * 4 ** self.dim))
-        if not is_integer(chunk_size) or chunk_size <= 0:
-            raise InvalidArgumentError(
-                f"chunk_size must be a positive integer, got {chunk_size!r}")
-        if threads is not None and (not is_integer(threads) or threads < 0):
-            raise InvalidArgumentError(
-                f"threads must be a non-negative integer, got {threads!r}")
         pts = as_coordinates(points)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionMismatchError(
@@ -374,22 +345,19 @@ class Interpolator:
         values = np.full((n, m), np.nan)
         gradients = np.full((n, m, self.dim), np.nan)
         ok = np.zeros(n, dtype=bool)
-        if n == 0:
-            return BatchResult(values, gradients, ok)
+        starts = range(0, n, self._chunk)
+        workers = _workers()
 
-        spans = [(s, min(s + chunk_size, n)) for s in range(0, n, chunk_size)]
-        workers = _resolve_threads(threads)
-
-        def run(span):
-            s, e = span
+        def run(s):
+            e = s + self._chunk
             self._eval_chunk(pts[s:e], values[s:e], gradients[s:e], ok[s:e])
 
-        if workers > 1 and len(spans) > 1:
+        if workers > 1 and len(starts) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, spans))
+                list(pool.map(run, starts))
         else:
-            for span in spans:
-                run(span)
+            for s in starts:
+                run(s)
         return BatchResult(values, gradients, ok)
 
     def _eval_chunk(self, pts, values, gradients, ok):

@@ -33,7 +33,7 @@ from .errors import (
     MissingHeaderError,
     NonFiniteValueError,
 )
-from .grid import RegularGrid, as_coordinates, infer_axis
+from .grid import RegularGrid, as_component_names, as_coordinates, infer_axis
 from .interpolator import BatchResult
 
 AXIS_NAMES = ("x", "y", "z", "t")
@@ -237,6 +237,8 @@ def write_results_csv(path, points, result: BatchResult, component_names):
         the results' dim.
     InvalidPointError
         If the coordinates are not all real numbers.
+    InvalidArgumentError
+        If ``component_names`` does not name each result component once.
     """
     points = as_coordinates(points)
     if points.shape != (len(result.ok), result.gradients.shape[-1]):
@@ -244,6 +246,7 @@ def write_results_csv(path, points, result: BatchResult, component_names):
             "points must be (n, dim) and aligned with results")
     n, dim = points.shape
     m = result.values.shape[1]
+    component_names = as_component_names(component_names, m)
     table = np.column_stack([points, result.values,
                              result.gradients.reshape(n, m * dim)])
     with open(path, "w", encoding="utf-8", newline="") as fh:

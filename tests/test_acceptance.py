@@ -32,7 +32,6 @@ from hyperspline.fields import (
     tensor_polynomial_field,
     trig_product_field,
 )
-from hyperspline.interpolator import _resolve_threads
 from hyperspline.operators import constraint_matrix, integer_inverse
 
 STRICT = BoundaryPolicy.STRICT
@@ -177,20 +176,19 @@ def test_10_determinism_and_concurrency(monkeypatch):
     pts = random_points(grid, 100_000, rng)
 
     cold = Interpolator(grid)
-    res_cold = cold.eval_batch(pts, threads=1)
+    res_cold = cold.eval_batch(pts)
     warm = Interpolator(grid)
     warm.precompute_all()
-    res_warm = warm.eval_batch(pts, threads=1)
+    res_warm = warm.eval_batch(pts)
     ok = bool(np.array_equal(res_cold.values, res_warm.values))
     ok &= bool(np.array_equal(res_cold.gradients, res_warm.gradients))
 
-    res_par = Interpolator(grid).eval_batch(pts, threads=8, chunk_size=2048)
+    monkeypatch.setenv("HYPERSPLINE_THREADS", "8")
+    res_par = Interpolator(grid).eval_batch(pts)
     ok &= bool(np.array_equal(res_cold.values, res_par.values))
     ok &= bool(np.array_equal(res_cold.gradients, res_par.gradients))
 
-    monkeypatch.setenv("HYPERSPLINE_THREADS", "2")
-    assert _resolve_threads(8) == 2
-    assert _resolve_threads(None) == 2
+    monkeypatch.setenv("HYPERSPLINE_THREADS", "0")
     res_env = Interpolator(grid).eval_batch(pts[:5000])
     ok &= bool(np.array_equal(res_cold.values[:5000], res_env.values))
 

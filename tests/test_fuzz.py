@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from hyperspline import (
     Axis,
+    ElementRef,
     HypersplineError,
     Interpolator,
     RegularGrid,
@@ -55,22 +56,100 @@ def near_size(count):
                               min_size=count - 1, max_size=count + 1))
 
 
+# query points: malformed ones and rows of three arbitrary scalars
+query_points = st.one_of(scalars, ragged, arrays,
+                         st.lists(scalars, min_size=3, max_size=3))
+
+
 @SETTINGS
-@given(values=st.one_of(scalars, ragged, arrays, near_size(64),
+@given(origin=st.one_of(scalars, st.integers(-2 ** 1100, 2 ** 1100)),
+       spacing=scalars, count=scalars)
+def test_axis_raises_only_typed_errors(origin, spacing, count):
+    try:
+        Axis(origin, spacing, count)
+    except HypersplineError:
+        pass
+
+
+@SETTINGS
+@given(axes=st.one_of(st.just(AXES), scalars, ragged, arrays,
+                      st.lists(st.one_of(st.just(AXES[0]), scalars),
+                               max_size=5)),
+       values=st.one_of(scalars, ragged, arrays, near_size(64),
                         near_size(128)),
        components=st.one_of(st.integers(-1, 3), st.floats(), st.text(),
                             st.none(), st.booleans()))
-def test_grid_raises_only_typed_errors(values, components):
+def test_grid_raises_only_typed_errors(axes, values, components):
     try:
-        RegularGrid(AXES, values, components=components)
+        RegularGrid(axes, values, components=components)
     except HypersplineError:
         pass
 
 
 @pytest.fixture(scope="module")
-def result():
-    grid = RegularGrid(AXES, np.arange(64.0))
-    return Interpolator(grid).eval_batch(np.full((2, 3), 1.5))
+def interp():
+    return Interpolator(RegularGrid(AXES, np.arange(64.0)))
+
+
+@SETTINGS
+@given(point=query_points)
+def test_point_queries_raise_only_typed_errors(interp, point):
+    for query in (interp.eval, interp.eval_with_gradient):
+        try:
+            query(point)
+        except HypersplineError:
+            pass
+
+
+@SETTINGS
+@given(point=st.one_of(st.just([1.5] * 3), query_points),
+       orders=st.one_of(scalars, ragged, arrays,
+                        st.lists(st.one_of(st.integers(-1, 4), scalars),
+                                 min_size=3, max_size=3)))
+def test_derivative_raises_only_typed_errors(interp, point, orders):
+    try:
+        interp.derivative(point, orders)
+    except HypersplineError:
+        pass
+
+
+@SETTINGS
+@given(base=st.one_of(scalars, ragged, arrays))
+def test_element_ref_raises_only_typed_errors(base):
+    try:
+        ElementRef(base)
+    except HypersplineError:
+        pass
+
+
+@SETTINGS
+@given(elem=st.one_of(scalars, ragged,
+                      st.lists(st.just(1), max_size=5).map(
+                          lambda base: ElementRef(tuple(base)))),
+       u=st.one_of(st.just([0.5] * 3), query_points))
+def test_eval_local_raises_only_typed_errors(interp, elem, u):
+    # the ElementRefs drawn are all ones, in range when of length 3: an
+    # element out of range is documented to raise IndexError
+    try:
+        interp.eval_local(elem, u)
+    except HypersplineError:
+        pass
+
+
+@SETTINGS
+@given(batch=st.one_of(query_points,
+                       st.lists(st.lists(scalars, min_size=3, max_size=3),
+                                max_size=4)))
+def test_eval_batch_raises_only_typed_errors(interp, batch):
+    try:
+        interp.eval_batch(batch)
+    except HypersplineError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def result(interp):
+    return interp.eval_batch(np.full((2, 3), 1.5))
 
 
 @pytest.fixture(scope="module")
@@ -79,11 +158,15 @@ def out_path(tmp_path_factory):
 
 
 @SETTINGS
-@given(points=st.one_of(scalars, ragged, arrays, near_size(6),
+@given(points=st.one_of(st.just(np.full((2, 3), 1.5)), scalars, ragged,
+                        arrays, near_size(6),
                         st.lists(st.lists(scalars, min_size=3, max_size=3),
-                                 min_size=2, max_size=2)))
-def test_results_writer_raises_only_typed_errors(points, result, out_path):
+                                 min_size=2, max_size=2)),
+       component_names=st.one_of(st.just(("f",)), scalars, ragged,
+                                 st.lists(st.text(max_size=2), max_size=3)))
+def test_results_writer_raises_only_typed_errors(points, component_names,
+                                                 result, out_path):
     try:
-        write_results_csv(out_path, points, result, ("f",))
+        write_results_csv(out_path, points, result, component_names)
     except HypersplineError:
         pass

@@ -374,14 +374,16 @@ class TestBatch:
             assert np.array_equal(res.values[i], r.values)
             assert np.array_equal(res.gradients[i], r.gradient)
 
-    def test_threaded_equals_serial(self, trig4):
+    def test_threaded_equals_serial(self, trig4, monkeypatch):
         _, grid = trig4
         interp = Interpolator(grid)
         rng = np.random.default_rng(14)
         dom = grid.queryable_domain(STRICT)
         pts = np.stack([rng.uniform(lo, hi, 3000) for lo, hi in dom], axis=1)
-        serial = interp.eval_batch(pts, threads=1, chunk_size=128)
-        threaded = interp.eval_batch(pts, threads=8, chunk_size=128)
+        monkeypatch.setenv("HYPERSPLINE_THREADS", "1")
+        serial = interp.eval_batch(pts)
+        monkeypatch.setenv("HYPERSPLINE_THREADS", "8")
+        threaded = interp.eval_batch(pts)
         assert np.array_equal(serial.values, threaded.values)
         assert np.array_equal(serial.gradients, threaded.gradients)
 
@@ -394,13 +396,6 @@ class TestBatch:
         _, grid = trig4
         with pytest.raises(ValueError):
             Interpolator(grid).eval_batch(np.zeros((5, 3)))
-
-    @pytest.mark.parametrize("chunk_size", [0, -1, 1.5])
-    def test_non_positive_chunk_size(self, trig4, chunk_size):
-        _, grid = trig4
-        with pytest.raises(ValueError, match="chunk_size"):
-            Interpolator(grid).eval_batch(np.full((5, 4), 1.5),
-                                          chunk_size=chunk_size)
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("m", [1, 3])
@@ -549,21 +544,55 @@ def kernel_case(request):
     return cases
 
 
+def scalar_table(interp, scalar):
+    """Scalar results as batch-shaped ``(values, gradients, ok)``, NaN
+    where the scalar query was out of domain."""
+    n, m, dim = len(scalar), interp.components, interp.dim
+    values, gradients = np.full((n, m), np.nan), np.full((n, m, dim), np.nan)
+    for i, r in enumerate(scalar):
+        if r is not None:
+            values[i], gradients[i] = r.values, r.gradient
+    return values, gradients, np.array([r is not None for r in scalar])
+
+
+def chunk_rows(interp, n, batch):
+    """Probe-point rows for one full chunk ("full") or for more than two
+    chunks with a partial last one ("multi"), the n probe points tiled."""
+    chunk = interp._chunk
+    size = chunk if batch == "full" else 2 * chunk + n // 2
+    return np.resize(np.arange(n), size)
+
+
+def assert_rows_equal(got, want):
+    """Batch-shaped results equal bit for bit, NaN rows included."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 class TestSharedKernel:
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
-    @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("chunk_size", [1, 7, None, 4096])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("batch", ["1", "7", "full", "multi"])
     def test_batch_equals_scalar_bitwise(self, kernel_case, policy,
-                                         threads, chunk_size):
+                                         workers, batch, monkeypatch):
+        monkeypatch.setenv("HYPERSPLINE_THREADS", workers)
         interp, pts, scalar = kernel_case[policy]
-        res = interp.eval_batch(pts, threads=threads, chunk_size=chunk_size)
-        assert list(res.ok) == [r is not None for r in scalar]
+        want = scalar_table(interp, scalar)
+        if batch in ("1", "7"):
+            k = int(batch)
+            parts = [interp.eval_batch(pts[s:s + k])
+                     for s in range(0, len(pts), k)]
+            got = [np.concatenate([getattr(p, f) for p in parts])
+                   for f in ("values", "gradients", "ok")]
+        else:
+            rows = chunk_rows(interp, len(pts), batch)
+            res = interp.eval_batch(pts[rows])
+            got = (res.values, res.gradients, res.ok)
+            want = [w[rows] for w in want]
         if policy is GHOST:
-            assert res.ok.all()
-        for i, r in enumerate(scalar):
-            if r is not None:
-                assert np.array_equal(res.values[i], r.values)
-                assert np.array_equal(res.gradients[i], r.gradient)
+            assert got[2].all()
+        assert_rows_equal(got, want)
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     def test_locate_matches_batch_locate_bitwise(self, kernel_case, policy):
@@ -623,10 +652,15 @@ class TestSharedKernel:
 
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("layout", ["strided", "fortran", "list"])
-    def test_batch_equals_scalar_for_any_point_layout(self, kernel_case,
-                                                      policy, layout):
+    def test_batch_equals_scalar_for_any_point_layout(
+            self, kernel_case, policy, workers, layout, monkeypatch):
+        # across chunk boundaries, with the last chunk partial
+        monkeypatch.setenv("HYPERSPLINE_THREADS", workers)
         interp, pts, scalar = kernel_case[policy]
+        rows = chunk_rows(interp, len(pts), "multi")
+        pts = pts[rows]
         if layout == "strided":
             wide = np.zeros((2 * len(pts), interp.dim + 1))
             wide[::2, 1:] = pts
@@ -635,12 +669,9 @@ class TestSharedKernel:
             pts = np.asfortranarray(pts)
         else:
             pts = pts.tolist()
-        res = interp.eval_batch(pts, chunk_size=7)
-        assert list(res.ok) == [r is not None for r in scalar]
-        for i, r in enumerate(scalar):
-            if r is not None:
-                assert np.array_equal(res.values[i], r.values)
-                assert np.array_equal(res.gradients[i], r.gradient)
+        res = interp.eval_batch(pts)
+        assert_rows_equal((res.values, res.gradients, res.ok),
+                          [w[rows] for w in scalar_table(interp, scalar)])
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     def test_eval_equals_zero_order_derivative_bitwise(self, kernel_case,
@@ -761,11 +792,6 @@ class TestInvalidArguments:
         with pytest.raises(InvalidArgumentError, match=r"\[0, 1\]"):
             interp.eval_local(ElementRef((1, 1, 1)), u)
 
-    @pytest.mark.parametrize("chunk_size", [0, -1, 1.5, True])
-    def test_chunk_size_not_positive_integer(self, interp, chunk_size):
-        with pytest.raises(InvalidArgumentError, match="chunk_size"):
-            interp.eval_batch(np.full((5, 3), 1.5), chunk_size=chunk_size)
-
     @pytest.mark.parametrize("order", [1.7, "a", None, True, 1.0],
                              ids=["fraction", "text", "none", "bool",
                                   "float"])
@@ -778,15 +804,32 @@ class TestInvalidArguments:
         assert np.array_equal(interp.derivative([1.5] * 3, (order, 0, 0)),
                               interp.derivative([1.5] * 3, (1, 0, 0)))
 
-    @pytest.mark.parametrize("threads", [-1, "x", 1.5, True])
-    def test_threads_not_non_negative_integer(self, interp, threads):
-        with pytest.raises(InvalidArgumentError, match="threads"):
-            interp.eval_batch(np.full((5, 3), 1.5), threads=threads)
+    @pytest.mark.parametrize("orders", [None, 5])
+    def test_derivative_orders_not_a_sequence(self, interp, orders):
+        with pytest.raises(InvalidArgumentError, match="integers in 0..3"):
+            interp.derivative([1.5] * 3, orders)
 
-    @pytest.mark.parametrize("threads", [0, np.int64(2)])
-    def test_threads_accepted(self, interp, threads):
-        assert interp.eval_batch(np.full((5, 3), 1.5), threads=threads,
-                                 chunk_size=2).ok.all()
+    @pytest.mark.parametrize("call", [
+        lambda f, e: f.eval_local(e, [0.5] * 3),
+        lambda f, e: f.coefficients(e)], ids=["eval_local", "coefficients"])
+    @pytest.mark.parametrize("elem", [(1, 1, 1), None, [1, 1, 1]],
+                             ids=["tuple", "None", "list"])
+    def test_element_not_an_element_ref(self, interp, call, elem):
+        with pytest.raises(InvalidArgumentError, match="ElementRef"):
+            call(interp, elem)
+
+    @pytest.mark.parametrize("value", ["-1", "x", "1.5", "true"])
+    def test_thread_env_not_non_negative_integer(self, interp, value,
+                                                 monkeypatch):
+        monkeypatch.setenv("HYPERSPLINE_THREADS", value)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"HYPERSPLINE_THREADS.*{value!r}"):
+            interp.eval_batch(np.full((5, 3), 1.5))
+
+    @pytest.mark.parametrize("value", ["", " ", "0", "1", " 2 "])
+    def test_thread_env_accepted(self, interp, value, monkeypatch):
+        monkeypatch.setenv("HYPERSPLINE_THREADS", value)
+        assert interp.eval_batch(np.full((5, 3), 1.5)).ok.all()
 
     @pytest.mark.parametrize("make, error", [
         (lambda grid: Interpolator(grid, "bogus"), InvalidArgumentError),
@@ -803,8 +846,20 @@ class TestInvalidArguments:
          InvalidArgumentError),
         (lambda grid: Axis("a", 1, 4), InvalidArgumentError),
         (lambda grid: Axis(0, 1, 4.5), InvalidArgumentError),
+        (lambda grid: RegularGrid([1, 2, 3], np.zeros(64)),
+         InvalidArgumentError),
+        (lambda grid: RegularGrid(5, np.zeros(64)), InvalidArgumentError),
+        (lambda grid: RegularGrid(None, np.zeros(64)), InvalidArgumentError),
+        (lambda grid: RegularGrid(grid.axes[:2] + ("x",), np.zeros(64)),
+         InvalidArgumentError),
+        (lambda grid: Interpolator("grid"), InvalidArgumentError),
+        (lambda grid: ElementRef(("a", 1, 1)), InvalidArgumentError),
+        (lambda grid: ElementRef((1.5, 1, 1)), InvalidArgumentError),
+        (lambda grid: ElementRef(None), InvalidArgumentError),
     ], ids=["policy", "components", "sample-count", "component-names",
-            "text-samples", "complex-samples", "axis-origin", "axis-count"])
+            "text-samples", "complex-samples", "axis-origin", "axis-count",
+            "axes-ints", "axes-int", "axes-None", "axes-mixed",
+            "grid-text", "element-text", "element-fraction", "element-None"])
     def test_constructor_rejects_bad_argument(self, make, error):
         grid = sample(constant_field(3), [Axis(0, 1, 4)] * 3)
         with pytest.raises(error):

@@ -13,6 +13,7 @@ from hyperspline import (
     GridFormatError,
     IncompleteGridError,
     Interpolator,
+    InvalidArgumentError,
     InvalidPointError,
     IrregularSpacingError,
     MissingHeaderError,
@@ -334,6 +335,19 @@ class TestResultsCsv:
         with pytest.raises(InvalidPointError):
             write_results_csv(path, [["a", "b", "c"]] * 2, res,
                               grid.component_names)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("names", [("a", "b"), (), None, 5],
+                             ids=["two", "none-given", "None", "int"])
+    def test_component_names_must_match_results(self, tmp_path, names):
+        # two names for one component wrote a 12-column header over
+        # 8-cell rows
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        pts = np.full((2, 3), 2.0)
+        res = Interpolator(grid).eval_batch(pts)
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidArgumentError, match="component names"):
+            write_results_csv(path, pts, res, names)
         assert not path.exists()
 
 
