@@ -24,32 +24,27 @@ from functools import partial
 import numpy as np
 
 from . import fields
-from .errors import HypersplineError
-from .grid import Axis, BoundaryPolicy, RegularGrid
+from .errors import HypersplineError, InvalidArgumentError
+from .grid import Axis, BoundaryPolicy, RegularGrid, lattice
 from .interpolator import Interpolator
 from .io import (
     AXIS_NAMES,
     load_grid_csv,
-    open_csv,
-    parse_rows,
-    result_header,
+    load_points_csv,
     write_grid_csv,
     write_results_csv,
 )
-
-
-class _InputError(Exception):
-    """Bad user input; reported on stderr with exit code 2."""
 
 
 def _parse_floats(text: str, want: int, what: str) -> np.ndarray:
     try:
         vals = np.array([float(p) for p in text.split(",")])
     except ValueError:
-        raise _InputError(f"{what} must be comma-separated numbers, "
-                          f"got {text!r}") from None
+        raise InvalidArgumentError(
+            f"{what} must be comma-separated numbers, got {text!r}") from None
     if want and vals.size != want:
-        raise _InputError(f"{what} needs {want} values, got {vals.size}")
+        raise InvalidArgumentError(
+            f"{what} needs {want} values, got {vals.size}")
     return vals
 
 
@@ -57,46 +52,25 @@ def _parse_ints(text: str, what: str):
     try:
         return [int(p) for p in text.split(",")]
     except ValueError:
-        raise _InputError(f"{what} must be comma-separated integers, "
-                          f"got {text!r}") from None
-
-
-def _load_grid(path) -> RegularGrid:
-    try:
-        return load_grid_csv(path)
-    except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc}") from None
+        raise InvalidArgumentError(
+            f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 def _read_points(args, dim: int) -> np.ndarray:
     rows = [_parse_floats(spec, dim, "--point") for spec in args.point or []]
     points = np.array(rows).reshape(len(rows), dim)
     if args.points:
-        try:
-            with open_csv(args.points) as fh:
-                # the first non-empty line is a header if it names the axes
-                start, number = fh.tell(), 1
-                line = fh.readline()
-                while line and not line.strip():
-                    start, number = fh.tell(), number + 1
-                    line = fh.readline()
-                head = [c.strip() for c in line.split(",")]
-                if head[:dim] == list(AXIS_NAMES[:dim]):
-                    start, number = fh.tell(), number + 1
-                fh.seek(start)
-                points = np.concatenate(
-                    [points, parse_rows(fh, dim, args.points, number)])
-        except OSError as exc:
-            raise _InputError(f"cannot read {args.points}: {exc}") from None
+        points = np.concatenate([points, load_points_csv(args.points, dim)])
     if not len(points):
-        raise _InputError("no query points given (use --point or --points)")
+        raise InvalidArgumentError(
+            "no query points given (use --point or --points)")
     return points
 
 
 # ---------------------------------------------------------------- info --
 
 def cmd_info(args) -> int:
-    grid = _load_grid(args.grid)
+    grid = load_grid_csv(args.grid)
     print(f"grid: {args.grid}")
     print(f"dim: {grid.dim}   components: {grid.components} "
           f"({','.join(grid.component_names)})")
@@ -121,51 +95,33 @@ def cmd_info(args) -> int:
 
 # --------------------------------------------------------------- query --
 
-def _print_table(points, res, names, dim):
-    header = result_header(dim, names)
-    rows = [header]
-    for i in range(points.shape[0]):
-        cells = [f"{c:.10g}" for c in points[i]]
-        if res.ok[i]:
-            cells += [f"{v:.10g}" for v in res.values[i]]
-            cells += [f"{g:.10g}" for g in res.gradients[i].reshape(-1)]
-            cells.append("")
-        else:
-            cells += ["NaN"] * (res.values.shape[1] * (1 + dim))
-            cells.append("out_of_domain")
-        rows.append(cells)
-    widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
-    for r in rows:
-        print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-
-
 def cmd_query(args) -> int:
-    grid = _load_grid(args.grid)
+    grid = load_grid_csv(args.grid)
     interp = Interpolator(grid, BoundaryPolicy(args.policy))
     points = _read_points(args, grid.dim)
     res = interp.eval_batch(points)
+    write_results_csv(args.out or sys.stdout, points, res,
+                      grid.component_names)
     if args.out:
-        write_results_csv(args.out, points, res, grid.component_names)
         n_bad = int(np.sum(~res.ok))
         print(f"wrote {points.shape[0]} results to {args.out}"
               + (f" ({n_bad} out of domain)" if n_bad else ""))
-    else:
-        _print_table(points, res, grid.component_names, grid.dim)
     return 0
 
 
 # -------------------------------------------------------------- sample --
 
 def cmd_sample(args) -> int:
-    grid = _load_grid(args.grid)
+    grid = load_grid_csv(args.grid)
     policy = BoundaryPolicy(args.policy)
     interp = Interpolator(grid, policy)
     counts = _parse_ints(args.counts, "--counts")
     if len(counts) != grid.dim:
-        raise _InputError(f"--counts needs {grid.dim} values")
+        raise InvalidArgumentError(f"--counts needs {grid.dim} values")
     if min(counts) < 4:
-        raise _InputError(f"--counts must each be at least 4 (an axis needs "
-                          f"4 points), got {args.counts!r}")
+        raise InvalidArgumentError(
+            f"--counts must each be at least 4 (an axis needs 4 points), "
+            f"got {args.counts!r}")
     dom = grid.queryable_domain(policy)
     lo = (_parse_floats(args.min, grid.dim, "--min") if args.min
           else np.array([d[0] for d in dom]))
@@ -173,24 +129,21 @@ def cmd_sample(args) -> int:
           else np.array([d[1] for d in dom]))
     for d in range(grid.dim):
         if not (dom[d][0] <= lo[d] < hi[d] <= dom[d][1]):
-            raise _InputError(
+            raise InvalidArgumentError(
                 f"target range [{float(lo[d])!r}, {float(hi[d])!r}] on "
                 f"axis {AXIS_NAMES[d]} outside queryable "
                 f"[{dom[d][0]!r}, {dom[d][1]!r}]")
     axes = tuple(Axis(float(lo[d]), float((hi[d] - lo[d]) / (counts[d] - 1)),
                       counts[d]) for d in range(grid.dim))
-    coords = [a.coordinates() for a in axes]
-    mesh = np.meshgrid(*coords[::-1], indexing="ij")
-    pts = np.stack([mesh[grid.dim - 1 - d].reshape(-1)
-                    for d in range(grid.dim)], axis=1)
-    res = interp.eval_batch(pts)
+    res = interp.eval_batch(lattice(axes))
     if not np.all(res.ok):
-        raise _InputError("resampling lattice left the queryable domain")
+        raise InvalidArgumentError(
+            "resampling lattice left the queryable domain")
     out_grid = RegularGrid(axes, res.values.reshape(-1),
                            components=grid.components,
                            component_names=grid.component_names)
     write_grid_csv(args.out, out_grid)
-    print(f"wrote {pts.shape[0]} vertices to {args.out}")
+    print(f"wrote {len(res.ok)} vertices to {args.out}")
     return 0
 
 
@@ -269,7 +222,7 @@ def _validate_rows(grid, seed: int):
 def cmd_validate(args) -> int:
     rep = _Report()
     print(f"validation seed={args.seed}")
-    grid = _load_grid(args.grid) if args.grid else None
+    grid = load_grid_csv(args.grid) if args.grid else None
     for name, call in _validate_rows(grid, args.seed):
         if isinstance(call, str):
             rep.line("SKIP", name, reason=call)
@@ -307,7 +260,7 @@ def _machine() -> str:
 
 
 def cmd_bench(args) -> int:
-    grid = _load_grid(args.grid)
+    grid = load_grid_csv(args.grid)
     policy = BoundaryPolicy(args.policy)
     rng = np.random.default_rng(args.seed)
     dom = grid.queryable_domain(policy)
@@ -416,7 +369,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except (_InputError, HypersplineError) as exc:
+    except HypersplineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,7 +37,8 @@ class InvalidArgumentError(HypersplineError, ValueError):
     range: a derivative order that is not an integer in 0..3, a local
     coordinate outside [0, 1], an element that is not an ElementRef of
     integers, an unknown boundary policy, an axis, grid or component
-    names that are not valid, or a bad ``HYPERSPLINE_THREADS``."""
+    names that are not valid, a bad ``HYPERSPLINE_THREADS``, a file that
+    cannot be opened or a bad command-line argument."""
 
 
 class GridFormatError(HypersplineError):

@@ -37,6 +37,8 @@ Module contents:
     ElementRef     -- index of one cell (its lowest-corner vertex)
     infer_axis     -- recover an Axis from sorted unique coordinates
     is_integer     -- whether an argument is an integer (bools are not)
+    is_real        -- whether an argument is a real number (bools are not)
+    lattice        -- the vertex coordinates of axes, in sample order
     as_component_names -- component labels, checked against their count
     as_coordinates -- query coordinates as float64, typed errors otherwise
     locate         -- map a physical point to (element, local coords)
@@ -97,8 +99,10 @@ class Axis:
 
     def __post_init__(self):
         try:
+            if not (is_real(self.origin) and is_real(self.spacing)):
+                raise TypeError  # text and bools would pass float()
             origin, spacing = float(self.origin), float(self.spacing)
-        except (TypeError, ValueError, OverflowError):
+        except (TypeError, OverflowError):
             raise InvalidArgumentError(
                 f"axis origin and spacing must be real numbers, got "
                 f"{self.origin!r} and {self.spacing!r}") from None
@@ -128,6 +132,18 @@ def is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; bools are not."""
     return (isinstance(value, numbers.Integral)
             and not isinstance(value, bool))
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a Python or numpy real number; bools are not."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def lattice(axes) -> np.ndarray:
+    """Coordinates of every vertex of the grid the axes span, shape
+    ``(vertices, dim)``, in sample order (x index fastest)."""
+    mesh = np.meshgrid(*[a.coordinates() for a in axes[::-1]], indexing="ij")
+    return np.stack([m.reshape(-1) for m in mesh[::-1]], axis=1)
 
 
 def infer_axis(coords) -> Axis:

@@ -26,7 +26,8 @@ gathered samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in 4D,
 1024 in 3D, with m = 3), so a chunk's working set stays in L2.
 
 A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
-is the same kernel with k = 1, about 65 µs in 4D on a 2-CPU Xeon VM,
+is the same kernel with k = 1, about 60 µs in 4D (p50 of ``hyperspline
+bench`` on a 14^4 x 3 grid; 2 CPUs, numpy 2.4.6, scipy-openblas 0.3.31),
 most of it numpy dispatch on tiny arrays:
 :func:`~hyperspline.grid.locate` reads the grid's precomputed per-axis
 locate rows on Python floats and

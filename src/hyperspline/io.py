@@ -1,4 +1,4 @@
-"""File formats: grid CSV and query-result CSV.
+"""File formats: grid CSV, query-points CSV and query-result CSV.
 
 Grid CSV
     Header names the coordinate columns first, ``x,y,z`` (3D) or
@@ -8,6 +8,13 @@ Grid CSV
     body is parsed in one ``np.loadtxt`` call (see :func:`parse_rows` for
     what a cell may hold) and placed by one scatter; a malformed line is
     reported by number.
+
+Points CSV
+    One query point per row, with an optional ``x,y,z[,t]`` header.
+
+In both, blank lines before the header are skipped. A file that cannot
+be opened, for reading or writing, raises ``InvalidArgumentError``
+naming it and the reason.
 
 Result CSV
     Coordinates, then value columns, then gradient columns named
@@ -30,10 +37,13 @@ from .errors import (
     DimensionMismatchError,
     GridFormatError,
     IncompleteGridError,
+    InvalidArgumentError,
     MissingHeaderError,
     NonFiniteValueError,
+    UnsupportedDimensionError,
 )
-from .grid import RegularGrid, as_component_names, as_coordinates, infer_axis
+from .grid import (RegularGrid, as_component_names, as_coordinates,
+                   infer_axis, is_integer, lattice)
 from .interpolator import BatchResult
 
 AXIS_NAMES = ("x", "y", "z", "t")
@@ -101,18 +111,47 @@ def _bad_line(lines, ncols, path, first_line):
 
 
 @contextlib.contextmanager
-def open_csv(path):
-    """Open a CSV file as UTF-8 text for reading.
+def _open_text(path, mode="r"):
+    """Open a file as UTF-8 text, for reading unless ``mode`` is "w".
 
-    Bytes that do not decode raise ``GridFormatError`` naming the file.
+    A file that cannot be opened raises ``InvalidArgumentError`` naming
+    it and the reason; bytes that do not decode raise ``GridFormatError``
+    naming the file.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    try:
+        fh = open(path, mode, encoding="utf-8", newline="")
+    # TypeError: not a path; ValueError: a NUL in it
+    except (OSError, TypeError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"cannot open {path}: {getattr(exc, 'strerror', None) or exc}"
+        ) from None
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise GridFormatError(
                 f"{path}: not UTF-8 text ({exc.reason}: "
                 f"{exc.object[exc.start:exc.end]!r})") from None
+
+
+def _read_header(fh, path):
+    """The first line of ``fh`` that is not blank, read as a header:
+    ``(names, dim, number, start)``, its stripped CSV cells (none at the
+    end of the file), how many lead with ``x, y, z, t``, its line number
+    and the file position where it starts."""
+    number, start, line = 1, fh.tell(), fh.readline()
+    while line and not line.strip():
+        number, start, line = number + 1, fh.tell(), fh.readline()
+    try:
+        names = [n.strip() for n in next(csv.reader([line]))] if line else []
+    except csv.Error as exc:
+        raise GridFormatError(f"{path}: line {number}: {exc}") from None
+    dim = 0
+    for name, axis in zip(names, AXIS_NAMES):
+        if name != axis:
+            break
+        dim += 1
+    return names, dim, number, start
 
 
 def load_grid_csv(path) -> RegularGrid:
@@ -122,18 +161,13 @@ def load_grid_csv(path) -> RegularGrid:
     ------
     MissingHeaderError, IrregularSpacingError, IncompleteGridError,
     NonFiniteValueError, GridFormatError
+    InvalidArgumentError
+        If the file cannot be opened.
     """
-    with open_csv(path) as fh:
-        line = fh.readline()
-        if not line:
-            raise MissingHeaderError(f"{path}: file is empty")
-        header = [h.strip() for h in next(csv.reader([line]))]
-        dim = 0
-        for name in header:
-            if dim < 4 and name == AXIS_NAMES[dim]:
-                dim += 1
-            else:
-                break
+    with _open_text(path) as fh:
+        header, dim, number, _ = _read_header(fh, path)
+        if not header:
+            raise MissingHeaderError(f"{path}: file is empty or blank")
         if dim not in (3, 4):
             raise MissingHeaderError(
                 f"{path}: header must start with x,y,z or x,y,z,t, "
@@ -142,7 +176,7 @@ def load_grid_csv(path) -> RegularGrid:
         if not component_names:
             raise MissingHeaderError(f"{path}: no field columns in header")
         m = len(component_names)
-        rows = parse_rows(fh, dim + m, path, 2)
+        rows = parse_rows(fh, dim + m, path, number + 1)
     if rows.shape[0] == 0:
         raise IncompleteGridError(f"{path}: no data rows")
     if not np.all(np.isfinite(rows[:, :dim])):
@@ -176,6 +210,34 @@ def load_grid_csv(path) -> RegularGrid:
                        component_names=component_names)
 
 
+def load_points_csv(path, dim: int) -> np.ndarray:
+    """Read query points from a CSV file as an ``(n, dim)`` float64 array.
+
+    The first line that is not blank is a header if it starts with the
+    axis names ``x, y, z[, t]``; every other line is one point, its
+    cells read as :func:`parse_rows` reads them.
+
+    Raises
+    ------
+    UnsupportedDimensionError
+        If ``dim`` is not 3 or 4.
+    InvalidArgumentError
+        If the file cannot be opened.
+    IncompleteGridError, GridFormatError
+        Naming the first line that is not ``dim`` numbers.
+    """
+    if not is_integer(dim) or dim not in (3, 4):
+        raise UnsupportedDimensionError(
+            f"points must have 3 or 4 coordinates, got dim={dim!r}")
+    with _open_text(path) as fh:
+        _, named, number, start = _read_header(fh, path)
+        if named >= dim:
+            number += 1
+        else:
+            fh.seek(start)
+        return parse_rows(fh, dim, path, number)
+
+
 def _write_rows(fh, table, row_format, ok=None, bad_format="",
                 bad_cells=0):
     """Write ``row_format % row`` for each row of a float table.
@@ -203,14 +265,10 @@ def write_grid_csv(path, grid: RegularGrid):
     full precision so re-inferred axes agree to 1e-15 relative. The
     header names the grid's ``component_names``.
     """
-    dim = grid.dim
-    mesh = np.meshgrid(*[a.coordinates() for a in grid.axes[::-1]],
-                       indexing="ij")
-    table = np.column_stack(
-        [mesh[dim - 1 - d].reshape(-1) for d in range(dim)]
-        + [grid.values.reshape(-1, grid.components)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(AXIS_NAMES[:dim] + grid.component_names) + "\n")
+    table = np.column_stack([lattice(grid.axes),
+                             grid.values.reshape(-1, grid.components)])
+    with _open_text(path, "w") as fh:
+        fh.write(",".join(AXIS_NAMES[:grid.dim] + grid.component_names) + "\n")
         _write_rows(fh, table, _row_format(table.shape[1]))
 
 
@@ -230,6 +288,9 @@ def result_header(dim: int, component_names):
 def write_results_csv(path, points, result: BatchResult, component_names):
     """Write batch query results; see module docstring for the layout.
 
+    ``path`` is a file name, or an open text stream (anything with a
+    ``write`` method) that is written to and left open.
+
     Raises
     ------
     DimensionMismatchError
@@ -238,7 +299,8 @@ def write_results_csv(path, points, result: BatchResult, component_names):
     InvalidPointError
         If the coordinates are not all real numbers.
     InvalidArgumentError
-        If ``component_names`` does not name each result component once.
+        If ``component_names`` does not name each result component once,
+        or the file cannot be opened.
     """
     points = as_coordinates(points)
     if points.shape != (len(result.ok), result.gradients.shape[-1]):
@@ -249,7 +311,8 @@ def write_results_csv(path, points, result: BatchResult, component_names):
     component_names = as_component_names(component_names, m)
     table = np.column_stack([points, result.values,
                              result.gradients.reshape(n, m * dim)])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else _open_text(path, "w")) as fh:
         fh.write(",".join(result_header(dim, component_names)) + "\n")
         _write_rows(fh, table, _row_format(table.shape[1], ","),
                     ok=np.asarray(result.ok, dtype=bool),

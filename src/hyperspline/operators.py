@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,38 +79,6 @@ def operator_set(dim: int) -> np.ndarray:
     """
     _check_dim(dim)
     return _OPERATORS[dim]
-
-
-@dataclass(frozen=True)
-class Quantity:
-    """One constraint quantity: a mixed partial with axes given by a bitmask.
-
-    Bit d of ``mask`` set means one derivative along axis d; mask 0 is
-    the plain field value, the all-ones mask the full mixed partial.
-    """
-
-    mask: int
-    dim: int
-
-    @property
-    def order(self) -> int:
-        return bin(self.mask).count("1")
-
-    @property
-    def axes(self) -> tuple:
-        return tuple(d for d in range(self.dim) if (self.mask >> d) & 1)
-
-    def label(self, axis_names="xyzt") -> str:
-        if self.mask == 0:
-            return "f"
-        num = "d" if self.order == 1 else f"d{self.order}"
-        return f"{num}f/" + "".join("d" + axis_names[d] for d in self.axes)
-
-
-def constraint_quantities(dim: int):
-    """The 2^dim constraint quantities in canonical ascending-mask order."""
-    _check_dim(dim)
-    return [Quantity(mask, dim) for mask in range(1 << dim)]
 
 
 def monomial_exponents(dim: int) -> np.ndarray:

@@ -79,10 +79,10 @@ def test_02_fused_oracle_equivalence():
             interp = Interpolator(sample(field, [Axis(-1.0, 0.4, 7)] * dim))
             passed, metrics = check_fused_oracle(interp, 25, rng)
             ok &= passed
-            worst = max(worst, metrics["max_abs_diff"])
+            worst = max(worst, metrics["max_scaled_diff"])
     report("criterion-02 fused_oracle_equivalence", ok,
            time.perf_counter() - t0, 10.0,
-           f"50 elements per dim, max |coeff diff| = {worst:.3e}")
+           f"50 elements per dim, max scaled |coeff diff| = {worst:.3e}")
 
 
 def test_03_vertex_reproduction():

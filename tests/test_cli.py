@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperspline import Axis, interpolator
+from hyperspline import Axis, RegularGrid, interpolator
 from hyperspline.cli import main
 from hyperspline.fields import linear_field, sample, trig_product_field
 from hyperspline.io import load_grid_csv, write_grid_csv
@@ -84,7 +84,9 @@ class TestInfo:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["info", "/nonexistent/grid.csv"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: cannot open /nonexistent/grid.csv: "
+            "No such file or directory\n")
 
     def test_not_utf8_exits_2(self, lin4d, tmp_path, capsys):
         path = tmp_path / "g.csv"
@@ -118,6 +120,26 @@ class TestQuery:
         assert [float(v) for v in row[5:9]] == [1.0, 2.0, 3.0, 4.0]
         bad = lines[2].split(",")
         assert bad[4] == "NaN" and bad[-1] == "out_of_domain"
+
+    def test_stdout_is_the_out_file(self, lin4d, tmp_path, capsys):
+        query = ["query", lin4d, "--point", "1.25,2.5,2.0,1.75",
+                 "--point", "9.0,9.0,9.0,9.0", "--point", "1.1,1.2,1.3,1.4"]
+        out_path = tmp_path / "res.csv"
+        assert main(query + ["--out", str(out_path)]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote 3 results to {out_path} (1 out of domain)\n")
+        assert main(query) == 0
+        printed = capsys.readouterr().out
+        assert ",out_of_domain\n" in printed
+        assert printed.encode("utf-8") == out_path.read_bytes()
+
+    @pytest.mark.parametrize("flag", ["--points", "--out"])
+    def test_unopenable_file_exits_2(self, lin4d, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "x.csv"
+        assert main(["query", lin4d, "--point", "1.5,1.5,1.5,1.5",
+                     flag, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot open {path}: No such file or directory\n")
 
     def test_points_file_order_preserved(self, lin4d, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
@@ -249,6 +271,12 @@ class TestSample:
         assert "--counts" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_unwritable_out_exits_2(self, trig3d, tmp_path, capsys):
+        assert main(["sample", trig3d, "--counts", "4,4,4",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot open {tmp_path}: Is a directory\n")
+
     def test_output_loadable(self, trig3d, tmp_path, capsys):
         out_path = str(tmp_path / "res.csv")
         assert main(["sample", trig3d, "--counts", "6,5,4",
@@ -278,6 +306,18 @@ class TestValidate:
         assert "SKIP exactness_quadratic" in out
         assert "SKIP convergence_order" in out
         assert "c1_continuity" in out
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_large_magnitude_user_grid_passes(self, tmp_path, capsys, dim):
+        # fused_oracle bounded the coefficient difference at an absolute
+        # 1e-10, which rounding alone exceeds on samples of magnitude 1e8
+        grid = sample(trig_product_field(dim), [Axis(0.0, 0.5, 9)] * dim)
+        noise = np.random.default_rng(dim).standard_normal(grid.values.shape)
+        path = tmp_path / "big.csv"
+        write_grid_csv(path, RegularGrid(
+            grid.axes, grid.values * (1 + 1e-3 * noise) * 1e8))
+        assert main(["validate", str(path)]) == 0
+        assert "PASS fused_oracle max_scaled_diff=" in capsys.readouterr().out
 
     def test_failing_check_exits_1(self, trig3d, capsys, monkeypatch):
         monkeypatch.setattr(interpolator, "_HORNER",

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyperspline import Axis, BoundaryPolicy, ElementRef, Interpolator
+from hyperspline import (Axis, BoundaryPolicy, ElementRef, Interpolator,
+                         RegularGrid)
 from hyperspline.fields import (
     AnalyticField,
     catmull_rom_1d,
+    check_fused_oracle,
     constant_field,
     continuity_scan,
     convergence_study,
@@ -101,6 +103,17 @@ class TestOracle:
         interp = Interpolator(grid)
         got = interp.coefficients(ElementRef((1, 1, 1, 1)))
         assert np.max(np.abs(alpha - got)) < 1e-10
+
+
+class TestFusedOracleCheck:
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_bound_scales_with_the_samples(self, scale):
+        grid = sample(trig_product_field(3), [Axis(0.0, 0.5, 9)] * 3)
+        grid = RegularGrid(grid.axes, grid.values * scale)
+        assert check_fused_oracle(Interpolator(grid), 10, 0)[0]
+        wrong = Interpolator(grid)
+        wrong.operator = wrong.operator * (1 + 1e-8)
+        assert not check_fused_oracle(wrong, 10, 0)[0]
 
 
 class TestContinuityScan:

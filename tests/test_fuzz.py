@@ -2,11 +2,15 @@
 ``HypersplineError`` and nothing else.
 
 Each test draws arguments of the wrong shape, size or type (ragged
-nesting, text, complex, None, NaN and inf, bools, integers beyond int64)
-and accepts either a successful call or a typed error. Runs are
+nesting, text, complex, None, NaN and inf, bools, integers beyond int64),
+file contents or command lines, and accepts either a successful call or
+a typed error (exit code 2 from the command line). Runs are
 derandomized and keep no example database, so every run draws the same
 examples.
 """
+
+import contextlib
+import io
 
 import numpy as np
 import pytest
@@ -20,8 +24,11 @@ from hyperspline import (
     HypersplineError,
     Interpolator,
     RegularGrid,
+    write_grid_csv,
     write_results_csv,
 )
+from hyperspline.cli import main
+from hyperspline.io import load_grid_csv, load_points_csv
 
 AXES = [Axis(0.0, 1.0, 4)] * 3
 
@@ -170,3 +177,134 @@ def test_results_writer_raises_only_typed_errors(points, component_names,
         write_results_csv(out_path, points, result, component_names)
     except HypersplineError:
         pass
+
+
+# a valid 4x4x4 grid CSV whose lines the file strategies below mutate
+GRID_LINES = ["x,y,z,f"] + [f"{i % 4},{i // 4 % 4},{i // 16},{i}.5"
+                            for i in range(64)]
+
+cells = st.one_of(
+    st.floats().map(repr),
+    st.integers(-3, 5).map(str),
+    st.sampled_from(["", " ", "nan", "-inf", '"1"', '"', "'", "1_0", "#",
+                     "0x1", "x", "y", "z", "t", "f", "\x00"]),
+    st.text(max_size=3))
+csv_lines = st.lists(cells, max_size=6).map(",".join)
+
+
+@st.composite
+def mutated_grid(draw):
+    """GRID_LINES with rows dropped, duplicated, replaced or inserted."""
+    lines = list(GRID_LINES)
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines)))
+        op = draw(st.sampled_from(["drop", "duplicate", "replace", "insert"]))
+        if op == "insert" or i == len(lines):
+            lines.insert(i, draw(st.one_of(st.just(""), csv_lines)))
+        elif op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = draw(csv_lines)
+    return "\n".join(lines).encode("utf-8")
+
+
+file_bytes = st.one_of(
+    st.binary(max_size=300),
+    st.lists(csv_lines, max_size=8).map(
+        lambda lines: "\r\n".join(lines).encode("utf-8")),
+    mutated_grid(),
+    mutated_grid().map(lambda b: b[:40] + b"\xff" + b[40:]))
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    return tmp_path_factory.mktemp("files")
+
+
+@SETTINGS
+@given(data=file_bytes)
+def test_file_loaders_raise_only_typed_errors(files, data):
+    path = files / "drawn.csv"
+    path.write_bytes(data)
+    for load in (load_grid_csv, lambda p: load_points_csv(p, 3),
+                 lambda p: load_points_csv(p, 4)):
+        try:
+            load(path)
+        except HypersplineError:
+            pass
+
+
+@pytest.fixture(scope="module")
+def cli_paths(tmp_path_factory):
+    """Valid grid paths (3D, 4D), other input paths (malformed, a points
+    file, missing, a directory) and output paths (a file, a directory,
+    one in a missing directory)."""
+    root = tmp_path_factory.mktemp("cli")
+    write_grid_csv(root / "g3.csv", RegularGrid(AXES, np.arange(64.0)))
+    write_grid_csv(root / "g4.csv",
+                   RegularGrid([Axis(0.0, 1.0, 4)] * 4, np.arange(256.0)))
+    (root / "bad.csv").write_bytes(b"x,y,z,f\n1,2,3\n")
+    (root / "pts.csv").write_text("x,y,z\n1.5,1.5,1.5\n9,9,9\n")
+    paths = ([root / "g3.csv", root / "g4.csv"],
+             [root / "bad.csv", root / "pts.csv", root / "missing.csv", root],
+             [root / "out.csv", root, root / "missing" / "out.csv"])
+    return [[str(p) for p in group] for group in paths]
+
+
+# option values: mostly well formed (3 or 4 numbers, counts, a policy,
+# a file), sometimes malformed, never text that starts with "-" (argparse
+# reads "--h..." as --help and exits 0). Hypothesis favours the first of
+# several choices, so the well-formed one comes first throughout.
+junk = st.one_of(st.sampled_from(["", ",", "1,,2", "nan,1,1", "1e999,1,1",
+                                  "3,4,4"]),
+                 st.text(max_size=6).filter(lambda t: not t.startswith("-")))
+numbers = st.lists(st.floats(0, 4), min_size=3, max_size=4).map(
+    lambda xs: ",".join(map(repr, xs)))
+counts = st.lists(st.integers(4, 7), min_size=3, max_size=4).map(
+    lambda ns: ",".join(map(str, ns)))
+policies = st.sampled_from(["strict", "linear-ghost"])
+# each command's options; sample's first two are required
+COMMANDS = {"info": [], "query": ["--point", "--points", "--out", "--policy"],
+            "sample": ["--counts", "--out", "--min", "--max", "--policy"]}
+
+
+@st.composite
+def command_lines(draw, paths):
+    grids, inputs, outs = paths
+    # paths are never junk: a drawn name would be written to
+    values = {"--point": numbers,
+              "--points": st.sampled_from(inputs[1:2] + grids + inputs + outs),
+              "--out": st.sampled_from(outs),
+              "--counts": counts, "--min": numbers, "--max": numbers,
+              "--policy": policies}
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [command] + draw(st.sampled_from(
+        [[path] for path in grids + inputs] + [[]]))
+    own = COMMANDS[command]
+    flags = own[:2] if command == "sample" else []
+    # now and then (always for info) an option of another command
+    pool = draw(st.sampled_from([own, sorted(values)] if own
+                                else [sorted(values)]))
+    flags += draw(st.lists(st.sampled_from(pool), max_size=4 if own else 1))
+    for flag in flags:
+        value = values[flag]
+        if flag not in ("--points", "--out"):
+            value = st.one_of(value, junk)
+        argv += [flag, draw(value)]
+    return argv
+
+
+@SETTINGS
+@given(data=st.data())
+def test_cli_exits_only_with_its_codes(cli_paths, data):
+    argv = data.draw(command_lines(cli_paths))
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            code = exc.code
+            assert code == 2
+    assert code in (0, 1, 2)

@@ -9,6 +9,7 @@ from hyperspline import (
     BoundaryPolicy,
     ElementRef,
     HypersplineError,
+    InvalidArgumentError,
     IrregularSpacingError,
     NonFiniteValueError,
     OutOfDomainError,
@@ -19,6 +20,7 @@ from hyperspline import (
 from hyperspline.grid import (
     gather_neighborhoods,
     infer_axis,
+    lattice,
     locate,
     neighborhood_block,
 )
@@ -57,6 +59,30 @@ class TestAxis:
             Axis(0.0, -1.0, 5)
         with pytest.raises(IrregularSpacingError):
             Axis(0.0, 0.0, 5)
+
+    @pytest.mark.parametrize("origin, spacing", [
+        (" 0 ", "1e0"), ("0", 1.0), (0.0, "1"), (b"0", 1.0),
+        (0.0, bytearray(b"1")), (True, 1.0), (0.0, True),
+        (np.bool_(False), 1.0)])
+    def test_text_and_bool_origin_spacing_rejected(self, origin, spacing):
+        # float() parses text and bools: Axis(' 0 ', '1e0', 4) built
+        # Axis(0.0, 1.0, 4)
+        with pytest.raises(InvalidArgumentError, match="real numbers"):
+            Axis(origin, spacing, 4)
+
+    def test_numpy_numbers_accepted(self):
+        assert Axis(np.float32(0.5), np.int64(2), 4) == Axis(0.5, 2.0, 4)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_vertices_in_sample_order(self, dim):
+        axes = [Axis(-0.7, 0.31, 5), Axis(1.0, 0.25, 4), Axis(0.0, 2.0, 6),
+                Axis(5.0, 0.5, 4)][:dim]
+        coords = [a.coordinates() for a in axes]
+        want = [[coords[d][idx[dim - 1 - d]] for d in range(dim)]
+                for idx in np.ndindex(*[a.count for a in axes][::-1])]
+        assert np.array_equal(lattice(axes), np.array(want))
 
 
 class TestInferAxis:

@@ -1,3 +1,4 @@
+import io
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from hyperspline import (
     MissingHeaderError,
     NonFiniteValueError,
     RegularGrid,
+    UnsupportedDimensionError,
     load_grid_csv,
     write_grid_csv,
     write_results_csv,
@@ -26,7 +28,7 @@ from hyperspline import (
 from hyperspline import io as hio
 from hyperspline.fields import linear_field, sample, trig_product_field
 from hyperspline.interpolator import BatchResult
-from hyperspline.io import AXIS_NAMES, result_header
+from hyperspline.io import AXIS_NAMES, load_points_csv, result_header
 
 
 def rows_4d(counts=(4, 4, 4, 4), func=None):
@@ -187,6 +189,77 @@ class TestLoadGridCsv:
         assert str(info.value).startswith(f"{path}: not UTF-8 text")
 
 
+class TestHeaderAfterBlankLines:
+    def test_grid_loads(self, tmp_path):
+        grid = load_grid_csv(write_lines(tmp_path / "g.csv",
+                                         ["", " \t", "x,y,z,t,f"] + rows_4d()))
+        assert grid.counts == (4, 4, 4, 4)
+        assert grid.vertex_value((1, 2, 3, 0)) == 1 + 4 + 9
+
+    def test_grid_bad_row_names_its_line(self, tmp_path):
+        rows = rows_4d()
+        rows[6] = "2,1,0,0"
+        with pytest.raises(IncompleteGridError,
+                           match="line 10 has 4 columns, expected 5"):
+            load_grid_csv(write_lines(tmp_path / "g.csv",
+                                      ["", "", "x,y,z,t,f"] + rows))
+
+    @pytest.mark.parametrize("header", [["x,y,z"], []],
+                             ids=["header", "no-header"])
+    def test_points_load(self, tmp_path, header):
+        path = write_lines(tmp_path / "p.csv",
+                           ["", " "] + header + ["1,2,3", "", "4,5,6"])
+        assert np.array_equal(load_points_csv(path, 3),
+                              [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+
+    @pytest.mark.parametrize("header, line", [(["x,y,z"], 5), ([], 4)],
+                             ids=["header", "no-header"])
+    def test_points_bad_row_names_its_line(self, tmp_path, header, line):
+        path = write_lines(tmp_path / "p.csv",
+                           ["", ""] + header + ["1,2,3", "1,a,3"])
+        with pytest.raises(GridFormatError,
+                           match=f"line {line} has a non-numeric cell"):
+            load_points_csv(path, 3)
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("name, reason", [
+        ("missing/g.csv", "No such file or directory"),
+        (".", "Is a directory"),
+        ("nul\0.csv", "embedded null byte")])
+    def test_unopenable_file_named(self, tmp_path, name, reason):
+        path = tmp_path / name
+        for load in (load_grid_csv, lambda p: load_points_csv(p, 3)):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"cannot open .*{reason}") as info:
+                load(path)
+            assert str(path) in str(info.value)
+
+    def test_unwritable_output_named(self, tmp_path):
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        pts = np.full((2, 3), 2.0)
+        res = Interpolator(grid).eval_batch(pts)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"cannot open {tmp_path}: Is a directory"):
+            write_results_csv(tmp_path, pts, res, grid.component_names)
+        with pytest.raises(InvalidArgumentError,
+                           match=f"cannot open {tmp_path}: Is a directory"):
+            write_grid_csv(tmp_path, grid)
+
+    def test_oversized_header_cell(self, tmp_path):
+        # the csv module's field size limit raised csv.Error
+        path = write_lines(tmp_path / "g.csv",
+                           ["", "x,y,z,t," + "f" * 200_000] + rows_4d())
+        with pytest.raises(GridFormatError, match="line 2: field larger"):
+            load_grid_csv(path)
+
+    @pytest.mark.parametrize("dim", [2, 5, "3", None, True, 3.0])
+    def test_points_dim_must_be_3_or_4(self, tmp_path, dim):
+        path = write_lines(tmp_path / "p.csv", ["1,2,3"])
+        with pytest.raises(UnsupportedDimensionError):
+            load_points_csv(path, dim)
+
+
 def grid_lines(grid):
     """Grid CSV lines, cells written with ``repr``, rows in array order."""
     coords = [a.coordinates() for a in grid.axes]
@@ -314,6 +387,17 @@ class TestResultsCsv:
         assert len(header) == 3 + 3 + 9 + 1
         assert header == result_header(3, grid3.component_names)
 
+
+    def test_open_stream_written_and_left_open(self, tmp_path):
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        pts = np.array([[2.0, 2.5, 1.5], [9.0, 0.0, 0.0]])
+        res = Interpolator(grid).eval_batch(pts)
+        path = tmp_path / "out.csv"
+        stream = io.StringIO()
+        write_results_csv(path, pts, res, grid.component_names)
+        write_results_csv(stream, pts, res, grid.component_names)
+        assert not stream.closed
+        assert stream.getvalue().encode("utf-8") == path.read_bytes()
 
     @pytest.mark.parametrize("points", [
         np.zeros((3, 3)),  # one row more than results

@@ -9,7 +9,6 @@ from hyperspline import UnsupportedDimensionError
 from hyperspline.cli import main
 from hyperspline.operators import (
     constraint_matrix,
-    constraint_quantities,
     difference_matrix,
     integer_inverse,
     monomial_exponents,
@@ -36,41 +35,13 @@ def naive_rational_inverse(mat):
     return [[aug[i][n + j] for j in range(n)] for i in range(n)]
 
 
-class TestQuantities:
-    def test_dim3(self):
-        qs = constraint_quantities(3)
-        assert len(qs) == 8
-        assert [q.mask for q in qs] == list(range(8))
-        assert qs[7].order == 3
-        assert qs[7].label() == "d3f/dxdydz"
-        assert qs[0].label() == "f"
-        assert qs[1].label() == "df/dx"
-
-    def test_dim4(self):
-        qs = constraint_quantities(4)
-        assert len(qs) == 16
-        assert qs[15].order == 4
-        assert qs[15].label() == "d4f/dxdydzdt"
-        # the 8 time-involved quantities, in order of the time-extension
-        # listing: t, xt, yt, zt, xyt, xzt, yzt, xyzt
-        time_masks = [8, 9, 10, 12, 11, 13, 14, 15]
-        assert sorted(time_masks) == [q.mask for q in qs if q.mask & 8]
-        labels = {m: qs[m].label() for m in time_masks}
-        assert labels[8] == "df/dt"
-        assert labels[9] == "d2f/dxdt"
-        assert labels[12] == "d2f/dzdt"
-        assert labels[11] == "d3f/dxdydt"
-
+class TestConstraintMatrix:
     def test_unsupported_dim(self):
-        with pytest.raises(UnsupportedDimensionError):
-            constraint_quantities(2)
         with pytest.raises(UnsupportedDimensionError):
             constraint_matrix(5)
         with pytest.raises(UnsupportedDimensionError):
             difference_matrix(1)
 
-
-class TestConstraintMatrix:
     @pytest.mark.parametrize("dim,size", [(3, 64), (4, 256)])
     def test_shape_and_integrality(self, dim, size):
         c = constraint_matrix(dim)
