@@ -56,6 +56,13 @@ def _parse_ints(text: str, what: str):
             f"{what} must be comma-separated integers, got {text!r}") from None
 
 
+def _non_negative(value: int, flag: str) -> int:
+    if value < 0:
+        raise InvalidArgumentError(
+            f"{flag} must be a non-negative integer, got {value}")
+    return value
+
+
 def _read_points(args, dim: int) -> np.ndarray:
     rows = [_parse_floats(spec, dim, "--point") for spec in args.point or []]
     points = np.array(rows).reshape(len(rows), dim)
@@ -77,11 +84,10 @@ def cmd_info(args) -> int:
     for d, a in enumerate(grid.axes):
         print(f"axis {AXIS_NAMES[d]}: origin={a.origin!r} "
               f"spacing={a.spacing!r} count={a.count}")
-    total = int(np.prod(grid.element_counts()))
-    n_strict = int(np.prod(grid.element_counts(BoundaryPolicy.STRICT)))
-    n_ghost = int(np.prod(grid.element_counts(BoundaryPolicy.LINEAR_GHOST)))
-    print(f"elements: {total} total; valid: strict={n_strict}, "
-          f"linear-ghost={n_ghost}")
+    valid = ", ".join(f"{p.value}={int(np.prod(grid.element_counts(p)))}"
+                      for p in BoundaryPolicy)
+    print(f"elements: {int(np.prod(grid.element_counts()))} total; "
+          f"valid: {valid}")
     for pol in BoundaryPolicy:
         dom = grid.queryable_domain(pol)
         spans = ", ".join(
@@ -173,10 +179,9 @@ def _validate_rows(grid, seed: int):
     string in its place is the reason the check is skipped."""
     if grid is not None:
         interp = Interpolator(grid)
-        ranges = grid.element_base_range(interp.policy)
         return [
-            ("c1_continuity",
-             "too_few_elements" if all(lo == hi for lo, hi in ranges)
+            ("c1_continuity", "too_few_elements"
+             if max(grid.element_counts(interp.policy)) == 1
              else partial(fields.check_c1_continuity, interp, 400, seed)),
             ("vertex_reproduction",
              partial(fields.check_vertex_reproduction, interp, 100, seed)),
@@ -220,6 +225,7 @@ def _validate_rows(grid, seed: int):
 
 
 def cmd_validate(args) -> int:
+    _non_negative(args.seed, "--seed")
     rep = _Report()
     print(f"validation seed={args.seed}")
     grid = load_grid_csv(args.grid) if args.grid else None
@@ -259,48 +265,36 @@ def _machine() -> str:
     return f"machine: cpus={os.cpu_count()} numpy={np.__version__} blas={blas}"
 
 
+def _time_each(call, pts):
+    """``call`` on each point: the results, per-call and total seconds."""
+    out, dts = [], np.empty(len(pts))
+    t0 = time.perf_counter()
+    for i, p in enumerate(pts):
+        s = time.perf_counter()
+        out.append(call(p))
+        dts[i] = time.perf_counter() - s
+    return out, dts, time.perf_counter() - t0
+
+
 def cmd_bench(args) -> int:
     grid = load_grid_csv(args.grid)
     policy = BoundaryPolicy(args.policy)
-    rng = np.random.default_rng(args.seed)
+    n = _non_negative(args.n, "--n")
+    rng = np.random.default_rng(_non_negative(args.seed, "--seed"))
     dom = grid.queryable_domain(policy)
-    n = args.n
-    pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1) \
-        if n else np.empty((0, grid.dim))
+    pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)
     print(f"bench: n={n} seed={args.seed} policy={policy.value}")
     print(_machine())
-    if n == 0:
-        print("value-only     : 0 points")
-        print("value+gradient : 0 points")
-        print("checksum_perpoint=0.0 checksum_batch=0.0")
-        return 0
-
     interp = Interpolator(grid, policy)
-    dts = np.empty(n)
-    t0 = time.perf_counter()
-    for i in range(n):
-        s = time.perf_counter()
-        interp.eval(pts[i])
-        dts[i] = time.perf_counter() - s
-    total = time.perf_counter() - t0
+    _, dts, total = _time_each(interp.eval, pts)
     print(f"value-only     : {n / total:.0f} points/s  {_percentiles(dts)}")
-
-    pvals = np.empty((n, grid.components))
-    pgrads = np.empty((n, grid.components, grid.dim))
-    t0 = time.perf_counter()
-    for i in range(n):
-        s = time.perf_counter()
-        r = interp.eval_with_gradient(pts[i])
-        dts[i] = time.perf_counter() - s
-        pvals[i] = r.values
-        pgrads[i] = r.gradient
-    total = time.perf_counter() - t0
+    out, dts, total = _time_each(interp.eval_with_gradient, pts)
     print(f"value+gradient : {n / total:.0f} points/s  {_percentiles(dts)}")
-
     t0 = time.perf_counter()
     res = interp.eval_batch(pts)
     total = time.perf_counter() - t0
-    psum = float(np.sum(pvals)) + float(np.sum(pgrads))
+    psum = (float(np.sum([r.values for r in out]))
+            + float(np.sum([r.gradient for r in out])))
     bsum = float(np.sum(res.values)) + float(np.sum(res.gradients))
     print(f"batch          : {n / total:.0f} points/s")
     print(f"checksum_perpoint={psum!r} checksum_batch={bsum!r}")

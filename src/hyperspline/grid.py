@@ -24,11 +24,11 @@ point-major, ``(k, 4^dim, m)`` for k elements, so each point's stencil
 is one contiguous block for the evaluation kernel's per-point matrix
 products.
 
-The scalar path works on Python numbers the grid precomputes: per
-policy, one locate row per axis, ``(origin, spacing, lo, hi, cmin,
-cmax)``, so :func:`locate` does only the per-axis float arithmetic and
-:func:`neighborhood_block` only a range check on the same ``lo`` and
-``hi`` before its ``take``.
+Which bases a policy admits is decided once, in the grid's region
+table: per policy one row of Python numbers per axis, ``(origin,
+spacing, lo, hi, cmin, cmax)``, the valid bases ``[lo, hi]`` and the
+coordinates ``[cmin, cmax]`` they cover. The domain methods, both
+locates and both gathers' range checks read it.
 
 Module contents:
     BoundaryPolicy -- Strict / LinearGhost enum
@@ -255,11 +255,9 @@ class RegularGrid:
                 sub[-1] = 2.0 * sub[-2] - sub[-3]
         padded.flags.writeable = False
         if component_names is None:
-            component_names = (("f",) if components == 1 else
-                               tuple(f"f{i}" for i in range(components)))
-        else:
-            component_names = as_component_names(component_names,
-                                                 components)
+            component_names = (["f"] if components == 1 else
+                               [f"f{i}" for i in range(components)])
+        component_names = as_component_names(component_names, components)
         self.axes = axes
         self.components = components
         self.component_names = component_names
@@ -273,17 +271,15 @@ class RegularGrid:
                                    dtype=np.int64)
         stencil = np.indices((4,) * dim).reshape(dim, -1)[::-1]
         self._stencil = stencil.T @ self._strides
-        self._base_bounds = {p: np.array(self.element_base_range(p)).T
-                             for p in BoundaryPolicy}
-        # for the scalar path, on Python numbers: per policy one locate
-        # row per axis, (origin, spacing, lo, hi, cmin, cmax) with the
-        # valid base range [lo, hi] and queryable range [cmin, cmax]; and
-        # the strides
-        self._locate_rows = {
-            p: tuple((a.origin, a.spacing, lo, hi,
-                      a.coordinate(lo), a.coordinate(hi + 1))
-                     for a, (lo, hi) in zip(axes, self.element_base_range(p)))
-            for p in BoundaryPolicy}
+        # the region table, the one statement of the boundary rule: Strict
+        # admits the bases one cell in from each side, whose neighborhoods
+        # are all real samples; LinearGhost, reading ghosts, admits all
+        self._regions = {
+            p: tuple((a.origin, a.spacing, i, a.count - 2 - i,
+                      a.coordinate(i), a.coordinate(a.count - 1 - i))
+                     for a in axes)
+            for p, i in ((BoundaryPolicy.STRICT, 1),
+                         (BoundaryPolicy.LINEAR_GHOST, 0))}
         self._stride_ints = tuple(self._strides.tolist())
 
     @property
@@ -300,31 +296,33 @@ class RegularGrid:
 
     def element_base_range(self, policy: BoundaryPolicy):
         """Per-axis inclusive (lo, hi) of valid element base indices."""
-        if policy is BoundaryPolicy.STRICT:
-            return tuple((1, a.count - 3) for a in self.axes)
-        return tuple((0, a.count - 2) for a in self.axes)
+        return tuple(row[2:4] for row in self._regions[policy])
 
     def queryable_domain(self, policy: BoundaryPolicy):
         """Per-axis inclusive (min, max) physical coordinates of queries."""
-        return tuple(
-            (a.coordinate(lo), a.coordinate(hi + 1))
-            for a, (lo, hi) in zip(self.axes, self.element_base_range(policy))
-        )
+        return tuple(row[4:] for row in self._regions[policy])
 
     def element_counts(self, policy: BoundaryPolicy = None):
-        """Number of elements per axis; valid ones only if a policy is given."""
-        if policy is None:
-            return tuple(a.count - 1 for a in self.axes)
-        return tuple(hi - lo + 1 for lo, hi in self.element_base_range(policy))
+        """Number of elements per axis; valid ones only if a policy is given
+        (all of them are valid under LinearGhost)."""
+        rows = self._regions[policy or BoundaryPolicy.LINEAR_GHOST]
+        return tuple(hi - lo + 1 for _, _, lo, hi, _, _ in rows)
 
 
 def as_component_names(names, components: int) -> tuple:
     """``names`` as a tuple of ``components`` strings; InvalidArgumentError
-    unless ``names`` is a sequence of that many labels."""
+    unless ``names`` is a sequence of that many labels, each one text
+    that a UTF-8 file can hold (a lone surrogate cannot)."""
     labels = tuple(map(str, names)) if np.iterable(names) else ()
     if len(labels) != components:
         raise InvalidArgumentError(
             f"need {components} component names, got {names!r}")
+    try:
+        "".join(labels).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise InvalidArgumentError(
+            f"component names must be UTF-8 text, got {names!r} "
+            f"({exc.reason})") from None
     return labels
 
 
@@ -354,8 +352,8 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
     Returns ``(ElementRef, u)`` with ``u`` in the unit cell ``[0, 1]^dim``.
     A point exactly on the upper queryable boundary maps to the last valid
     element with ``u = 1``. The arithmetic is that of
-    :func:`locate_points`, on Python floats and the grid's precomputed
-    locate rows, so both agree bit for bit.
+    :func:`locate_points`, on Python floats and the rows of the grid's
+    region table for ``policy``, so both agree bit for bit.
 
     Raises
     ------
@@ -372,7 +370,7 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
             f"point must have {grid.dim} coordinates, got shape {p.shape}")
     base, u = [], []
     for d, (x, (origin, spacing, lo, hi, cmin, cmax)) in enumerate(
-            zip(p.tolist(), grid._locate_rows[policy])):
+            zip(p.tolist(), grid._regions[policy])):
         if not (cmin <= x <= cmax):
             raise OutOfDomainError(
                 f"coordinate {x!r} on axis {d} outside queryable "
@@ -390,21 +388,22 @@ def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
     Returns ``(bases, u, ok)``: ``(n, dim)`` element base indices, the
     ``(dim, n)`` local coordinates and an ``(n,)`` mask of the points
     inside the queryable domain. Rows of points outside it hold
-    arbitrary in-range bases instead of raising.
+    arbitrary in-range bases instead of raising. One pass per axis, on
+    its region-table row and column of coordinates.
     """
     n = points.shape[0]
     bases = np.empty((n, grid.dim), dtype=np.int64)
     u = np.empty((grid.dim, n))
     ok = np.ones(n, dtype=bool)
-    for d, (a, (lo, hi)) in enumerate(
-            zip(grid.axes, grid.element_base_range(policy))):
+    for d, (origin, spacing, lo, hi, cmin, cmax) in enumerate(
+            grid._regions[policy]):
         x = points[:, d]
-        ok &= (x >= a.coordinate(lo)) & (x <= a.coordinate(hi + 1))
-        b = np.floor((x - a.origin) / a.spacing)
+        ok &= (x >= cmin) & (x <= cmax)
+        b = np.floor((x - origin) / spacing)
         b = np.where(np.isfinite(b), b, lo)
         b = np.clip(b, lo, hi)
         bases[:, d] = b
-        u[d] = np.clip((x - (a.origin + b * a.spacing)) / a.spacing, 0.0, 1.0)
+        u[d] = np.clip((x - (origin + b * spacing)) / spacing, 0.0, 1.0)
     return bases, u, ok
 
 
@@ -425,7 +424,7 @@ def gather_neighborhoods(grid: RegularGrid, bases,
         If any base lies outside ``grid.element_base_range(policy)``.
     """
     bases = np.asarray(bases, dtype=np.int64)
-    lo, hi = grid._base_bounds[policy]
+    lo, hi = np.array(grid.element_base_range(policy)).T
     bad = (bases < lo) | (bases > hi)
     if bad.any():
         first = bases[bad.any(axis=-1)][0]
@@ -442,7 +441,7 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
 
     The one-element slice of :func:`gather_neighborhoods`, with the same
     row order and the same ghost samples: a range check on Python ints
-    against the policy's locate rows, then one ``take`` at the base's
+    against the policy's region table, then one ``take`` at the base's
     flat offset.
 
     Raises
@@ -462,7 +461,7 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
         raise DimensionMismatchError(
             f"element base must have {grid.dim} entries, got {base}")
     if not all(lo <= b <= hi for b, (_, _, lo, hi, _, _)
-               in zip(base, grid._locate_rows[policy])):
+               in zip(base, grid._regions[policy])):
         raise IndexError(
             f"element base {base} outside valid range under {policy.value}")
     offset = sum(b * s for b, s in zip(base, grid._stride_ints))

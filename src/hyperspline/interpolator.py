@@ -29,8 +29,8 @@ A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
 is the same kernel with k = 1, about 60 µs in 4D (p50 of ``hyperspline
 bench`` on a 14^4 x 3 grid; 2 CPUs, numpy 2.4.6, scipy-openblas 0.3.31),
 most of it numpy dispatch on tiny arrays:
-:func:`~hyperspline.grid.locate` reads the grid's precomputed per-axis
-locate rows on Python floats and
+:func:`~hyperspline.grid.locate` reads the grid's region table on
+Python floats and
 :func:`~hyperspline.grid.neighborhood_block` fetches the cell's stencil
 with one ``take``. The grid stores its ghost layers, so the boundary
 policy only sets which cells are valid: an edge cell under
@@ -212,7 +212,6 @@ class Interpolator:
         self.policy = policy
         self.operator = operator_set(grid.dim)
         self._spacings = np.array([a.spacing for a in grid.axes])
-        self._base_range = grid.element_base_range(policy)
         # kernel columns of the first partial along each axis
         self._gradient_cols = [1 << d for d in range(grid.dim)]
         # points per eval_batch chunk: 1.5 MB of gathered float64 samples
@@ -254,7 +253,8 @@ class Interpolator:
 
     def precompute_all(self):
         """Fill the cache for every valid element."""
-        ranges = [range(lo, hi + 1) for lo, hi in self._base_range]
+        ranges = [range(lo, hi + 1)
+                  for lo, hi in self.grid.element_base_range(self.policy)]
         grids = np.meshgrid(*ranges, indexing="ij")
         for base in zip(*(g.reshape(-1) for g in grids)):
             self.coefficients(ElementRef(base))

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import os
 
 import numpy as np
 
@@ -114,13 +115,15 @@ def _bad_line(lines, ncols, path, first_line):
 def _open_text(path, mode="r"):
     """Open a file as UTF-8 text, for reading unless ``mode`` is "w".
 
-    A file that cannot be opened raises ``InvalidArgumentError`` naming
-    it and the reason; bytes that do not decode raise ``GridFormatError``
-    naming the file.
+    A file that cannot be opened, or anything but a path (such as a file
+    descriptor), raises ``InvalidArgumentError`` naming it and the
+    reason; bytes that do not decode raise ``GridFormatError`` naming it.
     """
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidArgumentError(f"cannot open {path!r}: not a file path")
     try:
         fh = open(path, mode, encoding="utf-8", newline="")
-    # TypeError: not a path; ValueError: a NUL in it
+    # TypeError: a path-like that returns no path; ValueError: a NUL
     except (OSError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(
             f"cannot open {path}: {getattr(exc, 'strerror', None) or exc}"
@@ -265,6 +268,9 @@ def write_grid_csv(path, grid: RegularGrid):
     full precision so re-inferred axes agree to 1e-15 relative. The
     header names the grid's ``component_names``.
     """
+    if not isinstance(grid, RegularGrid):
+        raise InvalidArgumentError(
+            f"grid must be a RegularGrid, got {grid!r}")
     table = np.column_stack([lattice(grid.axes),
                              grid.values.reshape(-1, grid.components)])
     with _open_text(path, "w") as fh:

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,7 +112,7 @@ class TestQuery:
                      "--point", "9.0,9.0,9.0,9.0",
                      "--out", out_path])
         assert code == 0
-        lines = open(out_path, encoding="utf-8").read().strip().split("\n")
+        lines = Path(out_path).read_text(encoding="utf-8").strip().split("\n")
         header = lines[0].split(",")
         # dim + m + m*dim + error
         assert len(header) == 4 + 1 + 4 + 1
@@ -148,7 +149,7 @@ class TestQuery:
         out_path = str(tmp_path / "res.csv")
         assert main(["query", lin4d, "--points", str(pts),
                      "--out", out_path]) == 0
-        lines = open(out_path, encoding="utf-8").read().strip().split("\n")
+        lines = Path(out_path).read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 4
         assert [float(c) for c in lines[1].split(",")[:4]] == [1.5] * 4
         assert [float(c) for c in lines[3].split(",")[:4]] == [1.1, 1.2,
@@ -162,7 +163,7 @@ class TestQuery:
         assert main(["query", lin4d, "--point", "1.1,1.2,1.3,1.4",
                      "--points", str(pts), "--point", "3,3,3,3",
                      "--out", out_path]) == 0
-        lines = open(out_path, encoding="utf-8").read().strip().split("\n")
+        lines = Path(out_path).read_text(encoding="utf-8").strip().split("\n")
         assert [ln.split(",")[:4] for ln in lines[1:]] == [
             ["1.1", "1.2", "1.3", "1.4"], ["3.0"] * 4, ["1.5"] * 4,
             ["2.5"] * 4]
@@ -327,6 +328,24 @@ class TestValidate:
         assert "FAIL vertex_reproduction_dim3" in out
         assert out.strip().split("\n")[-1].startswith("result: FAIL")
         assert main(["validate", trig3d]) == 1
+
+
+class TestNegativeNumbers:
+    # each ended in a ValueError traceback with exit 1
+    @pytest.mark.parametrize("argv, flag", [
+        (["bench", "GRID", "--n", "-5"], "--n"),
+        (["bench", "GRID", "--seed", "-1"], "--seed"),
+        (["validate", "--seed", "-1"], "--seed"),
+        (["validate", "GRID", "--seed", "-1"], "--seed"),
+    ], ids=["bench-n", "bench-seed", "validate-seed", "validate-grid-seed"])
+    def test_exit_2_with_one_error_line(self, lin4d, capsys, argv, flag):
+        argv = [lin4d if a == "GRID" else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {flag} must be a non-negative integer, "
+            f"got {argv[-1]}\n")
+        assert "result:" not in captured.out
 
 
 class TestBench:

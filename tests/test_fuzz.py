@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 
 from hyperspline import (
     Axis,
+    BoundaryPolicy,
     ElementRef,
     HypersplineError,
     Interpolator,
@@ -31,6 +32,7 @@ from hyperspline.cli import main
 from hyperspline.io import load_grid_csv, load_points_csv
 
 AXES = [Axis(0.0, 1.0, 4)] * 3
+GRID = RegularGrid(AXES, np.arange(64.0))
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -93,9 +95,40 @@ def test_grid_raises_only_typed_errors(axes, values, components):
         pass
 
 
+@SETTINGS
+@given(grid=st.one_of(st.just(GRID), scalars, ragged, arrays),
+       policy=st.one_of(st.sampled_from(list(BoundaryPolicy)),
+                        st.sampled_from([p.value for p in BoundaryPolicy]),
+                        scalars, ragged, arrays))
+def test_interpolator_raises_only_typed_errors(grid, policy):
+    try:
+        Interpolator(grid, policy)
+    except HypersplineError:
+        pass
+
+
 @pytest.fixture(scope="module")
 def interp():
-    return Interpolator(RegularGrid(AXES, np.arange(64.0)))
+    return Interpolator(GRID)
+
+
+@pytest.fixture(scope="module")
+def ghost_interp():
+    return Interpolator(GRID, BoundaryPolicy.LINEAR_GHOST)
+
+
+@SETTINGS
+@given(elem=st.one_of(scalars, ragged, arrays,
+                      st.lists(st.integers(0, 2), max_size=5).map(
+                          lambda base: ElementRef(tuple(base)))))
+def test_coefficients_raise_only_typed_errors(ghost_interp, elem):
+    # linear-ghost admits bases 0..2 on 4 vertices, so every ElementRef
+    # drawn is in range when of length 3: an element out of range is
+    # documented to raise IndexError
+    try:
+        ghost_interp.coefficients(elem)
+    except HypersplineError:
+        pass
 
 
 @SETTINGS
@@ -175,6 +208,30 @@ def test_results_writer_raises_only_typed_errors(points, component_names,
                                                  result, out_path):
     try:
         write_results_csv(out_path, points, result, component_names)
+    except HypersplineError:
+        pass
+
+
+# anything but a path; positive integers are left out, since a writer
+# that took one for a file descriptor would write into the test process
+# (test_io covers them with a pipe)
+not_paths = st.one_of(st.none(), st.booleans(), st.floats(),
+                      st.complex_numbers(max_magnitude=1e3),
+                      st.integers(-2 ** 70, -1), ragged, arrays)
+
+
+@SETTINGS
+@given(data=st.data(),
+       grid=st.one_of(st.just(GRID), scalars, ragged, arrays))
+def test_grid_writer_raises_only_typed_errors(out_path, data, grid):
+    # out_path is a file; its directory, and a file in a missing one,
+    # cannot be written
+    path = data.draw(st.one_of(
+        st.sampled_from([out_path, out_path.parent,
+                         out_path.parent / "missing" / "grid.csv"]),
+        not_paths))
+    try:
+        write_grid_csv(path, grid)
     except HypersplineError:
         pass
 
@@ -265,9 +322,14 @@ numbers = st.lists(st.floats(0, 4), min_size=3, max_size=4).map(
 counts = st.lists(st.integers(4, 7), min_size=3, max_size=4).map(
     lambda ns: ",".join(map(str, ns)))
 policies = st.sampled_from(["strict", "linear-ghost"])
+# a few points for bench, small seeds and ones beyond int64; both may
+# be negative
+point_counts = st.integers(-5, 20)
+seeds = st.one_of(st.integers(-5, 5), st.integers(-2 ** 70, 2 ** 70))
 # each command's options; sample's first two are required
 COMMANDS = {"info": [], "query": ["--point", "--points", "--out", "--policy"],
-            "sample": ["--counts", "--out", "--min", "--max", "--policy"]}
+            "sample": ["--counts", "--out", "--min", "--max", "--policy"],
+            "validate": ["--seed"], "bench": ["--n", "--seed", "--policy"]}
 
 
 @st.composite
@@ -278,10 +340,14 @@ def command_lines(draw, paths):
               "--points": st.sampled_from(inputs[1:2] + grids + inputs + outs),
               "--out": st.sampled_from(outs),
               "--counts": counts, "--min": numbers, "--max": numbers,
-              "--policy": policies}
+              "--policy": policies, "--n": point_counts.map(str),
+              "--seed": seeds.map(str)}
     command = draw(st.sampled_from(sorted(COMMANDS)))
+    # validate always gets a grid, the tiny 3D one or a bad one: without
+    # one it runs the full built-in suite, about 1.6 s
     argv = [command] + draw(st.sampled_from(
-        [[path] for path in grids + inputs] + [[]]))
+        [[grids[0]]] + [[path] for path in inputs] if command == "validate"
+        else [[path] for path in grids + inputs] + [[]]))
     own = COMMANDS[command]
     flags = own[:2] if command == "sample" else []
     # now and then (always for info) an option of another command
@@ -296,15 +362,34 @@ def command_lines(draw, paths):
     return argv
 
 
-@SETTINGS
-@given(data=st.data())
-def test_cli_exits_only_with_its_codes(cli_paths, data):
-    argv = data.draw(command_lines(cli_paths))
+def run_cli(argv) -> int:
+    """``main(argv)``'s exit code, its output swallowed."""
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         try:
-            code = main(argv)
+            return main(argv)
         except SystemExit as exc:  # argparse rejected the command line
-            code = exc.code
-            assert code == 2
-    assert code in (0, 1, 2)
+            assert exc.code == 2
+            return exc.code
+
+
+@SETTINGS
+@given(data=st.data())
+def test_cli_exits_only_with_its_codes(cli_paths, data):
+    assert run_cli(data.draw(command_lines(cli_paths))) in (0, 1, 2)
+
+
+@settings(SETTINGS, max_examples=50)
+@given(command=st.sampled_from(["bench", "validate"]), n=point_counts,
+       seed=seeds, policy=policies)
+def test_bench_and_validate_reject_negative_numbers(cli_paths, command, n,
+                                                    seed, policy):
+    # well-formed command lines on the tiny 3D grid: a negative count
+    # or seed is an input error, anything else a run that passes
+    argv = [command, cli_paths[0][0], "--seed", str(seed)]
+    if command == "bench":
+        argv += ["--n", str(n), "--policy", policy]
+    else:
+        n = 0
+    assert run_cli(argv) == (2 if min(n, seed) < 0 else 0)
+

@@ -150,6 +150,13 @@ class TestRegularGrid:
         assert grid.queryable_domain(STRICT) == (((1.0, 2.0),) * 4)
         assert grid.queryable_domain(GHOST) == (((0.0, 3.0),) * 4)
 
+    @pytest.mark.parametrize("names", [["\udc80"], ["f\ud800"]])
+    def test_rejects_unencodable_component_names(self, names):
+        # accepted, then write_grid_csv raised UnicodeEncodeError
+        with pytest.raises(InvalidArgumentError, match="UTF-8"):
+            RegularGrid([Axis(0, 1, 4)] * 3, np.zeros(64),
+                        component_names=names)
+
     def test_values_read_only(self):
         grid = unit_grid(3)
         with pytest.raises(ValueError):

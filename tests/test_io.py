@@ -246,6 +246,40 @@ class TestFileErrors:
                            match=f"cannot open {tmp_path}: Is a directory"):
             write_grid_csv(tmp_path, grid)
 
+    def test_file_descriptor_is_not_a_path(self):
+        # open() took an integer for a descriptor: the loaders read and
+        # the writers wrote and closed it
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        res = Interpolator(grid).eval_batch(np.full((2, 3), 2.0))
+        read_fd, write_fd = os.pipe()
+        try:
+            # writers first: a loader would wait on the open pipe
+            for call in (lambda: write_grid_csv(write_fd, grid),
+                         lambda: write_results_csv(
+                             write_fd, np.full((2, 3), 2.0), res,
+                             grid.component_names),
+                         lambda: load_grid_csv(read_fd),
+                         lambda: load_points_csv(read_fd, 3)):
+                with pytest.raises(InvalidArgumentError,
+                                   match="not a file path"):
+                    call()
+            os.write(write_fd, b"open")  # still open, nothing written
+            os.close(write_fd)
+            assert os.read(read_fd, 100) == b"open"
+        finally:
+            for fd in (read_fd, write_fd):
+                try:
+                    os.close(fd)
+                except OSError:
+                    pass
+
+    def test_grid_writer_rejects_what_is_not_a_grid(self, tmp_path):
+        # an AttributeError escaped
+        path = tmp_path / "g.csv"
+        with pytest.raises(InvalidArgumentError, match="RegularGrid"):
+            write_grid_csv(path, np.zeros((4, 4, 4)))
+        assert not path.exists()
+
     def test_oversized_header_cell(self, tmp_path):
         # the csv module's field size limit raised csv.Error
         path = write_lines(tmp_path / "g.csv",
@@ -433,6 +467,18 @@ class TestResultsCsv:
         with pytest.raises(InvalidArgumentError, match="component names"):
             write_results_csv(path, pts, res, names)
         assert not path.exists()
+
+    def test_unencodable_component_name_keeps_the_file(self, tmp_path):
+        # a lone surrogate raised UnicodeEncodeError after the file was
+        # opened, and so truncated
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        pts = np.full((2, 3), 2.0)
+        res = Interpolator(grid).eval_batch(pts)
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(InvalidArgumentError, match="UTF-8"):
+            write_results_csv(path, pts, res, ["\udc80"])
+        assert path.read_bytes() == b"kept\n"
 
 
 def reference_write_grid_csv(path, grid):
