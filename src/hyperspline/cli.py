@@ -8,6 +8,9 @@ Subcommands:
                  that need no analytic truth on a user grid
     bench     -- throughput / latency measurement
 
+``--point``, ``--min`` and ``--max`` are read as a line of a points
+file is, and ``--policy`` goes to ``Interpolator`` as given.
+
 Exit codes: 0 success, 1 validation failure, 2 usage or input error.
 The environment variable ``HYPERSPLINE_THREADS`` sets the batch worker
 count: serial when unset, one worker per CPU for 0, n for n.
@@ -20,32 +23,33 @@ import os
 import sys
 import time
 from functools import partial
+from io import StringIO
 
 import numpy as np
 
 from . import fields
 from .errors import HypersplineError, InvalidArgumentError
-from .grid import Axis, BoundaryPolicy, RegularGrid, lattice
+from .grid import AXIS_NAMES, Axis, BoundaryPolicy, RegularGrid, lattice
 from .interpolator import Interpolator
 from .io import (
-    AXIS_NAMES,
     load_grid_csv,
     load_points_csv,
+    parse_rows,
     write_grid_csv,
     write_results_csv,
 )
 
 
-def _parse_floats(text: str, want: int, what: str) -> np.ndarray:
+def _parse_floats(text: str, want: int, what: str) -> list:
+    """``text`` read as one line of a points file with ``want`` columns."""
     try:
-        vals = np.array([float(p) for p in text.split(",")])
-    except ValueError:
-        raise InvalidArgumentError(
-            f"{what} must be comma-separated numbers, got {text!r}") from None
-    if want and vals.size != want:
-        raise InvalidArgumentError(
-            f"{what} needs {want} values, got {vals.size}")
-    return vals
+        rows = parse_rows(StringIO(text), want, what, 1)
+    except HypersplineError:
+        rows = ()
+    if len(rows) != 1 or "\n" in text or "\r" in text:
+        raise InvalidArgumentError(f"{what} must be comma-separated numbers, "
+                                   f"got {text!r}, expected {want}")
+    return rows[0].tolist()
 
 
 def _parse_ints(text: str, what: str):
@@ -103,7 +107,7 @@ def cmd_info(args) -> int:
 
 def cmd_query(args) -> int:
     grid = load_grid_csv(args.grid)
-    interp = Interpolator(grid, BoundaryPolicy(args.policy))
+    interp = Interpolator(grid, args.policy)
     points = _read_points(args, grid.dim)
     res = interp.eval_batch(points)
     write_results_csv(args.out or sys.stdout, points, res,
@@ -119,32 +123,26 @@ def cmd_query(args) -> int:
 
 def cmd_sample(args) -> int:
     grid = load_grid_csv(args.grid)
-    policy = BoundaryPolicy(args.policy)
-    interp = Interpolator(grid, policy)
+    interp = Interpolator(grid, args.policy)
     counts = _parse_ints(args.counts, "--counts")
-    if len(counts) != grid.dim:
-        raise InvalidArgumentError(f"--counts needs {grid.dim} values")
-    if min(counts) < 4:
+    if len(counts) != grid.dim or min(counts) < 4:
         raise InvalidArgumentError(
-            f"--counts must each be at least 4 (an axis needs 4 points), "
-            f"got {args.counts!r}")
-    dom = grid.queryable_domain(policy)
+            f"--counts must be {grid.dim} integers of at least 4 (an axis "
+            f"needs 4 points), got {args.counts!r}")
+    dom = np.array(grid.queryable_domain(interp.policy))
     lo = (_parse_floats(args.min, grid.dim, "--min") if args.min
-          else np.array([d[0] for d in dom]))
+          else dom[:, 0].tolist())
     hi = (_parse_floats(args.max, grid.dim, "--max") if args.max
-          else np.array([d[1] for d in dom]))
-    for d in range(grid.dim):
-        if not (dom[d][0] <= lo[d] < hi[d] <= dom[d][1]):
+          else dom[:, 1].tolist())
+    for d, (dmin, dmax) in enumerate(dom.tolist()):
+        if not (dmin <= lo[d] < hi[d] <= dmax):
             raise InvalidArgumentError(
-                f"target range [{float(lo[d])!r}, {float(hi[d])!r}] on "
-                f"axis {AXIS_NAMES[d]} outside queryable "
-                f"[{dom[d][0]!r}, {dom[d][1]!r}]")
-    axes = tuple(Axis(float(lo[d]), float((hi[d] - lo[d]) / (counts[d] - 1)),
-                      counts[d]) for d in range(grid.dim))
-    res = interp.eval_batch(lattice(axes))
-    if not np.all(res.ok):
-        raise InvalidArgumentError(
-            "resampling lattice left the queryable domain")
+                f"target range [{lo[d]!r}, {hi[d]!r}] on axis "
+                f"{AXIS_NAMES[d]} outside queryable [{dmin!r}, {dmax!r}]")
+    axes = tuple(Axis(lo[d], (hi[d] - lo[d]) / (counts[d] - 1), counts[d])
+                 for d in range(grid.dim))
+    # a last vertex may pass the domain's end by an ulp: clip it back
+    res = interp.eval_batch(np.clip(lattice(axes), dom[:, 0], dom[:, 1]))
     out_grid = RegularGrid(axes, res.values.reshape(-1),
                            components=grid.components,
                            component_names=grid.component_names)
@@ -278,14 +276,13 @@ def _time_each(call, pts):
 
 def cmd_bench(args) -> int:
     grid = load_grid_csv(args.grid)
-    policy = BoundaryPolicy(args.policy)
+    interp = Interpolator(grid, args.policy)
     n = _non_negative(args.n, "--n")
     rng = np.random.default_rng(_non_negative(args.seed, "--seed"))
-    dom = grid.queryable_domain(policy)
+    dom = grid.queryable_domain(interp.policy)
     pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)
-    print(f"bench: n={n} seed={args.seed} policy={policy.value}")
+    print(f"bench: n={n} seed={args.seed} policy={interp.policy.value}")
     print(_machine())
-    interp = Interpolator(grid, policy)
     _, dts, total = _time_each(interp.eval, pts)
     print(f"value-only     : {n / total:.0f} points/s  {_percentiles(dts)}")
     out, dts, total = _time_each(interp.eval_with_gradient, pts)
@@ -363,8 +360,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 0
-    except HypersplineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (HypersplineError, MemoryError) as exc:  # MemoryError: --n 1e15
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -28,7 +28,10 @@ Which bases a policy admits is decided once, in the grid's region
 table: per policy one row of Python numbers per axis, ``(origin,
 spacing, lo, hi, cmin, cmax)``, the valid bases ``[lo, hi]`` and the
 coordinates ``[cmin, cmax]`` they cover. The domain methods, both
-locates and both gathers' range checks read it.
+locates and both gathers' range checks read it. Each of them takes a
+policy as a ``BoundaryPolicy`` or its value (``"strict"``,
+``"linear-ghost"``), as ``Interpolator`` does; the table is keyed by
+both, so a query converts nothing.
 
 Module contents:
     BoundaryPolicy -- Strict / LinearGhost enum
@@ -39,7 +42,8 @@ Module contents:
     is_integer     -- whether an argument is an integer (bools are not)
     is_real        -- whether an argument is a real number (bools are not)
     lattice        -- the vertex coordinates of axes, in sample order
-    as_component_names -- component labels, checked against their count
+    as_policy      -- a BoundaryPolicy from a member or its value
+    as_component_names -- component labels a CSV header carries back
     as_coordinates -- query coordinates as float64, typed errors otherwise
     locate         -- map a physical point to (element, local coords)
     locate_points  -- the same for many points, flagging those outside
@@ -67,6 +71,10 @@ from .errors import (
     TooFewPointsError,
     UnsupportedDimensionError,
 )
+from .operators import neighborhood_offsets
+
+#: Coordinate column names of grid, points and result CSV files, per axis.
+AXIS_NAMES = ("x", "y", "z", "t")
 
 #: Relative tolerance used when checking that axis gaps are uniform.
 SPACING_RTOL = 1e-9
@@ -269,17 +277,18 @@ class RegularGrid:
         # its base's row, in sample-row order
         self._strides = np.cumprod((1,) + tuple(c + 2 for c in counts[:-1]),
                                    dtype=np.int64)
-        stencil = np.indices((4,) * dim).reshape(dim, -1)[::-1]
-        self._stencil = stencil.T @ self._strides
+        self._stencil = (neighborhood_offsets(dim) + 1) @ self._strides
         # the region table, the one statement of the boundary rule: Strict
         # admits the bases one cell in from each side, whose neighborhoods
-        # are all real samples; LinearGhost, reading ghosts, admits all
-        self._regions = {
-            p: tuple((a.origin, a.spacing, i, a.count - 2 - i,
-                      a.coordinate(i), a.coordinate(a.count - 1 - i))
-                     for a in axes)
-            for p, i in ((BoundaryPolicy.STRICT, 1),
-                         (BoundaryPolicy.LINEAR_GHOST, 0))}
+        # are all real samples; LinearGhost, reading ghosts, admits all.
+        # Keyed by each policy and its value.
+        self._regions = {}
+        for p, i in ((BoundaryPolicy.STRICT, 1),
+                     (BoundaryPolicy.LINEAR_GHOST, 0)):
+            self._regions[p] = self._regions[p.value] = tuple(
+                (a.origin, a.spacing, i, a.count - 2 - i,
+                 a.coordinate(i), a.coordinate(a.count - 1 - i))
+                for a in axes)
         self._stride_ints = tuple(self._strides.tolist())
 
     @property
@@ -294,25 +303,48 @@ class RegularGrid:
         """Sample at integer vertex ``index = (i_x, i_y, i_z[, i_t])``."""
         return float(self.values[tuple(index[::-1]) + (component,)])
 
+    def _rows(self, policy):
+        """The region table's rows for ``policy``, a BoundaryPolicy or its
+        value; InvalidArgumentError for anything else."""
+        try:
+            return self._regions[policy]
+        except (KeyError, TypeError):  # TypeError: unhashable
+            return self._regions[as_policy(policy)]
+
     def element_base_range(self, policy: BoundaryPolicy):
         """Per-axis inclusive (lo, hi) of valid element base indices."""
-        return tuple(row[2:4] for row in self._regions[policy])
+        return tuple(row[2:4] for row in self._rows(policy))
 
     def queryable_domain(self, policy: BoundaryPolicy):
         """Per-axis inclusive (min, max) physical coordinates of queries."""
-        return tuple(row[4:] for row in self._regions[policy])
+        return tuple(row[4:] for row in self._rows(policy))
 
     def element_counts(self, policy: BoundaryPolicy = None):
         """Number of elements per axis; valid ones only if a policy is given
         (all of them are valid under LinearGhost)."""
-        rows = self._regions[policy or BoundaryPolicy.LINEAR_GHOST]
+        rows = self._rows(BoundaryPolicy.LINEAR_GHOST if policy is None
+                          else policy)
         return tuple(hi - lo + 1 for _, _, lo, hi, _, _ in rows)
+
+
+def as_policy(policy) -> BoundaryPolicy:
+    """``policy`` as a BoundaryPolicy, given a member or its value;
+    InvalidArgumentError for anything else."""
+    try:
+        return BoundaryPolicy(policy)
+    except ValueError:
+        raise InvalidArgumentError(
+            f"unknown boundary policy {policy!r}, expected one of "
+            f"{[p.value for p in BoundaryPolicy]}") from None
 
 
 def as_component_names(names, components: int) -> tuple:
     """``names`` as a tuple of ``components`` strings; InvalidArgumentError
     unless ``names`` is a sequence of that many labels, each one text
-    that a UTF-8 file can hold (a lone surrogate cannot)."""
+    that a UTF-8 file can hold (a lone surrogate cannot) and that a CSV
+    header carries back unchanged: no comma, double quote or line break,
+    no leading or trailing whitespace, and no axis name (x, y, z, t),
+    which a header would read as a coordinate column."""
     labels = tuple(map(str, names)) if np.iterable(names) else ()
     if len(labels) != components:
         raise InvalidArgumentError(
@@ -323,6 +355,13 @@ def as_component_names(names, components: int) -> tuple:
         raise InvalidArgumentError(
             f"component names must be UTF-8 text, got {names!r} "
             f"({exc.reason})") from None
+    for name in labels:
+        if (name != name.strip() or name in AXIS_NAMES
+                or any(c in name for c in ',"\r\n')):
+            raise InvalidArgumentError(
+                f"component name {name!r} would not read back from a CSV "
+                f"header: it holds a comma, quote, line break or "
+                f"surrounding space, or is an axis name")
     return labels
 
 
@@ -370,11 +409,12 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
             f"point must have {grid.dim} coordinates, got shape {p.shape}")
     base, u = [], []
     for d, (x, (origin, spacing, lo, hi, cmin, cmax)) in enumerate(
-            zip(p.tolist(), grid._regions[policy])):
+            zip(p.tolist(), grid._rows(policy))):
         if not (cmin <= x <= cmax):
             raise OutOfDomainError(
                 f"coordinate {x!r} on axis {d} outside queryable "
-                f"range [{cmin!r}, {cmax!r}] under {policy.value}")
+                f"range [{cmin!r}, {cmax!r}] under "
+                f"{as_policy(policy).value}")
         b = min(max(math.floor((x - origin) / spacing), lo), hi)
         base.append(b)
         ud = (x - (origin + b * spacing)) / spacing
@@ -383,20 +423,31 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
 
 
 def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
-    """Vectorised :func:`locate` for an ``(n, dim)`` array of points.
+    """Vectorised :func:`locate` for ``(n, dim)`` points.
 
     Returns ``(bases, u, ok)``: ``(n, dim)`` element base indices, the
     ``(dim, n)`` local coordinates and an ``(n,)`` mask of the points
     inside the queryable domain. Rows of points outside it hold
     arbitrary in-range bases instead of raising. One pass per axis, on
     its region-table row and column of coordinates.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``points`` is not ``(n, grid.dim)``.
+    InvalidPointError
+        If a coordinate is complex or not a number.
     """
+    points = as_coordinates(points)
+    if points.ndim != 2 or points.shape[1] != grid.dim:
+        raise DimensionMismatchError(
+            f"points must have shape (n, {grid.dim}), got {points.shape}")
     n = points.shape[0]
     bases = np.empty((n, grid.dim), dtype=np.int64)
     u = np.empty((grid.dim, n))
     ok = np.ones(n, dtype=bool)
     for d, (origin, spacing, lo, hi, cmin, cmax) in enumerate(
-            grid._regions[policy]):
+            grid._rows(policy)):
         x = points[:, d]
         ok &= (x >= cmin) & (x <= cmax)
         b = np.floor((x - origin) / spacing)
@@ -420,17 +471,31 @@ def gather_neighborhoods(grid: RegularGrid, bases,
 
     Raises
     ------
+    InvalidArgumentError
+        If ``bases`` are not integers.
+    DimensionMismatchError
+        If ``bases`` is not ``(k, grid.dim)``.
     IndexError
         If any base lies outside ``grid.element_base_range(policy)``.
     """
-    bases = np.asarray(bases, dtype=np.int64)
     lo, hi = np.array(grid.element_base_range(policy)).T
+    try:
+        bases = np.asarray(bases)
+        if bases.dtype.kind not in "iu":
+            raise TypeError
+    except (TypeError, ValueError):  # not integers, or ragged
+        raise InvalidArgumentError("element bases must be integers") from None
+    if bases.ndim != 2 or bases.shape[1] != grid.dim:
+        raise DimensionMismatchError(
+            f"element bases must have shape (k, {grid.dim}), "
+            f"got {bases.shape}")
+    bases = bases.astype(np.int64, copy=False)
     bad = (bases < lo) | (bases > hi)
     if bad.any():
         first = bases[bad.any(axis=-1)][0]
         raise IndexError(
             f"element base {tuple(first.tolist())} outside valid range "
-            f"under {policy.value}")
+            f"under {as_policy(policy).value}")
     flat = (bases @ grid._strides)[:, None] + grid._stencil
     return grid._samples.take(flat, 0)
 
@@ -461,8 +526,8 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
         raise DimensionMismatchError(
             f"element base must have {grid.dim} entries, got {base}")
     if not all(lo <= b <= hi for b, (_, _, lo, hi, _, _)
-               in zip(base, grid._regions[policy])):
-        raise IndexError(
-            f"element base {base} outside valid range under {policy.value}")
+               in zip(base, grid._rows(policy))):
+        raise IndexError(f"element base {base} outside valid range "
+                         f"under {as_policy(policy).value}")
     offset = sum(b * s for b, s in zip(base, grid._stride_ints))
     return grid._samples.take(grid._stencil + offset, 0)

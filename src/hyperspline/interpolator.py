@@ -66,6 +66,7 @@ from .grid import (
     ElementRef,
     RegularGrid,
     as_coordinates,
+    as_policy,
     gather_neighborhoods,
     is_integer,
     locate,
@@ -186,10 +187,10 @@ class Interpolator:
     Parameters
     ----------
     grid : RegularGrid
-    policy : BoundaryPolicy, optional
+    policy : BoundaryPolicy or its value, optional
         Strict (default) confines queries to elements with a full
         sample neighborhood; LinearGhost extends them to the whole grid
-        via linear ghost layers.
+        via linear ghost layers. ``policy`` holds the member.
 
     Concurrent queries are safe: evaluation only reads the immutable
     grid, and :meth:`coefficients` caches complete, immutable tensors
@@ -202,14 +203,8 @@ class Interpolator:
         if not isinstance(grid, RegularGrid):
             raise InvalidArgumentError(
                 f"grid must be a RegularGrid, got {grid!r}")
-        try:
-            policy = BoundaryPolicy(policy)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"unknown boundary policy {policy!r}, expected one of "
-                f"{[p.value for p in BoundaryPolicy]}") from None
         self.grid = grid
-        self.policy = policy
+        self.policy = as_policy(policy)
         self.operator = operator_set(grid.dim)
         self._spacings = np.array([a.spacing for a in grid.axes])
         # kernel columns of the first partial along each axis

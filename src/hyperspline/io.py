@@ -2,9 +2,11 @@
 
 Grid CSV
     Header names the coordinate columns first, ``x,y,z`` (3D) or
-    ``x,y,z,t`` (4D), then one column per field component. Rows hold one
-    vertex each and may appear in any order; together they must form the
-    complete Cartesian product of the per-axis coordinate values. The
+    ``x,y,z,t`` (4D), then one column per field component, named as
+    ``grid.as_component_names`` allows, so that every grid written reads
+    back with its names. Rows hold one vertex each and may appear in
+    any order; together they must form the complete Cartesian product
+    of the per-axis coordinate values. The
     body is parsed in one ``np.loadtxt`` call (see :func:`parse_rows` for
     what a cell may hold) and placed by one scatter; a malformed line is
     reported by number.
@@ -43,11 +45,9 @@ from .errors import (
     NonFiniteValueError,
     UnsupportedDimensionError,
 )
-from .grid import (RegularGrid, as_component_names, as_coordinates,
-                   infer_axis, is_integer, lattice)
+from .grid import (AXIS_NAMES, RegularGrid, as_component_names,
+                   as_coordinates, infer_axis, is_integer, lattice)
 from .interpolator import BatchResult
-
-AXIS_NAMES = ("x", "y", "z", "t")
 
 _BLOCK_ROWS = 4096  # rows formatted and written at once
 
@@ -305,9 +305,13 @@ def write_results_csv(path, points, result: BatchResult, component_names):
     InvalidPointError
         If the coordinates are not all real numbers.
     InvalidArgumentError
-        If ``component_names`` does not name each result component once,
-        or the file cannot be opened.
+        If ``result`` is not a :class:`BatchResult`, ``component_names``
+        does not name each result component once, or the file cannot be
+        opened.
     """
+    if not isinstance(result, BatchResult):
+        raise InvalidArgumentError(
+            f"result must be a BatchResult, got {type(result).__name__}")
     points = as_coordinates(points)
     if points.shape != (len(result.ok), result.gradients.shape[-1]):
         raise DimensionMismatchError(

@@ -1,8 +1,12 @@
+import contextlib
+import io
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperspline import Axis, RegularGrid, interpolator
 from hyperspline.cli import main
@@ -190,11 +194,31 @@ class TestQuery:
         assert f"{pts}: not UTF-8 text" in capsys.readouterr().err
 
     @pytest.mark.parametrize("spec", [",1.5,,1.6,1.7,", "1.5,1.6,1.7,",
-                                      "1.5,,1.6", "1.5, ,1.6"])
+                                      "1.5,,1.6", "1.5, ,1.6", "", " ",
+                                      "1.5,1.5,1.5\n",
+                                      "1.5,1.5,1.5\n1.5,1.5,1.5",
+                                      "\r1.5,1.5,1.5", "1.5,1.5"])
     def test_empty_point_cell_exits_2(self, trig3d, capsys, spec):
         assert main(["query", trig3d, "--point", spec]) == 2
         err = capsys.readouterr().err
         assert f"--point must be comma-separated numbers, got {spec!r}" in err
+
+    @pytest.mark.parametrize("spec, code", [
+        ("1_5,1.5,1.5", 2), ('"1.5",1.5," 1.5"', 0), (" 1.5 ,1.5,1.5", 0)])
+    def test_inline_point_reads_like_a_points_file_line(
+            self, trig3d, tmp_path, capsys, spec, code):
+        # float() read 1_5 as 15.0 and rejected the quoted cell; a
+        # points file did the opposite
+        pts = tmp_path / "pts.csv"
+        pts.write_text(spec + "\n", encoding="utf-8")
+        inline, from_file = tmp_path / "inline.csv", tmp_path / "file.csv"
+        assert main(["query", trig3d, "--point", spec,
+                     "--out", str(inline)]) == code
+        assert main(["query", trig3d, "--points", str(pts),
+                     "--out", str(from_file)]) == code
+        if code == 0:
+            assert inline.read_bytes() == from_file.read_bytes()
+            assert b"\n1.5,1.5,1.5," in inline.read_bytes()
 
     def test_no_points_exits_2(self, lin4d, capsys):
         assert main(["query", lin4d]) == 2
@@ -278,6 +302,22 @@ class TestSample:
         assert capsys.readouterr().err == (
             f"error: cannot open {tmp_path}: Is a directory\n")
 
+    @pytest.mark.parametrize("count", [19, 20])
+    def test_default_range_when_the_last_vertex_overshoots(
+            self, tmp_path, capsys, count):
+        # at 20 the last vertex, 0.1 + 19 * (0.3 / 19), passes the strict
+        # domain's end 0.4 by an ulp: exit 2 with "resampling lattice left
+        # the queryable domain"
+        path = tmp_path / "g.csv"
+        write_grid_csv(path, RegularGrid([Axis(0.0, 0.1, 6)] * 3,
+                                         np.sin(np.arange(216.0))))
+        out_path = tmp_path / "res.csv"
+        assert main(["sample", str(path), "--counts", f"{count},{count},"
+                     f"{count}", "--out", str(out_path)]) == 0
+        res = load_grid_csv(out_path)
+        assert res.counts == (count,) * 3
+        assert res.axes[0].origin == 0.1
+
     def test_output_loadable(self, trig3d, tmp_path, capsys):
         out_path = str(tmp_path / "res.csv")
         assert main(["sample", trig3d, "--counts", "6,5,4",
@@ -354,6 +394,13 @@ class TestBench:
         out = capsys.readouterr().out
         assert "n=0" in out
 
+    def test_unallocatable_point_count_exits_2(self, lin4d, capsys):
+        # ended in numpy's _ArrayMemoryError traceback; 10**15 points
+        # fail to allocate at once
+        assert main(["bench", lin4d, "--n", str(10 ** 15)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_machine_line_before_timings(self, lin4d, capsys):
         assert main(["bench", lin4d, "--n", "20"]) == 0
         lines = capsys.readouterr().out.split("\n")
@@ -387,3 +434,52 @@ class TestBench:
         per_point = line.split()[0].split("=")[1]
         batch = line.split()[1].split("=")[1]
         assert per_point == batch
+
+
+# cells of an inline point: numbers, padded or quoted numbers, and
+# spellings that float() and a points file may read differently
+numbers = st.one_of(st.floats().map(repr), st.integers(-5, 5).map(str))
+point_cells = st.one_of(
+    numbers,
+    st.tuples(st.sampled_from(["", " ", "\t", '"', "\x0c"]), numbers,
+              st.sampled_from(["", " ", '"', "\x85"])).map("".join),
+    st.sampled_from(["", "nan", "-inf", "1e999", "1_0", "0x1", "1.5e",
+                     ".5", "5.", "+1", "\u0661", "\uff11", "\x00", "#",
+                     "x", "t", "'1'"]),
+    st.text(max_size=3))
+# one line: a points-file line cannot hold a line break
+point_lines = st.one_of(
+    st.lists(point_cells, min_size=3, max_size=3).map(",".join),
+    st.lists(point_cells, min_size=2, max_size=4).map(",".join),
+    st.text(max_size=12)).filter(lambda t: "\n" not in t and "\r" not in t)
+
+
+def run_quietly(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@pytest.fixture(scope="module")
+def line_files(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=point_lines)
+def test_inline_point_is_a_points_file_line(trig3d, line_files, text):
+    """``--point TEXT`` queries the coordinates that a points file holding
+    the line TEXT does, bit for bit, or both exit 2."""
+    pts = line_files / "pts.csv"
+    pts.write_bytes((text + "\n").encode("utf-8"))
+    inline, from_file = line_files / "inline.csv", line_files / "file.csv"
+    for out in (inline, from_file):
+        out.unlink(missing_ok=True)
+    code = run_quietly(["query", trig3d, "--point=" + text,
+                        "--out", str(inline)])
+    assert code == run_quietly(["query", trig3d, "--points", str(pts),
+                                "--out", str(from_file)])
+    assert code in (0, 2)
+    if code == 0:
+        assert inline.read_bytes() == from_file.read_bytes()

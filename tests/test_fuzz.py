@@ -29,6 +29,12 @@ from hyperspline import (
     write_results_csv,
 )
 from hyperspline.cli import main
+from hyperspline.grid import (
+    gather_neighborhoods,
+    locate,
+    locate_points,
+    neighborhood_block,
+)
 from hyperspline.io import load_grid_csv, load_points_csv
 
 AXES = [Axis(0.0, 1.0, 4)] * 3
@@ -105,6 +111,44 @@ def test_interpolator_raises_only_typed_errors(grid, policy):
         Interpolator(grid, policy)
     except HypersplineError:
         pass
+
+
+# policies: both members, both values and what is neither
+policies_or_junk = st.one_of(st.sampled_from(list(BoundaryPolicy)),
+                             st.sampled_from([p.value for p in BoundaryPolicy]),
+                             scalars, ragged, arrays)
+# element bases: rows of small integers, some out of range, and junk
+bases = st.one_of(st.lists(st.lists(st.integers(-1, 3), min_size=2,
+                                    max_size=4), max_size=3),
+                  scalars, ragged, arrays)
+
+
+@SETTINGS
+@given(policy=policies_or_junk, point=query_points,
+       points=st.one_of(query_points,
+                        st.lists(st.lists(scalars, min_size=3, max_size=3),
+                                 max_size=3)),
+       base=bases, elem=st.one_of(
+           scalars, st.lists(st.integers(-1, 3), max_size=4).map(
+               lambda b: ElementRef(tuple(b)))))
+def test_grid_functions_raise_only_typed_errors(policy, point, points, base,
+                                                elem):
+    # an element base out of the policy's range is documented to raise
+    # IndexError, and only the two gathers take bases
+    calls = [(lambda: GRID.element_base_range(policy), ()),
+             (lambda: GRID.queryable_domain(policy), ()),
+             (lambda: GRID.element_counts(policy), ()),
+             (lambda: locate(GRID, point, policy), ()),
+             (lambda: locate_points(GRID, points, policy), ()),
+             (lambda: gather_neighborhoods(GRID, base, policy), IndexError),
+             (lambda: neighborhood_block(GRID, elem, policy), IndexError)]
+    for call, documented in calls:
+        try:
+            call()
+        except HypersplineError:
+            pass
+        except documented:
+            pass
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +278,30 @@ def test_grid_writer_raises_only_typed_errors(out_path, data, grid):
         write_grid_csv(path, grid)
     except HypersplineError:
         pass
+
+
+# component names: any text, and the characters a CSV header treats
+# specially
+name_text = st.one_of(
+    st.text(max_size=4),
+    st.text(st.sampled_from(',"\r\n \t\x0c\x85\x00#xyzt'), max_size=3),
+    st.sampled_from(["x", "y", "z", "t", "f", "", "a b"]))
+
+
+@SETTINGS
+@given(dim=st.sampled_from([3, 4]),
+       names=st.lists(name_text, min_size=1, max_size=3))
+def test_accepted_component_names_round_trip(out_path, dim, names):
+    # a grid named ['a,b'], [' a'] or, in 3D, ['t'] wrote a file that
+    # did not read back with its names, or at all
+    axes = [Axis(0.0, 1.0, 4)] * dim
+    try:
+        grid = RegularGrid(axes, np.zeros((4 ** dim, len(names))),
+                           components=len(names), component_names=names)
+    except HypersplineError:
+        return
+    write_grid_csv(out_path, grid)
+    assert load_grid_csv(out_path).component_names == tuple(names)
 
 
 # a valid 4x4x4 grid CSV whose lines the file strategies below mutate

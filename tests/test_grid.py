@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from hyperspline import (
     Axis,
     BoundaryPolicy,
+    DimensionMismatchError,
     ElementRef,
     HypersplineError,
     InvalidArgumentError,
@@ -22,6 +24,7 @@ from hyperspline.grid import (
     infer_axis,
     lattice,
     locate,
+    locate_points,
     neighborhood_block,
 )
 
@@ -156,6 +159,17 @@ class TestRegularGrid:
         with pytest.raises(InvalidArgumentError, match="UTF-8"):
             RegularGrid([Axis(0, 1, 4)] * 3, np.zeros(64),
                         component_names=names)
+
+    @pytest.mark.parametrize("names", [
+        ["a,b"], ["a\nb"], ["b\r"], [" a"], ["a "], ['"a"'], ["t"],
+        ["f", "x"]], ids=["comma", "newline", "return", "leading-space",
+                          "trailing-space", "quoted", "t", "x"])
+    def test_rejects_names_a_csv_header_cannot_carry(self, names):
+        # each was written into a grid file that did not read back with
+        # the same names, or at all ("t" first on a 3D grid reads as 4D)
+        with pytest.raises(InvalidArgumentError, match="CSV header"):
+            RegularGrid([Axis(0, 1, 4)] * 3, np.zeros((64, len(names))),
+                        components=len(names), component_names=names)
 
     def test_values_read_only(self):
         grid = unit_grid(3)
@@ -378,3 +392,70 @@ class TestGather:
             gather_neighborhoods(grid, [[1, 1, 1], [1, 4, 1]], STRICT)
         with pytest.raises(IndexError):
             gather_neighborhoods(grid, [[0, 0, 0], [0, -1, 0]], GHOST)
+
+
+class TestPolicyValues:
+    """Every grid function takes a policy as a member or its value, as
+    Interpolator does; a value raised a bare KeyError."""
+
+    @staticmethod
+    def calls(grid, policy):
+        return [
+            lambda: grid.element_base_range(policy),
+            lambda: grid.queryable_domain(policy),
+            lambda: grid.element_counts(policy),
+            lambda: locate(grid, [1.5, 2.5, 1.0], policy),
+            lambda: locate_points(grid, [[1.5, 2.5, 1.0], [9, 9, 9]], policy),
+            lambda: gather_neighborhoods(grid, [[1, 2, 1]], policy),
+            lambda: neighborhood_block(grid, ElementRef((1, 2, 1)), policy),
+        ]
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_value_answers_as_the_member(self, policy):
+        grid = grid_from_function([Axis(0.0, 1.0, 5)] * 3,
+                                  lambda x, y, z: x * y - z)
+        for by_member, by_value in zip(self.calls(grid, policy),
+                                       self.calls(grid, policy.value)):
+            # pickles hold every array's bytes, so equal ones are bitwise
+            assert pickle.dumps(by_member()) == pickle.dumps(by_value())
+
+    @pytest.mark.parametrize("policy", ["Strict", "STRICT", "ghost", 1,
+                                        ["strict"], ()])
+    def test_unknown_policy_is_typed(self, policy):
+        grid = unit_grid(3, count=5)
+        for call in self.calls(grid, policy):
+            with pytest.raises(InvalidArgumentError, match="boundary policy"):
+                call()
+
+    def test_out_of_range_messages_name_the_value(self):
+        grid = unit_grid(3, count=5)
+        with pytest.raises(OutOfDomainError, match="under strict"):
+            locate(grid, [0.5, 1.0, 1.0], "strict")
+        with pytest.raises(IndexError, match="under linear-ghost"):
+            gather_neighborhoods(grid, [[4, 0, 0]], "linear-ghost")
+
+
+class TestMalformedBasesAndPoints:
+    def test_bases_of_the_wrong_width(self):
+        # raised numpy's broadcast ValueError
+        with pytest.raises(DimensionMismatchError, match=r"\(k, 3\)"):
+            gather_neighborhoods(unit_grid(3), [[1, 1]], STRICT)
+
+    @pytest.mark.parametrize("bases", [[[1.7, 1, 1]], [[1.0, 1.0, 1.0]],
+                                       [[1, 1], [1, 1, 1]], [["1", 1, 1]],
+                                       [[1 + 0j, 1, 1]]])
+    def test_bases_that_are_not_integers(self, bases):
+        # [[1.7, 1, 1]] silently gathered base (1, 1, 1)
+        with pytest.raises(InvalidArgumentError, match="integers"):
+            gather_neighborhoods(unit_grid(3), bases, STRICT)
+
+    def test_locate_points_takes_a_list(self):
+        # raised AttributeError: 'list' object has no attribute 'shape'
+        grid = unit_grid(3)
+        pts = [[1.5, 2.5, 3.0], [0.5, 1.0, 1.0]]
+        bases, u, ok = locate_points(grid, pts, STRICT)
+        want = locate_points(grid, np.array(pts), STRICT)
+        assert all(map(np.array_equal, (bases, u, ok), want))
+        assert ok.tolist() == [True, False]
+        with pytest.raises(DimensionMismatchError):
+            locate_points(grid, [1.5, 2.5, 3.0], STRICT)

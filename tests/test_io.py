@@ -468,6 +468,15 @@ class TestResultsCsv:
             write_results_csv(path, pts, res, names)
         assert not path.exists()
 
+    @pytest.mark.parametrize("result", ["x", None, (np.zeros((2, 1)),)],
+                             ids=["text", "None", "tuple"])
+    def test_result_must_be_a_batch_result(self, tmp_path, result):
+        # let an AttributeError out: 'str' object has no attribute 'ok'
+        path = tmp_path / "out.csv"
+        with pytest.raises(InvalidArgumentError, match="BatchResult"):
+            write_results_csv(path, np.full((2, 3), 2.0), result, ["f"])
+        assert not path.exists()
+
     def test_unencodable_component_name_keeps_the_file(self, tmp_path):
         # a lone surrogate raised UnicodeEncodeError after the file was
         # opened, and so truncated
