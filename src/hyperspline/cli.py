@@ -9,7 +9,8 @@ Subcommands:
     bench     -- throughput / latency measurement
 
 ``--point``, ``--min`` and ``--max`` are read as a line of a points
-file is, and ``--policy`` goes to ``Interpolator`` as given.
+file is, and take a value that starts with ``-`` (``--point -1.5,2,2``)
+as ``--point=-1.5,2,2``; ``--policy`` goes to ``Interpolator`` as given.
 
 Exit codes: 0 success, 1 validation failure, 2 usage or input error.
 The environment variable ``HYPERSPLINE_THREADS`` sets the batch worker
@@ -354,8 +355,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COORDINATE_FLAGS = ("--point", "--min", "--max")
+
+
+def _attach_values(argv) -> list:
+    """``--point -1.5,2,2`` as ``--point=-1.5,2,2``: argparse reads a
+    separate value that starts with ``-`` and is not a plain number as
+    an option, so a coordinate flag's next argument is attached to it."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _COORDINATE_FLAGS and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_attach_values(argv))
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -145,10 +145,19 @@ def _read_header(fh, path):
     number, start, line = 1, fh.tell(), fh.readline()
     while line and not line.strip():
         number, start, line = number + 1, fh.tell(), fh.readline()
-    try:
-        names = [n.strip() for n in next(csv.reader([line]))] if line else []
-    except csv.Error as exc:
-        raise GridFormatError(f"{path}: line {number}: {exc}") from None
+    names = []
+    if line:
+        try:
+            # a line of numbers is data: split it, since csv refuses a
+            # cell longer than its field limit that parse_rows reads
+            _loadtxt([line])
+            names = [n.strip() for n in line.split(",")]
+        except ValueError:
+            try:
+                names = [n.strip() for n in next(csv.reader([line]))]
+            except csv.Error as exc:
+                raise GridFormatError(
+                    f"{path}: line {number}: {exc}") from None
     dim = 0
     for name, axis in zip(names, AXIS_NAMES):
         if name != axis:

@@ -370,6 +370,37 @@ class TestValidate:
         assert main(["validate", trig3d]) == 1
 
 
+class TestCoordinatesStartingWithMinus:
+    # argparse read "-1.5,..." after a flag as an option and exited 2
+    @pytest.fixture(scope="class")
+    def offset3d(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cli") / "offset3d.csv"
+        write_grid_csv(path, sample(linear_field(3, [1, 2, 3]),
+                                    [Axis(-3.0, 1.0, 7)] * 3))
+        return str(path)
+
+    def test_query_point(self, offset3d, capsys):
+        assert main(["query", offset3d, "--point", "-1.5,0.25,-0.5",
+                     "--point", "1,1,1"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["query", offset3d, "--point=-1.5,0.25,-0.5",
+                     "--point", "1,1,1"]) == 0
+        assert spaced == capsys.readouterr().out
+        assert spaced.split("\n")[1].split(",")[3] == "-2.5"
+
+    def test_sample_range(self, offset3d, tmp_path, capsys):
+        for name, bounds in (("spaced", ["--min", "-2,-1.5,-1",
+                                         "--max", "-1,1,2"]),
+                             ("joined", ["--min=-2,-1.5,-1",
+                                         "--max=-1,1,2"])):
+            assert main(["sample", offset3d, "--counts", "4,5,6",
+                         "--out", str(tmp_path / f"{name}.csv")]
+                        + bounds) == 0
+        assert ((tmp_path / "spaced.csv").read_bytes()
+                == (tmp_path / "joined.csv").read_bytes())
+        assert load_grid_csv(tmp_path / "spaced.csv").axes[0].origin == -2.0
+
+
 class TestNegativeNumbers:
     # each ended in a ValueError traceback with exit 1
     @pytest.mark.parametrize("argv, flag", [

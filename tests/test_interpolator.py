@@ -313,6 +313,33 @@ class TestCacheBehavior:
         interp.precompute_all()
         assert interp.cache_size() == 3 ** 3
 
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("dim, n, m", [(3, 13, 3), (4, 7, 3), (4, 7, 1)])
+    def test_precompute_equals_per_cell_coefficients(self, dim, n, m,
+                                                     policy):
+        # cells are built a chunk at a time; 3D under both policies and
+        # 4D under LinearGhost end on a partial chunk
+        rng = np.random.default_rng(15)
+        grid = RegularGrid([Axis(-1.0, 0.5, n)] * dim,
+                           rng.standard_normal((n,) * dim + (m,)),
+                           components=m)
+        warm = Interpolator(grid, policy)
+        warm.precompute_all()
+        cells = int(np.prod(grid.element_counts(policy)))
+        assert warm.cache_size() == cells
+        assert cells % warm._chunk != 0 or policy is STRICT
+        lo, hi = np.array(grid.element_base_range(policy)).T
+        for offset in np.ndindex(*(hi - lo + 1)):
+            elem = ElementRef(tuple((lo + offset).tolist()))
+            got = warm.coefficients(elem)
+            want = Interpolator(grid, policy).coefficients(elem)
+            assert got.shape == (m, 4 ** dim)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.c_contiguous and not got.flags.writeable
+        assert warm.cache_size() == cells
+        with pytest.raises(ValueError):
+            got.flags.writeable = True
+
     def test_concurrent_first_touch(self, trig4):
         _, grid = trig4
         interp = Interpolator(grid)

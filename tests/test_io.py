@@ -287,6 +287,14 @@ class TestFileErrors:
         with pytest.raises(GridFormatError, match="line 2: field larger"):
             load_grid_csv(path)
 
+    def test_points_line_past_csv_field_limit(self, tmp_path):
+        # header detection ran the csv module over the line, which refused
+        # a cell longer than its field limit that parse_rows reads
+        path = write_lines(tmp_path / "p.csv",
+                           ["", "0.5,0.5,0.5" + " " * 140_000, "1,2,3"])
+        assert np.array_equal(load_points_csv(path, 3),
+                              [[0.5, 0.5, 0.5], [1.0, 2.0, 3.0]])
+
     @pytest.mark.parametrize("dim", [2, 5, "3", None, True, 3.0])
     def test_points_dim_must_be_3_or_4(self, tmp_path, dim):
         path = write_lines(tmp_path / "p.csv", ["1,2,3"])
@@ -586,12 +594,14 @@ class TestWriterByteIdentity:
 def test_import_leaves_hashlib_unloaded():
     # nothing in the package needs hashlib, fractions or decimal; loading
     # hashlib would map OpenSSL's hash library into every process that
-    # imports hyperspline, and fractions pulls in decimal with it
+    # imports hyperspline, and fractions pulls in decimal with it;
+    # concurrent.futures (with logging and queue) loads only when a batch
+    # runs on more than one worker
     src = Path(hio.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, hyperspline; print(sorted({'hashlib', 'fractions', "
-         "'decimal'} & set(sys.modules)))"],
+         "'decimal', 'concurrent.futures'} & set(sys.modules)))"],
         capture_output=True, text=True, env=env, check=True).stdout
     assert out.strip() == "[]"
