@@ -10,7 +10,7 @@ two exact matrices,
   constraint C -- integer; polynomial coefficients -> corner constraints
   difference F -- exact dyadic rationals; samples  -> corner constraints
 
-as inv(C) @ F. This script prints M, checks that the runtime operator is
+as inv(C) @ F. This script prints M, checks that operator_set(dim) is
 kron(M, ..., M), checks that C has an integer inverse (C @ inv == I
 exactly in int64), verifies C @ operator == F exactly in integers, and
 cross-checks the operator against an independent dense solve.

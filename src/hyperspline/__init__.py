@@ -11,10 +11,12 @@ its axis. Values and all first partial derivatives are continuous
 across cell faces and the partials come out of the same polynomial
 analytically. The coefficients themselves, the neighborhood times the
 Kronecker power of the 4x4 Catmull-Rom basis matrix, are available
-per cell for inspection and validation. The paper's exact construction
-of that operator, ``inv(C) @ F`` from the integer constraint matrix C
-and the central-difference matrix F, is kept as the reference that
-validates it, checked in integer arithmetic.
+per cell for inspection and the warm start; that operator is built on
+first use, never by a query. The paper's exact construction, ``inv(C)
+@ F`` from the integer constraint matrix C and the central-difference
+matrix F, is kept as the reference: it certifies the operator in
+integer arithmetic, and its dense solve checks the values and first
+partials that queries compute.
 
 The top level holds the documented API; test fields and release checks
 (``hyperspline.fields``) and the exact derivation (``operators``) are

@@ -28,10 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DimensionMismatchError, InvalidArgumentError
 from .grid import (Axis, BoundaryPolicy, ElementRef, RegularGrid, lattice,
                    neighborhood_block)
 from .interpolator import Interpolator
-from .operators import constraint_matrix, difference_matrix, operator_is_exact
+from .operators import (constraint_matrix, difference_matrix,
+                        monomial_exponents, operator_is_exact)
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def sample(afield: AnalyticField, axes) -> RegularGrid:
     """Evaluate an analytic field at every vertex of the given axes."""
     axes = tuple(axes)
     if len(axes) != afield.dim:
-        raise ValueError(
+        raise DimensionMismatchError(
             f"field is {afield.dim}-dimensional, got {len(axes)} axes")
     values = np.array([afield.value(point) for point in lattice(axes)])
     return RegularGrid(axes, values, components=afield.components)
@@ -231,8 +233,11 @@ def oracle_coefficients(grid: RegularGrid, elem: ElementRef,
 
     Builds the constraint vector ``difference @ samples`` explicitly and
     solves the constraint system with a generic dense solver, never
-    touching the runtime operator. Shape ``(m, 4^dim)``, matching
-    :meth:`Interpolator.coefficients`.
+    touching the Kronecker-power operator or the stencil kernel. Shape
+    ``(m, 4^dim)``: row c holds component c's unit-cell coefficients
+    (monomial column e = sum_d exponent_d * 4^d, as in
+    :meth:`Interpolator.coefficients`). Its polynomial is the reference
+    that :func:`check_fused_oracle` compares evaluation with.
     """
     constraint, difference = _constraint_system(grid.dim)
     block = neighborhood_block(grid, elem, policy)  # (S, m)
@@ -272,7 +277,8 @@ def continuity_scan(interp: Interpolator, n_samples: int,
     ranges = interp.grid.element_base_range(interp.policy)
     axes_with_pairs = [d for d, (lo, hi) in enumerate(ranges) if hi > lo]
     if not axes_with_pairs:
-        raise ValueError("grid has no pair of adjacent valid elements")
+        raise InvalidArgumentError(
+            "grid has no pair of adjacent valid elements")
     max_v = 0.0
     max_g = 0.0
     for _ in range(n_samples):
@@ -326,7 +332,7 @@ def convergence_study(afield: AnalyticField, lo, hi,
     hi = np.asarray(hi, dtype=np.float64)
     dim = afield.dim
     if lo.shape != (dim,) or hi.shape != (dim,):
-        raise ValueError(f"lo/hi must each have {dim} entries")
+        raise DimensionMismatchError(f"lo/hi must each have {dim} entries")
     coarse_h = (hi - lo) / (base_count - 1)
     rng = np.random.default_rng(seed)
     probes = rng.uniform(lo + 1.05 * coarse_h, hi - 1.05 * coarse_h,
@@ -374,24 +380,41 @@ def catmull_rom_1d(f_m1: float, f_0: float, f_1: float, f_2: float,
 
 
 def check_operators_exact(dim: int):
-    """The runtime operator solves the exact constraint system
+    """The Kronecker-power operator solves the exact constraint system
     (:func:`hyperspline.operators.operator_is_exact`)."""
     return operator_is_exact(dim), {"size": 4 ** dim}
 
 
 def check_fused_oracle(interp: Interpolator, n_elements: int, seed):
-    """Coefficients of random valid elements match the dense-solve
-    oracle to rounding, relative to the largest sample magnitude in the
-    element's neighbourhood where that exceeds 1."""
+    """At a random local point of each of random valid elements, the
+    value and first partials from the stencil kernel
+    (:meth:`Interpolator.eval_local`) match the polynomial of the
+    dense-solve oracle's coefficients to rounding, relative to the
+    largest sample magnitude in the element's neighbourhood where that
+    exceeds 1. Partials are compared per unit cell, the gradient times
+    the axis spacing, so the bound does not depend on the spacing."""
     rng = np.random.default_rng(seed)
-    ranges = interp.grid.element_base_range(interp.policy)
+    grid = interp.grid
+    ranges = grid.element_base_range(interp.policy)
+    spacings = np.array([a.spacing for a in grid.axes])
+    exps = monomial_exponents(grid.dim)
     worst = 0.0
     for _ in range(n_elements):
         elem = ElementRef(tuple(int(rng.integers(lo, hi + 1))
                                 for lo, hi in ranges))
-        diff = (interp.coefficients(elem)
-                - oracle_coefficients(interp.grid, elem, interp.policy))
-        block = neighborhood_block(interp.grid, elem, interp.policy)
+        u = rng.uniform(0.0, 1.0, grid.dim)
+        got = interp.eval_local(elem, u)
+        # per monomial: its value at u, then its partial along each axis
+        powers = u ** exps
+        monomials = [np.prod(powers, axis=1)]
+        for d in range(grid.dim):
+            dpow = powers.copy()
+            dpow[:, d] = exps[:, d] * u[d] ** np.maximum(exps[:, d] - 1, 0)
+            monomials.append(np.prod(dpow, axis=1))
+        want = (oracle_coefficients(grid, elem, interp.policy)
+                @ np.stack(monomials, axis=1))
+        diff = np.column_stack([got.values, got.gradient * spacings]) - want
+        block = neighborhood_block(grid, elem, interp.policy)
         worst = max(worst, float(np.max(np.abs(diff)))
                     / max(1.0, float(np.max(np.abs(block)))))
     return worst <= 1e-10, {"max_scaled_diff": worst}
@@ -465,6 +488,9 @@ def check_c2_jump(interp: Interpolator, n_probes: int, seed):
     rng = np.random.default_rng(seed)
     axes = interp.grid.axes
     ranges = interp.grid.element_base_range(interp.policy)
+    if ranges[0][1] == ranges[0][0]:
+        raise InvalidArgumentError(
+            "grid has no pair of valid elements adjacent along x")
     eps = 1e-7 * axes[0].spacing
     orders = (2,) + (0,) * (interp.dim - 1)
     worst = 0.0

@@ -38,9 +38,12 @@ policy only sets which cells are valid: an edge cell under
 
 Per-element coefficient tensors ``operator @ samples`` stay available
 through :meth:`Interpolator.coefficients`, cached in memory, for
-validation against the exact derivation; evaluation neither reads nor
-fills that cache. :meth:`Interpolator.precompute_all` fills it for
-every valid element, one gather and one stacked ``np.matmul`` per
+inspection and the warm start; evaluation neither reads nor fills that
+cache, and no interpolator asks for the operator until a coefficient
+is built. Validation checks the kernel itself against the exact
+derivation (:func:`hyperspline.fields.check_fused_oracle`).
+:meth:`Interpolator.precompute_all` fills the cache for every valid
+element, one gather and one stacked ``np.matmul`` per
 ``eval_batch``-sized chunk of elements, each element's product shaped
 as if built alone, so its entries are the same bits.
 
@@ -207,7 +210,6 @@ class Interpolator:
                 f"grid must be a RegularGrid, got {grid!r}")
         self.grid = grid
         self.policy = as_policy(policy)
-        self.operator = operator_set(grid.dim)
         self._spacings = np.array([a.spacing for a in grid.axes])
         # kernel columns of the first partial along each axis
         self._gradient_cols = [1 << d for d in range(grid.dim)]
@@ -231,7 +233,7 @@ class Interpolator:
         Row c holds the flattened unit-cell coefficients of component c
         (monomial column e = sum_d exponent_d * 4^d). Computed on first
         touch, then served read-only from the cache. Evaluation does not
-        use it; it serves validation. Raises IndexError for an element
+        use it; it serves inspection. Raises IndexError for an element
         outside the policy's valid range.
         """
         # anything but an ElementRef misses; neighborhood_block rejects it
@@ -253,7 +255,8 @@ class Interpolator:
         """
         # entries are views of this copy, so none can be made writeable
         # again (with m = 1 the transpose alone would view the product)
-        coeffs = np.matmul(self.operator, blocks).transpose(0, 2, 1).copy()
+        coeffs = (np.matmul(operator_set(self.dim), blocks)
+                  .transpose(0, 2, 1).copy())
         coeffs.flags.writeable = False
         self._cache.update(zip(bases, coeffs))
 

@@ -9,8 +9,8 @@ uniform Catmull-Rom cubic, so the operator taking an element's raw
 4-wide sample neighborhood to its polynomial coefficients is the N-th
 Kronecker power of the 4x4 Catmull-Rom basis matrix ``CATMULL_ROM``.
 Its entries are dyadic rationals with small numerators, so the float64
-matrix holds them exactly. Both powers are built at import and shared
-read-only; :func:`operator_set` returns them.
+matrix holds them exactly. :func:`operator_set` builds each power on
+first use and shares it read-only; evaluation never asks for it.
 
 The paper derives the same operator from two matrices, kept here as
 the reference that verifies it:
@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -55,11 +56,13 @@ CATMULL_ROM.flags.writeable = False
 
 
 def _check_dim(dim: int):
-    if dim not in SUPPORTED_DIMS:
+    # an integral type first: 3.0 == 3 would reach the cache of dim 3
+    if not isinstance(dim, numbers.Integral) or dim not in SUPPORTED_DIMS:
         raise UnsupportedDimensionError(
             f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
 
 
+@functools.cache
 def _kron_power(dim: int) -> np.ndarray:
     # adding +0.0 turns the -0.0 products of kron into +0.0, so the
     # matrix matches the exact product inv(C) @ F bit for bit
@@ -68,17 +71,15 @@ def _kron_power(dim: int) -> np.ndarray:
     return op
 
 
-_OPERATORS = {dim: _kron_power(dim) for dim in SUPPORTED_DIMS}
-
-
 def operator_set(dim: int) -> np.ndarray:
     """The read-only ``(4^dim, 4^dim)`` samples-to-coefficients operator.
 
     Row e (monomial column convention) times an element's flattened
-    sample neighborhood gives its coefficient of monomial e.
+    sample neighborhood gives its coefficient of monomial e. Built on
+    the first call for ``dim``, then the same array every time.
     """
     _check_dim(dim)
-    return _OPERATORS[dim]
+    return _kron_power(dim)
 
 
 def monomial_exponents(dim: int) -> np.ndarray:

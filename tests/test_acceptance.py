@@ -82,7 +82,8 @@ def test_02_fused_oracle_equivalence():
             worst = max(worst, metrics["max_scaled_diff"])
     report("criterion-02 fused_oracle_equivalence", ok,
            time.perf_counter() - t0, 10.0,
-           f"50 elements per dim, max scaled |coeff diff| = {worst:.3e}")
+           f"50 elements per dim, kernel value and unit-cell partials vs "
+           f"oracle polynomial, max scaled diff = {worst:.3e}")
 
 
 def test_03_vertex_reproduction():

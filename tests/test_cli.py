@@ -368,6 +368,7 @@ class TestValidate:
         assert "FAIL vertex_reproduction_dim3" in out
         assert out.strip().split("\n")[-1].startswith("result: FAIL")
         assert main(["validate", trig3d]) == 1
+        assert "FAIL fused_oracle " in capsys.readouterr().out
 
 
 class TestCoordinatesStartingWithMinus:

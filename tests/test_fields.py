@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyperspline import (Axis, BoundaryPolicy, ElementRef, Interpolator,
-                         RegularGrid)
+from hyperspline import (Axis, BoundaryPolicy, ElementRef, HypersplineError,
+                         Interpolator, RegularGrid)
+from hyperspline import interpolator
 from hyperspline.fields import (
     AnalyticField,
     catmull_rom_1d,
+    check_c1_continuity,
+    check_c2_jump,
     check_fused_oracle,
     constant_field,
     continuity_scan,
@@ -69,7 +72,7 @@ class TestSample:
             assert grid.vertex_value(idx) == field.value(p)[0]
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(HypersplineError):
             sample(constant_field(3), [Axis(0, 1, 4)] * 4)
 
 
@@ -106,14 +109,36 @@ class TestOracle:
 
 
 class TestFusedOracleCheck:
+    @pytest.mark.parametrize("spacing", [0.5, 1e-9, 1e6])
     @pytest.mark.parametrize("scale", [1.0, 1e8])
-    def test_bound_scales_with_the_samples(self, scale):
-        grid = sample(trig_product_field(3), [Axis(0.0, 0.5, 9)] * 3)
-        grid = RegularGrid(grid.axes, grid.values * scale)
-        assert check_fused_oracle(Interpolator(grid), 10, 0)[0]
-        wrong = Interpolator(grid)
-        wrong.operator = wrong.operator * (1 + 1e-8)
-        assert not check_fused_oracle(wrong, 10, 0)[0]
+    def test_bound_scales_with_the_samples(self, scale, spacing,
+                                           monkeypatch):
+        # the same samples at any spacing: partials are compared per
+        # unit cell, so neither the samples' magnitude nor the spacing
+        # moves the scaled difference off rounding level
+        values = sample(trig_product_field(3), [Axis(0.0, 0.5, 9)] * 3).values
+        grid = RegularGrid([Axis(0.0, spacing, 9)] * 3, values * scale)
+        interp = Interpolator(grid)
+        assert check_fused_oracle(interp, 10, 0)[0]
+        monkeypatch.setattr(interpolator, "_HORNER",
+                            interpolator._HORNER * (1 + 1e-8))
+        assert not check_fused_oracle(interp, 10, 0)[0]
+
+
+class TestTypedErrors:
+    # sample and continuity_scan are covered in their own classes
+    @pytest.mark.parametrize("check", [check_c1_continuity, check_c2_jump])
+    def test_checks_need_adjacent_elements(self, check):
+        # a 4^3 grid holds one strict element, so no face between two
+        grid = sample(constant_field(3), [Axis(0, 1, 4)] * 3)
+        with pytest.raises(HypersplineError, match="adjacent"):
+            check(Interpolator(grid), 10, 0)
+
+    @pytest.mark.parametrize("lo,hi", [([0.0] * 2, [3.0] * 3),
+                                       ([0.0] * 3, [3.0] * 4)])
+    def test_convergence_range_length(self, lo, hi):
+        with pytest.raises(HypersplineError):
+            convergence_study(trig_product_field(3), lo, hi)
 
 
 class TestContinuityScan:
@@ -138,7 +163,7 @@ class TestContinuityScan:
 
     def test_needs_adjacent_elements(self):
         grid = sample(constant_field(3), [Axis(0, 1, 4)] * 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(HypersplineError, match="adjacent"):
             continuity_scan(Interpolator(grid), 10)
 
     @pytest.mark.parametrize("dim", [3, 4])

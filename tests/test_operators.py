@@ -1,5 +1,9 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,9 +299,28 @@ class TestFusedMatrix:
 
 
 class TestOperatorSet:
+    def test_sizes(self):
+        assert operator_set(3).shape == (64, 64)
+        assert operator_set(4).shape == (256, 256)
+
     def test_memoized(self):
         assert operator_set(3) is operator_set(3)
         assert operator_set(4) is operator_set(4)
+
+    @pytest.mark.parametrize("dim", [2, 5, 3.0, 3.5, "3", [3], None])
+    def test_unsupported_dimension(self, dim):
+        with pytest.raises(UnsupportedDimensionError):
+            operator_set(dim)
+
+    def test_import_builds_no_operator(self):
+        src = Path(ops_mod.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import hyperspline; from hyperspline import operators; "
+             "print(operators._kron_power.cache_info().currsize)"],
+            capture_output=True, text=True, env=env, check=True).stdout
+        assert out.strip() == "0"
 
     def test_matrices_write_protected(self):
         with pytest.raises(ValueError):
