@@ -43,8 +43,3 @@ gtruth = np.stack([field.gradient(p) for p in pts])
 print(f"\n2000 random space-time points:")
 print(f"  max |value error|    {np.abs(res.values - truth).max():.2e}")
 print(f"  max |gradient error| {np.abs(res.gradients - gtruth).max():.2e}")
-
-# evaluation contracts each cell's samples directly, so no per-cell
-# coefficient tensors are built or stored along the way
-print(f"\ncoefficient tensors stored: {interp.cache_size()} "
-      f"(of {np.prod(grid.element_counts(interp.policy))} valid elements)")

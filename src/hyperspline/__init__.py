@@ -10,8 +10,8 @@ weights, and each first partial swaps in the differentiated weights on
 its axis. Values and all first partial derivatives are continuous
 across cell faces and the partials come out of the same polynomial
 analytically. The coefficients themselves, the neighborhood times the
-Kronecker power of the 4x4 Catmull-Rom basis matrix, are available
-per cell for inspection and the warm start; that operator is built on
+Kronecker power of the 4x4 Catmull-Rom basis matrix, are computed
+per cell on request, for inspection only; that operator is built on
 first use, never by a query. The paper's exact construction, ``inv(C)
 @ F`` from the integer constraint matrix C and the central-difference
 matrix F, is kept as the reference: it certifies the operator in

@@ -6,13 +6,15 @@ Subcommands:
     sample    -- resample a field onto a new regular lattice
     validate  -- run the release checks of hyperspline.fields, or those
                  that need no analytic truth on a user grid
-    bench     -- throughput / latency measurement
+    bench     -- throughput / latency measurement, and a bitwise check
+                 that batch and per-point results agree
 
 ``--point``, ``--min`` and ``--max`` are read as a line of a points
 file is, and take a value that starts with ``-`` (``--point -1.5,2,2``)
 as ``--point=-1.5,2,2``; ``--policy`` goes to ``Interpolator`` as given.
 
-Exit codes: 0 success, 1 validation failure, 2 usage or input error.
+Exit codes: 0 success, 1 a failed check (``validate``, or ``bench``'s
+batch/per-point comparison), 2 usage or input error.
 The environment variable ``HYPERSPLINE_THREADS`` sets the batch worker
 count: serial when unset, one worker per CPU for 0, n for n.
 """
@@ -291,12 +293,17 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     res = interp.eval_batch(pts)
     total = time.perf_counter() - t0
-    psum = (float(np.sum([r.values for r in out]))
-            + float(np.sum([r.gradient for r in out])))
+    values = np.array([r.values for r in out]).reshape(res.values.shape)
+    grads = np.array([r.gradient for r in out]).reshape(res.gradients.shape)
+    psum = float(np.sum(values)) + float(np.sum(grads))
     bsum = float(np.sum(res.values)) + float(np.sum(res.gradients))
     print(f"batch          : {n / total:.0f} points/s")
     print(f"checksum_perpoint={psum!r} checksum_batch={bsum!r}")
-    return 0
+    # the guarantee rests on the BLAS build, so check it on this one
+    match = (values.tobytes() == res.values.tobytes()
+             and grads.tobytes() == res.gradients.tobytes())
+    print(f"batch_matches_pointwise={'yes' if match else 'NO'}")
+    return 0 if match else 1
 
 
 # ---------------------------------------------------------------- main --

@@ -36,16 +36,13 @@ with one ``take``. The grid stores its ghost layers, so the boundary
 policy only sets which cells are valid: an edge cell under
 ``LinearGhost`` costs the same as an interior one, on both paths.
 
-Per-element coefficient tensors ``operator @ samples`` stay available
-through :meth:`Interpolator.coefficients`, cached in memory, for
-inspection and the warm start; evaluation neither reads nor fills that
-cache, and no interpolator asks for the operator until a coefficient
-is built. Validation checks the kernel itself against the exact
-derivation (:func:`hyperspline.fields.check_fused_oracle`).
-:meth:`Interpolator.precompute_all` fills the cache for every valid
-element, one gather and one stacked ``np.matmul`` per
-``eval_batch``-sized chunk of elements, each element's product shaped
-as if built alone, so its entries are the same bits.
+An interpolator holds no per-cell state, so evaluation needs nothing
+precomputed. A cell's coefficient tensor ``operator @ samples`` is
+available through :meth:`Interpolator.coefficients`, computed on each
+call for inspection only; evaluation never forms it, and no
+interpolator asks for the operator until a coefficient is requested.
+Validation checks the kernel itself against the exact derivation
+(:func:`hyperspline.fields.check_fused_oracle`).
 
 Module contents:
     QueryResult   -- values + physical-unit gradient at one point
@@ -197,10 +194,8 @@ class Interpolator:
         sample neighborhood; LinearGhost extends them to the whole grid
         via linear ghost layers. ``policy`` holds the member.
 
-    Concurrent queries are safe: evaluation only reads the immutable
-    grid, and :meth:`coefficients` and :meth:`precompute_all` cache
-    complete, read-only tensors only (a racing first touch may compute
-    the same tensor twice, never observe a partial one).
+    Concurrent queries are safe: an interpolator holds no mutable state,
+    and evaluation only reads the immutable grid.
     """
 
     def __init__(self, grid: RegularGrid,
@@ -215,7 +210,6 @@ class Interpolator:
         self._gradient_cols = [1 << d for d in range(grid.dim)]
         # points per eval_batch chunk: 1.5 MB of gathered float64 samples
         self._chunk = max(1, 196608 // (grid.components * 4 ** grid.dim))
-        self._cache: dict = {}
 
     @property
     def dim(self) -> int:
@@ -231,54 +225,21 @@ class Interpolator:
         """Coefficient tensor of one element, shape ``(m, 4^dim)``.
 
         Row c holds the flattened unit-cell coefficients of component c
-        (monomial column e = sum_d exponent_d * 4^d). Computed on first
-        touch, then served read-only from the cache. Evaluation does not
-        use it; it serves inspection. Raises IndexError for an element
-        outside the policy's valid range.
+        (monomial column e = sum_d exponent_d * 4^d), computed afresh,
+        C-contiguous, on every call. Evaluation does not use it; it
+        serves inspection. Raises IndexError for an element outside the
+        policy's valid range.
         """
-        # anything but an ElementRef misses; neighborhood_block rejects it
-        cached = (self._cache.get(elem.base) if isinstance(elem, ElementRef)
-                  else None)
-        if cached is not None:
-            return cached
         block = neighborhood_block(self.grid, elem, self.policy)
-        self._store([elem.base], block[None])
-        return self._cache[elem.base]
-
-    def _store(self, bases, blocks):
-        """Cache ``operator @ block`` for k cells.
-
-        ``blocks`` is ``(k, 4^dim, m)`` as gathered. Each cell's product
-        has the shapes and strides of a one-cell ``operator @ block``,
-        whatever k, so BLAS does the same arithmetic for it. Entries are
-        read-only, C-contiguous ``(m, 4^dim)`` rows of the result.
-        """
-        # entries are views of this copy, so none can be made writeable
-        # again (with m = 1 the transpose alone would view the product)
-        coeffs = (np.matmul(operator_set(self.dim), blocks)
-                  .transpose(0, 2, 1).copy())
-        coeffs.flags.writeable = False
-        self._cache.update(zip(bases, coeffs))
+        return (np.matmul(operator_set(self.dim), block[None])
+                .transpose(0, 2, 1)[0].copy())
 
     def cache_size(self) -> int:
-        return len(self._cache)
+        """Always 0; kept for existing callers, goes with ROADMAP item 2."""
+        return 0
 
     def precompute_all(self):
-        """Fill the cache for every valid element.
-
-        Builds the coefficients chunk by chunk, one gather and one
-        stacked ``matmul`` per chunk of as many cells as ``eval_batch``
-        puts in a chunk; each entry is bitwise equal to what
-        :meth:`coefficients` computes for its cell alone. The cache holds
-        about cells x m x 4^dim x 8 bytes (78 MB for the 50,653 cells of
-        a 40^3 x 3 grid). Evaluation never reads it.
-        """
-        lo, hi = np.array(self.grid.element_base_range(self.policy)).T
-        bases = np.indices(hi - lo + 1).reshape(self.dim, -1).T + lo
-        for s in range(0, len(bases), self._chunk):
-            chunk = bases[s:s + self._chunk]
-            self._store(map(tuple, chunk.tolist()),
-                        gather_neighborhoods(self.grid, chunk, self.policy))
+        """No-op; kept for existing callers, goes with ROADMAP item 2."""
 
     # -- point evaluation --------------------------------------------------
 

@@ -466,6 +466,22 @@ class TestBench:
         per_point = line.split()[0].split("=")[1]
         batch = line.split()[1].split("=")[1]
         assert per_point == batch
+        assert "batch_matches_pointwise=yes\n" in out
+
+    def test_batch_differing_from_pointwise_exits_1(self, lin4d, capsys,
+                                                    monkeypatch):
+        # a stand-in for a BLAS whose batched products round differently:
+        # every batch result moves by one ulp, single points do not
+        kernel = interpolator._stencil_kernel
+
+        def off_by_an_ulp(samples, u, orders):
+            part = kernel(samples, u, orders)
+            return np.nextafter(part, np.inf) if len(samples) > 1 else part
+
+        monkeypatch.setattr(interpolator, "_stencil_kernel", off_by_an_ulp)
+        assert main(["bench", lin4d, "--n", "20"]) == 1
+        out = capsys.readouterr().out
+        assert "batch_matches_pointwise=NO\n" in out
 
 
 # cells of an inline point: numbers, padded or quoted numbers, and

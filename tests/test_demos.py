@@ -25,7 +25,6 @@ def test_time_varying_field_demo_runs(tmp_path, monkeypatch, capsys):
                    run_name="__main__")
     out = capsys.readouterr().out
     assert "max |gradient error|" in out
-    assert "coefficient tensors stored: 0 " in out
 
 
 def test_files_demo_runs(tmp_path, monkeypatch, capsys):

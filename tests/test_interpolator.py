@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -83,8 +84,8 @@ class TestConstruction:
             interp.eval_local(ElementRef((1,) * dim), [0.5] * dim)
             interp.derivative(p, [1] * dim)
             interp.eval_batch(np.full((3, dim), 1.7))
+            interp.precompute_all()
         assert not hasattr(interp, "operator")
-        interp.precompute_all()
 
     def test_vector_components(self):
         rng = np.random.default_rng(0)
@@ -136,15 +137,29 @@ class TestCoefficients:
             want = oracle_coefficients(grid, ElementRef(base))
             assert np.max(np.abs(got - want)) < 1e-10
 
-    def test_cached_and_read_only(self):
-        grid = sample(constant_field(3), [Axis(0, 1, 5)] * 3)
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("dim, n, m", [(3, 13, 3), (4, 7, 3), (4, 7, 1)])
+    def test_every_cell_matches_oracle(self, dim, n, m, policy):
+        rng = np.random.default_rng(15)
+        grid = RegularGrid([Axis(-1.0, 0.5, n)] * dim,
+                           rng.standard_normal((n,) * dim + (m,)),
+                           components=m)
+        interp = Interpolator(grid, policy)
+        lo, hi = np.array(grid.element_base_range(policy)).T
+        for offset in np.ndindex(*(hi - lo + 1)):
+            elem = ElementRef(tuple((lo + offset).tolist()))
+            got = interp.coefficients(elem)
+            assert got.shape == (m, 4 ** dim) and got.flags.c_contiguous
+            want = oracle_coefficients(grid, elem, policy)
+            assert np.max(np.abs(got - want)) < 1e-10
+
+    def test_computed_afresh_on_each_call(self):
+        grid = sample(trig_product_field(3), [Axis(0, 0.5, 5)] * 3)
         interp = Interpolator(grid)
         a = interp.coefficients(ElementRef((1, 1, 1)))
         b = interp.coefficients(ElementRef((1, 1, 1)))
-        assert a is b
-        assert interp.cache_size() == 1
-        with pytest.raises(ValueError):
-            a[0, 0] = 99.0
+        assert a is not b
+        assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_invalid_element_is_programming_error(self, dim):
@@ -201,6 +216,26 @@ class TestEval:
         _, grid = trig4
         ok, metrics = check_vertex_reproduction(Interpolator(grid), 200, 3)
         assert ok, metrics
+
+    def test_concurrent_queries_agree(self, trig4):
+        _, grid = trig4
+        interp = Interpolator(grid)
+        p = [1.3, 1.4, 1.5, 1.6]
+        results = []
+
+        def query():
+            results.append(interp.eval_with_gradient(p))
+
+        threads = [threading.Thread(target=query) for _ in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(results) == 16
+        for r in results[1:]:
+            assert np.array_equal(r.values, results[0].values)
+            assert np.array_equal(r.gradient, results[0].gradient)
 
 
 class TestGradient:
@@ -291,71 +326,33 @@ class TestTimeSliceConsistency:
         assert ok, metrics
 
 
-class TestCacheBehavior:
-    def test_cold_warm_bit_identical(self, trig4):
-        _, grid = trig4
-        rng = np.random.default_rng(11)
-        dom = grid.queryable_domain(STRICT)
-        pts = np.stack([rng.uniform(lo, hi, 50) for lo, hi in dom], axis=1)
-        cold = Interpolator(grid)
-        cold_out = [cold.eval_with_gradient(p) for p in pts]
-        warm = Interpolator(grid)
-        warm.precompute_all()
-        for p, ref in zip(pts, cold_out):
-            r = warm.eval_with_gradient(p)
-            assert np.array_equal(r.values, ref.values)
-            assert np.array_equal(r.gradient, ref.gradient)
+class TestNoCellState:
+    """An interpolator keeps nothing per cell; ``precompute_all`` and
+    ``cache_size`` stay only for existing callers."""
 
-    def test_precompute_fills_every_valid_element(self):
-        grid = sample(constant_field(3), [Axis(0, 1, 6)] * 3)
+    def test_precompute_all_allocates_nothing(self):
+        rng = np.random.default_rng(16)
+        grid = RegularGrid([Axis(0.0, 0.1, 40)] * 3,
+                           rng.standard_normal((40, 40, 40, 3)),
+                           components=3)
         interp = Interpolator(grid)
+        tracemalloc.start()
+        try:
+            interp.precompute_all()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_cache_size_stays_zero(self, trig4):
+        _, grid = trig4
+        interp = Interpolator(grid)
+        interp.coefficients(ElementRef((1, 1, 1, 1)))
+        assert interp.cache_size() == 0
+        interp.eval_batch(np.full((5, 4), 1.3))
+        assert interp.cache_size() == 0
         interp.precompute_all()
-        assert interp.cache_size() == 3 ** 3
-
-    @pytest.mark.parametrize("policy", [STRICT, GHOST])
-    @pytest.mark.parametrize("dim, n, m", [(3, 13, 3), (4, 7, 3), (4, 7, 1)])
-    def test_precompute_equals_per_cell_coefficients(self, dim, n, m,
-                                                     policy):
-        # cells are built a chunk at a time; 3D under both policies and
-        # 4D under LinearGhost end on a partial chunk
-        rng = np.random.default_rng(15)
-        grid = RegularGrid([Axis(-1.0, 0.5, n)] * dim,
-                           rng.standard_normal((n,) * dim + (m,)),
-                           components=m)
-        warm = Interpolator(grid, policy)
-        warm.precompute_all()
-        cells = int(np.prod(grid.element_counts(policy)))
-        assert warm.cache_size() == cells
-        assert cells % warm._chunk != 0 or policy is STRICT
-        lo, hi = np.array(grid.element_base_range(policy)).T
-        for offset in np.ndindex(*(hi - lo + 1)):
-            elem = ElementRef(tuple((lo + offset).tolist()))
-            got = warm.coefficients(elem)
-            want = Interpolator(grid, policy).coefficients(elem)
-            assert got.shape == (m, 4 ** dim)
-            assert got.tobytes() == want.tobytes()
-            assert got.flags.c_contiguous and not got.flags.writeable
-        assert warm.cache_size() == cells
-        with pytest.raises(ValueError):
-            got.flags.writeable = True
-
-    def test_concurrent_first_touch(self, trig4):
-        _, grid = trig4
-        interp = Interpolator(grid)
-        p = [1.3, 1.4, 1.5, 1.6]
-        results = []
-
-        def query():
-            results.append(interp.eval_with_gradient(p))
-
-        threads = [threading.Thread(target=query) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for r in results[1:]:
-            assert np.array_equal(r.values, results[0].values)
-            assert np.array_equal(r.gradient, results[0].gradient)
+        assert interp.cache_size() == 0
 
 
 class TestBatch:
@@ -394,7 +391,6 @@ class TestBatch:
         pts = np.stack([lo[d] + rng.uniform(0, 1, 2000)
                         * grid.axes[d].spacing for d in range(4)], axis=1)
         res = interp.eval_batch(pts)
-        assert interp.cache_size() == 0  # evaluation builds no coefficients
         for i in rng.integers(0, 2000, 25):
             r = interp.eval_with_gradient(pts[i])
             assert np.array_equal(res.values[i], r.values)
