@@ -18,11 +18,13 @@ every side: one contiguous ``(vertices, m)`` array over the
 fastest. The grid fills the ghosts when it is built, so a policy only
 decides which element bases are valid; ``Strict`` simply never reads
 them. ``RegularGrid.values`` is the read-only ``(count_last, ...,
-count_first, m)`` inner view of the store. Every gather is one ``take``
-of whole stencils of sample rows at fixed flat offsets from each base,
+count_first, m)`` inner view of the store. Every gather copies whole
+stencils out of one read-only strided view of the store, ``(base_last,
+..., base_first, 4, ..., 4, m)``, which the grid builds with itself and
+which holds every stencil in place at no memory cost. The copy is
 point-major, ``(k, 4^dim, m)`` for k elements, so each point's stencil
 is one contiguous block for the evaluation kernel's per-point matrix
-products.
+products; no index array is built.
 
 Which bases a policy admits is decided once, in the grid's region
 table: per policy one row of Python numbers per axis, ``(origin,
@@ -71,7 +73,6 @@ from .errors import (
     TooFewPointsError,
     UnsupportedDimensionError,
 )
-from .operators import neighborhood_offsets
 
 #: Coordinate column names of grid, points and result CSV files, per axis.
 AXIS_NAMES = ("x", "y", "z", "t")
@@ -272,12 +273,11 @@ class RegularGrid:
         self._samples = padded.reshape(-1, components)
         # the real samples, shaped (count_last, ..., count_first, m)
         self.values = padded[inner]
-        # flat padded vertex index = (index + 1) @ _strides (x fastest);
-        # _stencil holds the flat offsets of the 4^dim neighborhood from
-        # its base's row, in sample-row order
-        self._strides = np.cumprod((1,) + tuple(c + 2 for c in counts[:-1]),
-                                   dtype=np.int64)
-        self._stencil = (neighborhood_offsets(dim) + 1) @ self._strides
+        # every stencil in place, a read-only view of the store: entry
+        # [b_last, ..., b_first, o_last, ..., o_first, c] is component c
+        # at padded vertex b + o, i.e. offset o - 1 from element base b
+        self._windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+            padded, (4,) * dim, axis=tuple(range(dim))), dim, -1)
         # the region table, the one statement of the boundary rule: Strict
         # admits the bases one cell in from each side, whose neighborhoods
         # are all real samples; LinearGhost, reading ghosts, admits all.
@@ -289,7 +289,12 @@ class RegularGrid:
                 (a.origin, a.spacing, i, a.count - 2 - i,
                  a.coordinate(i), a.coordinate(a.count - 1 - i))
                 for a in axes)
-        self._stride_ints = tuple(self._strides.tolist())
+
+    def __reduce__(self):
+        # rebuilt from its samples: pickling the stencil view would write
+        # out 4^dim samples per cell
+        return (type(self), (self.axes, self.values, self.components,
+                              self.component_names))
 
     @property
     def dim(self) -> int:
@@ -452,22 +457,27 @@ def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
         ok &= (x >= cmin) & (x <= cmax)
         b = np.floor((x - origin) / spacing)
         b = np.where(np.isfinite(b), b, lo)
-        b = np.clip(b, lo, hi)
+        # np.clip's bits, without its dispatch; the bound goes first, as
+        # np.maximum(-0.0, 0.0) would return +0.0 where np.clip keeps -0.0
+        b = np.minimum(hi, np.maximum(lo, b))
         bases[:, d] = b
-        u[d] = np.clip((x - (origin + b * spacing)) / spacing, 0.0, 1.0)
+        u[d] = np.minimum(1.0, np.maximum(0.0, (x - (origin + b * spacing))
+                                          / spacing))
     return bases, u, ok
 
 
 def gather_neighborhoods(grid: RegularGrid, bases,
                          policy: BoundaryPolicy) -> np.ndarray:
-    """All-component sample neighborhoods of k elements in one ``take``.
+    """All-component sample neighborhoods of k elements, one copy each.
 
     ``bases`` is a ``(k, dim)`` integer array of element base indices.
     Returns an array of shape ``(k, 4^dim, m)``: entry ``[i, n, c]`` holds
     component c of the sample at grid offset ``o`` with
     ``n = sum_d (o_d + 1) * 4^d`` relative to base i. Offsets one layer
     outside the grid read the ghost samples the grid was built with,
-    which only ``LinearGhost`` bases reach.
+    which only ``LinearGhost`` bases reach. One indexing of the grid's
+    stencil view with the bases copies the stencils out; no index array
+    is built.
 
     Raises
     ------
@@ -496,8 +506,8 @@ def gather_neighborhoods(grid: RegularGrid, bases,
         raise IndexError(
             f"element base {tuple(first.tolist())} outside valid range "
             f"under {as_policy(policy).value}")
-    flat = (bases @ grid._strides)[:, None] + grid._stencil
-    return grid._samples.take(flat, 0)
+    return grid._windows[tuple(bases.T[::-1])].reshape(
+        len(bases), 4 ** grid.dim, grid.components)
 
 
 def neighborhood_block(grid: RegularGrid, elem: ElementRef,
@@ -506,8 +516,8 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
 
     The one-element slice of :func:`gather_neighborhoods`, with the same
     row order and the same ghost samples: a range check on Python ints
-    against the policy's region table, then one ``take`` at the base's
-    flat offset.
+    against the policy's region table, then a copy of the base's stencil
+    out of the grid's stencil view.
 
     Raises
     ------
@@ -529,5 +539,4 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
                in zip(base, grid._rows(policy))):
         raise IndexError(f"element base {base} outside valid range "
                          f"under {as_policy(policy).value}")
-    offset = sum(b * s for b, s in zip(base, grid._stride_ints))
-    return grid._samples.take(grid._stencil + offset, 0)
+    return grid._windows[base[::-1]].reshape(4 ** grid.dim, grid.components)

@@ -31,10 +31,14 @@ bench`` on a 14^4 x 3 grid; 2 CPUs, numpy 2.4.6, scipy-openblas 0.3.31),
 most of it numpy dispatch on tiny arrays:
 :func:`~hyperspline.grid.locate` reads the grid's region table on
 Python floats and
-:func:`~hyperspline.grid.neighborhood_block` fetches the cell's stencil
-with one ``take``. The grid stores its ghost layers, so the boundary
+:func:`~hyperspline.grid.neighborhood_block` copies the cell's stencil
+out of the grid's strided stencil view, as the batch gather does for
+many cells at once. The grid stores its ghost layers, so the boundary
 policy only sets which cells are valid: an edge cell under
-``LinearGhost`` costs the same as an interior one, on both paths.
+``LinearGhost`` costs the same as an interior one, on both paths. A
+batch chunk whose points are all inside the domain reads its bases and
+local coordinates and writes its result rows through slices, so none of
+them is copied.
 
 An interpolator holds no per-cell state, so evaluation needs nothing
 precomputed. A cell's coefficient tensor ``operator @ samples`` is
@@ -139,13 +143,14 @@ def _weights(u: np.ndarray, orders) -> np.ndarray:
     ``u`` is ``(dim, k)``. Entry ``[d, i, j, c]`` of the ``(dim, k, 4,
     2)`` result weighs the sample at offset ``j - 1`` on axis d for
     point i, in the value (c = 0) or the order-``orders[d]`` partial
-    (c = 1). Elementwise Horner.
+    (c = 1). Elementwise Horner on a points-last ``(dim, 4, 2, k)``
+    table, so each step is one long inner loop.
     """
-    h = _HORNER.take(orders, 0)[:, :, None]
-    u = u[:, :, None, None]
+    h = _HORNER.take(orders, 0)[..., None]
+    u = u[:, None, None, :]
     w = h[:, 0] * u + h[:, 1]
     w = w * u + h[:, 2]
-    return w * u + h[:, 3]
+    return np.ascontiguousarray((w * u + h[:, 3]).transpose(0, 3, 1, 2))
 
 
 def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
@@ -350,9 +355,10 @@ class Interpolator:
     def _eval_chunk(self, pts, values, gradients, ok):
         bases, u, inside = locate_points(self.grid, pts, self.policy)
         ok[:] = inside
-        hit = np.flatnonzero(inside)
-        if hit.size == 0:
+        if not inside.any():
             return
+        # a slice when every point is inside, so nothing below is copied
+        hit = slice(None) if inside.all() else np.flatnonzero(inside)
         block = gather_neighborhoods(self.grid, bases[hit], self.policy)
         part = _stencil_kernel(block, u[:, hit], (1,) * self.dim)
         values[hit] = part[:, :, 0]

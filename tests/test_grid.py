@@ -1,4 +1,6 @@
+import copy
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from hyperspline import (
     DimensionMismatchError,
     ElementRef,
     HypersplineError,
+    Interpolator,
     InvalidArgumentError,
     IrregularSpacingError,
     NonFiniteValueError,
@@ -250,6 +253,18 @@ class TestLocate:
             assert elem.base == tuple(base)
             assert_allclose(u_back, u, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_batch_keeps_the_sign_of_a_zero_local_coordinate(self, policy):
+        # a -0.0 coordinate on a vertex at 0.0 gives u = -0.0; the batch
+        # clamp must keep it, as the scalar one does
+        grid = RegularGrid([Axis(-1.0, 1.0, 5)] * 3, np.zeros((5, 5, 5)))
+        point = [-0.0, -0.0, 0.5]
+        elem, u = locate(grid, point, policy)
+        bases, u_batch, ok = locate_points(grid, [point], policy)
+        assert ok.all() and tuple(bases[0]) == elem.base
+        assert np.signbit(u).tolist() == [True, True, False]
+        assert u_batch[:, 0].tobytes() == u.tobytes()
+
 
 class TestNeighborhood:
     def test_constant_field(self):
@@ -386,12 +401,78 @@ class TestGather:
             assert np.array_equal(
                 neighborhood_block(grid, ElementRef(base), policy), want)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_no_bases_gather_nothing(self, dim, policy):
+        grid = unit_grid(dim, count=5, components=2)
+        got = gather_neighborhoods(grid, np.empty((0, dim), dtype=int), policy)
+        assert got.shape == (0, 4 ** dim, 2)
+
     def test_any_base_out_of_range_rejected(self):
         grid = unit_grid(3, count=6)
         with pytest.raises(IndexError):
             gather_neighborhoods(grid, [[1, 1, 1], [1, 4, 1]], STRICT)
         with pytest.raises(IndexError):
             gather_neighborhoods(grid, [[0, 0, 0], [0, -1, 0]], GHOST)
+
+
+class TestStencilView:
+    """Gathers copy stencils out of one read-only strided view of the
+    sample store; the view costs no memory, in the process or a pickle."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_read_only_view_of_the_store(self, dim):
+        grid = unit_grid(dim, count=6, components=2)
+        assert not grid._windows.flags.writeable
+        assert np.shares_memory(grid._windows, grid._samples)
+        # one stencil per element, bases and offsets t..x
+        assert grid._windows.shape == (5,) * dim + (4,) * dim + (2,)
+
+    def test_gather_builds_no_index_array(self):
+        rng = np.random.default_rng(5)
+        grid = RegularGrid([Axis(0.0, 1.0, 10)] * 4,
+                           rng.standard_normal((10,) * 4 + (3,)),
+                           components=3)
+        bases = rng.integers(1, 8, (256, 4))
+        gather_neighborhoods(grid, bases, STRICT)  # warm
+        tracemalloc.start()
+        try:
+            out = gather_neighborhoods(grid, bases, STRICT)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a (256, 256) int64 index array alone would be 512 KiB
+        assert peak <= out.nbytes + 64 * 1024
+
+    @staticmethod
+    def field_grid():
+        rng = np.random.default_rng(40)
+        return RegularGrid([Axis(0.0, 0.1, 40)] * 3,
+                           rng.standard_normal((40, 40, 40, 3)),
+                           components=3, component_names=["u", "v", "w"])
+
+    def test_pickle_holds_the_samples_once(self):
+        # pickling the view wrote out every stencil: 94 MB here
+        grid = self.field_grid()
+        assert len(pickle.dumps(grid)) < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("clone", [
+        lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy],
+        ids=["pickle", "deepcopy"])
+    def test_round_trip_is_bitwise(self, clone):
+        grid = self.field_grid()
+        back = clone(grid)
+        assert back.axes == grid.axes
+        assert back.component_names == grid.component_names
+        assert back._samples.tobytes() == grid._samples.tobytes()
+        assert not back._windows.flags.writeable
+        pts = np.random.default_rng(41).uniform(-0.2, 4.1, (3000, 3))
+        for policy in (STRICT, GHOST):
+            want = Interpolator(grid, policy).eval_batch(pts)
+            got = Interpolator(back, policy).eval_batch(pts)
+            for g, w in zip((got.values, got.gradients, got.ok),
+                            (want.values, want.gradients, want.ok)):
+                assert g.tobytes() == w.tobytes()
 
 
 class TestPolicyValues:

@@ -409,6 +409,33 @@ class TestBatch:
         assert np.array_equal(serial.values, threaded.values)
         assert np.array_equal(serial.gradients, threaded.gradients)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_all_inside_chunks_equal_the_index_path(self, dim, policy):
+        # a chunk whose points are all inside runs on slices; one outside
+        # point at the head of every chunk sends each down the index path
+        rng = np.random.default_rng(30 + dim)
+        axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 5), Axis(2.0, 1.5, 7),
+                Axis(0.0, 0.4, 5)][:dim]
+        grid = RegularGrid(
+            axes, rng.standard_normal([a.count for a in axes][::-1] + [2]),
+            components=2)
+        interp = Interpolator(grid, policy)
+        chunk = interp._chunk
+        dom = np.array(grid.queryable_domain(policy))
+        pts = rng.uniform(dom[:, 0], dom[:, 1], (3 * chunk + 17, dim))
+        heads = np.arange(0, len(pts), chunk - 1)
+        mixed = np.insert(pts, heads, dom[:, 1] + 1.0, axis=0)
+        outside = np.zeros(len(mixed), dtype=bool)
+        outside[heads + np.arange(len(heads))] = True
+        assert outside[::chunk].all() and len(heads) > 3
+        sliced = interp.eval_batch(pts)
+        indexed = interp.eval_batch(mixed)
+        assert sliced.ok.all() and indexed.ok.tolist() == (~outside).tolist()
+        assert_rows_equal(
+            (sliced.values, sliced.gradients),
+            (indexed.values[~outside], indexed.gradients[~outside]))
+
     def test_empty_batch(self, trig4):
         _, grid = trig4
         res = Interpolator(grid).eval_batch(np.empty((0, 4)))
