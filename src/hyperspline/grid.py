@@ -427,14 +427,17 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
     return ElementRef(tuple(base)), np.array(u)
 
 
+@np.errstate(over="ignore")
 def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
     """Vectorised :func:`locate` for ``(n, dim)`` points.
 
     Returns ``(bases, u, ok)``: ``(n, dim)`` element base indices, the
     ``(dim, n)`` local coordinates and an ``(n,)`` mask of the points
-    inside the queryable domain. Rows of points outside it hold
-    arbitrary in-range bases instead of raising. One pass per axis, on
-    its region-table row and column of coordinates.
+    inside the queryable domain. Every base, NaN points' included, is
+    clamped into ``grid.element_base_range(policy)``, so it can be
+    gathered unchecked; a point far outside may overflow to inf silently,
+    as the mask flags it. One pass per axis, on its region-table row and
+    column of coordinates.
 
     Raises
     ------
@@ -506,6 +509,13 @@ def gather_neighborhoods(grid: RegularGrid, bases,
         raise IndexError(
             f"element base {tuple(first.tolist())} outside valid range "
             f"under {as_policy(policy).value}")
+    return _stencils(grid, bases)
+
+
+def _stencils(grid: RegularGrid, bases: np.ndarray) -> np.ndarray:
+    """:func:`gather_neighborhoods` without its checks: ``bases`` must be
+    a ``(k, dim)`` integer array within the policy's valid range, as
+    :func:`locate_points` returns them."""
     return grid._windows[tuple(bases.T[::-1])].reshape(
         len(bases), 4 ** grid.dim, grid.components)
 

@@ -20,10 +20,12 @@ points: per axis one ``np.matmul`` of k stacked per-point products
 3D. A point's products have the same shapes and strides whatever k,
 its chunk or the worker count, so BLAS does the same arithmetic for it
 in a batch as alone, and batched, threaded and one-at-a-time evaluation
-agree bit for bit. :meth:`Interpolator.eval_batch` evaluates its points
-in chunks whose size the grid sets: as many points as fit 1.5 MB of
-gathered samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in 4D,
-1024 in 3D, with m = 3), so a chunk's working set stays in L2.
+agree bit for bit. :meth:`Interpolator.eval_batch` locates all its
+points at once, holding their bases and local coordinates (16 * dim
+bytes per point), then gathers, contracts and stores them in chunks
+whose size the grid sets: as many points as fit 1.5 MB of gathered
+samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in 4D, 1024 in
+3D, with m = 3), so a chunk's working set stays in L2.
 
 A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
 is the same kernel with k = 1, about 60 µs in 4D (p50 of ``hyperspline
@@ -36,9 +38,9 @@ out of the grid's strided stencil view, as the batch gather does for
 many cells at once. The grid stores its ghost layers, so the boundary
 policy only sets which cells are valid: an edge cell under
 ``LinearGhost`` costs the same as an interior one, on both paths. A
-batch chunk whose points are all inside the domain reads its bases and
-local coordinates and writes its result rows through slices, so none of
-them is copied.
+batch chunk evaluates every one of its rows: a point outside the domain
+has a clamped base, so it reads a valid stencil, and its row is set to
+NaN once the chunks are done.
 
 An interpolator holds no per-cell state, so evaluation needs nothing
 precomputed. A cell's coefficient tensor ``operator @ samples`` is
@@ -71,9 +73,9 @@ from .grid import (
     BoundaryPolicy,
     ElementRef,
     RegularGrid,
+    _stencils,
     as_coordinates,
     as_policy,
-    gather_neighborhoods,
     is_integer,
     locate,
     locate_points,
@@ -322,23 +324,25 @@ class Interpolator:
         Equivalent, bit for bit, to calling :meth:`eval_with_gradient`
         per point, in chunks whose size the grid sets (see the module
         docstring) on as many workers as ``HYPERSPLINE_THREADS`` sets;
-        output order is independent of scheduling.
+        output order is independent of scheduling. The whole batch is
+        located at once, then every chunk gathers, contracts and stores
+        all its rows: a point outside the domain reads a clamped cell's
+        stencil, and its row is set to NaN afterwards, so a batch mostly
+        outside the domain costs as much as one inside it.
         """
-        pts = as_coordinates(points)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimensionMismatchError(
-                f"points must have shape (n, {self.dim}), got {pts.shape}")
-        n = pts.shape[0]
-        m = self.components
-        values = np.full((n, m), np.nan)
-        gradients = np.full((n, m, self.dim), np.nan)
-        ok = np.zeros(n, dtype=bool)
+        bases, u, ok = locate_points(self.grid, points, self.policy)
+        n = len(ok)
+        values = np.empty((n, self.components))
+        gradients = np.empty((n, self.components, self.dim))
         starts = range(0, n, self._chunk)
         workers = _workers()
 
         def run(s):
             e = s + self._chunk
-            self._eval_chunk(pts[s:e], values[s:e], gradients[s:e], ok[s:e])
+            block = _stencils(self.grid, bases[s:e])
+            part = _stencil_kernel(block, u[:, s:e], (1,) * self.dim)
+            values[s:e] = part[:, :, 0]
+            gradients[s:e] = part[:, :, self._gradient_cols] / self._spacings
 
         if workers > 1 and len(starts) > 1:
             # imported here: it loads logging and queue, which a serial
@@ -350,16 +354,6 @@ class Interpolator:
         else:
             for s in starts:
                 run(s)
+        values[~ok] = np.nan
+        gradients[~ok] = np.nan
         return BatchResult(values, gradients, ok)
-
-    def _eval_chunk(self, pts, values, gradients, ok):
-        bases, u, inside = locate_points(self.grid, pts, self.policy)
-        ok[:] = inside
-        if not inside.any():
-            return
-        # a slice when every point is inside, so nothing below is copied
-        hit = slice(None) if inside.all() else np.flatnonzero(inside)
-        block = gather_neighborhoods(self.grid, bases[hit], self.policy)
-        part = _stencil_kernel(block, u[:, hit], (1,) * self.dim)
-        values[hit] = part[:, :, 0]
-        gradients[hit] = part[:, :, self._gradient_cols] / self._spacings

@@ -88,12 +88,6 @@ def monomial_exponents(dim: int) -> np.ndarray:
     return np.stack([(e // 4 ** d) % 4 for d in range(dim)], axis=1)
 
 
-def neighborhood_offsets(dim: int) -> np.ndarray:
-    """Per-axis offsets of sample column n: values in {-1, 0, 1, 2}."""
-    n = np.arange(4 ** dim)
-    return np.stack([(n // 4 ** d) % 4 - 1 for d in range(dim)], axis=1)
-
-
 def constraint_matrix(dim: int) -> np.ndarray:
     """Integer matrix taking unit-cell polynomial coefficients to the
     constraint values at the element corners.

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -232,6 +235,17 @@ class TestQuery:
         assert main(["query", lin4d, "--points", str(pts)]) == 2
         err = capsys.readouterr().err
         assert "HYPERSPLINE_THREADS" in err and repr(value) in err
+
+    def test_huge_coordinate_prints_no_warning(self, trig3d):
+        # -1e308 over the grid's 0.5 spacing overflows to -inf; the point
+        # is out of domain either way, and stderr stays empty
+        src = Path(interpolator.__file__).resolve().parents[1]
+        out = subprocess.run(
+            [sys.executable, "-m", "hyperspline.cli", "query", trig3d,
+             "--point=-1e308,0.5,0.5"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.split("\n")[1].endswith(",out_of_domain")
 
     def test_ghost_policy_widens_domain(self, lin4d, capsys):
         assert main(["query", lin4d, "--point", "0.2,0.2,0.2,0.2",

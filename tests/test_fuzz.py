@@ -39,6 +39,8 @@ from hyperspline.io import load_grid_csv, load_points_csv
 
 AXES = [Axis(0.0, 1.0, 4)] * 3
 GRID = RegularGrid(AXES, np.arange(64.0))
+# a spacing below 1, so that dividing a huge coordinate by it overflows
+FINE_GRID = RegularGrid([Axis(0.0, 0.25, 4)] * 3, np.arange(64.0))
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None,
                     max_examples=150)
@@ -161,6 +163,11 @@ def ghost_interp():
     return Interpolator(GRID, BoundaryPolicy.LINEAR_GHOST)
 
 
+@pytest.fixture(scope="module")
+def fine_interp():
+    return Interpolator(FINE_GRID)
+
+
 @SETTINGS
 @given(elem=st.one_of(scalars, ragged, arrays,
                       st.lists(st.integers(0, 2), max_size=5).map(
@@ -223,12 +230,15 @@ def test_eval_local_raises_only_typed_errors(interp, elem, u):
 @SETTINGS
 @given(batch=st.one_of(query_points,
                        st.lists(st.lists(scalars, min_size=3, max_size=3),
-                                max_size=4)))
-def test_eval_batch_raises_only_typed_errors(interp, batch):
-    try:
-        interp.eval_batch(batch)
-    except HypersplineError:
-        pass
+                                max_size=4),
+                       st.lists(st.lists(st.floats(), min_size=3,
+                                         max_size=3), max_size=4)))
+def test_eval_batch_raises_only_typed_errors(interp, fine_interp, batch):
+    for query in (interp.eval_batch, fine_interp.eval_batch):
+        try:
+            query(batch)
+        except HypersplineError:
+            pass
 
 
 @pytest.fixture(scope="module")

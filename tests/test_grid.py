@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hyperspline import (
@@ -264,6 +266,55 @@ class TestLocate:
         assert ok.all() and tuple(bases[0]) == elem.base
         assert np.signbit(u).tolist() == [True, True, False]
         assert u_batch[:, 0].tobytes() == u.tobytes()
+
+
+# a 3D and a 4D grid with fractional spacings and offset origins
+RANGE_GRIDS = [
+    RegularGrid(axes, np.zeros([a.count for a in axes][::-1] + [1]))
+    for axes in ([Axis(-2.0, 0.3, 7), Axis(5.0, 1.7, 6), Axis(0.0, 0.01, 8)],
+                 [Axis(-1.0, 0.25, 5), Axis(0.0, 0.4, 4), Axis(3.0, 1.5, 6),
+                  Axis(-1e-3, 2.0, 5)])]
+
+
+@st.composite
+def coordinates_around(draw, grid, policy):
+    """A ``(k, dim)`` batch of coordinates: each is a domain edge, the
+    float one ulp either side of it, NaN, +-inf, +-1e308 or any float."""
+    columns = []
+    for cmin, cmax in grid.queryable_domain(policy):
+        edges = [cmin, cmax, np.nextafter(cmin, -np.inf),
+                 np.nextafter(cmax, np.inf), np.nextafter(cmin, np.inf),
+                 np.nextafter(cmax, -np.inf)]
+        special = st.sampled_from(
+            edges + [np.nan, np.inf, -np.inf, 1e308, -1e308])
+        columns.append(draw(st.lists(
+            st.one_of(special, st.floats(), st.floats(cmin - 1, cmax + 1)),
+            min_size=1, max_size=8)))
+    k = min(map(len, columns))
+    return np.array([c[:k] for c in columns]).T
+
+
+class TestBasesRange:
+    """``locate_points`` gives every point, inside the domain or not, a
+    base within ``element_base_range(policy)``, so the batch path may
+    gather its stencils without checking them again."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=100)
+    @given(data=st.data())
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("grid", RANGE_GRIDS, ids=["3", "4"])
+    def test_bases_within_range(self, grid, policy, data):
+        pts = data.draw(coordinates_around(grid, policy))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bases, u, ok = locate_points(grid, pts, policy)
+        lo, hi = np.array(grid.element_base_range(policy)).T
+        assert ((bases >= lo) & (bases <= hi)).all()
+        assert (np.isnan(u) | ((u >= 0.0) & (u <= 1.0))).all()
+        dom = np.array(grid.queryable_domain(policy))
+        assert ok.tolist() == ((pts >= dom[:, 0]) & (pts <= dom[:, 1])
+                               ).all(axis=1).tolist()
 
 
 class TestNeighborhood:

@@ -1,6 +1,7 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -411,9 +412,11 @@ class TestBatch:
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
-    def test_all_inside_chunks_equal_the_index_path(self, dim, policy):
-        # a chunk whose points are all inside runs on slices; one outside
-        # point at the head of every chunk sends each down the index path
+    def test_outside_chunk_heads_leave_inside_rows_unchanged(self, dim,
+                                                               policy):
+        # every chunk evaluates all its rows, an outside point at the head
+        # of each one included; the inside rows read as in a batch with
+        # no outside points
         rng = np.random.default_rng(30 + dim)
         axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 5), Axis(2.0, 1.5, 7),
                 Axis(0.0, 0.4, 5)][:dim]
@@ -436,6 +439,54 @@ class TestBatch:
             (sliced.values, sliced.gradients),
             (indexed.values[~outside], indexed.gradients[~outside]))
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_outside_rows_are_nan(self, dim, workers, monkeypatch):
+        # every chunk evaluates all its rows; outside ones end up NaN and
+        # flagged, whether they fill a whole chunk or sit at its first or
+        # last position, and inside rows read as from the scalar query
+        monkeypatch.setenv("HYPERSPLINE_THREADS", workers)
+        rng = np.random.default_rng(40 + dim)
+        axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 5), Axis(2.0, 1.5, 7),
+                Axis(0.0, 0.4, 5)][:dim]
+        grid = RegularGrid(
+            axes, rng.standard_normal([a.count for a in axes][::-1] + [2]),
+            components=2)
+        interp = Interpolator(grid)
+        chunk = interp._chunk
+        dom = np.array(grid.queryable_domain(STRICT))
+        pts = rng.uniform(dom[:, 0], dom[:, 1], (3 * chunk + 5, dim))
+        # per axis: NaN, +-inf, +-1e308, a unit below the domain and an
+        # ulp above it
+        far = np.stack([np.full(dim, np.nan), np.full(dim, np.inf),
+                        np.full(dim, -np.inf), np.full(dim, 1e308),
+                        np.full(dim, -1e308), dom[:, 0] - 1.0,
+                        np.nextafter(dom[:, 1], np.inf)])
+        outside = np.zeros(len(pts), dtype=bool)
+        outside[[0, chunk - 1, 2 * chunk, 3 * chunk - 1, len(pts) - 1]] = True
+        outside[chunk:2 * chunk] = True
+        rows = np.flatnonzero(outside)
+        pts[rows, rows % dim] = far[rows % len(far), rows % dim]
+        res = interp.eval_batch(pts)
+        assert res.ok.tolist() == (~outside).tolist()
+        assert np.isnan(res.values[outside]).all()
+        assert np.isnan(res.gradients[outside]).all()
+        for i in np.flatnonzero(~outside)[::7]:
+            r = interp.eval_with_gradient(pts[i])
+            assert r.values.tobytes() == res.values[i].tobytes()
+            assert r.gradient.tobytes() == res.gradients[i].tobytes()
+
+    @pytest.mark.parametrize("point", [[1e308, 0.5, 0.5], [0.5, -1e308, 0.5],
+                                       [-1.7976931348623157e308, 1e300, 0.5]])
+    def test_huge_coordinate_is_flagged_silently(self, point):
+        # dividing it by a spacing below 1 overflows to inf
+        grid = RegularGrid([Axis(0.0, 0.25, 5)] * 3, np.ones((5, 5, 5)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = Interpolator(grid).eval_batch([point, [0.5] * 3])
+        assert res.ok.tolist() == [False, True]
+        assert np.isnan(res.values[0]).all()
+
     def test_empty_batch(self, trig4):
         _, grid = trig4
         res = Interpolator(grid).eval_batch(np.empty((0, 4)))
@@ -456,7 +507,7 @@ class TestBatch:
         grid = RegularGrid([Axis(0.0, 1.0, 5)] * dim,
                            np.ones((5,) * dim + (m,)), components=m)
         blocks = []
-        original = interpolator_module.gather_neighborhoods
+        original = interpolator_module._stencils
 
         def gather(*args):
             blocks.append(original(*args))
@@ -464,8 +515,7 @@ class TestBatch:
 
         n = 2 * int(budget // per_point) + 5
         pts = np.random.default_rng(dim).uniform(1.0, 3.0, (n, dim))
-        monkeypatch.setattr(interpolator_module, "gather_neighborhoods",
-                            gather)
+        monkeypatch.setattr(interpolator_module, "_stencils", gather)
         res = Interpolator(grid).eval_batch(pts)
         assert res.ok.all() and len(blocks) == 3
         assert blocks[0].nbytes <= budget < blocks[0].nbytes + per_point
@@ -991,8 +1041,9 @@ class TestLayerAttribution:
         # the same one-element gather as an interior cell
         calls = Counter()
         for module, name in ((interpolator_module, "neighborhood_block"),
-                             (interpolator_module, "gather_neighborhoods"),
-                             (grid_module, "gather_neighborhoods")):
+                             (interpolator_module, "_stencils"),
+                             (grid_module, "gather_neighborhoods"),
+                             (grid_module, "_stencils")):
             original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original):

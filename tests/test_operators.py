@@ -16,10 +16,15 @@ from hyperspline.operators import (
     difference_matrix,
     integer_inverse,
     monomial_exponents,
-    neighborhood_offsets,
     operator_is_exact,
     operator_set,
 )
+
+
+def neighborhood_offsets(dim: int) -> np.ndarray:
+    """Per-axis offsets of sample column n: values in {-1, 0, 1, 2}."""
+    n = np.arange(4 ** dim)
+    return np.stack([(n // 4 ** d) % 4 - 1 for d in range(dim)], axis=1)
 
 
 def naive_rational_inverse(mat):
