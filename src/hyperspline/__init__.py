@@ -38,6 +38,7 @@ Quick start::
 
 from .errors import (
     DimensionMismatchError,
+    ElementOutOfRangeError,
     GridFormatError,
     HypersplineError,
     IncompleteGridError,
@@ -70,6 +71,7 @@ __all__ = [
     # errors
     "HypersplineError",
     "DimensionMismatchError",
+    "ElementOutOfRangeError",
     "GridFormatError",
     "IncompleteGridError",
     "InvalidArgumentError",

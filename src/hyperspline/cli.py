@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import platform
 import sys
 import time
 from functools import partial
@@ -256,14 +257,15 @@ def _percentiles(dts):
 
 
 def _machine() -> str:
-    """CPU count, numpy version and BLAS build: the kernel's speed and its
-    last-bit rounding depend on them."""
+    """CPU count, numpy version, BLAS build and Python version: the
+    kernel's speed and its last-bit rounding depend on them."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # older numpy, or a build without BLAS
         blas = "unknown"
-    return f"machine: cpus={os.cpu_count()} numpy={np.__version__} blas={blas}"
+    return (f"machine: cpus={os.cpu_count()} numpy={np.__version__} "
+            f"blas={blas} python={platform.python_version()}")
 
 
 def _time_each(call, pts):

@@ -28,6 +28,12 @@ class DimensionMismatchError(HypersplineError, ValueError):
     points not aligned with the results they are written with."""
 
 
+class ElementOutOfRangeError(HypersplineError, IndexError):
+    """An element named by its base (to ``eval_local``, ``coefficients``
+    or the grid's checked gather) lies outside the boundary policy's
+    ``element_base_range``."""
+
+
 class InvalidPointError(HypersplineError, ValueError):
     """A query point has complex or non-numeric coordinates."""
 

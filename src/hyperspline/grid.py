@@ -18,19 +18,21 @@ every side: one contiguous ``(vertices, m)`` array over the
 fastest. The grid fills the ghosts when it is built, so a policy only
 decides which element bases are valid; ``Strict`` simply never reads
 them. ``RegularGrid.values`` is the read-only ``(count_last, ...,
-count_first, m)`` inner view of the store. Every gather copies whole
+count_first, m)`` inner view of the store. Both gathers copy whole
 stencils out of one read-only strided view of the store, ``(base_last,
 ..., base_first, 4, ..., 4, m)``, which the grid builds with itself and
-which holds every stencil in place at no memory cost. The copy is
-point-major, ``(k, 4^dim, m)`` for k elements, so each point's stencil
-is one contiguous block for the evaluation kernel's per-point matrix
-products; no index array is built.
+which holds every stencil in place at no memory cost:
+``neighborhood_block`` for one cell a caller names, checked, and the
+unchecked ``_stencils`` for the bases ``locate_points`` returns. The
+copy is point-major, ``(k, 4^dim, m)`` for k elements, so each point's
+stencil is one contiguous block for the evaluation kernel's per-point
+matrix products; no index array is built.
 
 Which bases a policy admits is decided once, in the grid's region
 table: per policy one row of Python numbers per axis, ``(origin,
 spacing, lo, hi, cmin, cmax)``, the valid bases ``[lo, hi]`` and the
 coordinates ``[cmin, cmax]`` they cover. The domain methods, both
-locates and both gathers' range checks read it. Each of them takes a
+locates and the checked gather read it. Each of them takes a
 policy as a ``BoundaryPolicy`` or its value (``"strict"``,
 ``"linear-ghost"``), as ``Interpolator`` does; the table is keyed by
 both, so a query converts nothing.
@@ -49,8 +51,7 @@ Module contents:
     as_coordinates -- query coordinates as float64, typed errors otherwise
     locate         -- map a physical point to (element, local coords)
     locate_points  -- the same for many points, flagging those outside
-    gather_neighborhoods -- the 4^dim samples around many elements at once
-    neighborhood_block   -- the same for one element
+    neighborhood_block -- the 4^dim samples around one element, checked
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    ElementOutOfRangeError,
     InvalidArgumentError,
     InvalidPointError,
     IrregularSpacingError,
@@ -469,53 +471,18 @@ def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
     return bases, u, ok
 
 
-def gather_neighborhoods(grid: RegularGrid, bases,
-                         policy: BoundaryPolicy) -> np.ndarray:
-    """All-component sample neighborhoods of k elements, one copy each.
-
-    ``bases`` is a ``(k, dim)`` integer array of element base indices.
-    Returns an array of shape ``(k, 4^dim, m)``: entry ``[i, n, c]`` holds
-    component c of the sample at grid offset ``o`` with
-    ``n = sum_d (o_d + 1) * 4^d`` relative to base i. Offsets one layer
-    outside the grid read the ghost samples the grid was built with,
-    which only ``LinearGhost`` bases reach. One indexing of the grid's
-    stencil view with the bases copies the stencils out; no index array
-    is built.
-
-    Raises
-    ------
-    InvalidArgumentError
-        If ``bases`` are not integers.
-    DimensionMismatchError
-        If ``bases`` is not ``(k, grid.dim)``.
-    IndexError
-        If any base lies outside ``grid.element_base_range(policy)``.
-    """
-    lo, hi = np.array(grid.element_base_range(policy)).T
-    try:
-        bases = np.asarray(bases)
-        if bases.dtype.kind not in "iu":
-            raise TypeError
-    except (TypeError, ValueError):  # not integers, or ragged
-        raise InvalidArgumentError("element bases must be integers") from None
-    if bases.ndim != 2 or bases.shape[1] != grid.dim:
-        raise DimensionMismatchError(
-            f"element bases must have shape (k, {grid.dim}), "
-            f"got {bases.shape}")
-    bases = bases.astype(np.int64, copy=False)
-    bad = (bases < lo) | (bases > hi)
-    if bad.any():
-        first = bases[bad.any(axis=-1)][0]
-        raise IndexError(
-            f"element base {tuple(first.tolist())} outside valid range "
-            f"under {as_policy(policy).value}")
-    return _stencils(grid, bases)
-
-
 def _stencils(grid: RegularGrid, bases: np.ndarray) -> np.ndarray:
-    """:func:`gather_neighborhoods` without its checks: ``bases`` must be
-    a ``(k, dim)`` integer array within the policy's valid range, as
-    :func:`locate_points` returns them."""
+    """Unchecked sample neighborhoods of k elements, ``(k, 4^dim, m)``.
+
+    ``bases`` must be a ``(k, dim)`` integer array of element bases
+    within the policy's valid range, as :func:`locate_points` returns
+    them; nothing is checked. Entry ``[i, n, c]`` holds component c of
+    the sample at grid offset ``o`` with ``n = sum_d (o_d + 1) * 4^d``
+    relative to base i. Offsets one layer outside the grid read the
+    ghost samples the grid was built with, which only ``LinearGhost``
+    bases reach. One indexing of the grid's stencil view with the bases
+    copies the stencils out; no index array is built.
+    """
     return grid._windows[tuple(bases.T[::-1])].reshape(
         len(bases), 4 ** grid.dim, grid.components)
 
@@ -524,10 +491,10 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
                        policy: BoundaryPolicy) -> np.ndarray:
     """All-component sample neighborhood of one element, ``(4^dim, m)``.
 
-    The one-element slice of :func:`gather_neighborhoods`, with the same
-    row order and the same ghost samples: a range check on Python ints
-    against the policy's region table, then a copy of the base's stencil
-    out of the grid's stencil view.
+    The checked gather, for a cell a caller names: a range check on
+    Python ints against the policy's region table, then a copy of the
+    base's stencil out of the grid's stencil view, in the row order and
+    with the ghost samples of :func:`_stencils`.
 
     Raises
     ------
@@ -535,7 +502,7 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
         If ``elem`` is not an :class:`ElementRef`.
     DimensionMismatchError
         If the element base does not have ``grid.dim`` entries.
-    IndexError
+    ElementOutOfRangeError
         If the base lies outside ``grid.element_base_range(policy)``.
     """
     if not isinstance(elem, ElementRef):
@@ -547,6 +514,7 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
             f"element base must have {grid.dim} entries, got {base}")
     if not all(lo <= b <= hi for b, (_, _, lo, hi, _, _)
                in zip(base, grid._rows(policy))):
-        raise IndexError(f"element base {base} outside valid range "
-                         f"under {as_policy(policy).value}")
+        raise ElementOutOfRangeError(
+            f"element base {base} outside valid range "
+            f"under {as_policy(policy).value}")
     return grid._windows[base[::-1]].reshape(4 ** grid.dim, grid.components)

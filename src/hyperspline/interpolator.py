@@ -28,9 +28,10 @@ samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in 4D, 1024 in
 3D, with m = 3), so a chunk's working set stays in L2.
 
 A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
-is the same kernel with k = 1, about 60 µs in 4D (p50 of ``hyperspline
-bench`` on a 14^4 x 3 grid; 2 CPUs, numpy 2.4.6, scipy-openblas 0.3.31),
-most of it numpy dispatch on tiny arrays:
+is the same kernel with k = 1, about 30-50 µs in 4D (p50 of
+``hyperspline bench`` on a 14^4 x 3 grid; 2 CPUs, numpy 2.4.6,
+scipy-openblas 0.3.31, Python 3.11.7), most of it numpy dispatch on
+tiny arrays:
 :func:`~hyperspline.grid.locate` reads the grid's region table on
 Python floats and
 :func:`~hyperspline.grid.neighborhood_block` copies the cell's stencil
@@ -234,8 +235,8 @@ class Interpolator:
         Row c holds the flattened unit-cell coefficients of component c
         (monomial column e = sum_d exponent_d * 4^d), computed afresh,
         C-contiguous, on every call. Evaluation does not use it; it
-        serves inspection. Raises IndexError for an element outside the
-        policy's valid range.
+        serves inspection. Raises ElementOutOfRangeError (an IndexError)
+        for an element outside the policy's valid range.
         """
         block = neighborhood_block(self.grid, elem, self.policy)
         return (np.matmul(operator_set(self.dim), block[None])
@@ -277,8 +278,8 @@ class Interpolator:
 
         Lets callers probe a shared face from both adjacent elements
         (u = 1 on one side, u = 0 on the other), which an ordinary
-        point query cannot express. Raises IndexError for an element
-        outside the policy's valid range.
+        point query cannot express. Raises ElementOutOfRangeError (an
+        IndexError) for an element outside the policy's valid range.
         """
         u = as_coordinates(u)
         if u.shape != (self.dim,):

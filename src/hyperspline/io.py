@@ -14,9 +14,9 @@ Grid CSV
 Points CSV
     One query point per row, with an optional ``x,y,z[,t]`` header.
 
-In both, blank lines before the header are skipped. A file that cannot
-be opened, for reading or writing, raises ``InvalidArgumentError``
-naming it and the reason.
+In both, a UTF-8 byte order mark and blank lines before the header are
+skipped. A file that cannot be opened, for reading or writing, raises
+``InvalidArgumentError`` naming it and the reason.
 
 Result CSV
     Coordinates, then value columns, then gradient columns named
@@ -115,14 +115,17 @@ def _bad_line(lines, ncols, path, first_line):
 def _open_text(path, mode="r"):
     """Open a file as UTF-8 text, for reading unless ``mode`` is "w".
 
-    A file that cannot be opened, or anything but a path (such as a file
+    A byte order mark at the start of a file read is skipped, as
+    spreadsheet programs write one; files written never get one. A file
+    that cannot be opened, or anything but a path (such as a file
     descriptor), raises ``InvalidArgumentError`` naming it and the
     reason; bytes that do not decode raise ``GridFormatError`` naming it.
     """
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidArgumentError(f"cannot open {path!r}: not a file path")
     try:
-        fh = open(path, mode, encoding="utf-8", newline="")
+        fh = open(path, mode, encoding="utf-8" if mode == "w" else
+                  "utf-8-sig", newline="")
     # TypeError: a path-like that returns no path; ValueError: a NUL
     except (OSError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(

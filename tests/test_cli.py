@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -107,6 +108,24 @@ class TestInfo:
 
 
 class TestQuery:
+    def test_files_with_a_byte_order_mark(self, lin4d, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one; query exited 2
+        # with "header must start with x,y,z or x,y,z,t"
+        points = "x,y,z,t\n1.25,2.5,2.0,1.75\n9,9,9,9\n"
+        outputs = []
+        for mark in ("", "\ufeff"):
+            grid = tmp_path / f"grid{len(mark)}.csv"
+            grid.write_text(mark + Path(lin4d).read_text(encoding="utf-8"),
+                            encoding="utf-8")
+            pts = tmp_path / f"pts{len(mark)}.csv"
+            pts.write_text(mark + points, encoding="utf-8")
+            out = tmp_path / f"res{len(mark)}.csv"
+            assert main(["query", str(grid), "--points", str(pts),
+                         "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].startswith(b"x,y,z,t,f,")
+
     def test_inline_point(self, lin4d, capsys):
         assert main(["query", lin4d, "--point", "1.25,2.5,2.0,1.75"]) == 0
         out = capsys.readouterr().out
@@ -454,8 +473,11 @@ class TestBench:
                        if ln.startswith("machine:"))
         timing = next(i for i, ln in enumerate(lines) if "points/s" in ln)
         assert machine < timing
-        assert f"numpy={np.__version__}" in lines[machine]
-        assert "cpus=" in lines[machine] and "blas=" in lines[machine]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert lines[machine] == (
+            f"machine: cpus={os.cpu_count()} numpy={np.__version__} "
+            f"blas={blas['name']} {blas['version']} "
+            f"python={platform.python_version()}")
 
     def test_machine_line_without_show_config_modes(self, lin4d, capsys,
                                                     monkeypatch):

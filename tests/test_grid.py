@@ -25,7 +25,7 @@ from hyperspline import (
     UnsupportedDimensionError,
 )
 from hyperspline.grid import (
-    gather_neighborhoods,
+    _stencils,
     infer_axis,
     lattice,
     locate,
@@ -444,7 +444,7 @@ class TestGather:
             *[np.arange(lo, hi + 1) for lo, hi in ranges],
             indexing="ij"), axis=-1).reshape(-1, dim)
         bases = bases[rng.permutation(len(bases))]
-        got = gather_neighborhoods(grid, bases, policy)
+        got = _stencils(grid, bases)
         assert got.shape == (len(bases), 4 ** dim, 2)
         for i, base in enumerate(bases):
             want = reference_block(grid, base, policy)
@@ -456,15 +456,8 @@ class TestGather:
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     def test_no_bases_gather_nothing(self, dim, policy):
         grid = unit_grid(dim, count=5, components=2)
-        got = gather_neighborhoods(grid, np.empty((0, dim), dtype=int), policy)
-        assert got.shape == (0, 4 ** dim, 2)
-
-    def test_any_base_out_of_range_rejected(self):
-        grid = unit_grid(3, count=6)
-        with pytest.raises(IndexError):
-            gather_neighborhoods(grid, [[1, 1, 1], [1, 4, 1]], STRICT)
-        with pytest.raises(IndexError):
-            gather_neighborhoods(grid, [[0, 0, 0], [0, -1, 0]], GHOST)
+        bases, _, _ = locate_points(grid, np.empty((0, dim)), policy)
+        assert _stencils(grid, bases).shape == (0, 4 ** dim, 2)
 
 
 class TestStencilView:
@@ -485,10 +478,10 @@ class TestStencilView:
                            rng.standard_normal((10,) * 4 + (3,)),
                            components=3)
         bases = rng.integers(1, 8, (256, 4))
-        gather_neighborhoods(grid, bases, STRICT)  # warm
+        _stencils(grid, bases)  # warm
         tracemalloc.start()
         try:
-            out = gather_neighborhoods(grid, bases, STRICT)
+            out = _stencils(grid, bases)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -538,7 +531,6 @@ class TestPolicyValues:
             lambda: grid.element_counts(policy),
             lambda: locate(grid, [1.5, 2.5, 1.0], policy),
             lambda: locate_points(grid, [[1.5, 2.5, 1.0], [9, 9, 9]], policy),
-            lambda: gather_neighborhoods(grid, [[1, 2, 1]], policy),
             lambda: neighborhood_block(grid, ElementRef((1, 2, 1)), policy),
         ]
 
@@ -564,23 +556,10 @@ class TestPolicyValues:
         with pytest.raises(OutOfDomainError, match="under strict"):
             locate(grid, [0.5, 1.0, 1.0], "strict")
         with pytest.raises(IndexError, match="under linear-ghost"):
-            gather_neighborhoods(grid, [[4, 0, 0]], "linear-ghost")
+            neighborhood_block(grid, ElementRef((4, 0, 0)), "linear-ghost")
 
 
 class TestMalformedBasesAndPoints:
-    def test_bases_of_the_wrong_width(self):
-        # raised numpy's broadcast ValueError
-        with pytest.raises(DimensionMismatchError, match=r"\(k, 3\)"):
-            gather_neighborhoods(unit_grid(3), [[1, 1]], STRICT)
-
-    @pytest.mark.parametrize("bases", [[[1.7, 1, 1]], [[1.0, 1.0, 1.0]],
-                                       [[1, 1], [1, 1, 1]], [["1", 1, 1]],
-                                       [[1 + 0j, 1, 1]]])
-    def test_bases_that_are_not_integers(self, bases):
-        # [[1.7, 1, 1]] silently gathered base (1, 1, 1)
-        with pytest.raises(InvalidArgumentError, match="integers"):
-            gather_neighborhoods(unit_grid(3), bases, STRICT)
-
     def test_locate_points_takes_a_list(self):
         # raised AttributeError: 'list' object has no attribute 'shape'
         grid = unit_grid(3)

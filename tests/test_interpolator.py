@@ -12,6 +12,7 @@ from hyperspline import (
     Axis,
     BoundaryPolicy,
     DimensionMismatchError,
+    ElementOutOfRangeError,
     ElementRef,
     HypersplineError,
     Interpolator,
@@ -40,7 +41,7 @@ from hyperspline.fields import (
     trig_product_field,
 )
 from hyperspline.grid import (
-    gather_neighborhoods,
+    _stencils,
     locate,
     locate_points,
     neighborhood_block,
@@ -867,6 +868,32 @@ class TestMalformedPoints:
                 interp.coefficients(short)
 
 
+class TestElementOutOfRange:
+    """An element base outside the policy's range raises the typed
+    ElementOutOfRangeError from every entry point that takes one; it is
+    still the IndexError those raised before."""
+
+    def test_error_class(self):
+        assert issubclass(ElementOutOfRangeError, HypersplineError)
+        assert issubclass(ElementOutOfRangeError, IndexError)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_every_entry_point(self, dim, policy):
+        grid = sample(constant_field(dim), [Axis(0, 1, 5)] * dim)
+        interp = Interpolator(grid, policy)
+        (lo, hi), = set(grid.element_base_range(policy))
+        for b in (lo - 1, hi + 1):
+            elem = ElementRef((lo,) * (dim - 1) + (b,))
+            for call in (lambda: neighborhood_block(grid, elem, policy),
+                         lambda: interp.eval_local(elem, [0.5] * dim),
+                         lambda: interp.coefficients(elem),
+                         lambda: oracle_coefficients(grid, elem, policy)):
+                with pytest.raises(ElementOutOfRangeError,
+                                   match=f"under {policy.value}"):
+                    call()
+
+
 class TestInvalidArguments:
     """Arguments other than points that are not of their type or out of
     range raise the typed InvalidArgumentError (DimensionMismatchError
@@ -993,7 +1020,7 @@ class TestScalarPath:
     def test_block_equals_gather_bitwise(self, six_grid, policy):
         for base in every_base(six_grid, policy):
             got = neighborhood_block(six_grid, ElementRef(base), policy)
-            want = gather_neighborhoods(six_grid, [base], policy)[0]
+            want = _stencils(six_grid, np.array([base]))[0]
             assert np.array_equal(got, want), base
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
@@ -1042,7 +1069,6 @@ class TestLayerAttribution:
         calls = Counter()
         for module, name in ((interpolator_module, "neighborhood_block"),
                              (interpolator_module, "_stencils"),
-                             (grid_module, "gather_neighborhoods"),
                              (grid_module, "_stencils")):
             original = getattr(module, name)
 

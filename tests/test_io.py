@@ -222,6 +222,41 @@ class TestHeaderAfterBlankLines:
             load_points_csv(path, 3)
 
 
+class TestByteOrderMark:
+    """Spreadsheet programs start a UTF-8 CSV with a byte order mark; it
+    was read as part of the first header cell or point."""
+
+    @staticmethod
+    def with_mark(path, lines):
+        return write_lines(path, ["\ufeff" + lines[0]] + lines[1:])
+
+    def test_grid_loads_as_without(self, tmp_path):
+        lines = ["x,y,z,t,f"] + rows_4d()
+        got = load_grid_csv(self.with_mark(tmp_path / "b.csv", lines))
+        want = load_grid_csv(write_lines(tmp_path / "g.csv", lines))
+        assert got.axes == want.axes
+        assert got.component_names == ("f",)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("header", [["x,y,z"], []],
+                             ids=["header", "no-header"])
+    def test_points_load_as_without(self, tmp_path, header):
+        lines = header + ["1,2,3", "4.5,5,-6"]
+        got = load_points_csv(self.with_mark(tmp_path / "p.csv", lines), 3)
+        assert got.tobytes() == np.array([[1, 2, 3], [4.5, 5, -6]],
+                                         dtype=float).tobytes()
+
+    def test_written_files_start_without_one(self, tmp_path):
+        grid = sample(linear_field(3), [Axis(0, 1, 4)] * 3)
+        interp = Interpolator(grid)
+        pts = np.array([[1.5, 1.5, 1.5]])
+        write_grid_csv(tmp_path / "g.csv", grid)
+        write_results_csv(tmp_path / "r.csv", pts, interp.eval_batch(pts),
+                          grid.component_names)
+        for name in ("g.csv", "r.csv"):
+            assert (tmp_path / name).read_bytes().startswith(b"x,y,z,")
+
+
 class TestFileErrors:
     @pytest.mark.parametrize("name, reason", [
         ("missing/g.csv", "No such file or directory"),
