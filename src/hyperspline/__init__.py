@@ -20,7 +20,10 @@ partials that queries compute.
 
 The top level holds the documented API; test fields and release checks
 (``hyperspline.fields``) and the exact derivation (``operators``) are
-imported from their modules.
+imported from their modules. The file functions (``load_grid_csv``,
+``write_grid_csv``, ``write_results_csv``) load ``hyperspline.io``, and
+with it ``csv``, on first use, so an import that only evaluates pays
+for neither.
 
 Quick start::
 
@@ -53,7 +56,6 @@ from .errors import (
 )
 from .grid import Axis, BoundaryPolicy, ElementRef, RegularGrid
 from .interpolator import BatchResult, Interpolator, QueryResult
-from .io import load_grid_csv, write_grid_csv, write_results_csv
 
 __version__ = "0.1.0"
 
@@ -83,3 +85,17 @@ __all__ = [
     "TooFewPointsError",
     "UnsupportedDimensionError",
 ]
+
+
+def __getattr__(name):
+    # the file functions resolve through io, imported on first access
+    if name in ("load_grid_csv", "write_grid_csv", "write_results_csv"):
+        from . import io
+
+        return getattr(io, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # the lazy file functions are listed before their first use too
+    return sorted(set(globals()) | set(__all__))

@@ -15,6 +15,8 @@ as ``--point=-1.5,2,2``; ``--policy`` goes to ``Interpolator`` as given.
 
 Exit codes: 0 success, 1 a failed check (``validate``, or ``bench``'s
 batch/per-point comparison), 2 usage or input error.
+Importing this module loads the grid, interpolator and CSV layers;
+:mod:`hyperspline.fields` loads only when ``validate`` runs.
 The environment variable ``HYPERSPLINE_THREADS`` sets the batch worker
 count: serial when unset, one worker per CPU for 0, n for n.
 """
@@ -22,6 +24,7 @@ count: serial when unset, one worker per CPU for 0, n for n.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import platform
 import sys
@@ -31,7 +34,6 @@ from io import StringIO
 
 import numpy as np
 
-from . import fields
 from .errors import HypersplineError, InvalidArgumentError
 from .grid import AXIS_NAMES, Axis, BoundaryPolicy, RegularGrid, lattice
 from .interpolator import Interpolator
@@ -69,6 +71,17 @@ def _non_negative(value: int, flag: str) -> int:
         raise InvalidArgumentError(
             f"{flag} must be a non-negative integer, got {value}")
     return value
+
+
+def _fits_one_array(count: int, width: int, flag: str, what: str) -> int:
+    """``count``, if ``count`` rows of ``width`` float64s fit one numpy
+    array; numpy raises a plain ValueError for more."""
+    limit = np.iinfo(np.intp).max // (8 * width)
+    if count > limit:
+        raise InvalidArgumentError(
+            f"{flag} asks for {count} {what}, more than one array holds "
+            f"(at most {limit})")
+    return count
 
 
 def _read_points(args, dim: int) -> np.ndarray:
@@ -133,6 +146,7 @@ def cmd_sample(args) -> int:
         raise InvalidArgumentError(
             f"--counts must be {grid.dim} integers of at least 4 (an axis "
             f"needs 4 points), got {args.counts!r}")
+    _fits_one_array(math.prod(counts), grid.dim, "--counts", "vertices")
     dom = np.array(grid.queryable_domain(interp.policy))
     lo = (_parse_floats(args.min, grid.dim, "--min") if args.min
           else dom[:, 0].tolist())
@@ -179,6 +193,10 @@ def _validate_rows(grid, seed: int):
     """The report's ``(name, call)`` rows in order. ``call()`` runs one
     check of :mod:`hyperspline.fields` and returns ``(ok, metrics)``; a
     string in its place is the reason the check is skipped."""
+    # imported here: only validate runs the checks, and compiling and
+    # running fields would add to the start-up of every other command
+    from . import fields
+
     if grid is not None:
         interp = Interpolator(grid)
         return [
@@ -282,7 +300,8 @@ def _time_each(call, pts):
 def cmd_bench(args) -> int:
     grid = load_grid_csv(args.grid)
     interp = Interpolator(grid, args.policy)
-    n = _non_negative(args.n, "--n")
+    n = _fits_one_array(_non_negative(args.n, "--n"), grid.dim, "--n",
+                        "points")
     rng = np.random.default_rng(_non_negative(args.seed, "--seed"))
     dom = grid.queryable_domain(interp.policy)
     pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)

@@ -244,9 +244,11 @@ class RegularGrid:
             raise InvalidArgumentError(
                 f"grid samples must be real numbers, got dtype {vals.dtype}")
         vals = vals.astype(np.float64, copy=False)
-        if vals.size != np.prod(shape):
+        # math.prod: np.prod wraps in int64, and a wrapped product of
+        # huge axes can equal a small sample count
+        if vals.size != math.prod(shape):
             raise DimensionMismatchError(
-                f"expected {np.prod(shape)} values "
+                f"expected {math.prod(shape)} values "
                 f"({'x'.join(map(str, counts))} vertices x {components} "
                 f"components), got {vals.size}")
         if not np.all(np.isfinite(vals)):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 
 import numpy as np
@@ -206,7 +207,7 @@ def load_grid_csv(path) -> RegularGrid:
         axes.append(infer_axis(uniq))
         index.append(inverse)
     counts = tuple(a.count for a in axes)
-    expected = int(np.prod(counts))
+    expected = math.prod(counts)
     if rows.shape[0] != expected:
         raise IncompleteGridError(
             f"{path}: got {rows.shape[0]} rows, expected {expected} "

@@ -318,8 +318,11 @@ class TestSample:
             capsys.readouterr().err)
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("counts", ["4,,4,4,", "4,4,4,", "1,4,4",
-                                        "0,4,4"])
+    @pytest.mark.parametrize("counts", [
+        "4,,4,4,", "4,4,4,", "1,4,4", "0,4,4",
+        # more vertices than one array can index: was a ValueError
+        # traceback and exit 1
+        "3000000,3000000,3000000", f"{10 ** 20},4,4"])
     def test_bad_counts_exit_2(self, trig3d, tmp_path, capsys, counts):
         out_path = tmp_path / "x.csv"
         with warnings.catch_warnings():
@@ -459,12 +462,15 @@ class TestBench:
         out = capsys.readouterr().out
         assert "n=0" in out
 
-    def test_unallocatable_point_count_exits_2(self, lin4d, capsys):
-        # ended in numpy's _ArrayMemoryError traceback; 10**15 points
-        # fail to allocate at once
-        assert main(["bench", lin4d, "--n", str(10 ** 15)]) == 2
+    @pytest.mark.parametrize("n", [10 ** 15, 2 ** 61, 10 ** 20])
+    def test_unallocatable_point_count_exits_2(self, lin4d, capsys, n):
+        # ended in numpy's _ArrayMemoryError traceback (10**15 points fail
+        # to allocate at once) or, for more points than one array can
+        # index, in a ValueError traceback and exit 1
+        assert main(["bench", lin4d, "--n", str(n)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert n == 10 ** 15 or err.startswith(f"error: --n asks for {n} ")
 
     def test_machine_line_before_timings(self, lin4d, capsys):
         assert main(["bench", lin4d, "--n", "20"]) == 0

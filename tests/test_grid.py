@@ -135,6 +135,14 @@ class TestRegularGrid:
         with pytest.raises(ValueError):
             RegularGrid([Axis(0, 1, 4)] * 3, np.zeros(63))
 
+    def test_size_check_does_not_wrap(self):
+        # 2**66 values wrap to 0 in int64, so no samples passed the check
+        # and the constructor died allocating the padded store
+        with pytest.raises(DimensionMismatchError,
+                           match=f"expected {2 ** 66} values"):
+            RegularGrid([Axis(0, 1, 2 ** 62), Axis(0, 1, 4), Axis(0, 1, 4)],
+                        np.zeros(0))
+
     def test_flat_layout(self):
         # samples equal to their own flat index pin the value layout
         counts = (4, 5, 6)

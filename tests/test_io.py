@@ -89,6 +89,15 @@ class TestLoadGridCsv:
             load_grid_csv(write_lines(tmp_path / "g.csv",
                                       ["x,y,z,t,f"] + rows))
 
+    def test_vertex_count_does_not_wrap(self, tmp_path):
+        # 2**16 distinct values on each of four axes span 2**64 vertices,
+        # which np.prod wrapped to 0: the message read "expected 0"
+        rows = [f"{i},{i},{i},{i},0" for i in range(2 ** 16)]
+        with pytest.raises(IncompleteGridError,
+                           match=f"expected {2 ** 64} "):
+            load_grid_csv(write_lines(tmp_path / "g.csv",
+                                      ["x,y,z,t,f"] + rows))
+
     def test_duplicate_vertex(self, tmp_path):
         rows = rows_4d()
         rows[-1] = rows[0]
@@ -626,17 +635,45 @@ class TestWriterByteIdentity:
                 == (tmp_path / "ref.csv").read_bytes())
 
 
+def _loaded_after(statement: str, names: set) -> str:
+    """Which of ``names`` a fresh interpreter holds in ``sys.modules``
+    after running ``statement``, as a printed sorted list."""
+    src = Path(hio.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys; {statement}; "
+         f"print(sorted({sorted(names)!r} & sys.modules.keys()))"],
+        capture_output=True, text=True, env=env, check=True).stdout.strip()
+
+
 def test_import_leaves_hashlib_unloaded():
     # nothing in the package needs hashlib, fractions or decimal; loading
     # hashlib would map OpenSSL's hash library into every process that
     # imports hyperspline, and fractions pulls in decimal with it;
     # concurrent.futures (with logging and queue) loads only when a batch
-    # runs on more than one worker
-    src = Path(hio.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, hyperspline; print(sorted({'hashlib', 'fractions', "
-         "'decimal', 'concurrent.futures'} & set(sys.modules)))"],
-        capture_output=True, text=True, env=env, check=True).stdout
-    assert out.strip() == "[]"
+    # runs on more than one worker; io (with csv) loads on the first use
+    # of a file function, and fields only where the checks run
+    assert _loaded_after("import hyperspline", {
+        "hashlib", "fractions", "decimal", "concurrent.futures",
+        "hyperspline.io", "csv", "hyperspline.fields"}) == "[]"
+
+
+def test_cli_import_leaves_fields_unloaded():
+    # only validate runs the release checks of fields; every other
+    # command would compile and run that module for nothing
+    assert _loaded_after("import hyperspline.cli",
+                         {"hyperspline.fields"}) == "[]"
+
+
+def test_star_import_binds_the_public_api():
+    import hyperspline
+
+    namespace = {}
+    exec("from hyperspline import *", namespace)
+    assert set(hyperspline.__all__) <= namespace.keys()
+    assert set(hyperspline.__all__) <= set(dir(hyperspline))
+    for name in ("load_grid_csv", "write_grid_csv", "write_results_csv"):
+        assert getattr(hyperspline, name) is getattr(hio, name)
+        assert namespace[name] is getattr(hio, name)
+    # the rest of io stays in its module
+    assert not hasattr(hyperspline, "load_points_csv")
