@@ -51,6 +51,7 @@ from .errors import (
     MissingHeaderError,
     NonFiniteValueError,
     OutOfDomainError,
+    PointIndexError,
     TooFewPointsError,
     UnsupportedDimensionError,
 )
@@ -82,6 +83,7 @@ __all__ = [
     "MissingHeaderError",
     "NonFiniteValueError",
     "OutOfDomainError",
+    "PointIndexError",
     "TooFewPointsError",
     "UnsupportedDimensionError",
 ]

@@ -18,7 +18,8 @@ batch/per-point comparison), 2 usage or input error.
 Importing this module loads the grid, interpolator and CSV layers;
 :mod:`hyperspline.fields` loads only when ``validate`` runs.
 The environment variable ``HYPERSPLINE_THREADS`` sets the batch worker
-count: serial when unset, one worker per CPU for 0, n for n.
+count: serial when unset, one worker per CPU the process may use for 0,
+n for n, but never more workers than those CPUs or a batch's chunks.
 """
 
 from __future__ import annotations

@@ -34,6 +34,10 @@ class ElementOutOfRangeError(HypersplineError, IndexError):
     ``element_base_range``."""
 
 
+class PointIndexError(HypersplineError, IndexError):
+    """A ``BatchResult`` is indexed past the points it holds."""
+
+
 class InvalidPointError(HypersplineError, ValueError):
     """A query point has complex or non-numeric coordinates."""
 
@@ -42,9 +46,10 @@ class InvalidArgumentError(HypersplineError, ValueError):
     """An argument other than a point is not of its type or out of its
     range: a derivative order that is not an integer in 0..3, a local
     coordinate outside [0, 1], an element that is not an ElementRef of
-    integers, an unknown boundary policy, an axis, grid or component
-    names that are not valid, a bad ``HYPERSPLINE_THREADS``, a file that
-    cannot be opened or a bad command-line argument."""
+    integers, a BatchResult index that is not an integer, an unknown
+    boundary policy, an axis, grid or component names that are not
+    valid, a bad ``HYPERSPLINE_THREADS``, a file that cannot be opened
+    or a bad command-line argument."""
 
 
 class GridFormatError(HypersplineError):

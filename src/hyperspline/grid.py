@@ -197,6 +197,16 @@ class ElementRef:
                 f"got {self.base!r}") from None
         object.__setattr__(self, "base", base)
 
+    @classmethod
+    def _trusted(cls, base: tuple) -> "ElementRef":
+        """An ElementRef of ``base``, a tuple of Python ints, unchecked:
+        for bases :func:`locate` has just computed, which need no
+        ``operator.index`` pass. Equal to ``ElementRef(base)`` in every
+        respect."""
+        elem = object.__new__(cls)
+        object.__setattr__(elem, "base", base)
+        return elem
+
 
 class RegularGrid:
     """Samples of a scalar or vector field on a regular 3D/4D grid.
@@ -413,12 +423,13 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
         If the point lies outside the policy's queryable domain.
     """
     p = as_coordinates(point)
-    if p.shape != (grid.dim,):
+    rows = grid._rows(policy)
+    if p.shape != (len(rows),):
         raise DimensionMismatchError(
-            f"point must have {grid.dim} coordinates, got shape {p.shape}")
+            f"point must have {len(rows)} coordinates, got shape {p.shape}")
     base, u = [], []
     for d, (x, (origin, spacing, lo, hi, cmin, cmax)) in enumerate(
-            zip(p.tolist(), grid._rows(policy))):
+            zip(p.tolist(), rows)):
         if not (cmin <= x <= cmax):
             raise OutOfDomainError(
                 f"coordinate {x!r} on axis {d} outside queryable "
@@ -428,7 +439,7 @@ def locate(grid: RegularGrid, point, policy: BoundaryPolicy):
         base.append(b)
         ud = (x - (origin + b * spacing)) / spacing
         u.append(min(max(ud, 0.0), 1.0))
-    return ElementRef(tuple(base)), np.array(u)
+    return ElementRef._trusted(tuple(base)), np.array(u)
 
 
 @np.errstate(over="ignore")
@@ -510,13 +521,13 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
     if not isinstance(elem, ElementRef):
         raise InvalidArgumentError(
             f"element must be an ElementRef, got {elem!r}")
-    base = elem.base
-    if len(base) != grid.dim:
+    base, rows = elem.base, grid._rows(policy)
+    if len(base) != len(rows):
         raise DimensionMismatchError(
-            f"element base must have {grid.dim} entries, got {base}")
-    if not all(lo <= b <= hi for b, (_, _, lo, hi, _, _)
-               in zip(base, grid._rows(policy))):
-        raise ElementOutOfRangeError(
-            f"element base {base} outside valid range "
-            f"under {as_policy(policy).value}")
-    return grid._windows[base[::-1]].reshape(4 ** grid.dim, grid.components)
+            f"element base must have {len(rows)} entries, got {base}")
+    for b, row in zip(base, rows):
+        if not row[2] <= b <= row[3]:
+            raise ElementOutOfRangeError(
+                f"element base {base} outside valid range "
+                f"under {as_policy(policy).value}")
+    return grid._windows[base[::-1]].reshape(4 ** len(rows), grid.components)

@@ -28,12 +28,13 @@ samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in 4D, 1024 in
 3D, with m = 3), so a chunk's working set stays in L2.
 
 A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
-is the same kernel with k = 1, about 30-50 µs in 4D (p50 of
+is the same kernel with k = 1, about 26-28 µs in 4D (p50 of
 ``hyperspline bench`` on a 14^4 x 3 grid; 2 CPUs, numpy 2.4.6,
 scipy-openblas 0.3.31, Python 3.11.7), most of it numpy dispatch on
 tiny arrays:
 :func:`~hyperspline.grid.locate` reads the grid's region table on
-Python floats and
+Python floats and returns a cell reference that is not validated
+again;
 :func:`~hyperspline.grid.neighborhood_block` copies the cell's stencil
 out of the grid's strided stencil view, as the batch gather does for
 many cells at once. The grid stores its ghost layers, so the boundary
@@ -69,6 +70,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidArgumentError,
     OutOfDomainError,
+    PointIndexError,
 )
 from .grid import (
     BoundaryPolicy,
@@ -113,7 +115,19 @@ class BatchResult:
     def __len__(self) -> int:
         return len(self.ok)
 
-    def __getitem__(self, i: int):
+    def __getitem__(self, i: int) -> QueryResult:
+        """The result of point ``i``, an integer (not a bool); a negative
+        one counts from the end. Raises InvalidArgumentError for any
+        other index, PointIndexError (an IndexError, which ends
+        ``for r in batch``) past the points and OutOfDomainError for a
+        point outside the domain."""
+        if not is_integer(i):
+            raise InvalidArgumentError(
+                f"batch index must be an integer, got {i!r}")
+        n = len(self.ok)
+        if not -n <= i < n:
+            raise PointIndexError(
+                f"point index {i} out of range for {n} points")
         if not self.ok[i]:
             raise OutOfDomainError(f"point {i} was outside the domain")
         return QueryResult(self.values[i], self.gradients[i])
@@ -180,15 +194,23 @@ def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
 
 
 def _workers() -> int:
-    """Batch worker count, set by ``HYPERSPLINE_THREADS`` alone: unset or
-    empty runs serially, 0 takes one worker per CPU and n takes n;
-    anything else raises InvalidArgumentError."""
+    """Batch worker limit, set by ``HYPERSPLINE_THREADS`` alone: unset or
+    empty runs serially, 0 takes one worker per usable CPU (the process's
+    affinity set where the platform has one, else every CPU) and n takes
+    n, but never more than the usable CPUs; anything else raises
+    InvalidArgumentError."""
     env = os.environ.get("HYPERSPLINE_THREADS", "").strip() or "1"
     if not (env.isascii() and env.isdigit()):
         raise InvalidArgumentError(
             f"HYPERSPLINE_THREADS must be a non-negative integer, "
             f"got {env!r}")
-    return int(env) or os.cpu_count() or 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    try:
+        n = int(env)
+    except ValueError:  # more digits than int() reads: past any CPU count
+        return cpus
+    return min(n, cpus) if n else cpus
 
 
 class Interpolator:
@@ -214,8 +236,11 @@ class Interpolator:
         self.grid = grid
         self.policy = as_policy(policy)
         self._spacings = np.array([a.spacing for a in grid.axes])
-        # kernel columns of the first partial along each axis
-        self._gradient_cols = [1 << d for d in range(grid.dim)]
+        # the kernel's orders for first partials, and its columns of the
+        # first partial along each axis, as index arrays numpy takes as is
+        self._first_orders = np.ones(grid.dim, dtype=np.intp)
+        self._gradient_cols = np.array([1 << d for d in range(grid.dim)],
+                                       dtype=np.intp)
         # points per eval_batch chunk: 1.5 MB of gathered float64 samples
         self._chunk = max(1, 196608 // (grid.components * 4 ** grid.dim))
 
@@ -251,12 +276,15 @@ class Interpolator:
 
     # -- point evaluation --------------------------------------------------
 
-    def _partials(self, elem: ElementRef, u, orders=None) -> np.ndarray:
-        """Unit-cell partials ``(m, 2^dim)`` at local ``u`` in one element
-        (see :func:`_stencil_kernel`); first partials by default."""
+    def _partials(self, elem: ElementRef, u: np.ndarray,
+                  orders=None) -> np.ndarray:
+        """Unit-cell partials ``(m, 2^dim)`` at the ``(dim,)`` float64
+        local coordinates ``u`` in one element (see
+        :func:`_stencil_kernel`); first partials by default."""
         block = neighborhood_block(self.grid, elem, self.policy)
-        u = np.asarray(u)[:, None]
-        return _stencil_kernel(block[None], u, orders or (1,) * self.dim)[0]
+        if orders is None:
+            orders = self._first_orders
+        return _stencil_kernel(block[None], u[:, None], orders)[0]
 
     def _with_gradient(self, part: np.ndarray) -> QueryResult:
         return QueryResult(part[:, 0],
@@ -324,7 +352,8 @@ class Interpolator:
 
         Equivalent, bit for bit, to calling :meth:`eval_with_gradient`
         per point, in chunks whose size the grid sets (see the module
-        docstring) on as many workers as ``HYPERSPLINE_THREADS`` sets;
+        docstring) on as many workers as ``HYPERSPLINE_THREADS`` sets,
+        at most one per chunk and per usable CPU;
         output order is independent of scheduling. The whole batch is
         located at once, then every chunk gathers, contracts and stores
         all its rows: a point outside the domain reads a clamped cell's
@@ -336,16 +365,18 @@ class Interpolator:
         values = np.empty((n, self.components))
         gradients = np.empty((n, self.components, self.dim))
         starts = range(0, n, self._chunk)
-        workers = _workers()
+        # one worker per chunk at most: the pool starts a thread per
+        # submitted chunk until it reaches its worker count
+        workers = min(_workers(), len(starts))
 
         def run(s):
             e = s + self._chunk
             block = _stencils(self.grid, bases[s:e])
-            part = _stencil_kernel(block, u[:, s:e], (1,) * self.dim)
+            part = _stencil_kernel(block, u[:, s:e], self._first_orders)
             values[s:e] = part[:, :, 0]
             gradients[s:e] = part[:, :, self._gradient_cols] / self._spacings
 
-        if workers > 1 and len(starts) > 1:
+        if workers > 1:
             # imported here: it loads logging and queue, which a serial
             # process never needs
             from concurrent.futures import ThreadPoolExecutor

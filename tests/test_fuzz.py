@@ -240,6 +240,17 @@ def result(interp):
     return interp.eval_batch(np.full((2, 3), 1.5))
 
 
+@SETTINGS
+@given(index=st.one_of(scalars, ragged, arrays, st.slices(4),
+                       st.integers(-4, 4)))
+def test_batch_index_raises_only_typed_errors(result, index):
+    # past the points the error is also an IndexError, so iteration stops
+    try:
+        result[index]
+    except HypersplineError:
+        pass
+
+
 @pytest.fixture(scope="module")
 def out_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "results.csv"

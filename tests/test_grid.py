@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 import tracemalloc
 import warnings
 
@@ -13,6 +14,7 @@ from hyperspline import (
     Axis,
     BoundaryPolicy,
     DimensionMismatchError,
+    ElementOutOfRangeError,
     ElementRef,
     HypersplineError,
     Interpolator,
@@ -578,3 +580,50 @@ class TestMalformedBasesAndPoints:
         assert ok.tolist() == [True, False]
         with pytest.raises(DimensionMismatchError):
             locate_points(grid, [1.5, 2.5, 3.0], STRICT)
+
+
+class TestLocatedElement:
+    """``locate`` builds its ElementRef without re-validating the base it
+    computed; the result is indistinguishable from a checked one, and the
+    checked gather keeps its error types and messages."""
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_located_element_is_a_checked_one(self, dim, policy):
+        grid = unit_grid(dim, count=6)
+        rng = np.random.default_rng(dim)
+        dom = np.array(grid.queryable_domain(policy))
+        for point in rng.uniform(dom[:, 0], dom[:, 1], (20, dim)):
+            elem, _ = locate(grid, point, policy)
+            checked = ElementRef(elem.base)
+            assert type(elem) is ElementRef
+            assert type(elem.base) is tuple
+            assert all(type(b) is int for b in elem.base)
+            assert elem == checked and hash(elem) == hash(checked)
+            assert repr(elem) == repr(checked)
+            assert pickle.dumps(elem) == pickle.dumps(checked)
+            assert copy.deepcopy(elem) == checked
+            with pytest.raises(AttributeError):
+                elem.base = (0,) * dim
+
+    def test_public_constructor_still_converts(self):
+        base = ElementRef((np.int64(1), np.uint8(2), 3)).base
+        assert base == (1, 2, 3) and all(type(b) is int for b in base)
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_gather_messages(self, policy):
+        grid = unit_grid(4, count=5)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^element base must have 4 entries, "
+                                 r"got \(1, 1, 1\)$"):
+            neighborhood_block(grid, ElementRef((1, 1, 1)), policy)
+        for base in ((1, 1, 1, 4), (-1, 1, 1, 1), (1, 9, 1, 1)):
+            msg = (f"element base {base} outside valid range "
+                   f"under {policy.value}")
+            with pytest.raises(ElementOutOfRangeError,
+                               match=f"^{re.escape(msg)}$"):
+                neighborhood_block(grid, ElementRef(base), policy)
+        with pytest.raises(DimensionMismatchError,
+                           match=r"^point must have 4 coordinates, got "
+                                 r"shape \(3,\)$"):
+            locate(grid, [1.5, 1.5, 1.5], policy)

@@ -1,4 +1,8 @@
+import concurrent.futures
+import hashlib
+import itertools
 import math
+import os
 import threading
 import tracemalloc
 import warnings
@@ -19,6 +23,8 @@ from hyperspline import (
     InvalidArgumentError,
     InvalidPointError,
     OutOfDomainError,
+    PointIndexError,
+    QueryResult,
     RegularGrid,
     TooFewPointsError,
 )
@@ -1082,3 +1088,168 @@ class TestLayerAttribution:
         assert elem.base == (0, 5, 0, 3)
         interp.eval_with_gradient([0.1, 2.9, 0.2, 1.6])
         assert calls == {"neighborhood_block": 1}
+
+
+def exact_results_digest() -> str:
+    """sha256 over ``eval``, ``eval_with_gradient``, ``eval_local``,
+    ``derivative`` (every order set in 0..3) and ``eval_batch`` outputs
+    on a 13^3 x 3 and a 7^4 x 3 grid under both policies.
+
+    Samples are integers in [-16, 16], origins and spacings powers of
+    two and every query sits at a local coordinate in {0, 1/4, 1/2,
+    3/4, 1}, so every weight, product and sum is a dyadic rational that
+    float64 holds exactly: the digest does not depend on the order in
+    which BLAS sums or on its use of fused multiply-adds, only on the
+    cells, local coordinates, weights and scalings the program picks.
+    """
+    h = hashlib.sha256()
+    for dim, count in ((3, 13), (4, 7)):
+        rng = np.random.default_rng(dim)
+        axes = [Axis(d - 2.0, 0.5 ** (1 + d % 2), count) for d in range(dim)]
+        grid = RegularGrid(axes, rng.integers(-16, 17, count ** dim * 3),
+                           components=3)
+        for policy in BoundaryPolicy:
+            interp = Interpolator(grid, policy)
+            lo, hi = grid.element_base_range(policy)[0]  # same on every axis
+            bases = rng.integers(lo, hi + 1, (40, dim))
+            u = rng.integers(0, 4, (40, dim)) / 4
+            u[-1] = 1.0  # the top corner of the domain
+            bases[-1] = hi
+            pts = np.array([[a.coordinate(b) + q * a.spacing
+                             for a, b, q in zip(axes, bp, uq)]
+                            for bp, uq in zip(bases, u)])
+            outside = np.array([pts[0] - 9.0, np.full(dim, np.nan)])
+            res = interp.eval_batch(np.vstack([pts, outside]))
+            for a in (res.values, res.gradients, res.ok):
+                h.update(a.tobytes())
+            for p, base, uq in zip(pts, bases, u):
+                r = interp.eval_with_gradient(p)
+                s = interp.eval_local(ElementRef(tuple(base)), uq)
+                for a in (interp.eval(p), r.values, r.gradient, s.values,
+                          s.gradient):
+                    h.update(a.tobytes())
+            for p in pts[:3]:
+                for orders in itertools.product(range(4), repeat=dim):
+                    h.update(interp.derivative(p, orders).tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedResults:
+    def test_results_digest(self):
+        # recorded when the scalar path stopped re-checking what locate
+        # produced; any change to a result on these grids changes it
+        assert exact_results_digest() == (
+            "1110e04fca08b2674b0f27f1bb1afcb77e5b81ffb0e9ffff0f612d1f58ff0b33")
+
+
+class TestBatchIndex:
+    @pytest.fixture(scope="class")
+    def batch(self, trig4):
+        pts = np.array([[1.0, 1.0, 1.0, 1.0], [-5.0, 1.0, 1.0, 1.0],
+                        [1.5, 1.5, 1.5, 1.5]])
+        return Interpolator(trig4[1]).eval_batch(pts)
+
+    @pytest.mark.parametrize("i", [0, 2, -1, -3, np.int64(2), np.uint8(0)])
+    def test_integer_index(self, batch, i):
+        r = batch[i]
+        assert isinstance(r, QueryResult)
+        assert np.array_equal(r.values, batch.values[i])
+        assert np.array_equal(r.gradient, batch.gradients[i])
+
+    @pytest.mark.parametrize("i", [True, False, np.bool_(False), [0], (0,),
+                                   slice(0, 2), 0.0, np.array(0), "0", None])
+    def test_non_integer_index(self, batch, i):
+        with pytest.raises(InvalidArgumentError, match="batch index"):
+            batch[i]
+
+    @pytest.mark.parametrize("i", [3, -4, 2 ** 70, -2 ** 70,
+                                   np.int64(3), np.uint64(2 ** 64 - 1)])
+    def test_index_past_the_points(self, batch, i):
+        with pytest.raises(PointIndexError, match="out of range for 3"):
+            batch[i]
+        assert issubclass(PointIndexError, IndexError)
+        assert issubclass(PointIndexError, HypersplineError)
+
+    def test_iteration_stops_after_the_last_point(self, trig4):
+        pts = np.full((3, 4), 1.5)
+        batch = Interpolator(trig4[1]).eval_batch(pts)
+        assert len(list(batch)) == 3
+        with pytest.raises(OutOfDomainError):
+            list(Interpolator(trig4[1]).eval_batch(pts - 9.0))
+
+
+class TestWorkerCap:
+    """``HYPERSPLINE_THREADS`` asks for workers; a batch gets at most one
+    per usable CPU and one per chunk. A recording executor that runs
+    every task inline stands in for the thread pool, so no thread is
+    started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        made = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            RecordingExecutor)
+        return made
+
+    def run(self, grid, chunks, env, monkeypatch):
+        monkeypatch.setenv("HYPERSPLINE_THREADS", env)
+        interp = Interpolator(grid)
+        dom = np.array(grid.queryable_domain(STRICT))
+        rng = np.random.default_rng(7)
+        pts = rng.uniform(dom[:, 0], dom[:, 1],
+                          ((chunks - 1) * interp._chunk + 1, grid.dim))
+        got = interp.eval_batch(pts)
+        monkeypatch.setenv("HYPERSPLINE_THREADS", "1")
+        want = interp.eval_batch(pts)
+        assert_rows_equal((got.values, got.gradients),
+                          (want.values, want.gradients))
+
+    @pytest.mark.parametrize("env, cpus, chunks, workers", [
+        (str(10 ** 6), 3, 5, 3), ("0", 3, 5, 3), ("2", 3, 5, 2),
+        ("9" * 5000, 3, 5, 3), (str(10 ** 6), 64, 5, 5), ("0", 64, 5, 5),
+    ])
+    def test_affinity_caps_workers(self, trig4, pools, monkeypatch, env,
+                                   cpus, chunks, workers):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1000)
+        self.run(trig4[1], chunks, env, monkeypatch)
+        assert pools == [workers]
+
+    @pytest.mark.parametrize("env, workers", [("0", 4), (str(10 ** 6), 4),
+                                              ("3", 3)])
+    def test_cpu_count_without_affinity(self, trig4, pools, monkeypatch,
+                                        env, workers):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        self.run(trig4[1], 5, env, monkeypatch)
+        assert pools == [workers]
+
+    @pytest.mark.parametrize("env, cpus", [("1", 8), ("0", 1),
+                                           (str(10 ** 6), 1)])
+    def test_one_worker_runs_serially(self, trig4, pools, monkeypatch, env,
+                                      cpus):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        self.run(trig4[1], 5, env, monkeypatch)
+        assert pools == []
+
+    def test_one_chunk_runs_serially(self, trig4, pools, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(8)), raising=False)
+        self.run(trig4[1], 1, "0", monkeypatch)
+        assert pools == []
