@@ -17,9 +17,8 @@ Exit codes: 0 success, 1 a failed check (``validate``, or ``bench``'s
 batch/per-point comparison), 2 usage or input error.
 Importing this module loads the grid, interpolator and CSV layers;
 :mod:`hyperspline.fields` loads only when ``validate`` runs.
-The environment variable ``HYPERSPLINE_THREADS`` sets the batch worker
-count: serial when unset, one worker per CPU the process may use for 0,
-n for n, but never more workers than those CPUs or a batch's chunks.
+Every command runs in one thread, and reads no environment variable
+of its own; a ``query`` evaluates its points with one ``eval_batch``.
 """
 
 from __future__ import annotations

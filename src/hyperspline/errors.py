@@ -48,8 +48,10 @@ class InvalidArgumentError(HypersplineError, ValueError):
     coordinate outside [0, 1], an element that is not an ElementRef of
     integers, a BatchResult index that is not an integer, an unknown
     boundary policy, an axis, grid or component names that are not
-    valid, a bad ``HYPERSPLINE_THREADS``, a file that cannot be opened
-    or a bad command-line argument."""
+    valid, a vertex index or component outside the grid, a file that
+    cannot be opened or a bad command-line argument. No environment
+    variable raises it: the library reads none, and a caller that wants
+    a batch on more CPUs slices it (see ``Interpolator.eval_batch``)."""
 
 
 class GridFormatError(HypersplineError):

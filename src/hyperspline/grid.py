@@ -131,6 +131,14 @@ class Axis:
         if self.count < 4:
             raise TooFewPointsError(
                 f"axis needs at least 4 points, got {self.count}")
+        try:
+            last = self.origin + (self.count - 1) * self.spacing
+        except OverflowError:  # a count past the float range
+            last = math.inf
+        if not math.isfinite(last):
+            raise NonFiniteValueError(
+                f"axis from {self.origin!r} with spacing {self.spacing!r} "
+                f"overflows at its last vertex")
 
     def coordinate(self, i: int) -> float:
         return self.origin + i * self.spacing
@@ -228,7 +236,7 @@ class RegularGrid:
     The samples are copied once into a vertex-major store (see the
     module docstring); ``values`` is a read-only view of it. The grid is
     immutable after construction; all operations on it are read-only and
-    safe for unrestricted concurrent use.
+    safe to call from any number of threads at once.
     """
 
     def __init__(self, axes, values, components: int = 1,
@@ -319,8 +327,30 @@ class RegularGrid:
         return tuple(a.count for a in self.axes)
 
     def vertex_value(self, index, component: int = 0) -> float:
-        """Sample at integer vertex ``index = (i_x, i_y, i_z[, i_t])``."""
-        return float(self.values[tuple(index[::-1]) + (component,)])
+        """Sample at integer vertex ``index = (i_x, i_y, i_z[, i_t])``.
+
+        Raises DimensionMismatchError unless ``index`` has one entry per
+        axis, and InvalidArgumentError for an entry or ``component``
+        that is not an integer (bools are not) in ``[0, count)``: a
+        negative one does not count from the end.
+        """
+        try:
+            index = tuple(index)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"vertex index must be a sequence of {self.dim} integers, "
+                f"got {index!r}") from None
+        if len(index) != self.dim:
+            raise DimensionMismatchError(
+                f"vertex index must have {self.dim} entries, got {index}")
+        limits = self.counts + (self.components,)
+        for d, (i, n) in enumerate(zip(index + (component,), limits)):
+            if not (is_integer(i) and 0 <= i < n):
+                what = (f"vertex index {i!r} on axis {d}" if d < self.dim
+                        else f"component {i!r}")
+                raise InvalidArgumentError(
+                    f"{what} must be an integer in [0, {n})")
+        return float(self.values[index[::-1] + (component,)])
 
     def _rows(self, policy):
         """The region table's rows for ``policy``, a BoundaryPolicy or its

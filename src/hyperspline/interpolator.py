@@ -17,21 +17,18 @@ Point, pinned-element and batch queries all run the same kernel on the
 point-major gather of :mod:`hyperspline.grid`, ``(k, 4^dim, m)`` for k
 points: per axis one ``np.matmul`` of k stacked per-point products
 ``(rest, 4) @ (4, 2)``, 960 multiplies per component in 4D and 224 in
-3D. A point's products have the same shapes and strides whatever k,
-its chunk or the worker count, so BLAS does the same arithmetic for it
-in a batch as alone, and batched, threaded and one-at-a-time evaluation
-agree bit for bit. :meth:`Interpolator.eval_batch` locates all its
-points at once, holding their bases and local coordinates (16 * dim
-bytes per point), then gathers, contracts and stores them in chunks
-whose size the grid sets: as many points as fit 1.5 MB of gathered
-samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in 4D, 1024 in
-3D, with m = 3), so a chunk's working set stays in L2.
+3D. A point's products have the same shapes and strides whatever k or
+its chunk, so BLAS does the same arithmetic for it in a batch as alone,
+and batched and one-at-a-time evaluation agree bit for bit.
+:meth:`Interpolator.eval_batch` locates all its points at once, holding
+their bases and local coordinates (16 * dim bytes per point), then
+gathers, contracts and stores them in one loop over chunks whose size
+the grid sets: as many points as fit 1.5 MB of gathered samples,
+``max(1, 196608 // (m * 4^dim))`` (256 points in 4D, 1024 in 3D, with
+m = 3), so a chunk's working set stays in L2.
 
 A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
-is the same kernel with k = 1, about 26-28 µs in 4D (p50 of
-``hyperspline bench`` on a 14^4 x 3 grid; 2 CPUs, numpy 2.4.6,
-scipy-openblas 0.3.31, Python 3.11.7), most of it numpy dispatch on
-tiny arrays:
+is the same kernel with k = 1:
 :func:`~hyperspline.grid.locate` reads the grid's region table on
 Python floats and returns a cell reference that is not validated
 again;
@@ -44,11 +41,15 @@ batch chunk evaluates every one of its rows: a point outside the domain
 has a clamped base, so it reads a valid stencil, and its row is set to
 NaN once the chunks are done.
 
-An interpolator holds no per-cell state, so evaluation needs nothing
-precomputed. A cell's coefficient tensor ``operator @ samples`` is
-available through :meth:`Interpolator.coefficients`, computed on each
-call for inspection only; evaluation never forms it, and no
-interpolator asks for the operator until a coefficient is requested.
+An interpolator holds no mutable state and no per-cell state, so
+evaluation needs nothing precomputed and any query, ``eval_batch``
+included, may run from several threads at once, each call serially in
+its own thread; slices of a batch evaluated in parallel give,
+concatenated, the bits of one call. A cell's coefficient tensor
+``operator @ samples`` is available through
+:meth:`Interpolator.coefficients`, computed on each call for inspection
+only; evaluation never forms it, and no interpolator asks for the
+operator until a coefficient is requested.
 Validation checks the kernel itself against the exact derivation
 (:func:`hyperspline.fields.check_fused_oracle`).
 
@@ -61,7 +62,6 @@ Module contents:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,26 +193,6 @@ def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
     return part.reshape(k, m, -1)
 
 
-def _workers() -> int:
-    """Batch worker limit, set by ``HYPERSPLINE_THREADS`` alone: unset or
-    empty runs serially, 0 takes one worker per usable CPU (the process's
-    affinity set where the platform has one, else every CPU) and n takes
-    n, but never more than the usable CPUs; anything else raises
-    InvalidArgumentError."""
-    env = os.environ.get("HYPERSPLINE_THREADS", "").strip() or "1"
-    if not (env.isascii() and env.isdigit()):
-        raise InvalidArgumentError(
-            f"HYPERSPLINE_THREADS must be a non-negative integer, "
-            f"got {env!r}")
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    try:
-        n = int(env)
-    except ValueError:  # more digits than int() reads: past any CPU count
-        return cpus
-    return min(n, cpus) if n else cpus
-
-
 class Interpolator:
     """Cubic interpolant over a regular 3D or 4D grid.
 
@@ -224,8 +204,9 @@ class Interpolator:
         sample neighborhood; LinearGhost extends them to the whole grid
         via linear ghost layers. ``policy`` holds the member.
 
-    Concurrent queries are safe: an interpolator holds no mutable state,
-    and evaluation only reads the immutable grid.
+    It holds no mutable state and evaluation only reads the immutable
+    grid, so any method, ``eval_batch`` included, may be called from
+    several threads at once.
     """
 
     def __init__(self, grid: RegularGrid,
@@ -287,13 +268,14 @@ class Interpolator:
         return _stencil_kernel(block[None], u[:, None], orders)[0]
 
     def _with_gradient(self, part: np.ndarray) -> QueryResult:
-        return QueryResult(part[:, 0],
+        # copied: a view would keep the kernel's partials array alive
+        return QueryResult(part[:, 0].copy(),
                            part[:, self._gradient_cols] / self._spacings)
 
     def eval(self, point) -> np.ndarray:
         """Interpolated field values at a point, shape ``(m,)``."""
         elem, u = locate(self.grid, point, self.policy)
-        return self._partials(elem, u)[:, 0]
+        return self._partials(elem, u)[:, 0].copy()
 
     def eval_with_gradient(self, point) -> QueryResult:
         """Values plus all first partials (physical units) at a point."""
@@ -351,41 +333,30 @@ class Interpolator:
         """Evaluate many points; out-of-domain ones are flagged, not fatal.
 
         Equivalent, bit for bit, to calling :meth:`eval_with_gradient`
-        per point, in chunks whose size the grid sets (see the module
-        docstring) on as many workers as ``HYPERSPLINE_THREADS`` sets,
-        at most one per chunk and per usable CPU;
-        output order is independent of scheduling. The whole batch is
-        located at once, then every chunk gathers, contracts and stores
-        all its rows: a point outside the domain reads a clamped cell's
-        stencil, and its row is set to NaN afterwards, so a batch mostly
-        outside the domain costs as much as one inside it.
+        per point. The whole batch is located at once, then one loop
+        runs chunks whose size the grid sets (see the module docstring);
+        every chunk gathers, contracts and stores all its rows: a point
+        outside the domain reads a clamped cell's stencil, and its row
+        is set to NaN afterwards, so a batch mostly outside the domain
+        costs as much as one inside it. For more CPUs, evaluate slices
+        on threads of your own; their results, concatenated, equal one
+        call's bit for bit::
+
+            parts = np.array_split(points, 8)
+            with ThreadPoolExecutor(2) as pool:
+                results = list(pool.map(interp.eval_batch, parts))
         """
         bases, u, ok = locate_points(self.grid, points, self.policy)
         n = len(ok)
         values = np.empty((n, self.components))
         gradients = np.empty((n, self.components, self.dim))
-        starts = range(0, n, self._chunk)
-        # one worker per chunk at most: the pool starts a thread per
-        # submitted chunk until it reaches its worker count
-        workers = min(_workers(), len(starts))
-
-        def run(s):
+        for s in range(0, n, self._chunk):
             e = s + self._chunk
             block = _stencils(self.grid, bases[s:e])
             part = _stencil_kernel(block, u[:, s:e], self._first_orders)
             values[s:e] = part[:, :, 0]
             gradients[s:e] = part[:, :, self._gradient_cols] / self._spacings
-
-        if workers > 1:
-            # imported here: it loads logging and queue, which a serial
-            # process never needs
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, starts))
-        else:
-            for s in starts:
-                run(s)
+            del block, part  # so the next gather reuses cache-warm memory
         values[~ok] = np.nan
         gradients[~ok] = np.nan
         return BatchResult(values, gradients, ok)

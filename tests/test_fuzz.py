@@ -11,6 +11,7 @@ examples.
 
 import contextlib
 import io
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -78,12 +79,34 @@ query_points = st.one_of(scalars, ragged, arrays,
                          st.lists(scalars, min_size=3, max_size=3))
 
 
+# origins and spacings near the float64 limit, where a last vertex
+# overflows
+huge = st.floats(min_value=1e300, max_value=1.7976931348623157e308)
+huge = st.one_of(huge, huge.map(lambda x: -x))
+
+
 @SETTINGS
-@given(origin=st.one_of(scalars, st.integers(-2 ** 1100, 2 ** 1100)),
-       spacing=scalars, count=scalars)
+@given(origin=st.one_of(scalars, st.integers(-2 ** 1100, 2 ** 1100), huge),
+       spacing=st.one_of(scalars, huge),
+       count=st.one_of(scalars, st.integers(4, 2 ** 70)))
 def test_axis_raises_only_typed_errors(origin, spacing, count):
     try:
-        Axis(origin, spacing, count)
+        axis = Axis(origin, spacing, count)
+    except HypersplineError:
+        return
+    # an accepted axis has finite vertices, its last one included
+    assert math.isfinite(axis.coordinate(0))
+    assert math.isfinite(axis.coordinate(axis.count - 1))
+
+
+@SETTINGS
+@given(index=st.one_of(scalars, ragged, arrays,
+                       st.lists(st.one_of(st.integers(-5, 5), scalars),
+                                max_size=5)),
+       component=st.one_of(scalars, st.integers(-2, 2)))
+def test_vertex_value_raises_only_typed_errors(index, component):
+    try:
+        GRID.vertex_value(index, component)
     except HypersplineError:
         pass
 

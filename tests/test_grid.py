@@ -83,6 +83,30 @@ class TestAxis:
     def test_numpy_numbers_accepted(self):
         assert Axis(np.float32(0.5), np.int64(2), 4) == Axis(0.5, 2.0, 4)
 
+    @pytest.mark.parametrize("origin, spacing, count", [
+        (1e308, 1e308, 4), (-1e308, 1e308, 4), (0.0, 1e308, 10 ** 6),
+        (1.7e308, 1e300, 10 ** 9), (0.0, 1.0, 10 ** 400)],
+        ids=["huge-origin", "huge-spacing", "huge-span", "near-limit",
+             "count-past-float"])
+    def test_last_vertex_overflow_rejected(self, origin, spacing, count):
+        # an infinite last vertex would give an infinite domain, an
+        # untyped OverflowError from eval and a RuntimeWarning from
+        # eval_batch
+        with pytest.raises(NonFiniteValueError, match="last vertex"):
+            Axis(origin, spacing, count)
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_huge_finite_axis_stays_finite(self, policy):
+        axes = [Axis(1e308, 2e307, 4), Axis(-1.7e308, 5e307, 4),
+                Axis(0.0, 1.0, 4)]
+        for a in axes:
+            assert np.all(np.isfinite(a.coordinates()))
+        grid = RegularGrid(axes, np.zeros(64))
+        dom = grid.queryable_domain(policy)
+        assert np.all(np.isfinite(dom))
+        point = [hi for _, hi in dom]
+        assert np.array_equal(Interpolator(grid, policy).eval(point), [0.0])
+
 
 class TestLattice:
     @pytest.mark.parametrize("dim", [3, 4])
@@ -159,6 +183,36 @@ class TestRegularGrid:
             expect = ((idx[2] * counts[1] + idx[1]) * counts[0]
                       + idx[0]) * m + c
             assert grid.vertex_value(idx, c) == expect
+
+    @pytest.mark.parametrize("index, component, error, message", [
+        ((-1, 0, 0), 0, InvalidArgumentError, r"-1 on axis 0 .*\[0, 4\)"),
+        ((0, 5, 0), 0, InvalidArgumentError, r"5 on axis 1 .*\[0, 5\)"),
+        ((4, 0, 0), 0, InvalidArgumentError, r"4 on axis 0 .*\[0, 4\)"),
+        ((0, 0, 6), 0, InvalidArgumentError, r"6 on axis 2 .*\[0, 6\)"),
+        ((0.5, 0, 0), 0, InvalidArgumentError, r"0\.5 on axis 0"),
+        ((True, 0, 0), 0, InvalidArgumentError, r"True on axis 0"),
+        ((0, 0, 0), -1, InvalidArgumentError, r"component -1 .*\[0, 1\)"),
+        ((0, 0, 0), 1, InvalidArgumentError, r"component 1 .*\[0, 1\)"),
+        ((0, 0, 0), True, InvalidArgumentError, r"component True"),
+        ((0, 0, 0), 2 ** 70, InvalidArgumentError, r"component"),
+        (5, 0, InvalidArgumentError, r"sequence of 3 integers"),
+        (None, 0, InvalidArgumentError, r"sequence of 3 integers"),
+        ((0, 0), 0, DimensionMismatchError, r"3 entries"),
+        ((0, 0, 0, 0), 0, DimensionMismatchError, r"3 entries")])
+    def test_vertex_value_typed_errors(self, index, component, error,
+                                       message):
+        # numpy indexing would wrap a negative entry and raise IndexError
+        # or TypeError for the others
+        grid = RegularGrid([Axis(0, 1, c) for c in (4, 5, 6)],
+                           np.arange(120.0))
+        with pytest.raises(error, match=message):
+            grid.vertex_value(index, component)
+
+    def test_vertex_value_takes_numpy_integers(self):
+        grid = RegularGrid([Axis(0, 1, c) for c in (4, 5, 6)],
+                           np.arange(120.0))
+        assert grid.vertex_value(np.array([3, 4, 5]), np.int64(0)) == 119.0
+        assert grid.vertex_value([3, 0, 0]) == 3.0
 
     def test_element_counts_and_domains(self):
         grid = unit_grid(4, count=4)

@@ -1,12 +1,11 @@
-import concurrent.futures
 import hashlib
 import itertools
 import math
-import os
 import threading
 import tracemalloc
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -404,18 +403,36 @@ class TestBatch:
             assert np.array_equal(res.values[i], r.values)
             assert np.array_equal(res.gradients[i], r.gradient)
 
-    def test_threaded_equals_serial(self, trig4, monkeypatch):
+    @pytest.mark.parametrize("threads", [2, 8])
+    @pytest.mark.parametrize("slicing", [
+        "8-of-100000", "1", "7", "one-chunk", "many-chunks"])
+    def test_caller_slices_equal_one_call(self, trig4, slicing, threads):
+        # a caller that wants more CPUs slices the points and runs the
+        # slices on its own threads; concatenated, they give the bits of
+        # one serial call, outside and NaN rows included
         _, grid = trig4
         interp = Interpolator(grid)
+        chunk = interp._chunk
         rng = np.random.default_rng(14)
-        dom = grid.queryable_domain(STRICT)
-        pts = np.stack([rng.uniform(lo, hi, 3000) for lo, hi in dom], axis=1)
-        monkeypatch.setenv("HYPERSPLINE_THREADS", "1")
-        serial = interp.eval_batch(pts)
-        monkeypatch.setenv("HYPERSPLINE_THREADS", "8")
-        threaded = interp.eval_batch(pts)
-        assert np.array_equal(serial.values, threaded.values)
-        assert np.array_equal(serial.gradients, threaded.gradients)
+        dom = np.array(grid.queryable_domain(STRICT))
+        n = 100_000 if slicing == "8-of-100000" else 3 * chunk + 17
+        pts = rng.uniform(dom[:, 0], dom[:, 1], (n, 4))
+        pts[rng.integers(0, n, 40)] = dom[:, 1] + 1.0
+        pts[rng.integers(0, n, 40), 2] = np.nan
+        if slicing == "8-of-100000":
+            parts = np.array_split(pts, 8)
+        else:
+            k = {"1": 1, "7": 7, "one-chunk": chunk,
+                 "many-chunks": 2 * chunk + 5}[slicing]
+            parts = [pts[s:s + k] for s in range(0, n, k)]
+        with ThreadPoolExecutor(threads) as pool:
+            results = list(pool.map(interp.eval_batch, parts))
+        one = interp.eval_batch(pts)
+        assert 0 < np.count_nonzero(~one.ok) <= 80
+        assert_rows_equal(
+            [np.concatenate([getattr(r, f) for r in results])
+             for f in ("values", "gradients", "ok")],
+            (one.values, one.gradients, one.ok))
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
@@ -446,13 +463,11 @@ class TestBatch:
             (sliced.values, sliced.gradients),
             (indexed.values[~outside], indexed.gradients[~outside]))
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("dim", [3, 4])
-    def test_outside_rows_are_nan(self, dim, workers, monkeypatch):
+    def test_outside_rows_are_nan(self, dim):
         # every chunk evaluates all its rows; outside ones end up NaN and
         # flagged, whether they fill a whole chunk or sit at its first or
         # last position, and inside rows read as from the scalar query
-        monkeypatch.setenv("HYPERSPLINE_THREADS", workers)
         rng = np.random.default_rng(40 + dim)
         axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 5), Axis(2.0, 1.5, 7),
                 Axis(0.0, 0.4, 5)][:dim]
@@ -678,11 +693,8 @@ def assert_rows_equal(got, want):
 
 class TestSharedKernel:
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("batch", ["1", "7", "full", "multi"])
-    def test_batch_equals_scalar_bitwise(self, kernel_case, policy,
-                                         workers, batch, monkeypatch):
-        monkeypatch.setenv("HYPERSPLINE_THREADS", workers)
+    def test_batch_equals_scalar_bitwise(self, kernel_case, policy, batch):
         interp, pts, scalar = kernel_case[policy]
         want = scalar_table(interp, scalar)
         if batch in ("1", "7"):
@@ -759,12 +771,10 @@ class TestSharedKernel:
 
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
-    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("layout", ["strided", "fortran", "list"])
     def test_batch_equals_scalar_for_any_point_layout(
-            self, kernel_case, policy, workers, layout, monkeypatch):
+            self, kernel_case, policy, layout):
         # across chunk boundaries, with the last chunk partial
-        monkeypatch.setenv("HYPERSPLINE_THREADS", workers)
         interp, pts, scalar = kernel_case[policy]
         rows = chunk_rows(interp, len(pts), "multi")
         pts = pts[rows]
@@ -951,19 +961,6 @@ class TestInvalidArguments:
         with pytest.raises(InvalidArgumentError, match="ElementRef"):
             call(interp, elem)
 
-    @pytest.mark.parametrize("value", ["-1", "x", "1.5", "true"])
-    def test_thread_env_not_non_negative_integer(self, interp, value,
-                                                 monkeypatch):
-        monkeypatch.setenv("HYPERSPLINE_THREADS", value)
-        with pytest.raises(InvalidArgumentError,
-                           match=f"HYPERSPLINE_THREADS.*{value!r}"):
-            interp.eval_batch(np.full((5, 3), 1.5))
-
-    @pytest.mark.parametrize("value", ["", " ", "0", "1", " 2 "])
-    def test_thread_env_accepted(self, interp, value, monkeypatch):
-        monkeypatch.setenv("HYPERSPLINE_THREADS", value)
-        assert interp.eval_batch(np.full((5, 3), 1.5)).ok.all()
-
     @pytest.mark.parametrize("make, error", [
         (lambda grid: Interpolator(grid, "bogus"), InvalidArgumentError),
         (lambda grid: RegularGrid(grid.axes, np.zeros(64), components=0),
@@ -1044,6 +1041,47 @@ class TestScalarPath:
             r = interp.eval_with_gradient(p)
             assert np.array_equal(r.values, res.values[i]), p
             assert np.array_equal(r.gradient, res.gradients[i]), p
+
+
+class TestResultsOwnTheirArrays:
+    """A scalar result owns its arrays, so a result a caller keeps holds
+    no kernel buffer alive; a BatchResult row stays a view of its batch."""
+
+    @pytest.fixture(scope="class")
+    def interp3(self):
+        rng = np.random.default_rng(60)
+        grid = RegularGrid([Axis(0.0, 0.5, 6)] * 4,
+                           rng.standard_normal((6,) * 4 + (3,)), components=3)
+        return Interpolator(grid)
+
+    def test_scalar_arrays_have_no_base(self, interp3):
+        p = [1.1, 1.2, 1.3, 1.4]
+        r = interp3.eval_with_gradient(p)
+        local = interp3.eval_local(ElementRef((2, 2, 3, 3)), [0.25] * 4)
+        for a in (interp3.eval(p), r.values, r.gradient, local.values,
+                  local.gradient, interp3.derivative(p, (0, 0, 0, 0)),
+                  interp3.derivative(p, (1, 0, 2, 0))):
+            assert a.base is None
+
+    def test_batch_row_is_a_view_of_its_batch(self, interp3):
+        batch = interp3.eval_batch(np.full((3, 4), 1.3))
+        assert batch[1].values.base is batch.values
+        assert batch[1].gradient.base is batch.gradients
+
+    def test_kept_eval_results_stay_small(self, interp3):
+        # a view of the value column would pin the kernel's (1, m, 2^dim)
+        # partials: about 650 B per kept 3-component result
+        rng = np.random.default_rng(61)
+        pts = rng.uniform(0.5, 2.0, (5000, 4)).tolist()
+        interp3.eval(pts[0])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = [interp3.eval(p) for p in pts]
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert (after - before) / len(kept) < 200
 
 
 class TestLayerAttribution:
@@ -1176,80 +1214,3 @@ class TestBatchIndex:
         assert len(list(batch)) == 3
         with pytest.raises(OutOfDomainError):
             list(Interpolator(trig4[1]).eval_batch(pts - 9.0))
-
-
-class TestWorkerCap:
-    """``HYPERSPLINE_THREADS`` asks for workers; a batch gets at most one
-    per usable CPU and one per chunk. A recording executor that runs
-    every task inline stands in for the thread pool, so no thread is
-    started."""
-
-    @pytest.fixture
-    def pools(self, monkeypatch):
-        made = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
-                            RecordingExecutor)
-        return made
-
-    def run(self, grid, chunks, env, monkeypatch):
-        monkeypatch.setenv("HYPERSPLINE_THREADS", env)
-        interp = Interpolator(grid)
-        dom = np.array(grid.queryable_domain(STRICT))
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(dom[:, 0], dom[:, 1],
-                          ((chunks - 1) * interp._chunk + 1, grid.dim))
-        got = interp.eval_batch(pts)
-        monkeypatch.setenv("HYPERSPLINE_THREADS", "1")
-        want = interp.eval_batch(pts)
-        assert_rows_equal((got.values, got.gradients),
-                          (want.values, want.gradients))
-
-    @pytest.mark.parametrize("env, cpus, chunks, workers", [
-        (str(10 ** 6), 3, 5, 3), ("0", 3, 5, 3), ("2", 3, 5, 2),
-        ("9" * 5000, 3, 5, 3), (str(10 ** 6), 64, 5, 5), ("0", 64, 5, 5),
-    ])
-    def test_affinity_caps_workers(self, trig4, pools, monkeypatch, env,
-                                   cpus, chunks, workers):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 1000)
-        self.run(trig4[1], chunks, env, monkeypatch)
-        assert pools == [workers]
-
-    @pytest.mark.parametrize("env, workers", [("0", 4), (str(10 ** 6), 4),
-                                              ("3", 3)])
-    def test_cpu_count_without_affinity(self, trig4, pools, monkeypatch,
-                                        env, workers):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        self.run(trig4[1], 5, env, monkeypatch)
-        assert pools == [workers]
-
-    @pytest.mark.parametrize("env, cpus", [("1", 8), ("0", 1),
-                                           (str(10 ** 6), 1)])
-    def test_one_worker_runs_serially(self, trig4, pools, monkeypatch, env,
-                                      cpus):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)), raising=False)
-        self.run(trig4[1], 5, env, monkeypatch)
-        assert pools == []
-
-    def test_one_chunk_runs_serially(self, trig4, pools, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(8)), raising=False)
-        self.run(trig4[1], 1, "0", monkeypatch)
-        assert pools == []

@@ -650,9 +650,10 @@ def test_import_leaves_hashlib_unloaded():
     # nothing in the package needs hashlib, fractions or decimal; loading
     # hashlib would map OpenSSL's hash library into every process that
     # imports hyperspline, and fractions pulls in decimal with it;
-    # concurrent.futures (with logging and queue) loads only when a batch
-    # runs on more than one worker; io (with csv) loads on the first use
-    # of a file function, and fields only where the checks run
+    # concurrent.futures (with logging and queue) never loads, as batches
+    # run serially (tests/test_cli.py::TestThreadEnvIgnored checks a
+    # whole run); io (with csv) loads on the first use of a file
+    # function, and fields only where the checks run
     assert _loaded_after("import hyperspline", {
         "hashlib", "fractions", "decimal", "concurrent.futures",
         "hyperspline.io", "csv", "hyperspline.fields"}) == "[]"
