@@ -463,11 +463,13 @@ class TestBatch:
             (sliced.values, sliced.gradients),
             (indexed.values[~outside], indexed.gradients[~outside]))
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("dim", [3, 4])
-    def test_outside_rows_are_nan(self, dim):
+    def test_outside_rows_are_nan(self, dim, workers):
         # every chunk evaluates all its rows; outside ones end up NaN and
         # flagged, whether they fill a whole chunk or sit at its first or
-        # last position, and inside rows read as from the scalar query
+        # last position, and inside rows read as from the scalar query,
+        # in one call or in slices on concurrent caller threads
         rng = np.random.default_rng(40 + dim)
         axes = [Axis(-1.0, 0.5, 6), Axis(0.0, 0.25, 5), Axis(2.0, 1.5, 7),
                 Axis(0.0, 0.4, 5)][:dim]
@@ -489,14 +491,14 @@ class TestBatch:
         outside[chunk:2 * chunk] = True
         rows = np.flatnonzero(outside)
         pts[rows, rows % dim] = far[rows % len(far), rows % dim]
-        res = interp.eval_batch(pts)
-        assert res.ok.tolist() == (~outside).tolist()
-        assert np.isnan(res.values[outside]).all()
-        assert np.isnan(res.gradients[outside]).all()
+        values, gradients, ok = eval_sliced(interp, pts, int(workers))
+        assert ok.tolist() == (~outside).tolist()
+        assert np.isnan(values[outside]).all()
+        assert np.isnan(gradients[outside]).all()
         for i in np.flatnonzero(~outside)[::7]:
             r = interp.eval_with_gradient(pts[i])
-            assert r.values.tobytes() == res.values[i].tobytes()
-            assert r.gradient.tobytes() == res.gradients[i].tobytes()
+            assert r.values.tobytes() == values[i].tobytes()
+            assert r.gradient.tobytes() == gradients[i].tobytes()
 
     @pytest.mark.parametrize("point", [[1e308, 0.5, 0.5], [0.5, -1e308, 0.5],
                                        [-1.7976931348623157e308, 1e300, 0.5]])
@@ -691,22 +693,39 @@ def assert_rows_equal(got, want):
         assert np.array_equal(g, w, equal_nan=True)
 
 
+def eval_sliced(interp, pts, workers, size=None):
+    """``eval_batch`` over consecutive slices of ``pts``, concatenated as
+    batch-shaped ``(values, gradients, ok)``. Slices hold ``size`` rows,
+    or split the points into ``workers`` parts; with more than one worker
+    they run at once on a pool of caller threads sharing ``interp``.
+    Slicing keeps the layout of ``pts``: a list stays a list, a strided
+    view stays strided."""
+    size = size or -(-len(pts) // workers)
+    parts = [pts[s:s + size] for s in range(0, len(pts), size)]
+    if workers == 1:
+        results = [interp.eval_batch(p) for p in parts]
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            results = list(pool.map(interp.eval_batch, parts))
+    return [np.concatenate([getattr(r, f) for r in results])
+            for f in ("values", "gradients", "ok")]
+
+
 class TestSharedKernel:
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("batch", ["1", "7", "full", "multi"])
-    def test_batch_equals_scalar_bitwise(self, kernel_case, policy, batch):
+    def test_batch_equals_scalar_bitwise(self, kernel_case, policy,
+                                         workers, batch):
+        # "workers" caller threads share the interpolator, each
+        # evaluating its own slices of the points
         interp, pts, scalar = kernel_case[policy]
         want = scalar_table(interp, scalar)
         if batch in ("1", "7"):
-            k = int(batch)
-            parts = [interp.eval_batch(pts[s:s + k])
-                     for s in range(0, len(pts), k)]
-            got = [np.concatenate([getattr(p, f) for p in parts])
-                   for f in ("values", "gradients", "ok")]
+            got = eval_sliced(interp, pts, int(workers), int(batch))
         else:
             rows = chunk_rows(interp, len(pts), batch)
-            res = interp.eval_batch(pts[rows])
-            got = (res.values, res.gradients, res.ok)
+            got = eval_sliced(interp, pts[rows], int(workers))
             want = [w[rows] for w in want]
         if policy is GHOST:
             assert got[2].all()
@@ -771,10 +790,12 @@ class TestSharedKernel:
 
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("layout", ["strided", "fortran", "list"])
     def test_batch_equals_scalar_for_any_point_layout(
-            self, kernel_case, policy, layout):
-        # across chunk boundaries, with the last chunk partial
+            self, kernel_case, policy, workers, layout):
+        # across chunk boundaries, with the last chunk partial, in one
+        # call or in slices on concurrent caller threads
         interp, pts, scalar = kernel_case[policy]
         rows = chunk_rows(interp, len(pts), "multi")
         pts = pts[rows]
@@ -786,8 +807,7 @@ class TestSharedKernel:
             pts = np.asfortranarray(pts)
         else:
             pts = pts.tolist()
-        res = interp.eval_batch(pts)
-        assert_rows_equal((res.values, res.gradients, res.ok),
+        assert_rows_equal(eval_sliced(interp, pts, int(workers)),
                           [w[rows] for w in scalar_table(interp, scalar)])
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
