@@ -10,10 +10,13 @@ two exact matrices,
   constraint C -- integer; polynomial coefficients -> corner constraints
   difference F -- exact dyadic rationals; samples  -> corner constraints
 
-as inv(C) @ F. This script prints M, checks that operator_set(dim) is
-kron(M, ..., M), checks that C has an integer inverse (C @ inv == I
-exactly in int64), verifies C @ operator == F exactly in integers, and
-cross-checks the operator against an independent dense solve.
+as inv(C) @ F. Both are corner tensor products of one 4x4 table per
+axis, whose row 2*p + s is the value (s = 0) or slope (s = 1) at corner
+u = p. This script prints M and the two tables, checks that
+operator_set(dim) is kron(M, ..., M), checks that C has an integer
+inverse (C @ inv == I exactly in int64), verifies C @ operator == F
+exactly in integers, and cross-checks the operator against an
+independent dense solve.
 """
 
 from functools import reduce
@@ -22,6 +25,8 @@ import numpy as np
 
 from hyperspline.operators import (
     CATMULL_ROM,
+    CONSTRAINT_TABLE,
+    DIFFERENCE_TABLE,
     constraint_matrix,
     difference_matrix,
     integer_inverse,
@@ -32,6 +37,16 @@ from hyperspline.operators import (
 print("Catmull-Rom basis matrix M (row k: coefficient of u^k;")
 print("columns: samples at offsets -1, 0, 1, 2):")
 print(CATMULL_ROM)
+
+# per axis, a corner constraint is the value or the slope at u = 0 or 1
+print("\nper-axis constraint table (rows: value, slope at u = 0, then at")
+print("u = 1; column n: the monomial u^n):")
+print(CONSTRAINT_TABLE)
+print("per-axis difference table (same rows; column j: the sample at")
+print("offset j - 1, a slope being (f[+1] - f[-1]) / 2 about the corner):")
+print(DIFFERENCE_TABLE)
+print("C and F: entry [(corner v, quantity q), c] is the product over axes")
+print("d of table[2 * bit_d(v) + bit_d(q), base-4 digit d of c]")
 
 for dim in (3, 4):
     op = operator_set(dim)

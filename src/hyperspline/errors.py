@@ -1,4 +1,30 @@
-"""Exception hierarchy shared by all hyperspline modules."""
+"""Exception hierarchy shared by all hyperspline modules, and
+:func:`shown`, the one way their messages show a caller's value."""
+
+
+def _shown_one(value) -> str:
+    try:
+        return repr(value)
+    except Exception:
+        if isinstance(value, int):
+            return f"<int of {int.bit_length(value)} bits>"
+        return f"<{type(value).__name__}>"
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message, or a stand-in where that
+    raises, so building a typed error never raises another error. An
+    integer past Python's 4,300-digit string limit shows as ``<int of
+    N bits>``, inside a plain tuple or list too; any other value whose
+    repr fails shows its type name."""
+    try:
+        return repr(value)
+    except Exception:  # a caller's __repr__ may raise anything
+        pass
+    if type(value) in (tuple, list):  # plain ones iterate without fail
+        inner = ", ".join(map(_shown_one, value))
+        return f"({inner})" if type(value) is tuple else f"[{inner}]"
+    return _shown_one(value)
 
 
 class HypersplineError(Exception):

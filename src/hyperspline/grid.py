@@ -74,6 +74,7 @@ from .errors import (
     OutOfDomainError,
     TooFewPointsError,
     UnsupportedDimensionError,
+    shown,
 )
 
 #: Coordinate column names of grid, points and result CSV files, per axis.
@@ -116,10 +117,10 @@ class Axis:
         except (TypeError, OverflowError):
             raise InvalidArgumentError(
                 f"axis origin and spacing must be real numbers, got "
-                f"{self.origin!r} and {self.spacing!r}") from None
+                f"{shown(self.origin)} and {shown(self.spacing)}") from None
         if not is_integer(self.count):
             raise InvalidArgumentError(
-                f"axis count must be an integer, got {self.count!r}")
+                f"axis count must be an integer, got {shown(self.count)}")
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "count", int(self.count))
@@ -130,7 +131,7 @@ class Axis:
                 f"axis spacing must be > 0, got {self.spacing}")
         if self.count < 4:
             raise TooFewPointsError(
-                f"axis needs at least 4 points, got {self.count}")
+                f"axis needs at least 4 points, got {shown(self.count)}")
         try:
             last = self.origin + (self.count - 1) * self.spacing
         except OverflowError:  # a count past the float range
@@ -169,18 +170,45 @@ def infer_axis(coords) -> Axis:
     """Build an Axis from strictly increasing coordinates.
 
     Spacing is taken as ``(last - first) / (count - 1)``; every gap must
-    match it to within ``SPACING_RTOL`` relative, else the data are not a
-    regular grid.
+    match it to within ``SPACING_RTOL`` relative plus the rounding of
+    the coordinates themselves (two float64 ulps of the largest
+    magnitude), else the data are not a regular grid. The rounding term
+    admits an axis far from zero with fine steps, such as epoch seconds
+    in milliseconds, as ``write_grid_csv`` writes it.
+
+    Raises
+    ------
+    InvalidArgumentError
+        If the coordinates are not real numbers.
+    DimensionMismatchError
+        If they are not one-dimensional.
+    TooFewPointsError, NonFiniteValueError, IrregularSpacingError
+        If there are fewer than 4, one is NaN or infinite, or they are
+        not an increasing arithmetic progression.
     """
-    c = np.asarray(coords, dtype=np.float64)
-    if c.ndim != 1 or c.size < 4:
+    try:
+        c = np.asarray(coords)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"axis coordinates must be real numbers: {exc}") from None
+    if c.dtype.kind not in "iuf":
+        raise InvalidArgumentError(
+            f"axis coordinates must be real numbers, got dtype {c.dtype}")
+    if c.ndim != 1:
+        raise DimensionMismatchError(
+            f"axis coordinates must be one-dimensional, got shape {c.shape}")
+    if c.size < 4:
         raise TooFewPointsError(
             f"need at least 4 coordinates to define an axis, got {c.size}")
+    c = c.astype(np.float64)
+    if not np.all(np.isfinite(c)):
+        raise NonFiniteValueError("axis coordinates must be finite")
     spacing = (c[-1] - c[0]) / (c.size - 1)
     if spacing <= 0:
         raise IrregularSpacingError("coordinates must be strictly increasing")
     gaps = np.diff(c)
-    bad = np.abs(gaps - spacing) > SPACING_RTOL * spacing
+    tol = SPACING_RTOL * spacing + 2 * np.spacing(max(abs(c[0]), abs(c[-1])))
+    bad = np.abs(gaps - spacing) > tol
     if np.any(bad):
         i = int(np.argmax(bad))
         raise IrregularSpacingError(
@@ -202,7 +230,7 @@ class ElementRef:
         except TypeError:
             raise InvalidArgumentError(
                 f"element base must be a sequence of integers, "
-                f"got {self.base!r}") from None
+                f"got {shown(self.base)}") from None
         object.__setattr__(self, "base", base)
 
     @classmethod
@@ -224,10 +252,18 @@ class RegularGrid:
     axes : sequence of Axis
         One per dimension, ordered x, y, z (, t). Length 3 or 4.
     values : array_like
-        Real, finite samples, either flat with layout
-        ``flat[(((i_t * nc_z + i_z) * nc_y + i_y) * nc_x + i_x) * m + c]``
-        (x index varying fastest among the coordinates, component last),
-        or already shaped ``(count_last, ..., count_first, m)``.
+        Real, finite samples in one of these layouts, x index varying
+        fastest among the coordinates and component last:
+
+        * flat, ``flat[(((i_t * nc_z + i_z) * nc_y + i_y) * nc_x + i_x)
+          * m + c]``;
+        * ``(vertices, m)``, one row per vertex in that order;
+        * ``(count_last, ..., count_first, m)``;
+        * ``(count_last, ..., count_first)``, when m is 1.
+
+        Any other shape raises DimensionMismatchError: an x-first
+        ``(count_first, ..., count_last)`` array would otherwise be
+        read transposed.
     components : int, optional
         Number of field components m (default 1).
     component_names : sequence of str, optional
@@ -244,15 +280,19 @@ class RegularGrid:
         axes = tuple(axes) if np.iterable(axes) else (axes,)
         if not all(isinstance(a, Axis) for a in axes):
             raise InvalidArgumentError(
-                f"axes must be a sequence of Axis, got {axes!r}")
+                f"axes must be a sequence of Axis, got {shown(axes)}")
         if len(axes) not in (3, 4):
             raise UnsupportedDimensionError(
                 f"grids must be 3- or 4-dimensional, got {len(axes)} axes")
         if not is_integer(components) or components < 1:
             raise InvalidArgumentError(
-                f"components must be a positive integer, got {components!r}")
+                f"components must be a positive integer, "
+                f"got {shown(components)}")
         counts = tuple(a.count for a in axes)
         shape = counts[::-1] + (components,)
+        # math.prod: np.prod wraps in int64, and a wrapped product of
+        # huge axes can equal a small sample count
+        vertices = math.prod(counts)
         try:
             vals = np.asarray(values)
         except (TypeError, ValueError) as exc:
@@ -262,13 +302,18 @@ class RegularGrid:
             raise InvalidArgumentError(
                 f"grid samples must be real numbers, got dtype {vals.dtype}")
         vals = vals.astype(np.float64, copy=False)
-        # math.prod: np.prod wraps in int64, and a wrapped product of
-        # huge axes can equal a small sample count
-        if vals.size != math.prod(shape):
+        if vals.size != vertices * components:
             raise DimensionMismatchError(
-                f"expected {math.prod(shape)} values "
-                f"({'x'.join(map(str, counts))} vertices x {components} "
-                f"components), got {vals.size}")
+                f"expected {shown(vertices * components)} values "
+                f"({'x'.join(map(str, counts))} vertices x "
+                f"{shown(components)} components), got {vals.size}")
+        layouts = [(vals.size,), (vertices, components), shape]
+        if components == 1:
+            layouts.append(shape[:-1])
+        if vals.shape not in layouts:
+            raise DimensionMismatchError(
+                f"grid samples of shape {vals.shape} are in no accepted "
+                f"layout: flat or one of {layouts[1:]}")
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValueError("grid samples must all be finite")
         # the one stored copy, padded by one ghost layer per side; ghosts
@@ -339,15 +384,16 @@ class RegularGrid:
         except TypeError:
             raise InvalidArgumentError(
                 f"vertex index must be a sequence of {self.dim} integers, "
-                f"got {index!r}") from None
+                f"got {shown(index)}") from None
         if len(index) != self.dim:
             raise DimensionMismatchError(
-                f"vertex index must have {self.dim} entries, got {index}")
+                f"vertex index must have {self.dim} entries, "
+                f"got {shown(index)}")
         limits = self.counts + (self.components,)
         for d, (i, n) in enumerate(zip(index + (component,), limits)):
             if not (is_integer(i) and 0 <= i < n):
-                what = (f"vertex index {i!r} on axis {d}" if d < self.dim
-                        else f"component {i!r}")
+                what = (f"vertex index {shown(i)} on axis {d}"
+                        if d < self.dim else f"component {shown(i)}")
                 raise InvalidArgumentError(
                     f"{what} must be an integer in [0, {n})")
         return float(self.values[index[::-1] + (component,)])
@@ -383,7 +429,7 @@ def as_policy(policy) -> BoundaryPolicy:
         return BoundaryPolicy(policy)
     except ValueError:
         raise InvalidArgumentError(
-            f"unknown boundary policy {policy!r}, expected one of "
+            f"unknown boundary policy {shown(policy)}, expected one of "
             f"{[p.value for p in BoundaryPolicy]}") from None
 
 
@@ -394,21 +440,26 @@ def as_component_names(names, components: int) -> tuple:
     header carries back unchanged: no comma, double quote or line break,
     no leading or trailing whitespace, and no axis name (x, y, z, t),
     which a header would read as a coordinate column."""
-    labels = tuple(map(str, names)) if np.iterable(names) else ()
+    try:
+        labels = tuple(map(str, names)) if np.iterable(names) else ()
+    except ValueError:  # an integer past the 4,300-digit string limit
+        raise InvalidArgumentError(
+            f"component names must convert to text, "
+            f"got {shown(names)}") from None
     if len(labels) != components:
         raise InvalidArgumentError(
-            f"need {components} component names, got {names!r}")
+            f"need {shown(components)} component names, got {shown(names)}")
     try:
         "".join(labels).encode("utf-8")
     except UnicodeEncodeError as exc:
         raise InvalidArgumentError(
-            f"component names must be UTF-8 text, got {names!r} "
+            f"component names must be UTF-8 text, got {shown(names)} "
             f"({exc.reason})") from None
     for name in labels:
         if (name != name.strip() or name in AXIS_NAMES
                 or any(c in name for c in ',"\r\n')):
             raise InvalidArgumentError(
-                f"component name {name!r} would not read back from a CSV "
+                f"component name {shown(name)} would not read back from a CSV "
                 f"header: it holds a comma, quote, line break or "
                 f"surrounding space, or is an axis name")
     return labels
@@ -550,14 +601,15 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
     """
     if not isinstance(elem, ElementRef):
         raise InvalidArgumentError(
-            f"element must be an ElementRef, got {elem!r}")
+            f"element must be an ElementRef, got {shown(elem)}")
     base, rows = elem.base, grid._rows(policy)
     if len(base) != len(rows):
         raise DimensionMismatchError(
-            f"element base must have {len(rows)} entries, got {base}")
+            f"element base must have {len(rows)} entries, "
+            f"got {shown(base)}")
     for b, row in zip(base, rows):
         if not row[2] <= b <= row[3]:
             raise ElementOutOfRangeError(
-                f"element base {base} outside valid range "
+                f"element base {shown(base)} outside valid range "
                 f"under {as_policy(policy).value}")
     return grid._windows[base[::-1]].reshape(4 ** len(rows), grid.components)

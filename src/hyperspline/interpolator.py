@@ -71,6 +71,7 @@ from .errors import (
     InvalidArgumentError,
     OutOfDomainError,
     PointIndexError,
+    shown,
 )
 from .grid import (
     BoundaryPolicy,
@@ -123,11 +124,11 @@ class BatchResult:
         point outside the domain."""
         if not is_integer(i):
             raise InvalidArgumentError(
-                f"batch index must be an integer, got {i!r}")
+                f"batch index must be an integer, got {shown(i)}")
         n = len(self.ok)
         if not -n <= i < n:
             raise PointIndexError(
-                f"point index {i} out of range for {n} points")
+                f"point index {shown(i)} out of range for {n} points")
         if not self.ok[i]:
             raise OutOfDomainError(f"point {i} was outside the domain")
         return QueryResult(self.values[i], self.gradients[i])
@@ -213,7 +214,7 @@ class Interpolator:
                  policy: BoundaryPolicy = BoundaryPolicy.STRICT):
         if not isinstance(grid, RegularGrid):
             raise InvalidArgumentError(
-                f"grid must be a RegularGrid, got {grid!r}")
+                f"grid must be a RegularGrid, got {shown(grid)}")
         self.grid = grid
         self.policy = as_policy(policy)
         self._spacings = np.array([a.spacing for a in grid.axes])
@@ -313,13 +314,14 @@ class Interpolator:
         except TypeError:
             raise InvalidArgumentError(
                 f"orders must be {self.dim} integers in 0..3, "
-                f"got {orders!r}") from None
+                f"got {shown(orders)}") from None
         if len(orders) != self.dim:
             raise DimensionMismatchError(
-                f"orders must have {self.dim} entries, got {orders}")
+                f"orders must have {self.dim} entries, got {shown(orders)}")
         if not all(is_integer(k) and 0 <= k <= 3 for k in orders):
             raise InvalidArgumentError(
-                f"orders must be {self.dim} integers in 0..3, got {orders}")
+                f"orders must be {self.dim} integers in 0..3, "
+                f"got {shown(orders)}")
         orders = tuple(int(k) for k in orders)
         elem, u = locate(self.grid, point, self.policy)
         col = sum(1 << d for d, k in enumerate(orders) if k)

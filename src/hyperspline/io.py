@@ -45,6 +45,7 @@ from .errors import (
     MissingHeaderError,
     NonFiniteValueError,
     UnsupportedDimensionError,
+    shown,
 )
 from .grid import (AXIS_NAMES, RegularGrid, as_component_names,
                    as_coordinates, infer_axis, is_integer, lattice)
@@ -123,7 +124,8 @@ def _open_text(path, mode="r"):
     reason; bytes that do not decode raise ``GridFormatError`` naming it.
     """
     if not isinstance(path, (str, bytes, os.PathLike)):
-        raise InvalidArgumentError(f"cannot open {path!r}: not a file path")
+        raise InvalidArgumentError(
+            f"cannot open {shown(path)}: not a file path")
     try:
         fh = open(path, mode, encoding="utf-8" if mode == "w" else
                   "utf-8-sig", newline="")
@@ -244,7 +246,7 @@ def load_points_csv(path, dim: int) -> np.ndarray:
     """
     if not is_integer(dim) or dim not in (3, 4):
         raise UnsupportedDimensionError(
-            f"points must have 3 or 4 coordinates, got dim={dim!r}")
+            f"points must have 3 or 4 coordinates, got dim={shown(dim)}")
     with _open_text(path) as fh:
         _, named, number, start = _read_header(fh, path)
         if named >= dim:
@@ -283,7 +285,7 @@ def write_grid_csv(path, grid: RegularGrid):
     """
     if not isinstance(grid, RegularGrid):
         raise InvalidArgumentError(
-            f"grid must be a RegularGrid, got {grid!r}")
+            f"grid must be a RegularGrid, got {shown(grid)}")
     table = np.column_stack([lattice(grid.axes),
                              grid.values.reshape(-1, grid.components)])
     with _open_text(path, "w") as fh:

@@ -13,14 +13,20 @@ matrix holds them exactly. :func:`operator_set` builds each power on
 first use and shares it read-only; evaluation never asks for it.
 
 The paper derives the same operator from two matrices, kept here as
-the reference that verifies it:
+the reference that verifies it. Per axis, a constraint is the value or
+the slope at u = 0 or u = 1, so both are corner tensor products of one
+4x4 table per axis (row ``2 * p + s``: value, s = 0, or slope, s = 1,
+at corner u = p):
 
-* the *constraint matrix* C maps polynomial coefficients to the stacked
+* the *constraint matrix* C, from ``CONSTRAINT_TABLE`` (column n: the
+  monomial u^n), maps polynomial coefficients to the stacked
   constraint values; its entries are small integers and its inverse is
   integer too (:func:`integer_inverse` finds and certifies it);
-* the *difference matrix* F maps the sample neighborhood to the same
-  constraint values via tensor-product central differences (exact for
-  per-axis degree <= 2); its entries are +-2^-k, exact in float64.
+* the *difference matrix* F, from ``DIFFERENCE_TABLE`` (column j: the
+  sample at offset j - 1, or the centred slope ``(f[+1] - f[-1]) / 2``
+  about the corner), maps the sample neighborhood to the same
+  constraint values (exact for per-axis degree <= 2); its entries are
+  +-2^-k, exact in float64.
 
 :func:`operator_is_exact` is the one complete check: C has an integer
 inverse, and ``C @ operator == F`` holds in integer arithmetic, so the
@@ -29,20 +35,21 @@ operator is exactly ``inv(C) @ F``.
 Index conventions (shared with grid neighborhoods and coefficient
 tensors, so no permutations appear anywhere):
     constraint row   r = corner_mask * 2^dim + quantity_mask
+                     (axis d reads table row 2 * bit_d(corner)
+                      + bit_d(quantity))
     monomial column  e = sum_d exponent_d * 4^d        (x fastest)
     sample column    n = sum_d (offset_d + 1) * 4^d    (offsets -1..2)
+                     (axis d reads table column digit_d)
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import numbers
 
 import numpy as np
 
-from .errors import UnsupportedDimensionError
+from .errors import UnsupportedDimensionError, shown
 
 SUPPORTED_DIMS = (3, 4)
 
@@ -54,12 +61,24 @@ CATMULL_ROM = np.array([[0.0, 1.0, 0.0, 0.0],
                         [-0.5, 1.5, -1.5, 0.5]])
 CATMULL_ROM.flags.writeable = False
 
+# The per-axis corner tables of C and F (see the module docstring).
+CONSTRAINT_TABLE = np.array([[1, 0, 0, 0],
+                             [0, 1, 0, 0],
+                             [1, 1, 1, 1],
+                             [0, 1, 2, 3]], dtype=np.int64)
+DIFFERENCE_TABLE = np.array([[0.0, 1.0, 0.0, 0.0],
+                             [-0.5, 0.0, 0.5, 0.0],
+                             [0.0, 0.0, 1.0, 0.0],
+                             [0.0, -0.5, 0.0, 0.5]])
+CONSTRAINT_TABLE.flags.writeable = False
+DIFFERENCE_TABLE.flags.writeable = False
+
 
 def _check_dim(dim: int):
     # an integral type first: 3.0 == 3 would reach the cache of dim 3
     if not isinstance(dim, numbers.Integral) or dim not in SUPPORTED_DIMS:
         raise UnsupportedDimensionError(
-            f"dimension must be one of {SUPPORTED_DIMS}, got {dim}")
+            f"dimension must be one of {SUPPORTED_DIMS}, got {shown(dim)}")
 
 
 @functools.cache
@@ -88,73 +107,32 @@ def monomial_exponents(dim: int) -> np.ndarray:
     return np.stack([(e // 4 ** d) % 4 for d in range(dim)], axis=1)
 
 
+def _corner_product(table: np.ndarray, dim: int) -> np.ndarray:
+    """The ``(4^dim, 4^dim)`` matrix whose row for (corner v, quantity q)
+    is the tensor product over axes d of the per-axis table row
+    ``2 * bit_d(v) + bit_d(q)``: entry ``[(v, q), c]`` is the product of
+    ``table[2 * bit_d(v) + bit_d(q), digit_d(c)]``, with the base-4
+    digits of :func:`monomial_exponents`. Has the table's dtype."""
+    _check_dim(dim)
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    rows = (2 * bits[:, None] + bits[None, :]).reshape(-1, 1, dim)
+    # adding 0 turns the -0.0 products of a float table into +0.0
+    return table[rows, monomial_exponents(dim)].prod(axis=2) + 0
+
+
 def constraint_matrix(dim: int) -> np.ndarray:
     """Integer matrix taking unit-cell polynomial coefficients to the
-    constraint values at the element corners.
-
-    Entry ``[(corner v, quantity q), exponent e]`` is the product over
-    axes of ``n * p**(n-1)`` (differentiated axis, with ``0 * p**-1 == 0``)
-    or ``p**n`` (plain axis), at corner coordinate ``p = bit d of v`` and
-    exponent ``n = e_d``.
-    """
-    _check_dim(dim)
-    size = 4 ** dim
-    exps = monomial_exponents(dim)
-    out = np.zeros((size, size), dtype=np.int64)
-    for v in range(1 << dim):
-        pbits = [(v >> d) & 1 for d in range(dim)]
-        for q in range(1 << dim):
-            row = v * (1 << dim) + q
-            for col in range(size):
-                val = 1
-                for d in range(dim):
-                    n = int(exps[col, d])
-                    p = pbits[d]
-                    if (q >> d) & 1:
-                        if n == 0:
-                            f = 0
-                        elif p == 1:
-                            f = n
-                        else:  # p == 0: derivative of x^n at 0
-                            f = 1 if n == 1 else 0
-                    else:
-                        f = 1 if p == 1 or n == 0 else 0
-                    if f == 0:
-                        val = 0
-                        break
-                    val *= f
-                out[row, col] = val
-    return out
+    constraint values at the element corners: the corner tensor product
+    of ``CONSTRAINT_TABLE``."""
+    return _corner_product(CONSTRAINT_TABLE, dim)
 
 
 def difference_matrix(dim: int) -> np.ndarray:
     """Central-difference operator from the sample neighborhood to the
-    constraint values, as a dense float64 matrix.
-
-    The row for (corner v, quantity q) tensors together, per axis, either
-    the two-point centered slope ``(f[+1] - f[-1]) / 2`` about the corner
-    (differentiated axes) or the sample at the corner itself. A row of
-    derivative order k has 2^k nonzeros of magnitude 2^-k, exact in
-    float64.
-    """
-    _check_dim(dim)
-    size = 4 ** dim
-    out = np.zeros((size, size))
-    for v in range(1 << dim):
-        pbits = [(v >> d) & 1 for d in range(dim)]
-        for q in range(1 << dim):
-            row = v * (1 << dim) + q
-            per_axis = []
-            for d in range(dim):
-                if (q >> d) & 1:
-                    per_axis.append(
-                        [(pbits[d] - 1, -0.5), (pbits[d] + 1, 0.5)])
-                else:
-                    per_axis.append([(pbits[d], 1.0)])
-            for combo in itertools.product(*per_axis):
-                col = sum((off + 1) * 4 ** d for d, (off, _) in enumerate(combo))
-                out[row, col] = math.prod(w for _, w in combo)
-    return out
+    constraint values, as a dense float64 matrix: the corner tensor
+    product of ``DIFFERENCE_TABLE``. A row of derivative order k has
+    2^k nonzeros of magnitude 2^-k, exact in float64."""
+    return _corner_product(DIFFERENCE_TABLE, dim)
 
 
 def integer_inverse(matrix: np.ndarray):

@@ -2,7 +2,8 @@
 ``HypersplineError`` and nothing else.
 
 Each test draws arguments of the wrong shape, size or type (ragged
-nesting, text, complex, None, NaN and inf, bools, integers beyond int64),
+nesting, text, complex, None, NaN and inf, bools, integers beyond int64
+and past Python's 4,300-digit string limit),
 file contents or command lines, and accepts either a successful call or
 a typed error (exit code 2 from the command line). Runs are
 derandomized and keep no example database, so every run draws the same
@@ -46,9 +47,17 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None,
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
+# integers past Python's 4,300-digit limit on converting them to text,
+# which no error message may try to show as digits
+past_digit_limit = st.tuples(st.integers(4300, 5000),
+                             st.sampled_from([1, -1])).map(
+    lambda t: t[1] * 10 ** t[0])
+big_integers = st.one_of(st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+                         past_digit_limit)
+
 scalars = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(min_value=-2 ** 70, max_value=2 ** 70),
+    big_integers,
     st.booleans(),
     st.complex_numbers(max_magnitude=1e3),
     st.text(max_size=3),
@@ -88,7 +97,7 @@ huge = st.one_of(huge, huge.map(lambda x: -x))
 @SETTINGS
 @given(origin=st.one_of(scalars, st.integers(-2 ** 1100, 2 ** 1100), huge),
        spacing=st.one_of(scalars, huge),
-       count=st.one_of(scalars, st.integers(4, 2 ** 70)))
+       count=st.one_of(scalars, st.integers(4, 2 ** 70), past_digit_limit))
 def test_axis_raises_only_typed_errors(origin, spacing, count):
     try:
         axis = Axis(origin, spacing, count)
@@ -118,7 +127,7 @@ def test_vertex_value_raises_only_typed_errors(index, component):
        values=st.one_of(scalars, ragged, arrays, near_size(64),
                         near_size(128)),
        components=st.one_of(st.integers(-1, 3), st.floats(), st.text(),
-                            st.none(), st.booleans()))
+                            st.none(), st.booleans(), big_integers))
 def test_grid_raises_only_typed_errors(axes, values, components):
     try:
         RegularGrid(axes, values, components=components)
@@ -142,9 +151,11 @@ def test_interpolator_raises_only_typed_errors(grid, policy):
 policies_or_junk = st.one_of(st.sampled_from(list(BoundaryPolicy)),
                              st.sampled_from([p.value for p in BoundaryPolicy]),
                              scalars, ragged, arrays)
-# elements with 2 to 4 small base entries, some out of range, and junk
-elements = st.one_of(scalars, st.lists(st.integers(-1, 3), min_size=2,
-                                       max_size=4).map(
+# elements with 2 to 4 base entries, small ones (some out of range) and
+# huge ones, and junk
+elements = st.one_of(scalars, st.lists(st.one_of(st.integers(-1, 3),
+                                                 big_integers),
+                                       min_size=2, max_size=4).map(
     lambda base: ElementRef(tuple(base))))
 
 
@@ -299,7 +310,8 @@ def test_results_writer_raises_only_typed_errors(points, component_names,
 # (test_io covers them with a pipe)
 not_paths = st.one_of(st.none(), st.booleans(), st.floats(),
                       st.complex_numbers(max_magnitude=1e3),
-                      st.integers(-2 ** 70, -1), ragged, arrays)
+                      st.integers(-2 ** 70, -1),
+                      past_digit_limit.map(lambda k: -abs(k)), ragged, arrays)
 
 
 @SETTINGS
@@ -447,7 +459,8 @@ def command_lines(draw, paths):
               "--out": st.sampled_from(outs),
               "--counts": counts, "--min": numbers, "--max": numbers,
               "--policy": policies, "--n": point_counts.map(str),
-              "--seed": seeds.map(str)}
+              "--seed": st.one_of(seeds.map(str), st.integers(4300, 5000).map(
+                  lambda n: "1" + "0" * n))}
     command = draw(st.sampled_from(sorted(COMMANDS)))
     # validate always gets a grid, the tiny 3D one or a bad one: without
     # one it runs the full built-in suite, about 1.6 s

@@ -136,6 +136,30 @@ class TestInferAxis:
         with pytest.raises(TooFewPointsError):
             infer_axis([0.0, 1.0, 2.0])
 
+    @pytest.mark.parametrize("coords, error", [
+        ([0, 1, np.nan, 3], NonFiniteValueError),
+        ([0, 1, 2, np.inf], NonFiniteValueError),
+        (["0", "1", "2", "3"], InvalidArgumentError),
+        ([0, 1, 2, 3j], InvalidArgumentError),
+        ([[0, 1], 2, 3, 4], InvalidArgumentError),
+        ([[0, 1], [2, 3]], DimensionMismatchError)],
+        ids=["nan", "inf", "text", "complex", "ragged", "2-d"])
+    def test_typed_errors(self, coords, error):
+        # NaN passed as a gap, text and ragged input raised numpy's
+        # ValueError, and 2-D input read as too few coordinates
+        with pytest.raises(error):
+            infer_axis(coords)
+
+    def test_tolerates_coordinate_rounding_far_from_zero(self):
+        # epoch seconds in 1 ms steps: float64 rounding moves each gap by
+        # ~5e-8, far beyond SPACING_RTOL of the spacing
+        c = Axis(1e9, 1e-3, 5).coordinates()
+        a = infer_axis(c)
+        assert (a.origin, a.count) == (1e9, 5)
+        assert_allclose(a.spacing, 1e-3, rtol=1e-4)
+        with pytest.raises(IrregularSpacingError):
+            infer_axis(c + [0.0, 0.0, 1e-4, 0.0, 0.0])
+
     def test_tolerates_rounding_noise(self):
         c = 0.1 * np.arange(8)  # accumulating float noise
         a = infer_axis(c)
@@ -168,6 +192,28 @@ class TestRegularGrid:
                            match=f"expected {2 ** 66} values"):
             RegularGrid([Axis(0, 1, 2 ** 62), Axis(0, 1, 4), Axis(0, 1, 4)],
                         np.zeros(0))
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_documented_layouts_agree(self, m):
+        axes = [Axis(0, 1, c) for c in (4, 5, 6)]
+        flat = np.arange(120.0 * m)
+        layouts = [flat, flat.reshape(120, m), flat.reshape(6, 5, 4, m)]
+        if m == 1:
+            layouts.append(flat.reshape(6, 5, 4))
+        for values in layouts:
+            grid = RegularGrid(axes, values, components=m)
+            assert np.array_equal(grid.values, flat.reshape(6, 5, 4, m))
+
+    @pytest.mark.parametrize("shape, m", [
+        ((4, 5, 6), 1), ((4, 5, 6, 1), 1), ((5, 4, 6), 1), ((6, 20), 1),
+        ((2, 120), 2), ((6, 5, 2, 2), 1), ((6, 5, 8), 2), ((1, 120), 1)],
+        ids=["x-first", "x-first-m", "mixed", "folded", "m-first",
+             "split-axis", "m-folded", "leading-one"])
+    def test_undocumented_layout_rejected(self, shape, m):
+        # each was read as flat, so an x-first array came out transposed
+        axes = [Axis(0, 1, c) for c in (4, 5, 6)]
+        with pytest.raises(DimensionMismatchError, match="layout"):
+            RegularGrid(axes, np.zeros(shape), components=m)
 
     def test_flat_layout(self):
         # samples equal to their own flat index pin the value layout

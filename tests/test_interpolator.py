@@ -1016,6 +1016,56 @@ class TestInvalidArguments:
             make(grid)
 
 
+HUGE = 10 ** 5000  # past Python's 4,300-digit limit on int -> str
+
+
+class TestIntegersPastDigitLimit:
+    """A typed error whose message shows an integer too long to convert
+    to text shows its bit count instead; building the message raised
+    Python's untyped ValueError."""
+
+    @pytest.fixture(scope="class")
+    def interp(self):
+        return Interpolator(sample(constant_field(3), [Axis(0, 1, 5)] * 3))
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda f: ElementRef((HUGE, "a")), InvalidArgumentError),
+        (lambda f: neighborhood_block(f.grid, ElementRef((HUGE, 1, 1)),
+                                      STRICT), ElementOutOfRangeError),
+        (lambda f: neighborhood_block(f.grid, ElementRef((HUGE, 1)),
+                                      STRICT), DimensionMismatchError),
+        (lambda f: f.eval_local(ElementRef((1, HUGE, 1)), [0.5] * 3),
+         ElementOutOfRangeError),
+        (lambda f: f.coefficients(ElementRef((1, 1, -HUGE))),
+         ElementOutOfRangeError),
+        (lambda f: f.grid.vertex_value((HUGE, 0, 0)), InvalidArgumentError),
+        (lambda f: f.grid.vertex_value((0, 0, 0), HUGE),
+         InvalidArgumentError),
+        (lambda f: f.grid.vertex_value((0, HUGE)), DimensionMismatchError),
+        (lambda f: f.derivative([1.5] * 3, (HUGE, 0, 0)),
+         InvalidArgumentError),
+        (lambda f: f.derivative([1.5] * 3, (0, HUGE)),
+         DimensionMismatchError),
+        (lambda f: f.eval_batch(np.full((2, 3), 1.5))[HUGE],
+         PointIndexError),
+        (lambda f: RegularGrid(f.grid.axes, np.zeros(125), components=HUGE),
+         DimensionMismatchError),
+        (lambda f: RegularGrid(f.grid.axes, np.zeros(125),
+                               component_names=[HUGE]),
+         InvalidArgumentError),
+        (lambda f: Interpolator(f.grid, HUGE), InvalidArgumentError),
+        (lambda f: Interpolator(HUGE), InvalidArgumentError),
+        (lambda f: Axis(0, 1, -HUGE), TooFewPointsError),
+    ], ids=["element-ref", "gather-range", "gather-length", "eval_local",
+            "coefficients", "vertex-index", "vertex-component",
+            "vertex-length", "derivative-order", "derivative-length",
+            "batch-index", "components", "component-names", "policy",
+            "grid", "axis-count"])
+    def test_typed_error_shows_bit_count(self, interp, call, error):
+        with pytest.raises(error, match="<int of 16610 bits>"):
+            call(interp)
+
+
 @pytest.fixture(scope="module", params=[3, 4], ids=["6^3x2", "6^4x2"])
 def six_grid(request):
     dim = request.param

@@ -428,6 +428,25 @@ class TestGridRoundTrip:
             # vertex coordinates round-trip to full double precision
             assert_allclose(b.coordinates(), a.coordinates(), rtol=1e-15)
 
+    @pytest.mark.parametrize("axis", [Axis(1e9, 1e-3, 5),
+                                      Axis(-1e9, 1e-3, 5),
+                                      Axis(1e300, 1e290, 5)],
+                             ids=["epoch-ms", "negative-epoch-ms", "huge"])
+    def test_coordinates_far_from_zero_load_back(self, tmp_path, axis):
+        # the written coordinates round to float64 steps that differ by
+        # more than SPACING_RTOL of the spacing, which read as irregular
+        rng = np.random.default_rng(2)
+        grid = RegularGrid([Axis(0, 1, 4), Axis(0, 1, 4), axis],
+                           rng.standard_normal(80))
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, grid)
+        back = load_grid_csv(path)
+        assert np.array_equal(back.values, grid.values)
+        assert back.axes[2].origin == axis.origin
+        assert back.axes[2].count == axis.count
+        assert_allclose(back.axes[2].coordinates(), axis.coordinates(),
+                        rtol=1e-15)
+
     def test_component_names_come_from_the_grid(self, tmp_path):
         # the writer takes no names of its own; RegularGrid checks their
         # count (TestInvalidArguments)
