@@ -7,7 +7,9 @@ Subcommands:
     validate  -- run the release checks of hyperspline.fields, or those
                  that need no analytic truth on a user grid
     bench     -- throughput / latency measurement, and a bitwise check
-                 that batch and per-point results agree
+                 that batch and per-point results agree, on a grid file
+                 or on a named workload (``--workload``, with ``--json``
+                 writing ``BENCH_<workload>.json``)
 
 ``--point``, ``--min`` and ``--max`` are read as a line of a points
 file is, and take a value that starts with ``-`` (``--point -1.5,2,2``)
@@ -16,7 +18,8 @@ as ``--point=-1.5,2,2``; ``--policy`` goes to ``Interpolator`` as given.
 Exit codes: 0 success, 1 a failed check (``validate``, or ``bench``'s
 batch/per-point comparison), 2 usage or input error.
 Importing this module loads the grid, interpolator and CSV layers;
-:mod:`hyperspline.fields` loads only when ``validate`` runs.
+:mod:`hyperspline.fields` loads only when ``validate`` or
+``bench --workload`` runs.
 Every command runs in one thread, and reads no environment variable
 of its own; a ``query`` evaluates its points with one ``eval_batch``.
 """
@@ -38,6 +41,7 @@ from .errors import HypersplineError, InvalidArgumentError
 from .grid import AXIS_NAMES, Axis, BoundaryPolicy, RegularGrid, lattice
 from .interpolator import Interpolator
 from .io import (
+    _open_text,
     load_grid_csv,
     load_points_csv,
     parse_rows,
@@ -262,16 +266,29 @@ def cmd_validate(args) -> int:
 
 # --------------------------------------------------------------- bench --
 
-def _percentiles(dts):
+#: ``bench --workload`` names, with perfbench's grid shapes and point
+#: counts: the ``(origin, spacing, count)`` of each axis, sampled from
+#: the quadrupole field of :mod:`hyperspline.fields` (its t = 0 slice
+#: in 3D) with 3 components; the number of points (None: one in every
+#: valid cell); and how many timed ``eval_batch`` calls of them to make.
+WORKLOADS = {
+    "sweep4d-cold": (((-1.3, 0.2, 14),) * 3 + ((0.0, 0.25, 14),), None, 20),
+    "swarm3d-warm": (((-1.95, 0.1, 40),) * 3, 4096, 100),
+}
+
+
+def _percentiles(dts) -> dict:
+    """p50, p90 and p99 of ``dts`` seconds, in microseconds; None for
+    no samples."""
     us = np.sort(np.asarray(dts)) * 1e6
-    if us.size == 0:
-        return "p50=n/a p90=n/a p99=n/a"
+    return {f"p{round(q * 100)}_us": float(us[min(int(q * us.size),
+                                                  us.size - 1)])
+            if us.size else None for q in (0.50, 0.90, 0.99)}
 
-    def pick(q):
-        return us[min(int(q * us.size), us.size - 1)]
 
-    return (f"p50={pick(0.50):.1f}us p90={pick(0.90):.1f}us "
-            f"p99={pick(0.99):.1f}us")
+def _percentile_text(pcts: dict) -> str:
+    return " ".join(f"{k[:-3]}=n/a" if v is None else f"{k[:-3]}={v:.1f}us"
+                    for k, v in pcts.items())
 
 
 def _machine() -> str:
@@ -297,34 +314,122 @@ def _time_each(call, pts):
     return out, dts, time.perf_counter() - t0
 
 
-def cmd_bench(args) -> int:
-    grid = load_grid_csv(args.grid)
-    interp = Interpolator(grid, args.policy)
-    n = _fits_one_array(_non_negative(args.n, "--n"), grid.dim, "--n",
-                        "points")
-    rng = np.random.default_rng(_non_negative(args.seed, "--seed"))
-    dom = grid.queryable_domain(interp.policy)
-    pts = np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)
-    print(f"bench: n={n} seed={args.seed} policy={interp.policy.value}")
-    print(_machine())
+def _uniform_points(interp, n: int, rng) -> np.ndarray:
+    dom = interp.grid.queryable_domain(interp.policy)
+    return np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)
+
+
+def _workload(name: str, policy, rng):
+    """The interpolator, points and batch call count of ``bench
+    --workload name``."""
+    # imported here, as validate does: no other command compiles fields
+    from . import fields
+
+    axes, n, calls = WORKLOADS[name]
+    axes = tuple(Axis(*a) for a in axes)
+    field = fields.quadrupole_field()
+    at = lattice(axes)
+    if len(axes) == 3:  # the t = 0 slice
+        at = np.column_stack([at, np.zeros(len(at))])
+    grid = RegularGrid(axes, np.array([field.value(p) for p in at]),
+                       components=field.components)
+    interp = Interpolator(grid, policy)
+    if n is not None:
+        return interp, _uniform_points(interp, n, rng), calls
+    # one point at a uniform place in each valid cell, cells in random order
+    cells = rng.permutation(np.stack(np.meshgrid(
+        *[np.arange(lo, hi + 1) for lo, hi in
+          grid.element_base_range(interp.policy)], indexing="ij"),
+        axis=-1).reshape(-1, grid.dim))
+    origins, spacings = np.array([(a.origin, a.spacing) for a in axes]).T
+    return (interp, origins + (cells + rng.uniform(0.0, 1.0, cells.shape))
+            * spacings, calls)
+
+
+def _bench(interp, pts, calls: int) -> dict:
+    """Time ``eval`` and ``eval_with_gradient`` on each point and ``calls``
+    ``eval_batch`` calls of all of them, print a line for each, then the
+    checksums and whether batch and per-point results agree bit for bit.
+    Returns what it printed."""
+    n = len(pts)
+    report = {}
+
+    def rate(name, dts, total, count, show_percentiles=True):
+        pcts = _percentiles(dts)
+        report[name] = {"pts_per_s": count / total, "calls": len(dts),
+                        **pcts}
+        print(f"{name:15s}: {count / total:.0f} points/s"
+              + (f"  {_percentile_text(pcts)}" if show_percentiles else ""))
+
     _, dts, total = _time_each(interp.eval, pts)
-    print(f"value-only     : {n / total:.0f} points/s  {_percentiles(dts)}")
+    rate("value-only", dts, total, n)
     out, dts, total = _time_each(interp.eval_with_gradient, pts)
-    print(f"value+gradient : {n / total:.0f} points/s  {_percentiles(dts)}")
-    t0 = time.perf_counter()
-    res = interp.eval_batch(pts)
-    total = time.perf_counter() - t0
+    rate("value+gradient", dts, total, n)
+    dts = np.empty(calls)
+    for i in range(calls):
+        s = time.perf_counter()
+        res = interp.eval_batch(pts)
+        dts[i] = time.perf_counter() - s
+    rate("batch", dts, dts.sum(), n * calls, calls > 1)
     values = np.array([r.values for r in out]).reshape(res.values.shape)
     grads = np.array([r.gradient for r in out]).reshape(res.gradients.shape)
     psum = float(np.sum(values)) + float(np.sum(grads))
     bsum = float(np.sum(res.values)) + float(np.sum(res.gradients))
-    print(f"batch          : {n / total:.0f} points/s")
     print(f"checksum_perpoint={psum!r} checksum_batch={bsum!r}")
     # the guarantee rests on the BLAS build, so check it on this one
     match = (values.tobytes() == res.values.tobytes()
              and grads.tobytes() == res.gradients.tobytes())
     print(f"batch_matches_pointwise={'yes' if match else 'NO'}")
-    return 0 if match else 1
+    return {"paths": report, "checksum_perpoint": psum,
+            "checksum_batch": bsum, "batch_matches_pointwise": match}
+
+
+def cmd_bench(args) -> int:
+    if (args.grid is None) == (args.workload is None):
+        raise InvalidArgumentError(
+            "bench takes a grid file or --workload NAME, one of the two")
+    if args.workload is None:
+        if args.json is not None:
+            raise InvalidArgumentError("--json needs --workload")
+        grid = load_grid_csv(args.grid)
+        interp = Interpolator(grid, args.policy)
+        n = _fits_one_array(
+            _non_negative(10000 if args.n is None else args.n, "--n"),
+            grid.dim, "--n", "points")
+        rng = np.random.default_rng(_non_negative(args.seed, "--seed"))
+        pts, calls = _uniform_points(interp, n, rng), 1
+        print(f"bench: n={n} seed={args.seed} policy={interp.policy.value}")
+    else:
+        if args.n is not None:
+            raise InvalidArgumentError(
+                "--n does not apply to --workload, whose point count "
+                "is fixed")
+        if args.json is not None and not os.path.isdir(args.json):
+            raise InvalidArgumentError(
+                f"--json takes a directory, got {args.json!r}")
+        rng = np.random.default_rng(_non_negative(args.seed, "--seed"))
+        interp, pts, calls = _workload(args.workload, args.policy, rng)
+        spec = {"workload": args.workload,
+                "grid": "x".join(map(str, interp.grid.counts
+                                     + (interp.grid.components,))),
+                "axes": WORKLOADS[args.workload], "field": "quadrupole",
+                "points": len(pts), "seed": args.seed,
+                "policy": interp.policy.value, "batch_calls": calls}
+        print("bench: " + " ".join(f"{k}={v}" for k, v in spec.items()
+                                   if k != "axes"))
+    machine = _machine()
+    print(machine)
+    report = _bench(interp, pts, calls)
+    if args.json is not None:
+        import json
+
+        path = os.path.join(args.json, f"BENCH_{args.workload}.json")
+        with _open_text(path, "w") as fh:
+            json.dump({"spec": spec, "machine": machine, **report}, fh,
+                      indent=2)
+            fh.write("\n")
+        print(f"wrote {path}")
+    return 0 if report["batch_matches_pointwise"] else 1
 
 
 # ---------------------------------------------------------------- main --
@@ -374,8 +479,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("bench", help="measure interpolation throughput")
-    p.add_argument("grid")
-    p.add_argument("--n", type=int, default=10000,
+    p.add_argument("grid", nargs="?",
+                   help="grid CSV file, unless --workload names a grid")
+    p.add_argument("--workload", choices=sorted(WORKLOADS),
+                   help="a fixed grid, point set and batch call count "
+                        "built from an analytic field")
+    p.add_argument("--json", metavar="DIR",
+                   help="with --workload: also write the results to "
+                        "DIR/BENCH_<workload>.json")
+    p.add_argument("--n", type=int,
                    help="number of query points (default 10000)")
     p.add_argument("--seed", type=int, default=0)
     add_policy(p)

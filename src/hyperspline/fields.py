@@ -23,17 +23,16 @@ Module contents:
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import operators
 from .errors import DimensionMismatchError, InvalidArgumentError
 from .grid import (Axis, BoundaryPolicy, ElementRef, RegularGrid, lattice,
                    neighborhood_block)
 from .interpolator import Interpolator
-from .operators import (constraint_matrix, difference_matrix,
-                        monomial_exponents, operator_is_exact)
+from .operators import monomial_exponents, operator_is_exact
 
 
 @dataclass(frozen=True)
@@ -237,22 +236,14 @@ def oracle_coefficients(grid: RegularGrid, elem: ElementRef,
     ``(m, 4^dim)``: row c holds component c's unit-cell coefficients
     (monomial column e = sum_d exponent_d * 4^d, as in
     :meth:`Interpolator.coefficients`). Its polynomial is the reference
-    that :func:`check_fused_oracle` compares evaluation with.
+    that :func:`check_fused_oracle` compares evaluation with. Raises
+    numpy's ``LinAlgError`` if the constraint matrix is singular.
     """
-    constraint, difference = _constraint_system(grid.dim)
+    # read through the module, so a matrix patched in is the one solved
     block = neighborhood_block(grid, elem, policy)  # (S, m)
-    alpha = np.linalg.solve(constraint, difference @ block)
+    alpha = np.linalg.solve(operators.constraint_matrix(grid.dim),
+                            operators.difference_matrix(grid.dim) @ block)
     return alpha.T.copy()
-
-
-@functools.cache
-def _constraint_system(dim: int):
-    """Dense float constraint and difference matrices, built once per dim."""
-    mats = (constraint_matrix(dim).astype(np.float64),
-            difference_matrix(dim))
-    for m in mats:
-        m.flags.writeable = False
-    return mats
 
 
 @dataclass(frozen=True)
@@ -392,7 +383,8 @@ def check_fused_oracle(interp: Interpolator, n_elements: int, seed):
     dense-solve oracle's coefficients to rounding, relative to the
     largest sample magnitude in the element's neighbourhood where that
     exceeds 1. Partials are compared per unit cell, the gradient times
-    the axis spacing, so the bound does not depend on the spacing."""
+    the axis spacing, so the bound does not depend on the spacing. A
+    singular constraint system leaves no oracle, and fails the check."""
     rng = np.random.default_rng(seed)
     grid = interp.grid
     ranges = grid.element_base_range(interp.policy)
@@ -411,8 +403,11 @@ def check_fused_oracle(interp: Interpolator, n_elements: int, seed):
             dpow = powers.copy()
             dpow[:, d] = exps[:, d] * u[d] ** np.maximum(exps[:, d] - 1, 0)
             monomials.append(np.prod(dpow, axis=1))
-        want = (oracle_coefficients(grid, elem, interp.policy)
-                @ np.stack(monomials, axis=1))
+        try:
+            coeffs = oracle_coefficients(grid, elem, interp.policy)
+        except np.linalg.LinAlgError:
+            return False, {"constraint_system": "singular"}
+        want = coeffs @ np.stack(monomials, axis=1)
         diff = np.column_stack([got.values, got.gradient * spacings]) - want
         block = neighborhood_block(grid, elem, interp.policy)
         worst = max(worst, float(np.max(np.abs(diff)))

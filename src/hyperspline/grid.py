@@ -18,12 +18,18 @@ every side: one contiguous ``(vertices, m)`` array over the
 fastest. The grid fills the ghosts when it is built, so a policy only
 decides which element bases are valid; ``Strict`` simply never reads
 them. ``RegularGrid.values`` is the read-only ``(count_last, ...,
-count_first, m)`` inner view of the store. Both gathers copy whole
-stencils out of one read-only strided view of the store, ``(base_last,
-..., base_first, 4, ..., 4, m)``, which the grid builds with itself and
-which holds every stencil in place at no memory cost:
-``neighborhood_block`` for one cell a caller names, checked, and the
-unchecked ``_stencils`` for the bases ``locate_points`` returns. The
+count_first, m)`` inner view of the store. Along x, the 4 vertices
+of a stencil row and their m components sit side by side in the store,
+32 * m contiguous bytes: an *x-run*. Both gathers copy whole stencils
+out of one read-only strided view of the store whose items are x-runs,
+one ``np.void`` of 32 * m bytes each, ``(base_last, ..., base_first,
+4, ..., 4)`` with a window axis per slow axis (dim - 1 of them). The
+grid builds it with itself, and it holds every stencil in place at no
+memory cost: ``neighborhood_block`` copies one cell a caller names,
+checked, and the unchecked ``_stencils`` the cells of the bases
+``locate_points`` returns. Copying whole x-runs moves the same bytes in
+the same order as copying the stencil's floats one by one, in
+4^(dim-1) items a point instead of 4^dim * m. Viewed as float64, the
 copy is point-major, ``(k, 4^dim, m)`` for k elements, so each point's
 stencil is one contiguous block for the evaluation kernel's per-point
 matrix products; no index array is built.
@@ -103,6 +109,10 @@ class Axis:
         Distance between adjacent vertices; must be positive.
     count : int
         Number of vertices; at least 4 (the cubic stencil width).
+
+    Raises IrregularSpacingError unless the spacing is positive and
+    wider than the float64 rounding of the vertex coordinates, so that
+    no two vertices coincide.
     """
 
     origin: float
@@ -140,6 +150,16 @@ class Axis:
             raise NonFiniteValueError(
                 f"axis from {self.origin!r} with spacing {self.spacing!r} "
                 f"overflows at its last vertex")
+        # adjacent vertices differ by the spacing less the rounding of
+        # two products i * spacing and of their two sums with the origin;
+        # within that rounding, vertices may coincide in float64
+        rounding = (math.ulp((self.count - 1) * self.spacing)
+                    + math.ulp(max(abs(self.origin), abs(last))))
+        if self.spacing <= rounding:
+            raise IrregularSpacingError(
+                f"axis spacing {self.spacing!r} is within float64 rounding "
+                f"({rounding!r}) of the coordinates from {self.origin!r} "
+                f"to {last!r}, so its vertices may coincide")
 
     def coordinate(self, i: int) -> float:
         return self.origin + i * self.spacing
@@ -340,11 +360,16 @@ class RegularGrid:
         self._samples = padded.reshape(-1, components)
         # the real samples, shaped (count_last, ..., count_first, m)
         self.values = padded[inner]
-        # every stencil in place, a read-only view of the store: entry
-        # [b_last, ..., b_first, o_last, ..., o_first, c] is component c
-        # at padded vertex b + o, i.e. offset o - 1 from element base b
-        self._windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
-            padded, (4,) * dim, axis=tuple(range(dim))), dim, -1)
+        # every stencil in place, a read-only view of the store whose
+        # items are x-runs: item [b_last, ..., b_first, o_last, ..., o_y]
+        # holds the 4 x-vertices from b_first at padded slow-axis
+        # vertices b + o, offsets o - 1 from element base b, with their
+        # m components, 32 * m bytes
+        runs = np.ndarray(padded.shape[:-2] + (counts[0] - 1,),
+                          np.dtype((np.void, 32 * components)), padded,
+                          strides=padded.strides[:-1])
+        self._windows = np.lib.stride_tricks.sliding_window_view(
+            runs, (4,) * (dim - 1), axis=tuple(range(dim - 1)))
         # the region table, the one statement of the boundary rule: Strict
         # admits the bases one cell in from each side, whose neighborhoods
         # are all real samples; LinearGhost, reading ghosts, admits all.
@@ -575,9 +600,10 @@ def _stencils(grid: RegularGrid, bases: np.ndarray) -> np.ndarray:
     relative to base i. Offsets one layer outside the grid read the
     ghost samples the grid was built with, which only ``LinearGhost``
     bases reach. One indexing of the grid's stencil view with the bases
-    copies the stencils out; no index array is built.
+    copies the stencils out, 4^(dim-1) x-runs each, and viewing the
+    copy as float64 gives the block; no index array is built.
     """
-    return grid._windows[tuple(bases.T[::-1])].reshape(
+    return grid._windows[tuple(bases.T[::-1])].view(np.float64).reshape(
         len(bases), 4 ** grid.dim, grid.components)
 
 
@@ -587,8 +613,8 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
 
     The checked gather, for a cell a caller names: a range check on
     Python ints against the policy's region table, then a copy of the
-    base's stencil out of the grid's stencil view, in the row order and
-    with the ghost samples of :func:`_stencils`.
+    base's 4^(dim-1) x-runs out of the grid's stencil view, viewed as
+    float64: the row order and ghost samples of :func:`_stencils`.
 
     Raises
     ------
@@ -612,4 +638,7 @@ def neighborhood_block(grid: RegularGrid, elem: ElementRef,
             raise ElementOutOfRangeError(
                 f"element base {shown(base)} outside valid range "
                 f"under {as_policy(policy).value}")
-    return grid._windows[base[::-1]].reshape(4 ** len(rows), grid.components)
+    # the float64 array over the copied x-runs, made in one call: fewer
+    # array objects than a view and a reshape, on the scalar path
+    return np.ndarray((4 ** len(rows), grid.components), np.float64,
+                      grid._windows[base[::-1]].copy())

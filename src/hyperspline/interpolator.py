@@ -14,12 +14,14 @@ First partials are rescaled by the axis spacing so results are in
 physical units. No coefficient tensor is formed on this path.
 
 Point, pinned-element and batch queries all run the same kernel on the
-point-major gather of :mod:`hyperspline.grid`, ``(k, 4^dim, m)`` for k
-points: per axis one ``np.matmul`` of k stacked per-point products
-``(rest, 4) @ (4, 2)``, 960 multiplies per component in 4D and 224 in
-3D. A point's products have the same shapes and strides whatever k or
-its chunk, so BLAS does the same arithmetic for it in a batch as alone,
-and batched and one-at-a-time evaluation agree bit for bit.
+point-major gather of :mod:`hyperspline.grid`, which copies each
+stencil as 4^(dim-1) x-runs of 4 vertices x m components and views the
+copy as ``(k, 4^dim, m)`` float64 for k points: per axis one
+``np.matmul`` of k stacked per-point products ``(rest, 4) @ (4, 2)``,
+960 multiplies per component in 4D and 224 in 3D. A point's products
+have the same shapes and strides whatever k or its chunk, so BLAS
+does the same arithmetic for it in a batch as alone, and batched and
+one-at-a-time evaluation agree bit for bit.
 :meth:`Interpolator.eval_batch` locates all its points at once, holding
 their bases and local coordinates (16 * dim bytes per point), then
 gathers, contracts and stores them in one loop over chunks whose size
@@ -32,7 +34,7 @@ is the same kernel with k = 1:
 :func:`~hyperspline.grid.locate` reads the grid's region table on
 Python floats and returns a cell reference that is not validated
 again;
-:func:`~hyperspline.grid.neighborhood_block` copies the cell's stencil
+:func:`~hyperspline.grid.neighborhood_block` copies the cell's x-runs
 out of the grid's strided stencil view, as the batch gather does for
 many cells at once. The grid stores its ghost layers, so the boundary
 policy only sets which cells are valid: an edge cell under
@@ -250,11 +252,11 @@ class Interpolator:
                 .transpose(0, 2, 1)[0].copy())
 
     def cache_size(self) -> int:
-        """Always 0; kept for existing callers, goes with ROADMAP item 2."""
+        """Always 0; kept for existing callers, goes with ROADMAP item 7."""
         return 0
 
     def precompute_all(self):
-        """No-op; kept for existing callers, goes with ROADMAP item 2."""
+        """No-op; kept for existing callers, goes with ROADMAP item 7."""
 
     # -- point evaluation --------------------------------------------------
 

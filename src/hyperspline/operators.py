@@ -113,26 +113,38 @@ def _corner_product(table: np.ndarray, dim: int) -> np.ndarray:
     ``2 * bit_d(v) + bit_d(q)``: entry ``[(v, q), c]`` is the product of
     ``table[2 * bit_d(v) + bit_d(q), digit_d(c)]``, with the base-4
     digits of :func:`monomial_exponents`. Has the table's dtype."""
-    _check_dim(dim)
     bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
     rows = (2 * bits[:, None] + bits[None, :]).reshape(-1, 1, dim)
     # adding 0 turns the -0.0 products of a float table into +0.0
     return table[rows, monomial_exponents(dim)].prod(axis=2) + 0
 
 
+@functools.cache
+def _corner_products(dim: int) -> tuple:
+    mats = (_corner_product(CONSTRAINT_TABLE, dim),
+            _corner_product(DIFFERENCE_TABLE, dim))
+    for mat in mats:
+        mat.flags.writeable = False
+    return mats
+
+
 def constraint_matrix(dim: int) -> np.ndarray:
     """Integer matrix taking unit-cell polynomial coefficients to the
     constraint values at the element corners: the corner tensor product
-    of ``CONSTRAINT_TABLE``."""
-    return _corner_product(CONSTRAINT_TABLE, dim)
+    of ``CONSTRAINT_TABLE``. Built on the first call for ``dim``, then
+    the same read-only array every time."""
+    _check_dim(dim)
+    return _corner_products(dim)[0]
 
 
 def difference_matrix(dim: int) -> np.ndarray:
     """Central-difference operator from the sample neighborhood to the
     constraint values, as a dense float64 matrix: the corner tensor
     product of ``DIFFERENCE_TABLE``. A row of derivative order k has
-    2^k nonzeros of magnitude 2^-k, exact in float64."""
-    return _corner_product(DIFFERENCE_TABLE, dim)
+    2^k nonzeros of magnitude 2^-k, exact in float64. Built on the
+    first call for ``dim``, then the same read-only array every time."""
+    _check_dim(dim)
+    return _corner_products(dim)[1]
 
 
 def integer_inverse(matrix: np.ndarray):

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import os
 import platform
 import subprocess
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from hyperspline import Axis, RegularGrid, interpolator
 from hyperspline.cli import main
 from hyperspline.fields import linear_field, sample, trig_product_field
+from hyperspline.grid import locate_points
 from hyperspline.io import load_grid_csv, write_grid_csv
 
 @pytest.fixture(scope="module")
@@ -565,6 +567,63 @@ class TestBench:
         assert main(["bench", lin4d, "--n", "20"]) == 1
         out = capsys.readouterr().out
         assert "batch_matches_pointwise=NO\n" in out
+
+
+class TestBenchWorkload:
+    @pytest.mark.parametrize("name, grid, points", [
+        ("sweep4d-cold", "14x14x14x14x3", 11 ** 4),
+        ("swarm3d-warm", "40x40x40x3", 4096)])
+    def test_writes_bench_json(self, tmp_path, capsys, name, grid, points):
+        assert main(["bench", "--workload", name, "--seed", "3",
+                     "--json", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        path = tmp_path / f"BENCH_{name}.json"
+        assert f"wrote {path}" in out
+        report = json.loads(path.read_text())
+        spec = report["spec"]
+        assert (spec["workload"], spec["grid"], spec["points"]) == (
+            name, grid, points)
+        assert (spec["seed"], spec["policy"]) == (3, "strict")
+        assert report["machine"] in out.split("\n")
+        for path_name in ("value-only", "value+gradient", "batch"):
+            rates = report["paths"][path_name]
+            assert rates["pts_per_s"] > 0
+            assert rates["p50_us"] <= rates["p90_us"] <= rates["p99_us"]
+        assert report["paths"]["value-only"]["calls"] == points
+        assert report["paths"]["batch"]["calls"] == spec["batch_calls"]
+        assert report["checksum_perpoint"] == report["checksum_batch"]
+        assert report["batch_matches_pointwise"] is True
+
+    def test_one_point_in_every_valid_cell(self):
+        from hyperspline import cli
+
+        for policy in ("strict", "linear-ghost"):
+            interp, pts, _ = cli._workload(
+                "sweep4d-cold", policy, np.random.default_rng(0))
+            bases, _, ok = locate_points(interp.grid, pts, policy)
+            assert ok.all()
+            assert len(np.unique(bases, axis=0)) == len(pts) == np.prod(
+                interp.grid.element_counts(policy))
+
+    @pytest.mark.parametrize("argv, message", [
+        (["bench"], "one of the two"),
+        (["bench", "GRID", "--workload", "swarm3d-warm"], "one of the two"),
+        (["bench", "GRID", "--json", "."], "--json needs --workload"),
+        (["bench", "--workload", "swarm3d-warm", "--n", "5"], "--n"),
+        (["bench", "--workload", "swarm3d-warm", "--seed", "-1"], "--seed"),
+        (["bench", "--workload", "swarm3d-warm", "--json", "NOWHERE"],
+         "--json takes a directory")])
+    def test_usage_errors_exit_2(self, lin4d, tmp_path, capsys, argv,
+                                 message, monkeypatch):
+        monkeypatch.setattr("hyperspline.cli.WORKLOADS", {
+            "swarm3d-warm": (((0.0, 0.5, 6),) * 3, 20, 2)})
+        argv = [lin4d if a == "GRID" else
+                str(tmp_path / "no" / "dir") if a == "NOWHERE" else a
+                for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 # cells of an inline point: numbers, padded or quoted numbers, and

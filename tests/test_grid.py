@@ -34,6 +34,7 @@ from hyperspline.grid import (
     locate_points,
     neighborhood_block,
 )
+from hyperspline.io import load_grid_csv, write_grid_csv
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST
@@ -94,6 +95,34 @@ class TestAxis:
         # eval_batch
         with pytest.raises(NonFiniteValueError, match="last vertex"):
             Axis(origin, spacing, count)
+
+    @pytest.mark.parametrize("origin, spacing", [
+        (1e15, 0.1), (-1e15, 0.1), (1e15, 0.125), (0.0, 5e-324)])
+    def test_spacing_within_rounding_rejected(self, origin, spacing):
+        # 0.1 is below the float64 step of 0.125 at 1e15: vertices 2 and
+        # 3 coincide, and the grid CSV read back with too few rows
+        with pytest.raises(IrregularSpacingError, match="float64 rounding"):
+            Axis(origin, spacing, 5)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=300)
+    @given(origin=st.floats(-1e300, 1e300),
+           ulps=st.floats(0.5, 4.0), count=st.integers(4, 64))
+    def test_accepted_vertices_are_distinct(self, origin, ulps, count):
+        # spacings of a few float64 steps at the origin, where vertices
+        # coincide unless Axis rejects them
+        try:
+            axis = Axis(origin, ulps * np.spacing(abs(origin)), count)
+        except IrregularSpacingError:
+            return
+        assert np.all(np.diff(axis.coordinates()) > 0)
+
+    def test_finest_accepted_spacing_reads_back(self, tmp_path):
+        axis = Axis(1e15, 0.25, 5)
+        grid = RegularGrid([axis, Axis(0.0, 1.0, 4), Axis(0.0, 1.0, 4)],
+                           np.arange(80.0))
+        write_grid_csv(tmp_path / "grid.csv", grid)
+        assert load_grid_csv(tmp_path / "grid.csv").axes == grid.axes
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     def test_huge_finite_axis_stays_finite(self, policy):
@@ -187,11 +216,12 @@ class TestRegularGrid:
 
     def test_size_check_does_not_wrap(self):
         # 2**66 values wrap to 0 in int64, so no samples passed the check
-        # and the constructor died allocating the padded store
+        # and the constructor died allocating the padded store (Axis
+        # rejects 2**52 or more unit steps, where vertices may coincide)
         with pytest.raises(DimensionMismatchError,
                            match=f"expected {2 ** 66} values"):
-            RegularGrid([Axis(0, 1, 2 ** 62), Axis(0, 1, 4), Axis(0, 1, 4)],
-                        np.zeros(0))
+            RegularGrid([Axis(0, 1, 2 ** 31), Axis(0, 1, 2 ** 31),
+                         Axis(0, 1, 16)], np.zeros(0))
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_documented_layouts_agree(self, m):
@@ -570,6 +600,51 @@ class TestGather:
         assert _stencils(grid, bases).shape == (0, 4 ** dim, 2)
 
 
+class TestRunGather:
+    """The gathers copy x-runs of 4 vertices x m components as single
+    items; the bytes must be those of a float stencil view, point by
+    point, whatever the batch size."""
+
+    @staticmethod
+    def float_stencils(grid, bases):
+        # every stencil as a float window over all dim axes of the store
+        dim, m = grid.dim, grid.components
+        padded = grid._samples.reshape(
+            tuple(c + 2 for c in grid.counts[::-1]) + (m,))
+        windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+            padded, (4,) * dim, axis=tuple(range(dim))), dim, -1)
+        return windows[tuple(bases.T[::-1])].reshape(len(bases), 4 ** dim, m)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("m", [1, 3, 10])
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    def test_matches_float_windows_bytewise(self, dim, m, policy):
+        rng = np.random.default_rng(100 * dim + m)
+        axes = [Axis(0.0, 1.0, 5), Axis(-1.0, 0.5, 4), Axis(2.0, 0.25, 6),
+                Axis(0.0, 2.0, 4)][:dim]
+        counts = [a.count for a in axes]
+        grid = RegularGrid(axes, rng.standard_normal(counts[::-1] + [m]),
+                           components=m)
+        dom = np.array(grid.queryable_domain(policy))
+        chunk = Interpolator(grid, policy)._chunk
+        for n in (1, 7, 2 * chunk + 5):
+            pad = 0.2 * (dom[:, 1] - dom[:, 0])
+            pts = rng.uniform(dom[:, 0] - pad, dom[:, 1] + pad, (n, dim))
+            pts[rng.random(n) < 0.1] = np.nan
+            bases, _, ok = locate_points(grid, pts, policy)
+            want = self.float_stencils(grid, bases)
+            assert _stencils(grid, bases).tobytes() == want.tobytes()
+            # in slices of the chunk size, as eval_batch gathers them
+            got = np.concatenate([_stencils(grid, bases[s:s + chunk])
+                                  for s in range(0, n, chunk)])
+            assert got.tobytes() == want.tobytes()
+            for base, block in zip(bases[:64], want):
+                one = neighborhood_block(grid, ElementRef(base), policy)
+                assert one.shape == (4 ** dim, m)
+                assert one.tobytes() == block.tobytes()
+        assert n > 2 * chunk and not ok.all() and ok.any()
+
+
 class TestStencilView:
     """Gathers copy stencils out of one read-only strided view of the
     sample store; the view costs no memory, in the process or a pickle."""
@@ -579,8 +654,10 @@ class TestStencilView:
         grid = unit_grid(dim, count=6, components=2)
         assert not grid._windows.flags.writeable
         assert np.shares_memory(grid._windows, grid._samples)
-        # one stencil per element, bases and offsets t..x
-        assert grid._windows.shape == (5,) * dim + (4,) * dim + (2,)
+        # one stencil per element: bases t..x, then offsets t..y; an
+        # item is an x-run, 4 x-vertices x 2 components
+        assert grid._windows.shape == (5,) * dim + (4,) * (dim - 1)
+        assert grid._windows.dtype == np.dtype((np.void, 32 * 2))
 
     def test_gather_builds_no_index_array(self):
         rng = np.random.default_rng(5)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hyperspline.operators as ops_mod
-from hyperspline import UnsupportedDimensionError
+from hyperspline import Axis, Interpolator, UnsupportedDimensionError
 from hyperspline.cli import main
 from hyperspline.operators import (
     constraint_matrix,
@@ -168,6 +168,21 @@ class TestSingularConstraintSystem:
         out = capsys.readouterr().out
         assert "FAIL operators_exact_dim3" in out
         assert "FAIL operators_exact_dim4" in out
+        # the oracle solves the patched system, whatever the import order
+        assert "FAIL fused_oracle_dim3 constraint_system=singular" in out
+
+    def test_patch_leaves_no_cached_system(self, monkeypatch):
+        from hyperspline import fields
+
+        grid = fields.sample(fields.trig_product_field(3),
+                             [Axis(0.0, 0.5, 6)] * 3)
+        interp = Interpolator(grid)
+        _singular_but_consistent(monkeypatch)
+        assert fields.check_fused_oracle(interp, 2, 0) == (
+            False, {"constraint_system": "singular"})
+        monkeypatch.undo()
+        assert fields.check_fused_oracle(interp, 2, 0)[0]
+        assert integer_inverse(constraint_matrix(3)) is not None
 
 
 class TestDifferenceMatrix:
