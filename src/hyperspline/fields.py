@@ -19,11 +19,13 @@ Module contents:
     convergence_study    -- empirical accuracy order under refinement
     catmull_rom_1d       -- reference 1-d cubic through 4 uniform samples
     check_*              -- the release checks, each -> (ok, metrics)
+    release_checks       -- the checks ``hyperspline validate`` runs, in order
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -550,3 +552,51 @@ def check_convergence_order(seed):
         base_count=9, n_levels=4, n_probes=40, seed=seed)
     return (study.fitted_order >= 2.7 and study.strictly_decreasing,
             {"order": study.fitted_order, "errors": study.max_errors})
+
+
+def release_checks(grid, seed: int):
+    """``hyperspline validate``'s ``(name, call)`` rows in order: the
+    checks on analytic fields, or with a ``grid`` those that need no
+    analytic truth. ``call()`` returns ``(ok, metrics)``; a string in
+    its place is the reason the check is skipped."""
+    if grid is not None:
+        interp = Interpolator(grid)
+        return [
+            ("c1_continuity", "too_few_elements"
+             if max(grid.element_counts(interp.policy)) == 1
+             else partial(check_c1_continuity, interp, 400, seed)),
+            ("vertex_reproduction",
+             partial(check_vertex_reproduction, interp, 100, seed)),
+            ("fused_oracle", partial(check_fused_oracle, interp, 10, seed)),
+        ] + [(name, "needs_analytic_truth") for name in (
+            "exactness_quadratic", "cubic_inexact", "line_reduction",
+            "time_slice_consistency", "convergence_order")]
+    dims = (3, 4)
+    rng = np.random.default_rng(seed)
+    poly = {d: Interpolator(sample(tensor_polynomial_field(d, 3, rng),
+                                   [Axis(-1.0, 0.4, 6)] * d))
+            for d in dims}
+    trig = {d: Interpolator(sample(trig_product_field(d),
+                                   [Axis(0.0, 0.5, 7)] * d))
+            for d in dims}
+    rows = [(f"operators_exact_dim{d}", partial(check_operators_exact, d))
+            for d in dims]
+    rows += [(f"fused_oracle_dim{d}",
+              partial(check_fused_oracle, poly[d], 10, seed)) for d in dims]
+    rows += [(f"vertex_reproduction_dim{d}",
+              partial(check_vertex_reproduction, trig[d], 100, seed))
+             for d in dims]
+    for d in dims:
+        rows += [(f"exactness_quadratic_dim{d}",
+                  partial(check_quadratic_exactness, d, 200, seed)),
+                 (f"cubic_inexact_dim{d}",
+                  partial(check_cubic_inexactness, d, 200, seed))]
+    for d in dims:
+        rows += [(f"c1_continuity_dim{d}",
+                  partial(check_c1_continuity, trig[d], 400, seed)),
+                 (f"c2_jump_documented_dim{d}",
+                  partial(check_c2_jump, trig[d], 50, seed))]
+    return rows + [
+        ("line_reduction", partial(check_line_reduction, 50, seed)),
+        ("time_slice_consistency", partial(check_time_slice, 60, seed)),
+        ("convergence_order", partial(check_convergence_order, seed))]

@@ -120,6 +120,15 @@ class TestQuery:
         assert outputs[0] == outputs[1]
         assert outputs[0].startswith(b"x,y,z,t,f,")
 
+    def test_closed_pipe_exits_0(self, lin4d, monkeypatch):
+        # as when `hyperspline query ... | head` closes the pipe early
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["query", lin4d, "--point", "1.25,2.5,2.0,1.75"]) == 0
+
     def test_inline_point(self, lin4d, capsys):
         assert main(["query", lin4d, "--point", "1.25,2.5,2.0,1.75"]) == 0
         out = capsys.readouterr().out
@@ -504,6 +513,10 @@ class TestBench:
         assert main(["bench", lin4d, "--n", "0"]) == 0
         out = capsys.readouterr().out
         assert "n=0" in out
+        # no per-point calls: 0 points/s, not 0 / 0
+        for name in ("value-only", "value+gradient"):
+            assert f"{name:15s}: 0 points/s  p50=n/a p90=n/a p99=n/a\n" in out
+        assert f"{'batch':15s}: 0 points/s\n" in out
 
     @pytest.mark.parametrize("n", [10 ** 15, 2 ** 61, 10 ** 20])
     def test_unallocatable_point_count_exits_2(self, lin4d, capsys, n):
@@ -515,7 +528,9 @@ class TestBench:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert n == 10 ** 15 or err.startswith(f"error: --n asks for {n} ")
 
-    def test_machine_line_before_timings(self, lin4d, capsys):
+    def test_machine_line_before_timings(self, lin4d, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         assert main(["bench", lin4d, "--n", "20"]) == 0
         lines = capsys.readouterr().out.split("\n")
         machine = next(i for i, ln in enumerate(lines)
@@ -526,7 +541,8 @@ class TestBench:
         assert lines[machine] == (
             f"machine: cpus={os.cpu_count()} numpy={np.__version__} "
             f"blas={blas['name']} {blas['version']} "
-            f"python={platform.python_version()}")
+            f"python={platform.python_version()} "
+            f"OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=unset")
 
     def test_machine_line_without_show_config_modes(self, lin4d, capsys,
                                                     monkeypatch):
@@ -595,10 +611,10 @@ class TestBenchWorkload:
         assert report["batch_matches_pointwise"] is True
 
     def test_one_point_in_every_valid_cell(self):
-        from hyperspline import cli
+        from hyperspline import bench
 
         for policy in ("strict", "linear-ghost"):
-            interp, pts, _ = cli._workload(
+            interp, pts, _ = bench._workload(
                 "sweep4d-cold", policy, np.random.default_rng(0))
             bases, _, ok = locate_points(interp.grid, pts, policy)
             assert ok.all()
@@ -612,10 +628,12 @@ class TestBenchWorkload:
         (["bench", "--workload", "swarm3d-warm", "--n", "5"], "--n"),
         (["bench", "--workload", "swarm3d-warm", "--seed", "-1"], "--seed"),
         (["bench", "--workload", "swarm3d-warm", "--json", "NOWHERE"],
-         "--json takes a directory")])
+         "--json takes a directory"),
+        (["bench", "--workload", "sweep4d"],
+         "unknown workload 'sweep4d'; known: swarm3d-warm")])
     def test_usage_errors_exit_2(self, lin4d, tmp_path, capsys, argv,
                                  message, monkeypatch):
-        monkeypatch.setattr("hyperspline.cli.WORKLOADS", {
+        monkeypatch.setattr("hyperspline.bench.WORKLOADS", {
             "swarm3d-warm": (((0.0, 0.5, 6),) * 3, 20, 2)})
         argv = [lin4d if a == "GRID" else
                 str(tmp_path / "no" / "dir") if a == "NOWHERE" else a

@@ -72,6 +72,13 @@ class TestAxis:
             Axis(0.0, 0.0, 5)
 
     @pytest.mark.parametrize("origin, spacing", [
+        (np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.nan),
+        (0.0, np.inf)])
+    def test_non_finite_origin_or_spacing_rejected(self, origin, spacing):
+        with pytest.raises(NonFiniteValueError, match="must be finite"):
+            Axis(origin, spacing, 4)
+
+    @pytest.mark.parametrize("origin, spacing", [
         (" 0 ", "1e0"), ("0", 1.0), (0.0, "1"), (b"0", 1.0),
         (0.0, bytearray(b"1")), (True, 1.0), (0.0, True),
         (np.bool_(False), 1.0)])
@@ -171,8 +178,11 @@ class TestInferAxis:
         (["0", "1", "2", "3"], InvalidArgumentError),
         ([0, 1, 2, 3j], InvalidArgumentError),
         ([[0, 1], 2, 3, 4], InvalidArgumentError),
-        ([[0, 1], [2, 3]], DimensionMismatchError)],
-        ids=["nan", "inf", "text", "complex", "ragged", "2-d"])
+        ([[0, 1], [2, 3]], DimensionMismatchError),
+        ([3, 2, 1, 0], IrregularSpacingError),
+        ([1, 1, 1, 1], IrregularSpacingError)],
+        ids=["nan", "inf", "text", "complex", "ragged", "2-d", "decreasing",
+             "constant"])
     def test_typed_errors(self, coords, error):
         # NaN passed as a gap, text and ragged input raised numpy's
         # ValueError, and 2-D input read as too few coordinates

@@ -152,6 +152,13 @@ class TestLoadGridCsv:
             load_grid_csv(write_lines(tmp_path / "g.csv",
                                       ["x,y,z,t,f"] + rows))
 
+    def test_nan_coordinate(self, tmp_path):
+        rows = rows_4d()
+        rows[7] = "nan,1,0,0,5"
+        with pytest.raises(NonFiniteValueError, match="non-finite coordinate"):
+            load_grid_csv(write_lines(tmp_path / "g.csv",
+                                      ["x,y,z,t,f"] + rows))
+
     def test_missing_header(self, tmp_path):
         with pytest.raises(MissingHeaderError):
             load_grid_csv(write_lines(tmp_path / "g.csv", rows_4d()))
@@ -678,11 +685,17 @@ def test_import_leaves_hashlib_unloaded():
         "hyperspline.io", "csv", "hyperspline.fields"}) == "[]"
 
 
-def test_cli_import_leaves_fields_unloaded():
-    # only validate runs the release checks of fields; every other
-    # command would compile and run that module for nothing
-    assert _loaded_after("import hyperspline.cli",
-                         {"hyperspline.fields"}) == "[]"
+def test_cli_import_leaves_fields_unloaded(tmp_path):
+    # only validate runs the release checks of fields, and only bench
+    # its harness; every other command would compile them for nothing
+    unused = {"hyperspline.fields", "hyperspline.bench"}
+    assert _loaded_after("import hyperspline.cli", unused) == "[]"
+    grid = tmp_path / "grid.csv"
+    write_grid_csv(grid, RegularGrid([Axis(0.0, 1.0, 4)] * 3,
+                                     np.arange(64.0)))
+    assert _loaded_after(
+        "from hyperspline.cli import main; "
+        f"main(['info', {str(grid)!r}])", unused).endswith("\n[]")
 
 
 def test_star_import_binds_the_public_api():
