@@ -107,7 +107,7 @@ def _inputs(args):
         "workload": args.workload,
         "grid": "x".join(map(str, interp.grid.counts
                              + (interp.grid.components,))),
-        "axes": WORKLOADS[args.workload], "field": "quadrupole",
+        "axes": WORKLOADS[args.workload][0], "field": "quadrupole",
         "points": len(pts), "seed": args.seed,
         "policy": interp.policy.value, "batch_calls": calls}
 

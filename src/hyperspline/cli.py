@@ -10,8 +10,9 @@ Subcommands:
                  latency, and a bitwise check that batch and per-point
                  results agree, on a grid file or a named workload
 
-``--point``, ``--min`` and ``--max`` are read as a line of a points
-file is, and take a value that starts with ``-`` (``--point -1.5,2,2``)
+``--point``, ``--min``, ``--max`` and ``--counts`` are read as a line
+of a points file is, ``--counts`` as whole numbers of at least 4. The
+first three take a value that starts with ``-`` (``--point -1.5,2,2``)
 as ``--point=-1.5,2,2``; ``--policy`` goes to ``Interpolator`` as given.
 
 Exit codes: 0 success, 1 a failed check (``validate``, or ``bench``'s
@@ -56,14 +57,6 @@ def _parse_floats(text: str, want: int, what: str) -> list:
         raise InvalidArgumentError(f"{what} must be comma-separated numbers, "
                                    f"got {text!r}, expected {want}")
     return rows[0].tolist()
-
-
-def _parse_ints(text: str, what: str):
-    try:
-        return [int(p) for p in text.split(",")]
-    except ValueError:
-        raise InvalidArgumentError(
-            f"{what} must be comma-separated integers, got {text!r}") from None
 
 
 def _non_negative(value: int, flag: str) -> int:
@@ -127,9 +120,9 @@ def cmd_query(args) -> int:
     interp = Interpolator(grid, args.policy)
     points = _read_points(args, grid.dim)
     res = interp.eval_batch(points)
-    write_results_csv(args.out or sys.stdout, points, res,
-                      grid.component_names)
-    if args.out:
+    write_results_csv(sys.stdout if args.out is None else args.out, points,
+                      res, grid.component_names)
+    if args.out is not None:
         n_bad = int(np.sum(~res.ok))
         print(f"wrote {points.shape[0]} results to {args.out}"
               + (f" ({n_bad} out of domain)" if n_bad else ""))
@@ -141,11 +134,12 @@ def cmd_query(args) -> int:
 def cmd_sample(args) -> int:
     grid = load_grid_csv(args.grid)
     interp = Interpolator(grid, args.policy)
-    counts = _parse_ints(args.counts, "--counts")
-    if len(counts) != grid.dim or min(counts) < 4:
+    counts = _parse_floats(args.counts, grid.dim, "--counts")
+    if not all(c >= 4 and c.is_integer() for c in counts):
         raise InvalidArgumentError(
-            f"--counts must be {grid.dim} integers of at least 4 (an axis "
-            f"needs 4 points), got {args.counts!r}")
+            f"--counts must be {grid.dim} whole numbers of at least 4 (an "
+            f"axis needs 4 points), got {args.counts!r}")
+    counts = [int(c) for c in counts]
     _fits_one_array(math.prod(counts), grid.dim, "--counts", "vertices")
     dom = np.array(grid.queryable_domain(interp.policy))
     lo = (_parse_floats(args.min, grid.dim, "--min") if args.min

@@ -8,6 +8,12 @@ continuity and accuracy the interpolant is supposed to deliver, and
 the release checks that ``hyperspline validate`` and the acceptance
 tests both run.
 
+Every polynomial here is evaluated one way: the constant, linear,
+multilinear and tensor-polynomial fields, and the oracle's element
+polynomial in :func:`check_fused_oracle`, are coefficient tensors whose
+axis d holds the powers of coordinate d, contracted with those powers
+by ``_polynomial``.
+
 Module contents:
     AnalyticField        -- value + gradient callables with a self-check
     constant_field, linear_field, multilinear_field,
@@ -34,7 +40,7 @@ from .errors import DimensionMismatchError, InvalidArgumentError
 from .grid import (Axis, BoundaryPolicy, ElementRef, RegularGrid, lattice,
                    neighborhood_block)
 from .interpolator import Interpolator
-from .operators import monomial_exponents, operator_is_exact
+from .operators import operator_is_exact
 
 
 @dataclass(frozen=True)
@@ -83,42 +89,61 @@ class AnalyticField:
                         f"finite differences on axis {d}")
 
 
-def constant_field(dim: int, value: float = 5.0) -> AnalyticField:
-    c = np.array([float(value)])
+def _polynomial(coeffs: np.ndarray, p, axis=None) -> float:
+    """The sum of ``coeffs[k] * prod_d p[d] ** k[d]`` at ``p``, or its
+    partial along ``axis``: ``coeffs`` contracted with the powers of each
+    coordinate (their derivatives on ``axis``), last axis first."""
+    acc = coeffs
+    for d in range(coeffs.ndim - 1, -1, -1):
+        k = np.arange(coeffs.shape[d])
+        acc = acc @ (k * p[d] ** np.maximum(k - 1, 0) if d == axis
+                     else p[d] ** k)
+    return float(acc)
 
+
+def _polynomial_field(coeffs: np.ndarray, descriptor: str,
+                      check_box=((0.0, 1.0),)) -> AnalyticField:
+    """The scalar field of the coefficient tensor ``coeffs``, whose axis
+    d holds the powers of coordinate d (:func:`_polynomial`)."""
+    dim = coeffs.ndim
     return AnalyticField(
         dim, 1,
-        lambda p: c.copy(),
-        lambda p: np.zeros((1, dim)),
-        f"constant {value}")
+        lambda p: np.array([_polynomial(coeffs, p)]),
+        lambda p: np.array([[_polynomial(coeffs, p, d) for d in range(dim)]]),
+        descriptor, check_box)
+
+
+def constant_field(dim: int, value: float = 5.0) -> AnalyticField:
+    """``value`` everywhere: a coefficient tensor of shape (1,) * dim."""
+    return _polynomial_field(np.full((1,) * dim, float(value)),
+                             f"constant {value}")
 
 
 def linear_field(dim: int, coeffs=None, offset: float = 0.0) -> AnalyticField:
+    """``offset + coeffs . p``, ``coeffs`` 1..dim by default: a
+    coefficient tensor of shape (2,) * dim, ``offset`` at the origin and
+    ``coeffs[d]`` at the unit index of axis d. Raises
+    DimensionMismatchError unless ``coeffs`` has ``dim`` entries."""
     if coeffs is None:
         coeffs = np.arange(1, dim + 1, dtype=np.float64)
     coeffs = np.asarray(coeffs, dtype=np.float64)
-
-    return AnalyticField(
-        dim, 1,
-        lambda p: np.array([offset + float(coeffs @ np.asarray(p))]),
-        lambda p: coeffs.reshape(1, dim).copy(),
-        f"linear {coeffs.tolist()} + {offset}")
+    if coeffs.shape != (dim,):
+        raise DimensionMismatchError(
+            f"a {dim}-dimensional linear field takes {dim} coefficients, "
+            f"got shape {coeffs.shape}")
+    tensor = np.zeros((2,) * dim)
+    tensor[(0,) * dim] = offset
+    tensor[tuple(np.eye(dim, dtype=int))] = coeffs  # row d: axis d's unit
+    return _polynomial_field(tensor, f"linear {coeffs.tolist()} + {offset}")
 
 
 def multilinear_field(dim: int) -> AnalyticField:
-    def value(p):
-        return np.array([float(np.prod(p))])
-
-    def gradient(p):
-        p = np.asarray(p, dtype=np.float64)
-        g = np.empty((1, dim))
-        for d in range(dim):
-            rest = np.delete(p, d)
-            g[0, d] = float(np.prod(rest))
-        return g
-
-    return AnalyticField(dim, 1, value, gradient, "multilinear product",
-                         check_box=((0.5, 2.0),))
+    """The product of the coordinates: a coefficient tensor of shape
+    (2,) * dim with 1 at (1,) * dim."""
+    tensor = np.zeros((2,) * dim)
+    tensor[(1,) * dim] = 1.0
+    return _polynomial_field(tensor, "multilinear product",
+                             check_box=((0.5, 2.0),))
 
 
 def tensor_polynomial_field(dim: int, degree: int,
@@ -130,34 +155,9 @@ def tensor_polynomial_field(dim: int, degree: int,
     class; degree 3 is deliberately outside it (centered differences
     misestimate cubic slopes).
     """
-    shape = (degree + 1,) * dim
-    coeffs = rng.uniform(-1.0, 1.0, size=shape)
-
-    def powers(x):
-        return x ** np.arange(degree + 1)
-
-    def value(p):
-        acc = coeffs
-        for d in range(dim - 1, -1, -1):
-            acc = acc @ powers(p[d])
-        return np.array([float(acc)])
-
-    def gradient(p):
-        g = np.empty((1, dim))
-        dpow = np.arange(degree + 1)
-        for d in range(dim):
-            acc = coeffs
-            for dd in range(dim - 1, -1, -1):
-                if dd == d:
-                    vec = dpow * p[dd] ** np.maximum(dpow - 1, 0)
-                else:
-                    vec = powers(p[dd])
-                acc = acc @ vec
-            g[0, d] = float(acc)
-        return g
-
-    return AnalyticField(dim, 1, value, gradient,
-                         f"tensor polynomial, per-axis degree {degree}")
+    return _polynomial_field(
+        rng.uniform(-1.0, 1.0, size=(degree + 1,) * dim),
+        f"tensor polynomial, per-axis degree {degree}")
 
 
 def trig_product_field(dim: int) -> AnalyticField:
@@ -391,25 +391,21 @@ def check_fused_oracle(interp: Interpolator, n_elements: int, seed):
     grid = interp.grid
     ranges = grid.element_base_range(interp.policy)
     spacings = np.array([a.spacing for a in grid.axes])
-    exps = monomial_exponents(grid.dim)
     worst = 0.0
     for _ in range(n_elements):
         elem = ElementRef(tuple(int(rng.integers(lo, hi + 1))
                                 for lo, hi in ranges))
         u = rng.uniform(0.0, 1.0, grid.dim)
         got = interp.eval_local(elem, u)
-        # per monomial: its value at u, then its partial along each axis
-        powers = u ** exps
-        monomials = [np.prod(powers, axis=1)]
-        for d in range(grid.dim):
-            dpow = powers.copy()
-            dpow[:, d] = exps[:, d] * u[d] ** np.maximum(exps[:, d] - 1, 0)
-            monomials.append(np.prod(dpow, axis=1))
         try:
             coeffs = oracle_coefficients(grid, elem, interp.policy)
         except np.linalg.LinAlgError:
             return False, {"constraint_system": "singular"}
-        want = coeffs @ np.stack(monomials, axis=1)
+        # column e = sum_d exp_d * 4^d: reshaped, axis j holds the
+        # exponent of u[dim - 1 - j], so transposed, axis d holds u[d]'s
+        want = np.array([[_polynomial(row.reshape((4,) * grid.dim).T, u, a)
+                          for a in (None, *range(grid.dim))]
+                         for row in coeffs])
         diff = np.column_stack([got.values, got.gradient * spacings]) - want
         block = neighborhood_block(grid, elem, interp.policy)
         worst = max(worst, float(np.max(np.abs(diff)))

@@ -171,6 +171,15 @@ class TestQuery:
         assert capsys.readouterr().err == (
             f"error: cannot open {path}: No such file or directory\n")
 
+    def test_empty_out_exits_2(self, lin4d, capsys):
+        # as sample's --out "" does; printed the CSV and exited 0
+        assert main(["query", lin4d, "--point", "1.5,1.5,1.5,1.5",
+                     "--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: cannot open : No such file or directory\n")
+
     def test_points_file_order_preserved(self, lin4d, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y,z,t\n1.5,1.5,1.5,1.5\n2.5,2.5,2.5,2.5\n"
@@ -374,7 +383,9 @@ class TestSample:
         "4,,4,4,", "4,4,4,", "1,4,4", "0,4,4",
         # more vertices than one array can index: was a ValueError
         # traceback and exit 1
-        "3000000,3000000,3000000", f"{10 ** 20},4,4"])
+        "3000000,3000000,3000000", f"{10 ** 20},4,4",
+        # read as a points-file line, not by int(): 1_0 and ٥ were 10 and 5
+        "4,4,1_0", "4,4,\u0665", "4,4,4.5", "4,4,inf"])
     def test_bad_counts_exit_2(self, trig3d, tmp_path, capsys, counts):
         out_path = tmp_path / "x.csv"
         with warnings.catch_warnings():
@@ -383,6 +394,13 @@ class TestSample:
                          "--out", str(out_path)]) == 2
         assert "--counts" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_quoted_counts(self, trig3d, tmp_path, capsys):
+        # a quoted cell, as a points file may hold: int() refused it
+        out_path = tmp_path / "q.csv"
+        assert main(["sample", trig3d, "--counts", '"4",5,"6"',
+                     "--out", str(out_path)]) == 0
+        assert load_grid_csv(out_path).counts == (4, 5, 6)
 
     def test_unwritable_out_exits_2(self, trig3d, tmp_path, capsys):
         assert main(["sample", trig3d, "--counts", "4,4,4",
@@ -590,6 +608,8 @@ class TestBenchWorkload:
         ("sweep4d-cold", "14x14x14x14x3", 11 ** 4),
         ("swarm3d-warm", "40x40x40x3", 4096)])
     def test_writes_bench_json(self, tmp_path, capsys, name, grid, points):
+        from hyperspline import bench
+
         assert main(["bench", "--workload", name, "--seed", "3",
                      "--json", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -600,6 +620,8 @@ class TestBenchWorkload:
         assert (spec["workload"], spec["grid"], spec["points"]) == (
             name, grid, points)
         assert (spec["seed"], spec["policy"]) == (3, "strict")
+        # was the whole (axes, points, calls) entry
+        assert spec["axes"] == [list(a) for a in bench.WORKLOADS[name][0]]
         assert report["machine"] in out.split("\n")
         for path_name in ("value-only", "value+gradient", "batch"):
             rates = report["paths"][path_name]

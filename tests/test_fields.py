@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hyperspline import (Axis, BoundaryPolicy, ElementRef, HypersplineError,
-                         Interpolator, RegularGrid)
+from hyperspline import (Axis, BoundaryPolicy, DimensionMismatchError,
+                         ElementRef, HypersplineError, Interpolator,
+                         RegularGrid)
 from hyperspline import interpolator
 from hyperspline.fields import (
     AnalyticField,
@@ -56,10 +57,15 @@ class TestSample:
         grid = sample(constant_field(4, 2.5), [Axis(0, 1, 4)] * 4)
         assert np.all(grid.values == 2.5)
 
-    def test_index_field(self):
-        grid = sample(linear_field(3, [1, 0, 0]), [Axis(0, 1, 5)] * 3)
-        for i in range(5):
-            assert grid.vertex_value((i, 2, 3)) == float(i)
+    @pytest.mark.parametrize("dim, axis", [(3, 0), (3, 1), (3, 2), (4, 0),
+                                           (4, 1), (4, 2), (4, 3)])
+    def test_index_field(self, dim, axis):
+        # a coefficient tensor with permuted axes passes the gradient
+        # self-check, but not this
+        axes = [Axis(0, 1, 4 + d) for d in range(dim)]
+        grid = sample(linear_field(dim, np.eye(dim)[axis]), axes)
+        for idx in np.ndindex(*(a.count for a in axes)):
+            assert grid.vertex_value(idx) == float(idx[axis])
 
     def test_trig_matches_direct_evaluation(self):
         field = trig_product_field(3)
@@ -231,8 +237,19 @@ class TestCatmullRom:
 
 
 class TestMultilinearField:
-    def test_value_and_gradient(self):
-        f = multilinear_field(4)
-        p = np.array([2.0, 3.0, 0.5, 4.0])
-        assert f.value(p)[0] == 12.0
-        assert_allclose(f.gradient(p)[0], [6.0, 4.0, 24.0, 3.0])
+    @pytest.mark.parametrize("p, value, gradient", [
+        ([2.0, 3.0, 0.5], 3.0, [1.5, 1.0, 6.0]),
+        ([2.0, 3.0, 0.5, 4.0], 12.0, [6.0, 4.0, 24.0, 3.0])])
+    def test_value_and_gradient(self, p, value, gradient):
+        f = multilinear_field(len(p))
+        p = np.array(p)
+        assert f.value(p)[0] == value
+        assert_allclose(f.gradient(p)[0], gradient)
+
+
+class TestLinearField:
+    @pytest.mark.parametrize("coeffs", [[1, 2], [1, 2, 3, 4], [[1, 2, 3]]])
+    def test_coefficient_count_must_match_dim(self, coeffs):
+        # were a numpy ValueError or TypeError from the self-check
+        with pytest.raises(DimensionMismatchError):
+            linear_field(3, coeffs)
