@@ -15,18 +15,23 @@ import numpy as np
 
 from .cli import _fits_one_array, _non_negative
 from .errors import InvalidArgumentError
-from .grid import Axis, RegularGrid, lattice
+from .grid import Axis, BoundaryPolicy, RegularGrid, lattice
 from .interpolator import Interpolator
 from .io import _open_text, load_grid_csv
+
+_AXES_4D = ((-1.3, 0.2, 14),) * 3 + ((0.0, 0.25, 14),)
 
 #: ``--workload`` names, with perfbench's grid shapes and point counts:
 #: the ``(origin, spacing, count)`` of each axis, sampled from the
 #: quadrupole field of :mod:`hyperspline.fields` (its t = 0 slice in 3D)
-#: with 3 components; the number of points (None: one in every valid
-#: cell); and how many timed ``eval_batch`` calls of them to make.
+#: with 3 components; the points: a number of uniform ones, None for one
+#: in every valid cell, or ``(tracks, steps)`` for that many tracks of
+#: that many points each; and how many timed ``eval_batch`` calls of
+#: them to make.
 WORKLOADS = {
-    "sweep4d-cold": (((-1.3, 0.2, 14),) * 3 + ((0.0, 0.25, 14),), None, 20),
+    "sweep4d-cold": (_AXES_4D, None, 20),
     "swarm3d-warm": (((-1.95, 0.1, 40),) * 3, 4096, 100),
+    "track4d-scalar": (_AXES_4D, (8, 500), 20),
 }
 
 
@@ -49,6 +54,27 @@ def _uniform_points(interp, n: int, rng) -> np.ndarray:
     return np.stack([rng.uniform(lo, hi, n) for lo, hi in dom], axis=1)
 
 
+def _tracks(grid, tracks: int, steps: int, rng) -> np.ndarray:
+    """``tracks`` straight tracks of ``steps`` 4D points, one track after
+    another, as a particle tracker queries them: each starts at a uniform
+    place, moves 0.006 per point in space along a uniform direction and
+    0.004 in t (perfbench's step sizes), and reflects off the faces of
+    the strict domain, so every point is queryable under either
+    policy."""
+    dom = np.array(grid.queryable_domain(BoundaryPolicy.STRICT))
+    lo, hi = dom.T
+    span = hi - lo
+    direction = rng.standard_normal((tracks, 3))
+    velocity = np.column_stack([
+        0.006 * direction / np.linalg.norm(direction, axis=1, keepdims=True),
+        np.full(tracks, 0.004)])
+    path = (rng.uniform(0.0, 1.0, (tracks, 1, 4)) * span
+            + np.arange(steps)[:, None] * velocity[:, None])
+    # fold onto [0, 2 span), then the upper half back onto [0, span]
+    path = span - np.abs(span - np.mod(path, 2 * span))
+    return np.clip(lo + path, lo, hi).reshape(-1, 4)
+
+
 def _workload(name: str, policy, rng):
     """The interpolator, points and batch call count of ``--workload
     name``."""
@@ -67,6 +93,8 @@ def _workload(name: str, policy, rng):
     grid = RegularGrid(axes, np.array([field.value(p) for p in at]),
                        components=field.components)
     interp = Interpolator(grid, policy)
+    if isinstance(n, tuple):
+        return interp, _tracks(grid, *n, rng), calls
     if n is not None:
         return interp, _uniform_points(interp, n, rng), calls
     # one point at a uniform place in each valid cell, cells in random order

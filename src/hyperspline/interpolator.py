@@ -13,31 +13,41 @@ value, the first partials or one mixed partial are picked from them.
 First partials are rescaled by the axis spacing so results are in
 physical units. No coefficient tensor is formed on this path.
 
-Point, pinned-element and batch queries all run the same kernel on the
-point-major gather of :mod:`hyperspline.grid`, which copies each
-stencil as 4^(dim-1) x-runs of 4 vertices x m components and views the
-copy as ``(k, 4^dim, m)`` float64 for k points: per axis one
-``np.matmul`` of k stacked per-point products ``(rest, 4) @ (4, 2)``,
-960 multiplies per component in 4D and 224 in 3D. A point's products
-have the same shapes and strides whatever k or its chunk, so BLAS
-does the same arithmetic for it in a batch as alone, and batched and
-one-at-a-time evaluation agree bit for bit.
-:meth:`Interpolator.eval_batch` locates all its points at once, holding
-their bases and local coordinates (16 * dim bytes per point), then
-gathers, contracts and stores them in one loop over chunks whose size
-the grid sets: as many points as fit 1.5 MB of gathered samples,
-``max(1, 196608 // (m * 4^dim))`` (256 points in 4D, 1024 in 3D, with
-m = 3), so a chunk's working set stays in L2.
+Two kernels run the contraction, both on stencils copied by
+:mod:`hyperspline.grid` as 4^(dim-1) x-runs of 4 vertices x m
+components and viewed as float64 ``(4^dim, m)`` per point. Per axis
+each makes one matrix product per point, ``(rest, 4) @ (4, 2)``: 960
+multiplies per component in 4D and 224 in 3D.
 
-A single-point query (``eval``, ``eval_with_gradient``, ``derivative``)
-is the same kernel with k = 1:
-:func:`~hyperspline.grid.locate` reads the grid's region table on
-Python floats and returns a cell reference that is not validated
-again;
-:func:`~hyperspline.grid.neighborhood_block` copies the cell's x-runs
-out of the grid's strided stencil view, as the batch gather does for
-many cells at once. The grid stores its ghost layers, so the boundary
-policy only sets which cells are valid: an edge cell under
+- The batch kernel, :func:`_stencil_kernel`, behind
+  :meth:`Interpolator.eval_batch`, builds the weights of k points in one
+  points-last table and stacks their products in one ``np.matmul`` per
+  axis on the ``(k, 4^dim, m)`` gather. ``eval_batch`` locates all its
+  points at once, holding their bases and local coordinates (16 * dim
+  bytes per point), then gathers, contracts and stores them in one loop
+  over chunks whose size the grid sets: as many points as fit 1.5 MB of
+  gathered samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in
+  4D, 1024 in 3D, with m = 3), so a chunk's working set stays in L2.
+- The one-point kernel, :func:`_point_kernel`, behind ``eval``,
+  ``eval_with_gradient``, ``eval_local`` and ``derivative``, builds one
+  point's ``(dim, 4, 2)`` weights with Horner's rule on rows of the
+  table read where they lie, and makes each axis's product as one 2D
+  ``@``: none of the batch's ``take``, transposed copy and stacked
+  reshapes, which at k = 1 cost a sixth of the kernel's time.
+
+They agree bit for bit: a weight is the same Horner steps on the same
+table entries in either kernel, and a point's product has the same
+shapes and strides whether it stands alone or sits in a stack of any
+k, so BLAS does the same arithmetic for it. So a point's row of
+``eval_batch``, whatever its chunk, equals its single-point query.
+
+A single-point query locates with :func:`~hyperspline.grid.locate`,
+which reads the grid's region table on Python floats and returns a
+cell reference that is not validated again, and gathers with
+:func:`~hyperspline.grid.neighborhood_block`, which copies the cell's
+x-runs out of the grid's strided stencil view, as the batch gather
+does for many cells at once. The grid stores its ghost layers, so the
+boundary policy only sets which cells are valid: an edge cell under
 ``LinearGhost`` costs the same as an interior one, on both paths. A
 batch chunk evaluates every one of its rows: a point outside the domain
 has a clamped base, so it reads a valid stencil, and its row is set to
@@ -52,13 +62,14 @@ concatenated, the bits of one call. A cell's coefficient tensor
 :meth:`Interpolator.coefficients`, computed on each call for inspection
 only; evaluation never forms it, and no interpolator asks for the
 operator until a coefficient is requested.
-Validation checks the kernel itself against the exact derivation
+Validation checks the one-point kernel, and so the batch kernel that
+agrees with it, against the exact derivation
 (:func:`hyperspline.fields.check_fused_oracle`).
 
 Module contents:
     QueryResult   -- values + physical-unit gradient at one point
     BatchResult   -- struct-of-arrays result for many points
-    Interpolator  -- the interpolant, its stencil kernel and cell coefficients
+    Interpolator  -- the interpolant, its two kernels and cell coefficients
 """
 
 from __future__ import annotations
@@ -175,7 +186,8 @@ def _weights(u: np.ndarray, orders) -> np.ndarray:
 
 def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
                     orders) -> np.ndarray:
-    """Partials of k cubics straight from their sample stencils.
+    """Partials of k cubics straight from their sample stencils: the
+    batch kernel.
 
     ``samples`` is ``(k, 4^dim, m)`` as gathered, ``u`` the ``(dim, k)``
     local coordinates and ``orders`` the derivative order (0..3) of the
@@ -184,7 +196,9 @@ def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
     times if bit d of s is set, and not at all otherwise. Each axis is
     one matrix product per point, ``(rest, 4) @ (4, 2)``, whose shapes
     and strides do not depend on k, so every point is computed the same
-    way in any batch.
+    way in any batch. :func:`_point_kernel` makes the same products one
+    point at a time, without the batch's stacking, and so returns the
+    same bits as this kernel's row for that point.
     """
     k, _, m = samples.shape
     w = _weights(u, orders)
@@ -194,6 +208,30 @@ def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
     for d in reversed(range(len(orders))):
         part = np.matmul(part.reshape(k, 4, -1).transpose(0, 2, 1), w[d])
     return part.reshape(k, m, -1)
+
+
+def _point_kernel(samples: np.ndarray, u: np.ndarray,
+                  orders=None) -> np.ndarray:
+    """Partials of one cubic straight from its sample stencil: the
+    one-point kernel.
+
+    ``samples`` is one ``(4^dim, m)`` stencil, ``u`` its ``(dim,)``
+    local coordinates and ``orders`` as in :func:`_stencil_kernel`,
+    first partials if None. Returns the ``(m, 2^dim)`` partials, bit for
+    bit ``_stencil_kernel(samples[None], u[:, None], orders)[0]``: each
+    weight comes from the same Horner steps on the same table entries,
+    and each axis is the batch kernel's per-point product ``(rest, 4) @
+    (4, 2)`` with the same shapes and strides, as one 2D ``matmul``.
+    """
+    # the table is read at call time, so a patched one reaches the kernel
+    h = (_HORNER[1] if orders is None
+         else _HORNER.take(orders, 0).swapaxes(0, 1))
+    uu = u[:, None, None]
+    w = ((h[0] * uu + h[1]) * uu + h[2]) * uu + h[3]
+    part = samples
+    for d in reversed(range(len(u))):
+        part = part.reshape(4, -1).T @ w[d]
+    return part.reshape(samples.shape[1], -1)
 
 
 class Interpolator:
@@ -220,8 +258,9 @@ class Interpolator:
         self.grid = grid
         self.policy = as_policy(policy)
         self._spacings = np.array([a.spacing for a in grid.axes])
-        # the kernel's orders for first partials, and its columns of the
-        # first partial along each axis, as index arrays numpy takes as is
+        # the batch kernel's orders for first partials, and the columns of
+        # the first partial along each axis, as index arrays numpy takes
+        # as is
         self._first_orders = np.ones(grid.dim, dtype=np.intp)
         self._gradient_cols = np.array([1 << d for d in range(grid.dim)],
                                        dtype=np.intp)
@@ -264,11 +303,9 @@ class Interpolator:
                   orders=None) -> np.ndarray:
         """Unit-cell partials ``(m, 2^dim)`` at the ``(dim,)`` float64
         local coordinates ``u`` in one element (see
-        :func:`_stencil_kernel`); first partials by default."""
-        block = neighborhood_block(self.grid, elem, self.policy)
-        if orders is None:
-            orders = self._first_orders
-        return _stencil_kernel(block[None], u[:, None], orders)[0]
+        :func:`_point_kernel`); first partials by default."""
+        return _point_kernel(neighborhood_block(self.grid, elem, self.policy),
+                             u, orders)
 
     def _with_gradient(self, part: np.ndarray) -> QueryResult:
         # copied: a view would keep the kernel's partials array alive

@@ -606,7 +606,8 @@ class TestBench:
 class TestBenchWorkload:
     @pytest.mark.parametrize("name, grid, points", [
         ("sweep4d-cold", "14x14x14x14x3", 11 ** 4),
-        ("swarm3d-warm", "40x40x40x3", 4096)])
+        ("swarm3d-warm", "40x40x40x3", 4096),
+        ("track4d-scalar", "14x14x14x14x3", 8 * 500)])
     def test_writes_bench_json(self, tmp_path, capsys, name, grid, points):
         from hyperspline import bench
 
@@ -642,6 +643,22 @@ class TestBenchWorkload:
             assert ok.all()
             assert len(np.unique(bases, axis=0)) == len(pts) == np.prod(
                 interp.grid.element_counts(policy))
+
+    @pytest.mark.parametrize("policy", ["strict", "linear-ghost"])
+    def test_tracks_take_small_steps_in_the_strict_domain(self, policy):
+        from hyperspline import bench
+
+        interp, pts, _ = bench._workload(
+            "track4d-scalar", policy, np.random.default_rng(0))
+        _, _, ok = locate_points(interp.grid, pts, "strict")
+        assert ok.all()
+        steps = np.diff(pts.reshape(8, 500, 4), axis=1)
+        assert np.all(np.linalg.norm(steps[..., :3], axis=-1) <= 0.006 + 1e-12)
+        assert np.all(np.abs(steps[..., 3]) <= 0.004 + 1e-12)
+        # tracks move: most steps stay in their cell, some cross a face
+        bases = locate_points(interp.grid, pts, policy)[0].reshape(8, 500, 4)
+        crossed = np.any(bases[:, 1:] != bases[:, :-1], axis=-1).mean()
+        assert 0.01 < crossed < 0.2
 
     @pytest.mark.parametrize("argv, message", [
         (["bench"], "one of the two"),

@@ -51,6 +51,7 @@ from hyperspline.grid import (
     locate_points,
     neighborhood_block,
 )
+from hyperspline.interpolator import _point_kernel, _stencil_kernel
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST
@@ -845,6 +846,37 @@ class TestSharedKernel:
             terms = np.abs(coeffs) @ np.abs(dpow) / scale
             assert_allclose(interp.derivative(p, orders), want, rtol=0,
                             atol=1e-12 * np.max(terms))
+
+    @pytest.mark.parametrize("policy", [STRICT, GHOST])
+    @pytest.mark.parametrize("dim, m", [(3, 1), (3, 3), (4, 1), (4, 3)],
+                             ids=["3-m1", "3", "4-m1", "4"])
+    def test_point_kernel_equals_batch_kernel_bitwise(self, dim, m, policy):
+        # the one-point kernel behind every single-point query against the
+        # batch kernel's row for that point: first partials, every order
+        # vector in 3D and a seeded set in 4D, on the lowest and highest
+        # cells (the edge cells under LinearGhost) and random ones, at u
+        # entries of 0, 1 and inside the cell
+        rng = np.random.default_rng(70 + 10 * dim + m)
+        counts = [6, 5, 7, 5][:dim]
+        grid = RegularGrid([Axis(-1.0, 0.5, n) for n in counts],
+                           rng.standard_normal(counts[::-1] + [m]),
+                           components=m)
+        lo, hi = np.array(grid.element_base_range(policy)).T
+        bases = [lo, hi, *rng.integers(lo, hi + 1, (4, dim))]
+        all_orders = (list(itertools.product(range(4), repeat=3)) if dim == 3
+                      else [tuple(o) for o in rng.integers(0, 4, (32, 4))])
+        for base in bases:
+            block = neighborhood_block(grid, ElementRef(tuple(base.tolist())),
+                                       policy)
+            for u in (np.zeros(dim), np.ones(dim), rng.uniform(0, 1, dim),
+                      rng.choice([0.0, 1.0, rng.uniform()], dim)):
+                for orders in [None, *all_orders]:
+                    want = _stencil_kernel(
+                        block[None], u[:, None],
+                        (1,) * dim if orders is None else orders)[0]
+                    got = _point_kernel(block, u, orders)
+                    assert got.shape == want.shape == (m, 2 ** dim)
+                    assert got.tobytes() == want.tobytes(), (base, u, orders)
 
 
 # every public way to query one point, plus eval_batch on a one-row batch
