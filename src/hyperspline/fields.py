@@ -37,8 +37,8 @@ import numpy as np
 
 from . import operators
 from .errors import DimensionMismatchError, InvalidArgumentError
-from .grid import (Axis, BoundaryPolicy, ElementRef, RegularGrid, lattice,
-                   neighborhood_block)
+from .grid import (SUPPORTED_DIMS, Axis, BoundaryPolicy, ElementRef,
+                   RegularGrid, lattice, neighborhood_block)
 from .interpolator import Interpolator
 from .operators import operator_is_exact
 
@@ -567,7 +567,7 @@ def release_checks(grid, seed: int):
         ] + [(name, "needs_analytic_truth") for name in (
             "exactness_quadratic", "cubic_inexact", "line_reduction",
             "time_slice_consistency", "convergence_order")]
-    dims = (3, 4)
+    dims = SUPPORTED_DIMS
     rng = np.random.default_rng(seed)
     poly = {d: Interpolator(sample(tensor_polynomial_field(d, 3, rng),
                                    [Axis(-1.0, 0.4, 6)] * d))

@@ -86,6 +86,9 @@ from .errors import (
 #: Coordinate column names of grid, points and result CSV files, per axis.
 AXIS_NAMES = ("x", "y", "z", "t")
 
+#: Grid dimensions the package supports.
+SUPPORTED_DIMS = (3, 4)
+
 #: Relative tolerance used when checking that axis gaps are uniform.
 SPACING_RTOL = 1e-9
 
@@ -301,7 +304,7 @@ class RegularGrid:
         if not all(isinstance(a, Axis) for a in axes):
             raise InvalidArgumentError(
                 f"axes must be a sequence of Axis, got {shown(axes)}")
-        if len(axes) not in (3, 4):
+        if len(axes) not in SUPPORTED_DIMS:
             raise UnsupportedDimensionError(
                 f"grids must be 3- or 4-dimensional, got {len(axes)} axes")
         if not is_integer(components) or components < 1:
@@ -464,7 +467,8 @@ def as_component_names(names, components: int) -> tuple:
     that a UTF-8 file can hold (a lone surrogate cannot) and that a CSV
     header carries back unchanged: no comma, double quote or line break,
     no leading or trailing whitespace, and no axis name (x, y, z, t),
-    which a header would read as a coordinate column."""
+    which a header would read as a coordinate column; and distinct from
+    each other and from a results CSV's ``error`` and ``d<c>_d<axis>``."""
     try:
         labels = tuple(map(str, names)) if np.iterable(names) else ()
     except ValueError:  # an integer past the 4,300-digit string limit
@@ -480,13 +484,17 @@ def as_component_names(names, components: int) -> tuple:
         raise InvalidArgumentError(
             f"component names must be UTF-8 text, got {shown(names)} "
             f"({exc.reason})") from None
+    taken = {"error", *AXIS_NAMES, *(f"d{c}_d{a}" for c in labels
+                                     for a in AXIS_NAMES)}
     for name in labels:
-        if (name != name.strip() or name in AXIS_NAMES
+        if (name != name.strip() or name in taken
                 or any(c in name for c in ',"\r\n')):
             raise InvalidArgumentError(
                 f"component name {shown(name)} would not read back from a CSV "
                 f"header: it holds a comma, quote, line break or "
-                f"surrounding space, or is an axis name")
+                f"surrounding space, repeats a name, or is an axis name, "
+                f"'error' or another component's gradient column")
+        taken.add(name)
     return labels
 
 

@@ -7,11 +7,11 @@ neighborhood, so it is separable: its value at local coordinates ``u``
 is the neighborhood contracted axis by axis with the weights
 ``w(u) = M^T (1, u, u^2, u^3)``, and a partial along one axis swaps in
 the differentiated weights ``M^T (0, 1, 2u, 3u^2)`` on that axis. Each
-axis is contracted with the order-0 and the order-r weights at once, so
-after the last axis the kernel holds all 2^dim combinations, and the
-value, the first partials or one mixed partial are picked from them.
-First partials are rescaled by the axis spacing so results are in
-physical units. No coefficient tensor is formed on this path.
+axis is contracted with both at once, so after the last axis a kernel
+holds all 2^dim combinations: the value in column 0 and the first
+partial along axis d in column ``1 << d``. First partials are rescaled
+by the axis spacing so results are in physical units. No coefficient
+tensor is formed on this path.
 
 Two kernels run the contraction, both on stencils copied by
 :mod:`hyperspline.grid` as 4^(dim-1) x-runs of 4 vertices x m
@@ -20,26 +20,30 @@ each makes one matrix product per point, ``(rest, 4) @ (4, 2)``: 960
 multiplies per component in 4D and 224 in 3D.
 
 - The batch kernel, :func:`_stencil_kernel`, behind
-  :meth:`Interpolator.eval_batch`, builds the weights of k points in one
-  points-last table and stacks their products in one ``np.matmul`` per
-  axis on the ``(k, 4^dim, m)`` gather. ``eval_batch`` locates all its
-  points at once, holding their bases and local coordinates (16 * dim
-  bytes per point), then gathers, contracts and stores them in one loop
-  over chunks whose size the grid sets: as many points as fit 1.5 MB of
+  :meth:`Interpolator.eval_batch`, computes values and first partials
+  only. It builds the weights of k points in one points-last table and
+  stacks their products in one ``np.matmul`` per axis on the ``(k,
+  4^dim, m)`` gather. ``eval_batch`` locates all its points at once,
+  holding their bases and local coordinates (16 * dim bytes per
+  point), then gathers, contracts and stores them in one loop over
+  chunks whose size the grid sets: as many points as fit 1.5 MB of
   gathered samples, ``max(1, 196608 // (m * 4^dim))`` (256 points in
   4D, 1024 in 3D, with m = 3), so a chunk's working set stays in L2.
 - The one-point kernel, :func:`_point_kernel`, behind ``eval``,
   ``eval_with_gradient``, ``eval_local`` and ``derivative``, builds one
   point's ``(dim, 4, 2)`` weights with Horner's rule on rows of the
   table read where they lie, and makes each axis's product as one 2D
-  ``@``: none of the batch's ``take``, transposed copy and stacked
-  reshapes, which at k = 1 cost a sixth of the kernel's time.
+  ``@``: none of the batch's transposed copy and stacked reshapes,
+  which at k = 1 cost a sixth of the kernel's time. Higher partials are
+  its alone: ``derivative`` swaps in the table rows of its orders.
 
-They agree bit for bit: a weight is the same Horner steps on the same
-table entries in either kernel, and a point's product has the same
-shapes and strides whether it stands alone or sits in a stack of any
-k, so BLAS does the same arithmetic for it. So a point's row of
-``eval_batch``, whatever its chunk, equals its single-point query.
+On first partials they agree bit for bit: a weight is the same Horner
+steps on the same table row in either kernel, and a point's product
+has the same shapes and strides whether it stands alone or sits in a
+stack of any k, so BLAS does the same arithmetic for it. So a point's
+row of ``eval_batch``, whatever its chunk, equals its single-point
+query. One kernel for both paths kept the batch level but slowed
+single points by a tenth.
 
 A single-point query locates with :func:`~hyperspline.grid.locate`,
 which reads the grid's region table on Python floats and returns a
@@ -168,44 +172,27 @@ def _horner_table() -> np.ndarray:
 _HORNER = _horner_table()
 
 
-def _weights(u: np.ndarray, orders) -> np.ndarray:
-    """Catmull-Rom weights of order 0 and ``orders[d]`` on each axis d.
+def _stencil_kernel(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Values and first partials of k cubics straight from their sample
+    stencils: the batch kernel.
 
-    ``u`` is ``(dim, k)``. Entry ``[d, i, j, c]`` of the ``(dim, k, 4,
-    2)`` result weighs the sample at offset ``j - 1`` on axis d for
-    point i, in the value (c = 0) or the order-``orders[d]`` partial
-    (c = 1). Elementwise Horner on a points-last ``(dim, 4, 2, k)``
-    table, so each step is one long inner loop.
-    """
-    h = _HORNER.take(orders, 0)[..., None]
-    u = u[:, None, None, :]
-    w = h[:, 0] * u + h[:, 1]
-    w = w * u + h[:, 2]
-    return np.ascontiguousarray((w * u + h[:, 3]).transpose(0, 3, 1, 2))
-
-
-def _stencil_kernel(samples: np.ndarray, u: np.ndarray,
-                    orders) -> np.ndarray:
-    """Partials of k cubics straight from their sample stencils: the
-    batch kernel.
-
-    ``samples`` is ``(k, 4^dim, m)`` as gathered, ``u`` the ``(dim, k)``
-    local coordinates and ``orders`` the derivative order (0..3) of the
-    partial taken on each axis. Returns ``(k, m, 2^dim)`` unit-cell
-    partials: entry ``[i, c, s]`` differentiates axis d ``orders[d]``
-    times if bit d of s is set, and not at all otherwise. Each axis is
-    one matrix product per point, ``(rest, 4) @ (4, 2)``, whose shapes
-    and strides do not depend on k, so every point is computed the same
-    way in any batch. :func:`_point_kernel` makes the same products one
-    point at a time, without the batch's stacking, and so returns the
-    same bits as this kernel's row for that point.
+    ``samples`` is ``(k, 4^dim, m)`` as gathered and ``u`` the ``(dim,
+    k)`` local coordinates. Returns ``(k, m, 2^dim)`` unit-cell partials:
+    entry ``[i, c, s]`` differentiates axis d once if bit d of s is set.
+    Horner's rule runs on a points-last ``(dim, 4, 2, k)`` weight table,
+    one long inner loop a step. Each axis is one matrix product per
+    point, ``(rest, 4) @ (4, 2)``, whose shapes and strides do not
+    depend on k, so every point is computed the same way in any batch.
     """
     k, _, m = samples.shape
-    w = _weights(u, orders)
+    h = _HORNER[1][..., None]
+    uu = u[:, None, None, :]
+    w = ((h[0] * uu + h[1]) * uu + h[2]) * uu + h[3]
+    w = np.ascontiguousarray(w.transpose(0, 3, 1, 2))
     part = samples
     # stencil rows run t..x, so the slowest row axis is the last grid
     # axis; each step moves its pair of partials to the end
-    for d in reversed(range(len(orders))):
+    for d in reversed(range(len(u))):
         part = np.matmul(part.reshape(k, 4, -1).transpose(0, 2, 1), w[d])
     return part.reshape(k, m, -1)
 
@@ -216,12 +203,14 @@ def _point_kernel(samples: np.ndarray, u: np.ndarray,
     one-point kernel.
 
     ``samples`` is one ``(4^dim, m)`` stencil, ``u`` its ``(dim,)``
-    local coordinates and ``orders`` as in :func:`_stencil_kernel`,
-    first partials if None. Returns the ``(m, 2^dim)`` partials, bit for
-    bit ``_stencil_kernel(samples[None], u[:, None], orders)[0]``: each
-    weight comes from the same Horner steps on the same table entries,
-    and each axis is the batch kernel's per-point product ``(rest, 4) @
-    (4, 2)`` with the same shapes and strides, as one 2D ``matmul``.
+    local coordinates and ``orders`` the derivative order (0..3) on each
+    axis, all 1 if None. Returns the ``(m, 2^dim)`` partials: entry
+    ``[c, s]`` differentiates axis d ``orders[d]`` times if bit d of s
+    is set. Its first partials are bit for bit
+    ``_stencil_kernel(samples[None], u[:, None])[0]``: the same Horner
+    steps on the same table row, and per axis the batch kernel's
+    per-point product with the same shapes and strides, as one 2D
+    ``matmul``.
     """
     # the table is read at call time, so a patched one reaches the kernel
     h = (_HORNER[1] if orders is None
@@ -258,10 +247,8 @@ class Interpolator:
         self.grid = grid
         self.policy = as_policy(policy)
         self._spacings = np.array([a.spacing for a in grid.axes])
-        # the batch kernel's orders for first partials, and the columns of
-        # the first partial along each axis, as index arrays numpy takes
-        # as is
-        self._first_orders = np.ones(grid.dim, dtype=np.intp)
+        # the columns of the first partial along each axis, as an index
+        # array numpy takes as is
         self._gradient_cols = np.array([1 << d for d in range(grid.dim)],
                                        dtype=np.intp)
         # points per eval_batch chunk: 1.5 MB of gathered float64 samples
@@ -394,7 +381,7 @@ class Interpolator:
         for s in range(0, n, self._chunk):
             e = s + self._chunk
             block = _stencils(self.grid, bases[s:e])
-            part = _stencil_kernel(block, u[:, s:e], self._first_orders)
+            part = _stencil_kernel(block, u[:, s:e])
             values[s:e] = part[:, :, 0]
             gradients[s:e] = part[:, :, self._gradient_cols] / self._spacings
             del block, part  # so the next gather reuses cache-warm memory

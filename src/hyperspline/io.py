@@ -47,8 +47,9 @@ from .errors import (
     UnsupportedDimensionError,
     shown,
 )
-from .grid import (AXIS_NAMES, RegularGrid, as_component_names,
-                   as_coordinates, infer_axis, is_integer, lattice)
+from .grid import (AXIS_NAMES, SUPPORTED_DIMS, RegularGrid,
+                   as_component_names, as_coordinates, infer_axis,
+                   is_integer, lattice)
 from .interpolator import BatchResult
 
 _BLOCK_ROWS = 4096  # rows formatted and written at once
@@ -186,7 +187,7 @@ def load_grid_csv(path) -> RegularGrid:
         header, dim, number, _ = _read_header(fh, path)
         if not header:
             raise MissingHeaderError(f"{path}: file is empty or blank")
-        if dim not in (3, 4):
+        if dim not in SUPPORTED_DIMS:
             raise MissingHeaderError(
                 f"{path}: header must start with x,y,z or x,y,z,t, "
                 f"got {header[:4]}")
@@ -244,7 +245,7 @@ def load_points_csv(path, dim: int) -> np.ndarray:
     IncompleteGridError, GridFormatError
         Naming the first line that is not ``dim`` numbers.
     """
-    if not is_integer(dim) or dim not in (3, 4):
+    if not is_integer(dim) or dim not in SUPPORTED_DIMS:
         raise UnsupportedDimensionError(
             f"points must have 3 or 4 coordinates, got dim={shown(dim)}")
     with _open_text(path) as fh:

@@ -50,8 +50,7 @@ import numbers
 import numpy as np
 
 from .errors import UnsupportedDimensionError, shown
-
-SUPPORTED_DIMS = (3, 4)
+from .grid import SUPPORTED_DIMS
 
 # Row k holds the coefficient of u^k of the cubic through samples at
 # offsets -1, 0, 1, 2 (columns) with centered-difference end slopes.

@@ -317,11 +317,14 @@ class TestRegularGrid:
 
     @pytest.mark.parametrize("names", [
         ["a,b"], ["a\nb"], ["b\r"], [" a"], ["a "], ['"a"'], ["t"],
-        ["f", "x"]], ids=["comma", "newline", "return", "leading-space",
-                          "trailing-space", "quoted", "t", "x"])
+        ["f", "x"], ["f", "f"], ["error"], ["f", "df_dx"], ["df_dt", "f"]],
+        ids=["comma", "newline", "return", "leading-space", "trailing-space",
+             "quoted", "t", "x", "repeated", "error", "gradient",
+             "gradient-t-first"])
     def test_rejects_names_a_csv_header_cannot_carry(self, names):
         # each was written into a grid file that did not read back with
-        # the same names, or at all ("t" first on a 3D grid reads as 4D)
+        # the same names, or at all ("t" first on a 3D grid reads as 4D);
+        # the last four gave a results CSV two columns of one name
         with pytest.raises(InvalidArgumentError, match="CSV header"):
             RegularGrid([Axis(0, 1, 4)] * 3, np.zeros((64, len(names))),
                         components=len(names), component_names=names)

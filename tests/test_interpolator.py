@@ -694,6 +694,22 @@ def assert_rows_equal(got, want):
         assert np.array_equal(g, w, equal_nan=True)
 
 
+def polynomial_partials(coeffs, u, orders):
+    """The ``(m, 2^dim)`` unit-cell partials, in the kernels' columns, of
+    the cubics with monomial coefficients ``coeffs`` at ``u``: column s
+    differentiates axis d ``orders[d]`` times if bit d of s is set. Also
+    returns each entry's sum of absolute terms, the scale of its
+    rounding."""
+    dim = len(u)
+    perm = np.array([[math.perm(e, k) for k in range(4)] for e in range(4)])
+    exps = np.indices((4,) * dim).reshape(dim, 1, -1)[::-1]
+    bits = (np.arange(2 ** dim) >> np.arange(dim)[:, None]) & 1
+    cols = (bits * np.array(orders)[:, None])[:, :, None]  # (dim, 2^dim, 1)
+    lowered = np.maximum(exps - cols, 0)
+    dpow = np.prod(perm[exps, cols] * u[:, None, None] ** lowered, axis=0)
+    return coeffs @ dpow.T, np.abs(coeffs) @ np.abs(dpow.T)
+
+
 def eval_sliced(interp, pts, workers, size=None):
     """``eval_batch`` over consecutive slices of ``pts``, concatenated as
     batch-shaped ``(values, gradients, ok)``. Slices hold ``size`` rows,
@@ -831,31 +847,32 @@ class TestSharedKernel:
         interp, pts, scalar = kernel_case[policy]
         grid = interp.grid
         orders = orders[:interp.dim]
-        exps = np.indices((4,) * interp.dim).reshape(interp.dim, -1)[::-1]
-        factor = np.prod([[math.perm(e, k) for e in row]
-                          for row, k in zip(exps, orders)], axis=0)
-        lowered = np.maximum(exps - np.array(orders)[:, None], 0)
+        col = sum(1 << d for d, k in enumerate(orders) if k)
         scale = np.prod([a.spacing ** k for a, k in zip(grid.axes, orders)])
         for p, r in zip(pts, scalar):
             if r is None:
                 continue
             elem, u = locate(grid, p, policy)
-            coeffs = oracle_coefficients(grid, elem, policy)
-            dpow = factor * np.prod(u[:, None] ** lowered, axis=0)
-            want = coeffs @ dpow / scale
-            terms = np.abs(coeffs) @ np.abs(dpow) / scale
-            assert_allclose(interp.derivative(p, orders), want, rtol=0,
-                            atol=1e-12 * np.max(terms))
+            want, terms = polynomial_partials(
+                oracle_coefficients(grid, elem, policy), u, orders)
+            assert_allclose(interp.derivative(p, orders), want[:, col] / scale,
+                            rtol=0, atol=1e-12 * np.max(terms[:, col]) / scale)
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     @pytest.mark.parametrize("dim, m", [(3, 1), (3, 3), (4, 1), (4, 3)],
                              ids=["3-m1", "3", "4-m1", "4"])
     def test_point_kernel_equals_batch_kernel_bitwise(self, dim, m, policy):
         # the one-point kernel behind every single-point query against the
-        # batch kernel's row for that point: first partials, every order
-        # vector in 3D and a seeded set in 4D, on the lowest and highest
-        # cells (the edge cells under LinearGhost) and random ones, at u
-        # entries of 0, 1 and inside the cell
+        # batch kernel's row for that point, byte for byte, and its higher
+        # orders, which only it computes (every order vector in 3D, a
+        # seeded set in 4D), in all 2^dim columns against the dense-solve
+        # oracle's polynomial; on the lowest and highest cells (the edge
+        # cells under LinearGhost) and random ones, at u entries of 0, 1
+        # and inside the cell. The bound is the rounding level of
+        # test_higher_orders_match_coefficient_polynomial, taken on the
+        # sum of absolute terms over the cell (at u = 1): at u = 0 a column
+        # is one coefficient, which both sides form by cancellation from
+        # samples up to 1e3 times its size
         rng = np.random.default_rng(70 + 10 * dim + m)
         counts = [6, 5, 7, 5][:dim]
         grid = RegularGrid([Axis(-1.0, 0.5, n) for n in counts],
@@ -866,17 +883,24 @@ class TestSharedKernel:
         all_orders = (list(itertools.product(range(4), repeat=3)) if dim == 3
                       else [tuple(o) for o in rng.integers(0, 4, (32, 4))])
         for base in bases:
-            block = neighborhood_block(grid, ElementRef(tuple(base.tolist())),
-                                       policy)
+            elem = ElementRef(tuple(base.tolist()))
+            block = neighborhood_block(grid, elem, policy)
+            coeffs = oracle_coefficients(grid, elem, policy)
             for u in (np.zeros(dim), np.ones(dim), rng.uniform(0, 1, dim),
                       rng.choice([0.0, 1.0, rng.uniform()], dim)):
-                for orders in [None, *all_orders]:
-                    want = _stencil_kernel(
-                        block[None], u[:, None],
-                        (1,) * dim if orders is None else orders)[0]
+                want = _stencil_kernel(block[None], u[:, None])[0]
+                got = _point_kernel(block, u)
+                assert got.shape == want.shape == (m, 2 ** dim)
+                assert got.tobytes() == want.tobytes(), (base, u)
+                for orders in all_orders:
+                    want = polynomial_partials(coeffs, u, orders)[0]
+                    _, terms = polynomial_partials(coeffs, np.ones(dim),
+                                                   orders)
                     got = _point_kernel(block, u, orders)
-                    assert got.shape == want.shape == (m, 2 ** dim)
-                    assert got.tobytes() == want.tobytes(), (base, u, orders)
+                    assert got.shape == (m, 2 ** dim)
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-12 * terms.max(axis=0)), (
+                        base, u, orders)
 
 
 # every public way to query one point, plus eval_batch on a one-row batch

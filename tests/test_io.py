@@ -174,6 +174,14 @@ class TestLoadGridCsv:
         with pytest.raises(MissingHeaderError):
             load_grid_csv(write_lines(tmp_path / "g.csv", lines))
 
+    def test_repeated_component_name(self, tmp_path):
+        # loaded, and query then wrote x,y,z,f,f,df_dx,...,df_dx,...,error:
+        # a reader looking columns up by name got one component twice
+        lines = ["x,y,z,f,f"] + [f"{x},{y},{z},1,2" for z in range(4)
+                                 for y in range(4) for x in range(4)]
+        with pytest.raises(InvalidArgumentError, match="repeats a name"):
+            load_grid_csv(write_lines(tmp_path / "g.csv", lines))
+
     def test_irregular_spacing(self, tmp_path):
         lines = ["x,y,z,f"]
         xs = [0.0, 1.0, 2.5, 3.0]
