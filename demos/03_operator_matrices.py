@@ -10,13 +10,14 @@ two exact matrices,
   constraint C -- integer; polynomial coefficients -> corner constraints
   difference F -- exact dyadic rationals; samples  -> corner constraints
 
-as inv(C) @ F. Both are corner tensor products of one 4x4 table per
-axis, whose row 2*p + s is the value (s = 0) or slope (s = 1) at corner
-u = p. This script prints M and the two tables, checks that
-operator_set(dim) is kron(M, ..., M), checks that C has an integer
-inverse (C @ inv == I exactly in int64), verifies C @ operator == F
-exactly in integers, and cross-checks the operator against an
-independent dense solve.
+as inv(C) @ F. Both are Kronecker powers of one 4x4 table per axis,
+whose row 2*p + s is the value (s = 0) or slope (s = 1) at corner
+u = p, with their rows put in corner order; hyperspline.operators
+builds all three matrices this one way. This script prints M and the
+two tables, checks that operator_set(dim) is kron(M, ..., M), checks
+that C has an integer inverse (C @ inv == I exactly in int64),
+verifies C @ operator == F exactly in integers, and cross-checks the
+operator against an independent dense solve.
 """
 
 from functools import reduce

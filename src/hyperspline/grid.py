@@ -289,8 +289,9 @@ class RegularGrid:
         read transposed.
     components : int, optional
         Number of field components m (default 1).
-    component_names : sequence of str, optional
-        Labels for CSV headers; defaults to ``f`` or ``f0, f1, ...``.
+    component_names : str or sequence of str, optional
+        Labels for CSV headers, a lone string naming the one component;
+        defaults to ``f`` or ``f0, f1, ...``.
 
     The samples are copied once into a vertex-major store (see the
     module docstring); ``values`` is a read-only view of it. The grid is
@@ -311,6 +312,7 @@ class RegularGrid:
             raise InvalidArgumentError(
                 f"components must be a positive integer, "
                 f"got {shown(components)}")
+        components = int(components)
         counts = tuple(a.count for a in axes)
         shape = counts[::-1] + (components,)
         # math.prod: np.prod wraps in int64, and a wrapped product of
@@ -463,14 +465,16 @@ def as_policy(policy) -> BoundaryPolicy:
 
 def as_component_names(names, components: int) -> tuple:
     """``names`` as a tuple of ``components`` strings; InvalidArgumentError
-    unless ``names`` is a sequence of that many labels, each one text
-    that a UTF-8 file can hold (a lone surrogate cannot) and that a CSV
-    header carries back unchanged: no comma, double quote or line break,
-    no leading or trailing whitespace, and no axis name (x, y, z, t),
-    which a header would read as a coordinate column; and distinct from
-    each other and from a results CSV's ``error`` and ``d<c>_d<axis>``."""
+    unless ``names`` is a sequence of that many labels (a lone string is
+    one label), each one text that a UTF-8 file can hold (a lone
+    surrogate cannot) and that a CSV header carries back unchanged: no
+    comma, double quote or line break, no leading or trailing
+    whitespace, and no axis name (x, y, z, t), which a header would read
+    as a coordinate column; and distinct from each other and from a
+    results CSV's ``error`` and ``d<c>_d<axis>``."""
     try:
-        labels = tuple(map(str, names)) if np.iterable(names) else ()
+        labels = ((names,) if isinstance(names, str)
+                  else tuple(map(str, names)) if np.iterable(names) else ())
     except ValueError:  # an integer past the 4,300-digit string limit
         raise InvalidArgumentError(
             f"component names must convert to text, "

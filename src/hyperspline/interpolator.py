@@ -274,15 +274,14 @@ class Interpolator:
         for an element outside the policy's valid range.
         """
         block = neighborhood_block(self.grid, elem, self.policy)
-        return (np.matmul(operator_set(self.dim), block[None])
-                .transpose(0, 2, 1)[0].copy())
+        return (operator_set(self.dim) @ block).T.copy()
 
     def cache_size(self) -> int:
-        """Always 0; kept for existing callers, goes with ROADMAP item 7."""
+        """Always 0; kept for existing callers, goes with ROADMAP item 6."""
         return 0
 
     def precompute_all(self):
-        """No-op; kept for existing callers, goes with ROADMAP item 7."""
+        """No-op; kept for existing callers, goes with ROADMAP item 6."""
 
     # -- point evaluation --------------------------------------------------
 

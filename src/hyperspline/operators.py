@@ -14,9 +14,9 @@ first use and shares it read-only; evaluation never asks for it.
 
 The paper derives the same operator from two matrices, kept here as
 the reference that verifies it. Per axis, a constraint is the value or
-the slope at u = 0 or u = 1, so both are corner tensor products of one
+the slope at u = 0 or u = 1, so each is the N-th Kronecker power of one
 4x4 table per axis (row ``2 * p + s``: value, s = 0, or slope, s = 1,
-at corner u = p):
+at corner u = p), its rows put in corner order:
 
 * the *constraint matrix* C, from ``CONSTRAINT_TABLE`` (column n: the
   monomial u^n), maps polynomial coefficients to the stacked
@@ -32,11 +32,16 @@ at corner u = p):
 inverse, and ``C @ operator == F`` holds in integer arithmetic, so the
 operator is exactly ``inv(C) @ F``.
 
+All three matrices are built one way, by :func:`_kron_power`: every
+per-axis entry is a small integer or a dyadic rational, so every
+product is exact in any order.
+
 Index conventions (shared with grid neighborhoods and coefficient
-tensors, so no permutations appear anywhere):
+tensors, so the only permutation is the corner order of C and F):
     constraint row   r = corner_mask * 2^dim + quantity_mask
                      (axis d reads table row 2 * bit_d(corner)
-                      + bit_d(quantity))
+                      + bit_d(quantity); Kronecker row
+                      sum_d (2 * bit_d(corner) + bit_d(quantity)) * 4^d)
     monomial column  e = sum_d exponent_d * 4^d        (x fastest)
     sample column    n = sum_d (offset_d + 1) * 4^d    (offsets -1..2)
                      (axis d reads table column digit_d)
@@ -80,13 +85,25 @@ def _check_dim(dim: int):
             f"dimension must be one of {SUPPORTED_DIMS}, got {shown(dim)}")
 
 
+# the per-axis table behind each matrix, by the name of its public builder
+_TABLES = {"operator_set": CATMULL_ROM,
+           "constraint_matrix": CONSTRAINT_TABLE,
+           "difference_matrix": DIFFERENCE_TABLE}
+
+
 @functools.cache
-def _kron_power(dim: int) -> np.ndarray:
-    # adding +0.0 turns the -0.0 products of kron into +0.0, so the
-    # matrix matches the exact product inv(C) @ F bit for bit
-    op = functools.reduce(np.kron, [CATMULL_ROM] * dim) + 0.0
-    op.flags.writeable = False
-    return op
+def _kron_power(name: str, dim: int) -> np.ndarray:
+    # adding 0 turns the -0.0 products of a float table into +0.0, so the
+    # operator matches the exact product inv(C) @ F bit for bit
+    mat = functools.reduce(np.kron, [_TABLES[name]] * dim) + 0
+    if name != "operator_set":
+        # kron row sum_d table_row_d * 4^d holds constraint (v, q), with
+        # table_row_d = 2 * bit_d(v) + bit_d(q); put them in corner order
+        bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+        rows = (2 * bits[:, None] + bits[None, :]) @ (4 ** np.arange(dim))
+        mat = mat[rows.ravel()]
+    mat.flags.writeable = False
+    return mat
 
 
 def operator_set(dim: int) -> np.ndarray:
@@ -97,53 +114,27 @@ def operator_set(dim: int) -> np.ndarray:
     the first call for ``dim``, then the same array every time.
     """
     _check_dim(dim)
-    return _kron_power(dim)
-
-
-def monomial_exponents(dim: int) -> np.ndarray:
-    """Per-axis exponents of column e: ``exps[e, d] = (e // 4**d) % 4``."""
-    e = np.arange(4 ** dim)
-    return np.stack([(e // 4 ** d) % 4 for d in range(dim)], axis=1)
-
-
-def _corner_product(table: np.ndarray, dim: int) -> np.ndarray:
-    """The ``(4^dim, 4^dim)`` matrix whose row for (corner v, quantity q)
-    is the tensor product over axes d of the per-axis table row
-    ``2 * bit_d(v) + bit_d(q)``: entry ``[(v, q), c]`` is the product of
-    ``table[2 * bit_d(v) + bit_d(q), digit_d(c)]``, with the base-4
-    digits of :func:`monomial_exponents`. Has the table's dtype."""
-    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
-    rows = (2 * bits[:, None] + bits[None, :]).reshape(-1, 1, dim)
-    # adding 0 turns the -0.0 products of a float table into +0.0
-    return table[rows, monomial_exponents(dim)].prod(axis=2) + 0
-
-
-@functools.cache
-def _corner_products(dim: int) -> tuple:
-    mats = (_corner_product(CONSTRAINT_TABLE, dim),
-            _corner_product(DIFFERENCE_TABLE, dim))
-    for mat in mats:
-        mat.flags.writeable = False
-    return mats
+    return _kron_power("operator_set", dim)
 
 
 def constraint_matrix(dim: int) -> np.ndarray:
     """Integer matrix taking unit-cell polynomial coefficients to the
-    constraint values at the element corners: the corner tensor product
-    of ``CONSTRAINT_TABLE``. Built on the first call for ``dim``, then
-    the same read-only array every time."""
+    constraint values at the element corners: the Kronecker power of
+    ``CONSTRAINT_TABLE``, rows in corner order. Built on the first call
+    for ``dim``, then the same read-only array every time."""
     _check_dim(dim)
-    return _corner_products(dim)[0]
+    return _kron_power("constraint_matrix", dim)
 
 
 def difference_matrix(dim: int) -> np.ndarray:
     """Central-difference operator from the sample neighborhood to the
-    constraint values, as a dense float64 matrix: the corner tensor
-    product of ``DIFFERENCE_TABLE``. A row of derivative order k has
-    2^k nonzeros of magnitude 2^-k, exact in float64. Built on the
-    first call for ``dim``, then the same read-only array every time."""
+    constraint values, as a dense float64 matrix: the Kronecker power
+    of ``DIFFERENCE_TABLE``, rows in corner order. A row of derivative
+    order k has 2^k nonzeros of magnitude 2^-k, exact in float64. Built
+    on the first call for ``dim``, then the same read-only array every
+    time."""
     _check_dim(dim)
-    return _corner_products(dim)[1]
+    return _kron_power("difference_matrix", dim)
 
 
 def integer_inverse(matrix: np.ndarray):

@@ -1,4 +1,5 @@
 import copy
+import json
 import pickle
 import re
 import tracemalloc
@@ -307,6 +308,25 @@ class TestRegularGrid:
         assert grid.element_counts(GHOST) == (3, 3, 3, 3)
         assert grid.queryable_domain(STRICT) == (((1.0, 2.0),) * 4)
         assert grid.queryable_domain(GHOST) == (((0.0, 3.0),) * 4)
+
+    def test_lone_string_is_one_component_name(self):
+        # a str was split into characters: "Bx" failed as two names for
+        # one component, and "ab" named two components "a" and "b"
+        grid = RegularGrid([Axis(0, 1, 4)] * 3, np.zeros(64),
+                           component_names="Bx")
+        assert grid.component_names == ("Bx",)
+        with pytest.raises(InvalidArgumentError,
+                           match="need 2 component names, got 'ab'"):
+            RegularGrid([Axis(0, 1, 4)] * 3, np.zeros((64, 2)),
+                        components=2, component_names="ab")
+
+    def test_numpy_integer_components_stored_as_int(self):
+        # np.int64(3) was kept as given, which json.dumps cannot write
+        grid = RegularGrid([Axis(0, 1, 4)] * 3, np.zeros((64, 3)),
+                           components=np.int64(3))
+        assert type(grid.components) is int
+        assert json.dumps(grid.components) == "3"
+        assert pickle.loads(pickle.dumps(grid)).components == 3
 
     @pytest.mark.parametrize("names", [["\udc80"], ["f\ud800"]])
     def test_rejects_unencodable_component_names(self, names):

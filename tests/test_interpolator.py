@@ -838,12 +838,17 @@ class TestSharedKernel:
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
     @pytest.mark.parametrize("orders", [
-        (2, 0, 0, 0), (0, 3, 0, 0), (1, 2, 0, 1), (2, 1, 3, 0), (3, 3, 3, 3)],
-        ids=["xx", "yyy", "mixed-1-2-0-1", "mixed-2-1-3-0", "all-3"])
+        (2, 0, 0, 0), (0, 3, 0, 0), (1, 2, 0, 1), (2, 1, 3, 0), (1, 1, 1, 2),
+        (3, 3, 3, 3)],
+        ids=["xx", "yyy", "mixed-1-2-0-1", "mixed-2-1-3-0", "mixed-1-1-1-2",
+             "all-3"])
     def test_higher_orders_match_coefficient_polynomial(
             self, kernel_case, policy, orders):
         # rounding level relative to the reference's sum of absolute
-        # terms, which grows with the order
+        # terms over the cell (at u = 1), which grows with the order: at
+        # the point's own u the sum can be one coefficient formed by
+        # cancellation (at u = 0), which correct code misses by 1.8e-11
+        # of it under the order vector (1, 1, 1, 2)
         interp, pts, scalar = kernel_case[policy]
         grid = interp.grid
         orders = orders[:interp.dim]
@@ -853,8 +858,9 @@ class TestSharedKernel:
             if r is None:
                 continue
             elem, u = locate(grid, p, policy)
-            want, terms = polynomial_partials(
-                oracle_coefficients(grid, elem, policy), u, orders)
+            coeffs = oracle_coefficients(grid, elem, policy)
+            want, _ = polynomial_partials(coeffs, u, orders)
+            _, terms = polynomial_partials(coeffs, np.ones(grid.dim), orders)
             assert_allclose(interp.derivative(p, orders), want[:, col] / scale,
                             rtol=0, atol=1e-12 * np.max(terms[:, col]) / scale)
 

@@ -508,6 +508,17 @@ class TestResultsCsv:
         assert header == result_header(3, grid3.component_names)
 
 
+    def test_lone_string_names_the_one_component(self, tmp_path):
+        # a str was split into characters: "Bx" read as two names for one
+        # component and was refused
+        grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
+        pts = np.full((2, 3), 2.0)
+        res = Interpolator(grid).eval_batch(pts)
+        path = tmp_path / "out.csv"
+        write_results_csv(path, pts, res, "Bx")
+        header = path.read_text(encoding="utf-8").split("\n")[0]
+        assert header.split(",") == result_header(3, ("Bx",))
+
     def test_open_stream_written_and_left_open(self, tmp_path):
         grid = sample(linear_field(3), [Axis(0, 1, 5)] * 3)
         pts = np.array([[2.0, 2.5, 1.5], [9.0, 0.0, 0.0]])

@@ -15,10 +15,15 @@ from hyperspline.operators import (
     constraint_matrix,
     difference_matrix,
     integer_inverse,
-    monomial_exponents,
     operator_is_exact,
     operator_set,
 )
+
+
+def monomial_exponents(dim: int) -> np.ndarray:
+    """Per-axis exponents of column e: ``exps[e, d] = (e // 4**d) % 4``."""
+    e = np.arange(4 ** dim)
+    return np.stack([(e // 4 ** d) % 4 for d in range(dim)], axis=1)
 
 
 def neighborhood_offsets(dim: int) -> np.ndarray:
@@ -224,6 +229,26 @@ class TestDifferenceMatrix:
                 assert nonzero.size == 2 ** order
                 assert np.all(np.abs(nonzero) == 2.0 ** -order)
                 assert row.sum() == (1 if q == 0 else 0)
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_against_direct_centred_differences(self, dim):
+        # independent evaluation of each entry from the centred-difference
+        # definition: per axis, the sample at the corner (value) or half
+        # the difference of its two neighbours (slope); pins the row order
+        d = difference_matrix(dim)
+        offs = neighborhood_offsets(dim)
+        corners = range(1 << dim)
+        for v, q in itertools.product(corners, corners):
+            p = [(v >> k) & 1 for k in range(dim)]
+            for col in range(4 ** dim):
+                val = 1.0
+                for k in range(dim):
+                    o = int(offs[col, k])
+                    if (q >> k) & 1:
+                        val *= 0.5 * (o == p[k] + 1) - 0.5 * (o == p[k] - 1)
+                    else:
+                        val *= float(o == p[k])
+                assert d[v * (1 << dim) + q, col] == val
 
     def test_exact_on_quadratic(self):
         # f(x) = x^2 about global x = 2: slope estimate (9 - 1)/2 = 4
