@@ -4,7 +4,7 @@ What the method guarantees, and what it does not
 
 Two studies on smooth test fields:
 
-* continuity scan -- values and first partials agree across element
+* the C1 check -- values and first partials agree across element
   faces to rounding (the design guarantee); second partials visibly
   jump (inherent to every cubic-spline scheme, left unfixed on purpose)
 * convergence study -- the error of the centered-difference-fed cubic
@@ -17,7 +17,7 @@ import numpy as np
 
 from hyperspline import Axis, Interpolator
 from hyperspline.fields import (
-    continuity_scan,
+    check_c1_continuity,
     convergence_study,
     sample,
     trig_product_field,
@@ -27,10 +27,10 @@ field = trig_product_field(4)
 grid = sample(field, [Axis(0.0, 0.5, 7)] * 4)
 interp = Interpolator(grid)
 
-rep = continuity_scan(interp, 2000, seed=0)
+_, jumps = check_c1_continuity(interp, 2000, seed=0)
 print("continuity across shared element faces (2000 samples):")
-print(f"  max |value jump|     {rep.max_value_jump:.2e}")
-print(f"  max |gradient jump|  {rep.max_gradient_jump:.2e}")
+print(f"  max |value jump|     {jumps['value_jump']:.2e}")
+print(f"  max |gradient jump|  {jumps['gradient_jump']:.2e}")
 
 # second partials: evaluate d2f/dx2 a hair on either side of a face
 eps = 1e-7 * grid.axes[0].spacing
@@ -46,9 +46,9 @@ study = convergence_study(trig_product_field(3), lo=np.zeros(3),
                           hi=np.full(3, 3.0), base_count=9, n_levels=4,
                           n_probes=40, seed=0)
 print("  spacing     max error")
-for h, e in zip(study.spacings, study.max_errors):
+for h, e in zip(study["spacings"], study["errors"]):
     print(f"  {h:9.5f}  {e:.3e}")
-print(f"  fitted order: {study.fitted_order:.2f}")
+print(f"  fitted order: {study['order']:.2f}")
 
 try:
     import matplotlib
@@ -57,9 +57,9 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(5, 4))
-    ax.loglog(study.spacings, study.max_errors, "o-", label="measured")
-    h = np.array(study.spacings)
-    ax.loglog(h, study.max_errors[0] * (h / h[0]) ** 3, "--",
+    ax.loglog(study["spacings"], study["errors"], "o-", label="measured")
+    h = np.array(study["spacings"])
+    ax.loglog(h, study["errors"][0] * (h / h[0]) ** 3, "--",
               label="h^3 reference")
     ax.set_xlabel("grid spacing h")
     ax.set_ylabel("max |error|")

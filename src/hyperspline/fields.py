@@ -21,8 +21,8 @@ Module contents:
                          -- field builders
     sample               -- evaluate a field on a grid
     oracle_coefficients  -- dense-solve route to element coefficients
-    continuity_scan      -- max value/gradient jump across element faces
-    convergence_study    -- empirical accuracy order under refinement
+    convergence_study    -- empirical accuracy order under refinement, as
+                            metrics: order, errors, spacings
     catmull_rom_1d       -- reference 1-d cubic through 4 uniform samples
     check_*              -- the release checks, each -> (ok, metrics)
     release_checks       -- the checks ``hyperspline validate`` runs, in order
@@ -36,7 +36,7 @@ from functools import partial
 import numpy as np
 
 from . import operators
-from .errors import DimensionMismatchError, InvalidArgumentError
+from .errors import DimensionMismatchError, InvalidArgumentError, shown
 from .grid import (SUPPORTED_DIMS, Axis, BoundaryPolicy, ElementRef,
                    RegularGrid, lattice, neighborhood_block)
 from .interpolator import Interpolator
@@ -73,7 +73,7 @@ class AnalyticField:
             g = np.asarray(self.gradient(p), dtype=np.float64)
             if v.shape != (self.components,) or g.shape != (self.components,
                                                             self.dim):
-                raise ValueError(
+                raise InvalidArgumentError(
                     f"field '{self.descriptor}' returned shapes {v.shape} / "
                     f"{g.shape}, expected ({self.components},) / "
                     f"({self.components}, {self.dim})")
@@ -84,7 +84,7 @@ class AnalyticField:
                       - np.asarray(self.value(p - step))) / (2 * h)
                 scale = np.maximum(np.abs(g[:, d]), 1.0)
                 if np.any(np.abs(fd - g[:, d]) > 1e-4 * scale):
-                    raise ValueError(
+                    raise InvalidArgumentError(
                         f"field '{self.descriptor}' gradient disagrees with "
                         f"finite differences on axis {d}")
 
@@ -248,84 +248,34 @@ def oracle_coefficients(grid: RegularGrid, elem: ElementRef,
     return alpha.T.copy()
 
 
-@dataclass(frozen=True)
-class ContinuityReport:
-    """Worst-case discrepancies found on shared element faces."""
-
-    n_samples: int
-    max_value_jump: float
-    max_gradient_jump: float
-
-
-def continuity_scan(interp: Interpolator, n_samples: int,
-                    seed: int = 0) -> ContinuityReport:
-    """Measure value/gradient agreement across shared element faces.
-
-    Samples random points on random interior faces and evaluates each
-    from both adjacent elements (local coordinate 1 on the lower side,
-    0 on the upper); the two-sided evaluation is its own oracle. Smooth
-    fields of order-1 magnitude should show jumps at rounding level.
-    """
-    rng = np.random.default_rng(seed)
-    ranges = interp.grid.element_base_range(interp.policy)
-    axes_with_pairs = [d for d, (lo, hi) in enumerate(ranges) if hi > lo]
-    if not axes_with_pairs:
-        raise InvalidArgumentError(
-            "grid has no pair of adjacent valid elements")
-    max_v = 0.0
-    max_g = 0.0
-    for _ in range(n_samples):
-        d = axes_with_pairs[rng.integers(len(axes_with_pairs))]
-        base = [int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
-        if base[d] == ranges[d][1]:
-            base[d] -= 1
-        left = ElementRef(tuple(base))
-        rbase = list(base)
-        rbase[d] += 1
-        right = ElementRef(tuple(rbase))
-        u = rng.uniform(0.0, 1.0, size=interp.dim)
-        u_left = u.copy()
-        u_left[d] = 1.0
-        u_right = u.copy()
-        u_right[d] = 0.0
-        a = interp.eval_local(left, u_left)
-        b = interp.eval_local(right, u_right)
-        max_v = max(max_v, float(np.max(np.abs(a.values - b.values))))
-        max_g = max(max_g, float(np.max(np.abs(a.gradient - b.gradient))))
-    return ContinuityReport(n_samples, max_v, max_g)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Max interpolation error per refinement level and the fitted order."""
-
-    spacings: tuple
-    max_errors: tuple
-    fitted_order: float
-
-    @property
-    def strictly_decreasing(self) -> bool:
-        e = self.max_errors
-        return all(b < a for a, b in zip(e, e[1:]))
-
-
 def convergence_study(afield: AnalyticField, lo, hi,
                       base_count: int = 9, n_levels: int = 4,
-                      n_probes: int = 40, seed: int = 0
-                      ) -> ConvergenceReport:
+                      n_probes: int = 40, seed: int = 0) -> dict:
     """Empirical accuracy order of the interpolant for one field.
 
     Samples the field on grids over ``[lo, hi]^dim`` whose resolution
     doubles per level, interpolates at one fixed set of interior probe
     points, and fits the slope of log2(max error) against log2(spacing).
     Probes are drawn once, inside the strict queryable domain of the
-    coarsest grid, from a seeded generator.
+    coarsest grid, from a seeded generator. Returns the metrics
+    ``{"order": fitted slope, "errors": max error per level,
+    "spacings": largest spacing per level}``. Raises
+    InvalidArgumentError unless ``lo < hi``, both finite, on every axis,
+    ``base_count >= 4``, ``n_levels >= 2`` and ``n_probes >= 1``.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     dim = afield.dim
     if lo.shape != (dim,) or hi.shape != (dim,):
         raise DimensionMismatchError(f"lo/hi must each have {dim} entries")
+    if not np.all((lo < hi) & np.isfinite(lo) & np.isfinite(hi)):
+        raise InvalidArgumentError(
+            f"need finite lo < hi on every axis, got lo={lo.tolist()}, "
+            f"hi={hi.tolist()}")
+    if base_count < 4 or n_levels < 2 or n_probes < 1:
+        raise InvalidArgumentError(
+            f"need base_count >= 4, n_levels >= 2 and n_probes >= 1, got "
+            f"{shown(base_count)}, {shown(n_levels)} and {shown(n_probes)}")
     coarse_h = (hi - lo) / (base_count - 1)
     rng = np.random.default_rng(seed)
     probes = rng.uniform(lo + 1.05 * coarse_h, hi - 1.05 * coarse_h,
@@ -349,7 +299,8 @@ def convergence_study(afield: AnalyticField, lo, hi,
     log_h = np.log2(spacings)
     log_e = np.log2(np.maximum(errors, 1e-300))
     order = float(np.polyfit(log_h, log_e, 1)[0])
-    return ConvergenceReport(tuple(spacings), tuple(errors), order)
+    return {"order": order, "errors": tuple(errors),
+            "spacings": tuple(spacings)}
 
 
 def catmull_rom_1d(f_m1: float, f_0: float, f_1: float, f_2: float,
@@ -467,11 +418,38 @@ def check_cubic_inexactness(dim: int, n_points: int, seed):
 
 def check_c1_continuity(interp: Interpolator, n_samples: int, seed):
     """Values and first partials agree across shared element faces to
-    rounding (:func:`continuity_scan`)."""
-    scan = continuity_scan(interp, n_samples, seed)
-    return (max(scan.max_value_jump, scan.max_gradient_jump) <= 1e-9,
-            {"value_jump": scan.max_value_jump,
-             "gradient_jump": scan.max_gradient_jump})
+    rounding: at random points on random interior faces, each evaluated
+    from both adjacent elements (local coordinate 1 on the lower side, 0
+    on the upper), the largest value and partial jumps. The two-sided
+    evaluation is its own oracle. Raises InvalidArgumentError on a grid
+    with no pair of adjacent valid elements."""
+    rng = np.random.default_rng(seed)
+    ranges = interp.grid.element_base_range(interp.policy)
+    axes_with_pairs = [d for d, (lo, hi) in enumerate(ranges) if hi > lo]
+    if not axes_with_pairs:
+        raise InvalidArgumentError(
+            "grid has no pair of adjacent valid elements")
+    value_jump = 0.0
+    gradient_jump = 0.0
+    for _ in range(n_samples):
+        d = axes_with_pairs[rng.integers(len(axes_with_pairs))]
+        base = [int(rng.integers(lo, hi + 1)) for lo, hi in ranges]
+        if base[d] == ranges[d][1]:
+            base[d] -= 1
+        rbase = list(base)
+        rbase[d] += 1
+        u_left = rng.uniform(0.0, 1.0, size=interp.dim)
+        u_right = u_left.copy()
+        u_left[d] = 1.0
+        u_right[d] = 0.0
+        a = interp.eval_local(ElementRef(tuple(base)), u_left)
+        b = interp.eval_local(ElementRef(tuple(rbase)), u_right)
+        value_jump = max(value_jump,
+                         float(np.max(np.abs(a.values - b.values))))
+        gradient_jump = max(gradient_jump,
+                            float(np.max(np.abs(a.gradient - b.gradient))))
+    return (max(value_jump, gradient_jump) <= 1e-9,
+            {"value_jump": value_jump, "gradient_jump": gradient_jump})
 
 
 def check_c2_jump(interp: Interpolator, n_probes: int, seed):
@@ -546,8 +524,9 @@ def check_convergence_order(seed):
     study = convergence_study(
         trig_product_field(3), lo=np.zeros(3), hi=np.full(3, 3.0),
         base_count=9, n_levels=4, n_probes=40, seed=seed)
-    return (study.fitted_order >= 2.7 and study.strictly_decreasing,
-            {"order": study.fitted_order, "errors": study.max_errors})
+    order, e = study["order"], study["errors"]
+    return (order >= 2.7 and all(b < a for a, b in zip(e, e[1:])),
+            {"order": order, "errors": e})
 
 
 def release_checks(grid, seed: int):

@@ -13,9 +13,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperspline import Axis, RegularGrid, interpolator
+from hyperspline import (Axis, Interpolator, InvalidArgumentError,
+                         RegularGrid, interpolator)
 from hyperspline.cli import main
-from hyperspline.fields import linear_field, sample, trig_product_field
+from hyperspline.fields import (check_c1_continuity, linear_field, sample,
+                                trig_product_field)
 from hyperspline.grid import locate_points
 from hyperspline.io import load_grid_csv, write_grid_csv
 
@@ -453,6 +455,27 @@ class TestValidate:
         assert "SKIP exactness_quadratic" in out
         assert "SKIP convergence_order" in out
         assert "c1_continuity" in out
+
+    @pytest.mark.parametrize("counts, skipped", [((4, 4, 4), True),
+                                                 ((5, 4, 4), False)])
+    def test_c1_check_skipped_without_adjacent_elements(
+            self, tmp_path, capsys, counts, skipped):
+        # a 4-point axis holds one strict element, so 4x4x4 has no face
+        # between two; validate skips the check that would raise there
+        grid = sample(trig_product_field(3),
+                      [Axis(0.0, 0.5, n) for n in counts])
+        path = tmp_path / "grid.csv"
+        write_grid_csv(path, grid)
+        assert main(["validate", str(path), "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert ("SKIP c1_continuity reason=too_few_elements\n" in out) \
+            == skipped
+        assert ("PASS c1_continuity value_jump=" in out) != skipped
+        if skipped:
+            with pytest.raises(InvalidArgumentError, match="adjacent"):
+                check_c1_continuity(Interpolator(grid), 10, 3)
+        else:
+            assert check_c1_continuity(Interpolator(grid), 10, 3)[0]
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_large_magnitude_user_grid_passes(self, tmp_path, capsys, dim):

@@ -1,3 +1,4 @@
+import re
 import runpy
 import sys
 import types
@@ -72,8 +73,13 @@ def test_continuity_demo_runs(tmp_path, monkeypatch, capsys, with_matplotlib):
     runpy.run_path(str(DEMOS / "04_continuity_and_convergence.py"),
                    run_name="__main__")
     out = capsys.readouterr().out
-    assert "max |gradient jump|" in out
-    assert "fitted order" in out
+    # the C1 check's and the convergence study's metrics, as printed
+    jumps = re.findall(r"max \|(?:value|gradient) jump\| +(\S+)\n", out)
+    assert len(jumps) == 2 and max(map(float, jumps)) <= 1e-9
+    errors = [float(e) for e in re.findall(r"^ +[0-9.]+ +(\S+)$", out, re.M)]
+    assert len(errors) == 4
+    assert all(b < a for a, b in zip(errors, errors[1:]))
+    assert float(re.search(r"fitted order: (\S+)\n", out)[1]) >= 2.7
     saved = tmp_path / "demo_output" / "convergence.png"
     assert ("saved demo_output/convergence.png" in out) == with_matplotlib
     assert saved.exists() == with_matplotlib

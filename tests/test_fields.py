@@ -4,16 +4,16 @@ from numpy.testing import assert_allclose
 
 from hyperspline import (Axis, BoundaryPolicy, DimensionMismatchError,
                          ElementRef, HypersplineError, Interpolator,
-                         RegularGrid)
+                         InvalidArgumentError, RegularGrid)
 from hyperspline import interpolator
 from hyperspline.fields import (
     AnalyticField,
     catmull_rom_1d,
     check_c1_continuity,
     check_c2_jump,
+    check_convergence_order,
     check_fused_oracle,
     constant_field,
-    continuity_scan,
     convergence_study,
     linear_field,
     multilinear_field,
@@ -29,20 +29,22 @@ STRICT = BoundaryPolicy.STRICT
 
 class TestAnalyticField:
     def test_rejects_inconsistent_gradient(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             AnalyticField(
                 3, 1,
                 lambda p: np.array([p[0] ** 2]),
                 lambda p: np.array([[1.0, 0.0, 0.0]]),  # wrong: should be 2x
                 "broken pair", check_box=((1.0, 2.0),))
+        assert isinstance(info.value, InvalidArgumentError)
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             AnalyticField(
                 3, 1,
                 lambda p: np.array([1.0, 2.0]),  # two components declared one
                 lambda p: np.zeros((1, 3)),
                 "bad shape")
+        assert isinstance(info.value, InvalidArgumentError)
 
     def test_quadrupole_shape(self):
         q = quadrupole_field()
@@ -132,7 +134,7 @@ class TestFusedOracleCheck:
 
 
 class TestTypedErrors:
-    # sample and continuity_scan are covered in their own classes
+    # sample is covered in its own class
     @pytest.mark.parametrize("check", [check_c1_continuity, check_c2_jump])
     def test_checks_need_adjacent_elements(self, check):
         # a 4^3 grid holds one strict element, so no face between two
@@ -146,31 +148,47 @@ class TestTypedErrors:
         with pytest.raises(HypersplineError):
             convergence_study(trig_product_field(3), lo, hi)
 
+    @pytest.mark.parametrize("lo,hi,kwargs", [
+        ([3.0] * 3, [0.0] * 3, {}),
+        ([0.0] * 3, [3.0, 0.0, 3.0], {}),
+        ([0.0, np.nan, 0.0], [3.0] * 3, {}),
+        ([0.0] * 3, [np.inf] * 3, {}),
+        ([0.0] * 3, [3.0] * 3, {"base_count": 3}),
+        ([0.0] * 3, [3.0] * 3, {"n_levels": 1}),
+        ([0.0] * 3, [3.0] * 3, {"n_probes": 0})],
+        ids=["reversed", "empty-axis", "nan", "inf", "base_count-3",
+             "n_levels-1", "n_probes-0"])
+    def test_convergence_bad_range_or_counts(self, lo, hi, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            convergence_study(trig_product_field(3), lo, hi, **kwargs)
+
 
 class TestContinuityScan:
     def test_linear_field_jumps_at_rounding_level(self):
         grid = sample(linear_field(3), [Axis(0, 1, 6)] * 3)
-        rep = continuity_scan(Interpolator(grid), 200, seed=0)
-        assert rep.max_value_jump <= 1e-12
-        assert rep.max_gradient_jump <= 1e-12
+        ok, rep = check_c1_continuity(Interpolator(grid), 200, seed=0)
+        assert ok
+        assert sorted(rep) == ["gradient_jump", "value_jump"]
+        assert rep["value_jump"] <= 1e-12
+        assert rep["gradient_jump"] <= 1e-12
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_smooth_field_jumps_below_c1_tolerance(self, dim):
         grid = sample(trig_product_field(dim), [Axis(0.0, 0.5, 7)] * dim)
-        rep = continuity_scan(Interpolator(grid), 300, seed=1)
-        assert rep.max_value_jump <= 1e-9
-        assert rep.max_gradient_jump <= 1e-9
+        _, rep = check_c1_continuity(Interpolator(grid), 300, seed=1)
+        assert rep["value_jump"] <= 1e-9
+        assert rep["gradient_jump"] <= 1e-9
 
     def test_vector_field(self):
         grid = sample(quadrupole_field(), [Axis(-1.5, 0.5, 7)] * 4)
-        rep = continuity_scan(Interpolator(grid), 200, seed=2)
-        assert rep.max_value_jump <= 1e-9
-        assert rep.max_gradient_jump <= 1e-9
+        _, rep = check_c1_continuity(Interpolator(grid), 200, seed=2)
+        assert rep["value_jump"] <= 1e-9
+        assert rep["gradient_jump"] <= 1e-9
 
     def test_needs_adjacent_elements(self):
         grid = sample(constant_field(3), [Axis(0, 1, 4)] * 3)
-        with pytest.raises(HypersplineError, match="adjacent"):
-            continuity_scan(Interpolator(grid), 10)
+        with pytest.raises(InvalidArgumentError, match="adjacent"):
+            check_c1_continuity(Interpolator(grid), 10, 0)
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_entire_builtin_roster(self, dim):
@@ -185,10 +203,10 @@ class TestContinuityScan:
                 else afield.check_box
             axes = [Axis(box[d][0], (box[d][1] - box[d][0]) / 5, 6)
                     for d in range(dim)]
-            rep = continuity_scan(Interpolator(sample(afield, axes)),
-                                  100, seed=5)
-            assert rep.max_value_jump <= 1e-9, afield.descriptor
-            assert rep.max_gradient_jump <= 1e-9, afield.descriptor
+            _, rep = check_c1_continuity(Interpolator(sample(afield, axes)),
+                                         100, seed=5)
+            assert rep["value_jump"] <= 1e-9, afield.descriptor
+            assert rep["gradient_jump"] <= 1e-9, afield.descriptor
 
 
 class TestConvergence:
@@ -198,21 +216,26 @@ class TestConvergence:
         rep = convergence_study(field, lo=np.full(3, -1.0),
                                 hi=np.full(3, 1.0), base_count=7,
                                 n_levels=3, n_probes=20, seed=3)
-        assert max(rep.max_errors) < 1e-11
+        assert max(rep["errors"]) < 1e-11
 
     def test_trig_field_order_and_monotonicity(self):
         rep = convergence_study(trig_product_field(3), lo=np.zeros(3),
                                 hi=np.full(3, 3.0), base_count=9,
                                 n_levels=4, n_probes=40, seed=4)
-        assert rep.fitted_order >= 2.7
-        assert rep.strictly_decreasing
+        e = rep["errors"]
+        assert rep["order"] >= 2.7
+        assert all(b < a for a, b in zip(e, e[1:]))
+        # the release check runs this study and reports its metrics
+        assert check_convergence_order(4) == (True, {"order": rep["order"],
+                                                     "errors": e})
 
     def test_report_fields(self):
         rep = convergence_study(trig_product_field(3), lo=np.zeros(3),
                                 hi=np.full(3, 3.0), base_count=9,
                                 n_levels=2, n_probes=10, seed=5)
-        assert len(rep.spacings) == 2
-        assert rep.spacings[1] == pytest.approx(rep.spacings[0] / 2)
+        assert sorted(rep) == ["errors", "order", "spacings"]
+        assert len(rep["spacings"]) == len(rep["errors"]) == 2
+        assert rep["spacings"][1] == pytest.approx(rep["spacings"][0] / 2)
 
 
 class TestCatmullRom:
