@@ -90,8 +90,7 @@ def _workload(name: str, policy, rng):
     at = lattice(axes)
     if len(axes) == 3:  # the t = 0 slice
         at = np.column_stack([at, np.zeros(len(at))])
-    grid = RegularGrid(axes, np.array([field.value(p) for p in at]),
-                       components=field.components)
+    grid = RegularGrid(axes, field.value(at), components=field.components)
     interp = Interpolator(grid, policy)
     if isinstance(n, tuple):
         return interp, _tracks(grid, *n, rng), calls

@@ -8,14 +8,20 @@ continuity and accuracy the interpolant is supposed to deliver, and
 the release checks that ``hyperspline validate`` and the acceptance
 tests both run.
 
+A field takes arrays of points: ``value(points)`` maps a ``(..., dim)``
+array to ``(..., m)`` and ``gradient(points)`` to ``(..., m, dim)``, so
+a grid, a probe set or a workload is one call, and one ``(dim,)`` point
+gives ``(m,)`` and ``(m, dim)``. For every field built here, an array
+call equals the per-point calls row for row, bit for bit.
+
 Every polynomial here is evaluated one way: the constant, linear,
 multilinear and tensor-polynomial fields, and the oracle's element
 polynomial in :func:`check_fused_oracle`, are coefficient tensors whose
-axis d holds the powers of coordinate d, contracted with those powers
-by ``_polynomial``.
+axis d holds the powers of coordinate d, reduced by ``_polynomial``
+with Horner's rule along each axis in turn.
 
 Module contents:
-    AnalyticField        -- value + gradient callables with a self-check
+    AnalyticField        -- array value + gradient callables with a self-check
     constant_field, linear_field, multilinear_field,
     tensor_polynomial_field, trig_product_field, quadrupole_field
                          -- field builders
@@ -31,14 +37,14 @@ Module contents:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
 from . import operators
 from .errors import DimensionMismatchError, InvalidArgumentError, shown
 from .grid import (SUPPORTED_DIMS, Axis, BoundaryPolicy, ElementRef,
-                   RegularGrid, lattice, neighborhood_block)
+                   RegularGrid, is_integer, lattice, neighborhood_block)
 from .interpolator import Interpolator
 from .operators import operator_is_exact
 
@@ -47,9 +53,12 @@ from .operators import operator_is_exact
 class AnalyticField:
     """A field with analytically known value and gradient.
 
-    ``value(point) -> (m,)`` and ``gradient(point) -> (m, dim)`` must be
-    consistent; construction spot-checks the gradient against central
-    finite differences at a few points and refuses mismatched pairs.
+    ``value(points)`` maps a ``(..., dim)`` array of points to
+    ``(..., m)`` and ``gradient(points)`` to ``(..., m, dim)``; a single
+    ``(dim,)`` point gives ``(m,)`` and ``(m, dim)``. The two must be
+    consistent: construction checks the shapes and the gradient against
+    central finite differences at three points, in three calls whatever
+    ``dim`` is, and refuses mismatched pairs.
     """
 
     dim: int
@@ -60,45 +69,52 @@ class AnalyticField:
     check_box: tuple = field(default=((0.0, 1.0),), repr=False)
 
     def __post_init__(self):
+        m, dim = self.components, self.dim
         rng = np.random.default_rng(17)
         box = self.check_box
         if len(box) == 1:
-            box = box * self.dim
+            box = box * dim
         lo = np.array([b[0] for b in box])
         hi = np.array([b[1] for b in box])
         h = 1e-6 * np.max(hi - lo)
-        for _ in range(3):
-            p = rng.uniform(lo + 2 * h, hi - 2 * h)
-            v = np.asarray(self.value(p), dtype=np.float64)
-            g = np.asarray(self.gradient(p), dtype=np.float64)
-            if v.shape != (self.components,) or g.shape != (self.components,
-                                                            self.dim):
-                raise InvalidArgumentError(
-                    f"field '{self.descriptor}' returned shapes {v.shape} / "
-                    f"{g.shape}, expected ({self.components},) / "
-                    f"({self.components}, {self.dim})")
-            for d in range(self.dim):
-                step = np.zeros(self.dim)
-                step[d] = h
-                fd = (np.asarray(self.value(p + step))
-                      - np.asarray(self.value(p - step))) / (2 * h)
-                scale = np.maximum(np.abs(g[:, d]), 1.0)
-                if np.any(np.abs(fd - g[:, d]) > 1e-4 * scale):
-                    raise InvalidArgumentError(
-                        f"field '{self.descriptor}' gradient disagrees with "
-                        f"finite differences on axis {d}")
+        p = rng.uniform(lo + 2 * h, hi - 2 * h, size=(3, dim))
+        v = np.asarray(self.value(p), dtype=np.float64)
+        g = np.asarray(self.gradient(p), dtype=np.float64)
+        # value at p + h e_d (row 0) and p - h e_d (row 1) for every axis d
+        steps = np.array([h, -h])[:, None, None] * np.eye(dim)
+        near = np.asarray(self.value(p[:, None, None] + steps),
+                          dtype=np.float64)
+        want = (3, m), (3, m, dim), (3, 2, dim, m)
+        if (v.shape, g.shape, near.shape) != want:
+            raise InvalidArgumentError(
+                f"field '{self.descriptor}' returned shapes {v.shape} / "
+                f"{g.shape} / {near.shape}, expected "
+                f"{' / '.join(map(str, want))}")
+        fd = ((near[:, 0] - near[:, 1]) / (2 * h)).swapaxes(1, 2)
+        bad = np.abs(fd - g) > 1e-4 * np.maximum(np.abs(g), 1.0)
+        if np.any(bad):
+            raise InvalidArgumentError(
+                f"field '{self.descriptor}' gradient disagrees with finite "
+                f"differences on axis {int(np.argmax(bad.any(axis=(0, 1))))}")
 
 
-def _polynomial(coeffs: np.ndarray, p, axis=None) -> float:
-    """The sum of ``coeffs[k] * prod_d p[d] ** k[d]`` at ``p``, or its
-    partial along ``axis``: ``coeffs`` contracted with the powers of each
-    coordinate (their derivatives on ``axis``), last axis first."""
+def _polynomial(coeffs: np.ndarray, p, axis=None) -> np.ndarray:
+    """The sum of ``coeffs[k] * prod_d p[..., d] ** k[d]`` at each point of
+    ``p``, ``(..., dim) -> (...)``, or its partial along ``axis``: Horner's
+    rule along each axis of ``coeffs``, last first. Only elementwise
+    products and sums, so a point's result has the same bits in any batch."""
+    p = np.asarray(p, dtype=np.float64)
     acc = coeffs
     for d in range(coeffs.ndim - 1, -1, -1):
-        k = np.arange(coeffs.shape[d])
-        acc = acc @ (k * p[d] ** np.maximum(k - 1, 0) if d == axis
-                     else p[d] ** k)
-    return float(acc)
+        # acc's last axis is coeffs' axis d, after any batch axes
+        x = p[..., d].reshape(p.shape[:-1] + (1,) * d)
+        c = [acc[..., j] for j in range(coeffs.shape[d])]
+        if d == axis:  # the partial's coefficients, j * c[j] from j = 1
+            c = [j * cj for j, cj in enumerate(c)][1:]
+        acc = np.zeros(p.shape[:-1] + coeffs.shape[:d])
+        for cj in c[::-1]:
+            acc = acc * x + cj
+    return acc
 
 
 def _polynomial_field(coeffs: np.ndarray, descriptor: str,
@@ -108,8 +124,9 @@ def _polynomial_field(coeffs: np.ndarray, descriptor: str,
     dim = coeffs.ndim
     return AnalyticField(
         dim, 1,
-        lambda p: np.array([_polynomial(coeffs, p)]),
-        lambda p: np.array([[_polynomial(coeffs, p, d) for d in range(dim)]]),
+        lambda p: _polynomial(coeffs, p)[..., None],
+        lambda p: np.stack([_polynomial(coeffs, p, d) for d in range(dim)],
+                           axis=-1)[..., None, :],
         descriptor, check_box)
 
 
@@ -153,8 +170,12 @@ def tensor_polynomial_field(dim: int, degree: int,
     Coefficients are drawn uniformly from [-1, 1] over the full exponent
     box {0..degree}^dim. Degree 2 is inside the interpolant's exactness
     class; degree 3 is deliberately outside it (centered differences
-    misestimate cubic slopes).
+    misestimate cubic slopes). Raises InvalidArgumentError unless
+    ``degree`` is an integer >= 0.
     """
+    if not is_integer(degree) or degree < 0:
+        raise InvalidArgumentError(
+            f"degree must be an integer >= 0, got {shown(degree)}")
     return _polynomial_field(
         rng.uniform(-1.0, 1.0, size=(degree + 1,) * dim),
         f"tensor polynomial, per-axis degree {degree}")
@@ -163,23 +184,25 @@ def tensor_polynomial_field(dim: int, degree: int,
 def trig_product_field(dim: int) -> AnalyticField:
     """Smooth product of sines/cosines with incommensurate frequencies."""
     freqs = np.array([1.3, 0.9, 1.1, 0.7])[:dim]
+    first = np.arange(dim) == 0  # sin along x, cos along the other axes
+
+    def factors(p):
+        """Each axis's factor and its derivative, both ``(..., dim)``."""
+        x = freqs * np.asarray(p, dtype=np.float64)
+        s, c = np.sin(x), np.cos(x)
+        return np.where(first, s, c), freqs * np.where(first, c, -s)
+
+    def product(terms):  # over the last axis, in axis order
+        return reduce(np.multiply, np.moveaxis(terms, -1, 0))
 
     def value(p):
-        terms = np.sin(freqs[0] * p[0])
-        for d in range(1, dim):
-            terms = terms * np.cos(freqs[d] * p[d])
-        return np.array([float(terms)])
+        return product(factors(p)[0])[..., None]
 
     def gradient(p):
-        base = [np.sin(freqs[0] * p[0])] + [
-            np.cos(freqs[d] * p[d]) for d in range(1, dim)]
-        dbase = [freqs[0] * np.cos(freqs[0] * p[0])] + [
-            -freqs[d] * np.sin(freqs[d] * p[d]) for d in range(1, dim)]
-        g = np.empty((1, dim))
-        for d in range(dim):
-            fac = [dbase[i] if i == d else base[i] for i in range(dim)]
-            g[0, d] = float(np.prod(fac))
-        return g
+        f, df = factors(p)
+        # row d of the (dim, dim) terms: the factors, axis d's differentiated
+        return product(np.where(np.eye(dim, dtype=bool), df[..., None, :],
+                                f[..., None, :]))[..., None, :]
 
     return AnalyticField(dim, 1, value, gradient, "trig product")
 
@@ -192,7 +215,7 @@ def quadrupole_field() -> AnalyticField:
     without pretending to physical accuracy.
     """
     def parts(p):
-        x, y, z, t = (float(v) for v in p)
+        x, y, z, t = np.moveaxis(np.asarray(p, dtype=np.float64), -1, 0)
         g = 1.0 + 0.5 * np.sin(1.1 * t)
         dg = 0.55 * np.cos(1.1 * t)
         w = np.exp(-0.25 * z * z)
@@ -201,17 +224,19 @@ def quadrupole_field() -> AnalyticField:
 
     def value(p):
         x, y, z, g, dg, w, dw = parts(p)
-        return np.array([g * x * w, -g * y * w, -0.5 * g * (x * x - y * y) * dw])
+        return np.stack([g * x * w, -g * y * w,
+                         -0.5 * g * (x * x - y * y) * dw], axis=-1)
 
     def gradient(p):
         x, y, z, g, dg, w, dw = parts(p)
         ddw = (-0.5 + 0.25 * z * z) * w  # d(dw)/dz
-        return np.array([
-            [g * w, 0.0, g * x * dw, dg * x * w],
-            [0.0, -g * w, -g * y * dw, -dg * y * w],
-            [-g * x * dw, g * y * dw, -0.5 * g * (x * x - y * y) * ddw,
-             -0.5 * dg * (x * x - y * y) * dw],
-        ])
+        zero = np.zeros_like(x)
+        return np.stack([
+            g * w, zero, g * x * dw, dg * x * w,
+            zero, -g * w, -g * y * dw, -dg * y * w,
+            -g * x * dw, g * y * dw, -0.5 * g * (x * x - y * y) * ddw,
+            -0.5 * dg * (x * x - y * y) * dw,
+        ], axis=-1).reshape(x.shape + (3, 4))
 
     return AnalyticField(4, 3, value, gradient, "time-varying quadrupole",
                          check_box=((-1.5, 1.5),))
@@ -223,8 +248,8 @@ def sample(afield: AnalyticField, axes) -> RegularGrid:
     if len(axes) != afield.dim:
         raise DimensionMismatchError(
             f"field is {afield.dim}-dimensional, got {len(axes)} axes")
-    values = np.array([afield.value(point) for point in lattice(axes)])
-    return RegularGrid(axes, values, components=afield.components)
+    return RegularGrid(axes, afield.value(lattice(axes)),
+                       components=afield.components)
 
 
 def oracle_coefficients(grid: RegularGrid, elem: ElementRef,
@@ -248,6 +273,17 @@ def oracle_coefficients(grid: RegularGrid, elem: ElementRef,
     return alpha.T.copy()
 
 
+def _rng(seed) -> np.random.Generator:
+    """``np.random.default_rng(seed)``, or InvalidArgumentError for a seed
+    it rejects."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(
+            f"seed must be one np.random.default_rng accepts, got "
+            f"{shown(seed)}: {exc}") from None
+
+
 def convergence_study(afield: AnalyticField, lo, hi,
                       base_count: int = 9, n_levels: int = 4,
                       n_probes: int = 40, seed: int = 0) -> dict:
@@ -261,7 +297,8 @@ def convergence_study(afield: AnalyticField, lo, hi,
     ``{"order": fitted slope, "errors": max error per level,
     "spacings": largest spacing per level}``. Raises
     InvalidArgumentError unless ``lo < hi``, both finite, on every axis,
-    ``base_count >= 4``, ``n_levels >= 2`` and ``n_probes >= 1``.
+    ``base_count >= 4``, ``n_levels >= 2``, ``n_probes >= 1`` and
+    ``seed`` is one ``np.random.default_rng`` accepts.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -277,10 +314,10 @@ def convergence_study(afield: AnalyticField, lo, hi,
             f"need base_count >= 4, n_levels >= 2 and n_probes >= 1, got "
             f"{shown(base_count)}, {shown(n_levels)} and {shown(n_probes)}")
     coarse_h = (hi - lo) / (base_count - 1)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     probes = rng.uniform(lo + 1.05 * coarse_h, hi - 1.05 * coarse_h,
                          size=(n_probes, dim))
-    truth = np.stack([afield.value(p) for p in probes])
+    truth = afield.value(probes)
 
     spacings = []
     errors = []
@@ -320,7 +357,16 @@ def catmull_rom_1d(f_m1: float, f_0: float, f_1: float, f_2: float,
 
 # --------------------------------------------------------- release checks
 # Each returns ``(ok, metrics)``, measured numbers by name, and holds its
-# own bound. ``seed`` is anything ``np.random.default_rng`` accepts.
+# own bound. ``seed`` is anything ``np.random.default_rng`` accepts, and
+# every count is an integer >= 1; either raises InvalidArgumentError
+# otherwise, as a check that measured nothing must not pass.
+
+
+def _count(n, name: str) -> None:
+    """Raise InvalidArgumentError unless ``n`` is an integer >= 1."""
+    if not is_integer(n) or n < 1:
+        raise InvalidArgumentError(
+            f"{name} must be an integer >= 1, got {shown(n)}")
 
 
 def check_operators_exact(dim: int):
@@ -338,7 +384,8 @@ def check_fused_oracle(interp: Interpolator, n_elements: int, seed):
     exceeds 1. Partials are compared per unit cell, the gradient times
     the axis spacing, so the bound does not depend on the spacing. A
     singular constraint system leaves no oracle, and fails the check."""
-    rng = np.random.default_rng(seed)
+    _count(n_elements, "n_elements")
+    rng = _rng(seed)
     grid = interp.grid
     ranges = grid.element_base_range(interp.policy)
     spacings = np.array([a.spacing for a in grid.axes])
@@ -367,7 +414,8 @@ def check_fused_oracle(interp: Interpolator, n_elements: int, seed):
 def check_vertex_reproduction(interp: Interpolator, n_vertices: int, seed):
     """Queries at random interior vertices return the samples of every
     component to rounding."""
-    rng = np.random.default_rng(seed)
+    _count(n_vertices, "n_vertices")
+    rng = _rng(seed)
     grid = interp.grid
     worst = 0.0
     for _ in range(n_vertices):
@@ -383,7 +431,8 @@ def _polynomial_probes(dim: int, degree: int, n_points: int, seed):
     """A random polynomial of per-axis ``degree`` sampled on 6^dim
     vertices spaced 0.5, and its interpolant at ``n_points`` random
     queryable points: ``(field, points, BatchResult)``."""
-    rng = np.random.default_rng(seed)
+    _count(n_points, "n_points")
+    rng = _rng(seed)
     afield = tensor_polynomial_field(dim, degree, rng)
     grid = sample(afield, [Axis(-1.0, 0.5, 6)] * dim)
     dom = grid.queryable_domain(BoundaryPolicy.STRICT)
@@ -396,8 +445,7 @@ def check_quadratic_exactness(dim: int, n_points: int, seed):
     and every partial, to rounding (relative; absolute below magnitude
     0.01 for values and 1 for partials)."""
     afield, pts, res = _polynomial_probes(dim, 2, n_points, seed)
-    value = np.array([afield.value(p) for p in pts])
-    grad = np.array([afield.gradient(p) for p in pts])
+    value, grad = afield.value(pts), afield.gradient(pts)
     value_rel = float(np.max(np.abs(res.values - value)
                              / np.maximum(np.abs(value), 1e-2)))
     grad_rel = float(np.max(np.abs(res.gradients - grad)
@@ -411,8 +459,7 @@ def check_cubic_inexactness(dim: int, n_points: int, seed):
     largest value error is far above rounding, so degree 2 is the
     exactness class."""
     afield, pts, res = _polynomial_probes(dim, 3, n_points, seed)
-    value = np.array([afield.value(p) for p in pts])
-    err = float(np.max(np.abs(res.values - value)))
+    err = float(np.max(np.abs(res.values - afield.value(pts))))
     return err > 1e-6, {"max_abs_err": err}
 
 
@@ -423,7 +470,8 @@ def check_c1_continuity(interp: Interpolator, n_samples: int, seed):
     on the upper), the largest value and partial jumps. The two-sided
     evaluation is its own oracle. Raises InvalidArgumentError on a grid
     with no pair of adjacent valid elements."""
-    rng = np.random.default_rng(seed)
+    _count(n_samples, "n_samples")
+    rng = _rng(seed)
     ranges = interp.grid.element_base_range(interp.policy)
     axes_with_pairs = [d for d, (lo, hi) in enumerate(ranges) if hi > lo]
     if not axes_with_pairs:
@@ -456,7 +504,8 @@ def check_c2_jump(interp: Interpolator, n_probes: int, seed):
     """The interpolant is not C2: the second x-partial, taken a hair to
     either side of random faces between valid elements, jumps well above
     rounding somewhere."""
-    rng = np.random.default_rng(seed)
+    _count(n_probes, "n_probes")
+    rng = _rng(seed)
     axes = interp.grid.axes
     ranges = interp.grid.element_base_range(interp.policy)
     if ranges[0][1] == ranges[0][0]:
@@ -479,10 +528,11 @@ def check_c2_jump(interp: Interpolator, n_probes: int, seed):
 def check_line_reduction(n_probes: int, seed):
     """Along x grid lines of a 3D trig grid the interpolant is the 1-D
     Catmull-Rom cubic through the line's samples, to rounding."""
+    _count(n_probes, "n_probes")
+    rng = _rng(seed)
     grid = sample(trig_product_field(3), [Axis(0.0, 0.5, 8)] * 3)
     interp = Interpolator(grid)
     ax = grid.axes
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
         j, k = int(rng.integers(1, 7)), int(rng.integers(1, 7))
@@ -499,12 +549,13 @@ def check_time_slice(n_probes: int, seed):
     """A 4D grid holding the same 3D samples at every t matches the 3D
     grid at every t, in values and x, y, z partials, and its t partial
     is 0, all to rounding."""
+    _count(n_probes, "n_probes")
+    rng = _rng(seed)
     grid3 = sample(trig_product_field(3), [Axis(0.0, 0.5, 6)] * 3)
     i3 = Interpolator(grid3)
     i4 = Interpolator(RegularGrid(grid3.axes + (Axis(0.0, 1.0, 5),),
                                   np.stack([grid3.values] * 5)))
     dom = grid3.queryable_domain(BoundaryPolicy.STRICT)
-    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(n_probes):
         p3 = [float(rng.uniform(lo, hi)) for lo, hi in dom]
@@ -547,7 +598,7 @@ def release_checks(grid, seed: int):
             "exactness_quadratic", "cubic_inexact", "line_reduction",
             "time_slice_consistency", "convergence_order")]
     dims = SUPPORTED_DIMS
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     poly = {d: Interpolator(sample(tensor_polynomial_field(d, 3, rng),
                                    [Axis(-1.0, 0.4, 6)] * d))
             for d in dims}

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,7 +14,12 @@ from hyperspline.fields import (
     check_c1_continuity,
     check_c2_jump,
     check_convergence_order,
+    check_cubic_inexactness,
     check_fused_oracle,
+    check_line_reduction,
+    check_quadratic_exactness,
+    check_time_slice,
+    check_vertex_reproduction,
     constant_field,
     convergence_study,
     linear_field,
@@ -27,24 +34,79 @@ from hyperspline.fields import (
 STRICT = BoundaryPolicy.STRICT
 
 
+BUILTIN_FIELDS = {
+    # name: (builder, range of each coordinate)
+    "constant-3d": (lambda rng: constant_field(3), (0.0, 1.0)),
+    "linear-4d": (lambda rng: linear_field(4, [0.5, -1.0, 2.0, 3.0], 0.25),
+                  (0.0, 1.0)),
+    "multilinear-3d": (lambda rng: multilinear_field(3), (0.5, 2.0)),
+    "multilinear-4d": (lambda rng: multilinear_field(4), (0.5, 2.0)),
+    "poly-deg2-3d": (lambda rng: tensor_polynomial_field(3, 2, rng),
+                     (0.0, 1.0)),
+    "poly-deg3-4d": (lambda rng: tensor_polynomial_field(4, 3, rng),
+                     (0.0, 1.0)),
+    "poly-deg8-3d": (lambda rng: tensor_polynomial_field(3, 8, rng),
+                     (0.0, 1.0)),
+    "trig-3d": (lambda rng: trig_product_field(3), (0.0, 1.0)),
+    "trig-4d": (lambda rng: trig_product_field(4), (0.0, 1.0)),
+    "quadrupole": (lambda rng: quadrupole_field(), (-1.5, 1.5)),
+}
+
+
 class TestAnalyticField:
     def test_rejects_inconsistent_gradient(self):
-        with pytest.raises(ValueError) as info:
+        # array form, shapes right: only the gradient is wrong (should be 2x)
+        with pytest.raises(InvalidArgumentError,
+                           match="gradient disagrees with finite "
+                                 "differences on axis 0"):
+            AnalyticField(
+                3, 1,
+                lambda p: p[..., :1] ** 2,
+                lambda p: np.zeros(p.shape[:-1] + (1, 3)) + [1.0, 0.0, 0.0],
+                "broken pair", check_box=((1.0, 2.0),))
+
+    def test_rejects_bad_shapes(self):
+        # array form, consistent (both constant), but two components
+        # where one is declared
+        with pytest.raises(InvalidArgumentError,
+                           match=r"returned shapes \(3, 2\) / \(3, 1, 3\) / "
+                                 r"\(3, 2, 3, 2\), expected \(3, 1\) / "
+                                 r"\(3, 1, 3\) / \(3, 2, 3, 1\)"):
+            AnalyticField(
+                3, 1,
+                lambda p: np.ones(p.shape[:-1] + (2,)),
+                lambda p: np.zeros(p.shape[:-1] + (1, 3)),
+                "bad shape")
+
+    def test_rejects_a_per_point_field(self):
+        # written for one point only, a field is handed a (3, dim) array
+        # and answers in the wrong shape
+        with pytest.raises(InvalidArgumentError,
+                           match=r"returned shapes \(1, 3\) / \(1, 3\)"):
             AnalyticField(
                 3, 1,
                 lambda p: np.array([p[0] ** 2]),
-                lambda p: np.array([[1.0, 0.0, 0.0]]),  # wrong: should be 2x
-                "broken pair", check_box=((1.0, 2.0),))
-        assert isinstance(info.value, InvalidArgumentError)
+                lambda p: np.array([[1.0, 0.0, 0.0]]),
+                "per point", check_box=((1.0, 2.0),))
 
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError) as info:
-            AnalyticField(
-                3, 1,
-                lambda p: np.array([1.0, 2.0]),  # two components declared one
-                lambda p: np.zeros((1, 3)),
-                "bad shape")
-        assert isinstance(info.value, InvalidArgumentError)
+    @pytest.mark.parametrize("name", BUILTIN_FIELDS)
+    def test_array_call_equals_per_point_calls_bitwise(self, name):
+        build, (lo, hi) = BUILTIN_FIELDS[name]
+        rng = np.random.default_rng(5)
+        afield = build(rng)
+        pts = rng.uniform(lo, hi, (57, afield.dim))
+        value, grad = afield.value(pts), afield.gradient(pts)
+        m, dim = afield.components, afield.dim
+        assert value.shape == (57, m) and grad.shape == (57, m, dim)
+        per_value = np.stack([afield.value(p) for p in pts])
+        per_grad = np.stack([afield.gradient(p) for p in pts])
+        assert value.tobytes() == per_value.tobytes()
+        assert grad.tobytes() == per_grad.tobytes()
+        # any leading shape: (3, 19, dim) holds the same rows
+        assert (afield.value(pts.reshape(3, 19, dim)).tobytes()
+                == value.tobytes())
+        assert (afield.gradient(pts.reshape(3, 19, dim)).tobytes()
+                == grad.tobytes())
 
     def test_quadrupole_shape(self):
         q = quadrupole_field()
@@ -161,6 +223,54 @@ class TestTypedErrors:
     def test_convergence_bad_range_or_counts(self, lo, hi, kwargs):
         with pytest.raises(InvalidArgumentError):
             convergence_study(trig_product_field(3), lo, hi, **kwargs)
+
+    COUNTED_CHECKS = ["fused_oracle", "vertex_reproduction",
+                      "quadratic_exactness", "cubic_inexactness",
+                      "c1_continuity", "c2_jump", "line_reduction",
+                      "time_slice"]
+
+    @staticmethod
+    def counted_check(name):
+        """``call(count, seed)`` of the check ``name``, which takes a
+        count."""
+        interp = Interpolator(sample(trig_product_field(3),
+                                     [Axis(0.0, 0.5, 7)] * 3))
+        return {
+            "fused_oracle": partial(check_fused_oracle, interp),
+            "vertex_reproduction": partial(check_vertex_reproduction, interp),
+            "quadratic_exactness": partial(check_quadratic_exactness, 3),
+            "cubic_inexactness": partial(check_cubic_inexactness, 3),
+            "c1_continuity": partial(check_c1_continuity, interp),
+            "c2_jump": partial(check_c2_jump, interp),
+            "line_reduction": check_line_reduction,
+            "time_slice": check_time_slice,
+        }[name]
+
+    @pytest.mark.parametrize("count", [0, -5, 2.0, True, "3"])
+    @pytest.mark.parametrize("name", COUNTED_CHECKS)
+    def test_checks_reject_a_count_below_one(self, name, count):
+        # a check that measured nothing must not read PASS
+        with pytest.raises(InvalidArgumentError, match="integer >= 1"):
+            self.counted_check(name)(count, 0)
+
+    @pytest.mark.parametrize("seed", ["x", -1, 1.5])
+    @pytest.mark.parametrize("name", COUNTED_CHECKS)
+    def test_checks_reject_a_seed_numpy_rejects(self, name, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must be"):
+            self.counted_check(name)(5, seed)
+
+    @pytest.mark.parametrize("seed", ["x", -1])
+    def test_seed_of_study_and_order_check(self, seed):
+        with pytest.raises(InvalidArgumentError, match="seed must be"):
+            convergence_study(trig_product_field(3), [0.0] * 3, [3.0] * 3,
+                              seed=seed)
+        with pytest.raises(InvalidArgumentError, match="seed must be"):
+            check_convergence_order(seed)
+
+    @pytest.mark.parametrize("degree", [-1, 1.5, 2.0, True, None])
+    def test_polynomial_degree(self, degree):
+        with pytest.raises(InvalidArgumentError, match="degree"):
+            tensor_polynomial_field(3, degree, np.random.default_rng(0))
 
 
 class TestContinuityScan:
