@@ -58,7 +58,7 @@ class AnalyticField:
     ``(dim,)`` point gives ``(m,)`` and ``(m, dim)``. The two must be
     consistent: construction checks the shapes and the gradient against
     central finite differences at three points, in three calls whatever
-    ``dim`` is, and refuses mismatched pairs.
+    ``dim`` is, and refuses mismatched pairs or failing callables.
     """
 
     dim: int
@@ -78,12 +78,16 @@ class AnalyticField:
         hi = np.array([b[1] for b in box])
         h = 1e-6 * np.max(hi - lo)
         p = rng.uniform(lo + 2 * h, hi - 2 * h, size=(3, dim))
-        v = np.asarray(self.value(p), dtype=np.float64)
-        g = np.asarray(self.gradient(p), dtype=np.float64)
         # value at p + h e_d (row 0) and p - h e_d (row 1) for every axis d
         steps = np.array([h, -h])[:, None, None] * np.eye(dim)
-        near = np.asarray(self.value(p[:, None, None] + steps),
-                          dtype=np.float64)
+        try:
+            v, g, near = (np.asarray(f(x), dtype=np.float64) for f, x in (
+                (self.value, p), (self.gradient, p),
+                (self.value, p[:, None, None] + steps)))
+        except Exception as exc:  # such as a field written for one point
+            raise InvalidArgumentError(
+                f"field '{self.descriptor}' failed on an array of points: "
+                f"{type(exc).__name__}: {exc}") from exc
         want = (3, m), (3, m, dim), (3, 2, dim, m)
         if (v.shape, g.shape, near.shape) != want:
             raise InvalidArgumentError(

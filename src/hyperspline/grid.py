@@ -86,6 +86,15 @@ from .errors import (
 #: Coordinate column names of grid, points and result CSV files, per axis.
 AXIS_NAMES = ("x", "y", "z", "t")
 
+
+def result_header(dim: int, component_names) -> list:
+    """The columns of a results CSV: coordinates, values, gradients
+    ``d<component>_d<axis>`` and ``error``."""
+    axes = AXIS_NAMES[:dim]
+    return [*axes, *component_names,
+            *(f"d{c}_d{a}" for c in component_names for a in axes), "error"]
+
+
 #: Grid dimensions the package supports.
 SUPPORTED_DIMS = (3, 4)
 
@@ -469,9 +478,9 @@ def as_component_names(names, components: int) -> tuple:
     one label), each one text that a UTF-8 file can hold (a lone
     surrogate cannot) and that a CSV header carries back unchanged: no
     comma, double quote or line break, no leading or trailing
-    whitespace, and no axis name (x, y, z, t), which a header would read
-    as a coordinate column; and distinct from each other and from a
-    results CSV's ``error`` and ``d<c>_d<axis>``."""
+    whitespace; and once only in a :func:`result_header`: no axis name
+    (x, y, z, t), which a header would read as a coordinate column, no
+    ``error``, ``d<c>_d<axis>`` or repeat."""
     try:
         labels = ((names,) if isinstance(names, str)
                   else tuple(map(str, names)) if np.iterable(names) else ())
@@ -488,8 +497,9 @@ def as_component_names(names, components: int) -> tuple:
         raise InvalidArgumentError(
             f"component names must be UTF-8 text, got {shown(names)} "
             f"({exc.reason})") from None
-    taken = {"error", *AXIS_NAMES, *(f"d{c}_d{a}" for c in labels
-                                     for a in AXIS_NAMES)}
+    # the results columns around the labels, then each label as it passes
+    header, n = result_header(len(AXIS_NAMES), labels), len(AXIS_NAMES)
+    taken = {*header[:n], *header[n + len(labels):]}
     for name in labels:
         if (name != name.strip() or name in taken
                 or any(c in name for c in ',"\r\n')):

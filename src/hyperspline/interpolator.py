@@ -47,12 +47,13 @@ single points by a tenth.
 
 A single-point query locates with :func:`~hyperspline.grid.locate`,
 which reads the grid's region table on Python floats and returns a
-cell reference that is not validated again, and gathers with
-:func:`~hyperspline.grid.neighborhood_block`, which copies the cell's
-x-runs out of the grid's strided stencil view, as the batch gather
-does for many cells at once. The grid stores its ghost layers, so the
-boundary policy only sets which cells are valid: an edge cell under
-``LinearGhost`` costs the same as an interior one, on both paths. A
+cell reference without ``ElementRef``'s integer conversion of its
+base, and gathers with :func:`~hyperspline.grid.neighborhood_block`,
+which range-checks the cell and copies its x-runs out of the grid's
+strided stencil view, as the batch gather does for many cells at
+once. The grid stores its ghost layers, so the boundary policy only
+sets which cells are valid: an edge cell under ``LinearGhost`` costs
+the same as an interior one, on both paths. A
 batch chunk evaluates every one of its rows: a point outside the domain
 has a clamped base, so it reads a valid stencil, and its row is set to
 NaN once the chunks are done.

@@ -15,8 +15,9 @@ Points CSV
     One query point per row, with an optional ``x,y,z[,t]`` header.
 
 In both, a UTF-8 byte order mark and blank lines before the header are
-skipped. A file that cannot be opened, for reading or writing, raises
-``InvalidArgumentError`` naming it and the reason.
+skipped, and every line, the header too, is split by ``np.loadtxt``
+with the same quote rules. A file that cannot be opened, for reading
+or writing, raises ``InvalidArgumentError`` naming it and the reason.
 
 Result CSV
     Coordinates, then value columns, then gradient columns named
@@ -31,7 +32,6 @@ that reads back as the same float64), a block of rows at a time.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import os
 
@@ -49,7 +49,7 @@ from .errors import (
 )
 from .grid import (AXIS_NAMES, SUPPORTED_DIMS, RegularGrid,
                    as_component_names, as_coordinates, infer_axis,
-                   is_integer, lattice)
+                   is_integer, lattice, result_header)
 from .interpolator import BatchResult
 
 _BLOCK_ROWS = 4096  # rows formatted and written at once
@@ -87,8 +87,9 @@ def parse_rows(fh, ncols: int, path, first_line: int) -> np.ndarray:
            or GridFormatError(f"{path}: {problem}"))
 
 
-def _loadtxt(lines) -> np.ndarray:
-    return np.loadtxt(lines, delimiter=",", dtype=np.float64, ndmin=2,
+def _loadtxt(lines, dtype=np.float64) -> np.ndarray:
+    """The reader of every CSV line: ``,`` between cells, ``"`` quotes."""
+    return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=2,
                       comments=None, quotechar='"')
 
 
@@ -144,27 +145,16 @@ def _open_text(path, mode="r"):
                 f"{exc.object[exc.start:exc.end]!r})") from None
 
 
-def _read_header(fh, path):
+def _read_header(fh):
     """The first line of ``fh`` that is not blank, read as a header:
-    ``(names, dim, number, start)``, its stripped CSV cells (none at the
+    ``(names, dim, number, start)``, its stripped cells split as the rows
+    are (object cells, as ``str`` ones drop trailing NULs; none at the
     end of the file), how many lead with ``x, y, z, t``, its line number
     and the file position where it starts."""
     number, start, line = 1, fh.tell(), fh.readline()
     while line and not line.strip():
         number, start, line = number + 1, fh.tell(), fh.readline()
-    names = []
-    if line:
-        try:
-            # a line of numbers is data: split it, since csv refuses a
-            # cell longer than its field limit that parse_rows reads
-            _loadtxt([line])
-            names = [n.strip() for n in line.split(",")]
-        except ValueError:
-            try:
-                names = [n.strip() for n in next(csv.reader([line]))]
-            except csv.Error as exc:
-                raise GridFormatError(
-                    f"{path}: line {number}: {exc}") from None
+    names = [n.strip() for n in _loadtxt([line], object)[0]] if line else []
     dim = 0
     for name, axis in zip(names, AXIS_NAMES):
         if name != axis:
@@ -184,7 +174,7 @@ def load_grid_csv(path) -> RegularGrid:
         If the file cannot be opened.
     """
     with _open_text(path) as fh:
-        header, dim, number, _ = _read_header(fh, path)
+        header, dim, number, _ = _read_header(fh)
         if not header:
             raise MissingHeaderError(f"{path}: file is empty or blank")
         if dim not in SUPPORTED_DIMS:
@@ -249,7 +239,7 @@ def load_points_csv(path, dim: int) -> np.ndarray:
         raise UnsupportedDimensionError(
             f"points must have 3 or 4 coordinates, got dim={shown(dim)}")
     with _open_text(path) as fh:
-        _, named, number, start = _read_header(fh, path)
+        _, named, number, start = _read_header(fh)
         if named >= dim:
             number += 1
         else:
@@ -296,15 +286,6 @@ def write_grid_csv(path, grid: RegularGrid):
 
 def _row_format(n_cells: int, tail: str = "") -> str:
     return ",".join(["%r"] * n_cells) + tail + "\n"
-
-
-def result_header(dim: int, component_names):
-    cols = list(AXIS_NAMES[:dim]) + list(component_names)
-    for name in component_names:
-        for d in range(dim):
-            cols.append(f"d{name}_d{AXIS_NAMES[d]}")
-    cols.append("error")
-    return cols
 
 
 def write_results_csv(path, points, result: BatchResult, component_names):

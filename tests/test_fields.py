@@ -89,6 +89,18 @@ class TestAnalyticField:
                 lambda p: np.array([[1.0, 0.0, 0.0]]),
                 "per point", check_box=((1.0, 2.0),))
 
+    def test_rejects_a_per_point_field_that_fails_on_an_array(self):
+        # the gradient's list is ragged for a (3, 3) array: numpy's
+        # ValueError escaped the self-check
+        with pytest.raises(InvalidArgumentError,
+                           match="field 'per point' failed on an array of "
+                                 "points: ValueError: setting an array"):
+            AnalyticField(
+                3, 1,
+                lambda p: np.array([p[0] ** 2]),
+                lambda p: np.array([[2.0 * p[0], 0.0, 0.0]]),
+                "per point", check_box=((1.0, 2.0),))
+
     @pytest.mark.parametrize("name", BUILTIN_FIELDS)
     def test_array_call_equals_per_point_calls_bitwise(self, name):
         build, (lo, hi) = BUILTIN_FIELDS[name]

@@ -27,8 +27,11 @@ from hyperspline import (
     TooFewPointsError,
     UnsupportedDimensionError,
 )
+from hyperspline.errors import shown
 from hyperspline.grid import (
+    AXIS_NAMES,
     _stencils,
+    as_component_names,
     infer_axis,
     lattice,
     locate,
@@ -348,6 +351,38 @@ class TestRegularGrid:
         with pytest.raises(InvalidArgumentError, match="CSV header"):
             RegularGrid([Axis(0, 1, 4)] * 3, np.zeros((64, len(names))),
                         components=len(names), component_names=names)
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=1000)
+    @given(names=st.lists(st.one_of(
+        st.sampled_from(["x", "t", "error", "f", "g", "df_dx", "dg_dt",
+                         "ddf_dx_dy", "dx_dy"]),
+        st.text(st.sampled_from("dfgx_t ,\"\r\n"), max_size=6)),
+        max_size=5))
+    def test_component_names_follow_the_earlier_rule(self, names):
+        # each label once in a results header rejects what the earlier
+        # rule did, an explicit set of taken names, with the same message
+        def earlier_rule(labels):
+            taken = {"error", *AXIS_NAMES,
+                     *(f"d{c}_d{a}" for c in labels for a in AXIS_NAMES)}
+            for name in labels:
+                if (name != name.strip() or name in taken
+                        or any(c in name for c in ',"\r\n')):
+                    return InvalidArgumentError(
+                        f"component name {shown(name)} would not read back "
+                        f"from a CSV header: it holds a comma, quote, line "
+                        f"break or surrounding space, repeats a name, or is "
+                        f"an axis name, 'error' or another component's "
+                        f"gradient column")
+                taken.add(name)
+            return tuple(labels)
+
+        try:
+            got = as_component_names(names, len(names))
+        except InvalidArgumentError as exc:
+            got = exc
+        want = earlier_rule(names)
+        assert type(got) is type(want) and str(got) == str(want)
 
     def test_values_read_only(self):
         grid = unit_grid(3)

@@ -1,3 +1,4 @@
+import csv
 import io
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hyperspline import (
@@ -246,6 +249,39 @@ class TestHeaderAfterBlankLines:
             load_points_csv(path, 3)
 
 
+class TestHeaderCells:
+    """The header is split by the rows' reader, into the cells the csv
+    module reads from the line, without its field limit."""
+
+    @settings(derandomize=True, database=None, deadline=None,
+              max_examples=2000)
+    @given(body=st.lists(st.sampled_from(
+               ['"', '""', ",", " ", "\t", "\0", "#", "x", "f", "1", ".", "é",
+                "磁", "\x0b", "\x85", "\u2028", "\ufeff"])).map("".join),
+           end=st.sampled_from(["\n", "\r\n", "\r", ""]))
+    def test_cells_equal_the_csv_modules(self, body, end):
+        fh = io.StringIO(body + end, newline="")
+        line = fh.getvalue()
+        names, dim, number, start = hio._read_header(fh)
+        if not line.strip():  # skipped, and nothing follows
+            assert names == [] and dim == 0
+            return
+        assert (number, start) == (1, 0)
+        try:
+            cells = next(csv.reader([line]))
+        except csv.Error:
+            return
+        assert names == [c.strip() for c in cells]
+
+    @pytest.mark.parametrize("line, names", [
+        ('x,"y",z ,"a,b"\n', ["x", "y", "z", "a,b"]),
+        ('x,y,z,"say ""hi"""\r\n', ["x", "y", "z", 'say "hi"']),
+        ("x,y,z,#f\x00\x00\r", ["x", "y", "z", "#f\x00\x00"])],
+        ids=["quoted-comma", "doubled-quote", "comment-nul"])
+    def test_cells(self, line, names):
+        assert hio._read_header(io.StringIO(line, newline=""))[0] == names
+
+
 class TestByteOrderMark:
     """Spreadsheet programs start a UTF-8 CSV with a byte order mark; it
     was read as part of the first header cell or point."""
@@ -340,11 +376,15 @@ class TestFileErrors:
         assert not path.exists()
 
     def test_oversized_header_cell(self, tmp_path):
-        # the csv module's field size limit raised csv.Error
-        path = write_lines(tmp_path / "g.csv",
-                           ["", "x,y,z,t," + "f" * 200_000] + rows_4d())
-        with pytest.raises(GridFormatError, match="line 2: field larger"):
-            load_grid_csv(path)
+        # a name past the csv module's field limit (131,072 characters)
+        # was written, and the header reader refused it with csv.Error
+        name = "f" * 200_000
+        grid = RegularGrid([Axis(0, 1, 4)] * 4, np.arange(256.0),
+                           component_names=[name])
+        write_grid_csv(tmp_path / "g.csv", grid)
+        back = load_grid_csv(tmp_path / "g.csv")
+        assert back.component_names == (name,)
+        assert back.values.tobytes() == grid.values.tobytes()
 
     def test_points_line_past_csv_field_limit(self, tmp_path):
         # header detection ran the csv module over the line, which refused
@@ -697,17 +737,18 @@ def test_import_leaves_hashlib_unloaded():
     # imports hyperspline, and fractions pulls in decimal with it;
     # concurrent.futures (with logging and queue) never loads, as batches
     # run serially (tests/test_cli.py::TestThreadEnvIgnored checks a
-    # whole run); io (with csv) loads on the first use of a file
-    # function, and fields only where the checks run
+    # whole run); io loads on the first use of a file function, and
+    # fields only where the checks run
     assert _loaded_after("import hyperspline", {
         "hashlib", "fractions", "decimal", "concurrent.futures",
-        "hyperspline.io", "csv", "hyperspline.fields"}) == "[]"
+        "hyperspline.io", "hyperspline.fields"}) == "[]"
 
 
 def test_cli_import_leaves_fields_unloaded(tmp_path):
     # only validate runs the release checks of fields, and only bench
-    # its harness; every other command would compile them for nothing
-    unused = {"hyperspline.fields", "hyperspline.bench"}
+    # its harness; every other command would compile them for nothing;
+    # io splits every CSV line with numpy and needs no csv module
+    unused = {"hyperspline.fields", "hyperspline.bench", "csv"}
     assert _loaded_after("import hyperspline.cli", unused) == "[]"
     grid = tmp_path / "grid.csv"
     write_grid_csv(grid, RegularGrid([Axis(0.0, 1.0, 4)] * 3,
