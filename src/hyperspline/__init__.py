@@ -21,9 +21,8 @@ partials that queries compute.
 The top level holds the documented API; test fields and release checks
 (``hyperspline.fields``) and the exact derivation (``operators``) are
 imported from their modules. The file functions (``load_grid_csv``,
-``write_grid_csv``, ``write_results_csv``) load ``hyperspline.io``, and
-with it ``csv``, on first use, so an import that only evaluates pays
-for neither.
+``write_grid_csv``, ``write_results_csv``) load ``hyperspline.io`` on
+first use, so an import that only evaluates does not load it.
 
 Quick start::
 

@@ -50,7 +50,7 @@ from .io import (
 def _parse_floats(text: str, want: int, what: str) -> list:
     """``text`` read as one line of a points file with ``want`` columns."""
     try:
-        rows = parse_rows(StringIO(text), want, what, 1)
+        rows = parse_rows(StringIO(text), want, 1)
     except HypersplineError:
         rows = ()
     if len(rows) != 1 or "\n" in text or "\r" in text:

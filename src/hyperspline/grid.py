@@ -476,8 +476,8 @@ def as_component_names(names, components: int) -> tuple:
     """``names`` as a tuple of ``components`` strings; InvalidArgumentError
     unless ``names`` is a sequence of that many labels (a lone string is
     one label), each one text that a UTF-8 file can hold (a lone
-    surrogate cannot) and that a CSV header carries back unchanged: no
-    comma, double quote or line break, no leading or trailing
+    surrogate cannot) and that a CSV header carries back unchanged: not
+    empty, no comma, double quote or line break, no leading or trailing
     whitespace; and once only in a :func:`result_header`: no axis name
     (x, y, z, t), which a header would read as a coordinate column, no
     ``error``, ``d<c>_d<axis>`` or repeat."""
@@ -501,11 +501,11 @@ def as_component_names(names, components: int) -> tuple:
     header, n = result_header(len(AXIS_NAMES), labels), len(AXIS_NAMES)
     taken = {*header[:n], *header[n + len(labels):]}
     for name in labels:
-        if (name != name.strip() or name in taken
+        if (not name or name != name.strip() or name in taken
                 or any(c in name for c in ',"\r\n')):
             raise InvalidArgumentError(
                 f"component name {shown(name)} would not read back from a CSV "
-                f"header: it holds a comma, quote, line break or "
+                f"header: it is empty, holds a comma, quote, line break or "
                 f"surrounding space, repeats a name, or is an axis name, "
                 f"'error' or another component's gradient column")
         taken.add(name)

@@ -3,13 +3,13 @@
 Grid CSV
     Header names the coordinate columns first, ``x,y,z`` (3D) or
     ``x,y,z,t`` (4D), then one column per field component, named as
-    ``grid.as_component_names`` allows, so that every grid written reads
-    back with its names. Rows hold one vertex each and may appear in
-    any order; together they must form the complete Cartesian product
-    of the per-axis coordinate values. The
-    body is parsed in one ``np.loadtxt`` call (see :func:`parse_rows` for
-    what a cell may hold) and placed by one scatter; a malformed line is
-    reported by number.
+    ``grid.as_component_names`` allows (non-empty, among other rules)
+    and checked before the rows, so that every grid written reads back
+    with its names. Rows hold one vertex each and may appear in any
+    order; together they must form the complete Cartesian product of
+    the per-axis coordinate values. The body is parsed in one
+    ``np.loadtxt`` call (see :func:`parse_rows` for what a cell may hold)
+    and placed by one scatter; a malformed line is reported by number.
 
 Points CSV
     One query point per row, with an optional ``x,y,z[,t]`` header.
@@ -18,6 +18,8 @@ In both, a UTF-8 byte order mark and blank lines before the header are
 skipped, and every line, the header too, is split by ``np.loadtxt``
 with the same quote rules. A file that cannot be opened, for reading
 or writing, raises ``InvalidArgumentError`` naming it and the reason.
+Every ``HypersplineError`` raised once a file is open starts with its
+name, and an axis's error names the axis too: ``g.csv: axis x: gap ...``.
 
 Result CSV
     Coordinates, then value columns, then gradient columns named
@@ -40,10 +42,10 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     GridFormatError,
+    HypersplineError,
     IncompleteGridError,
     InvalidArgumentError,
     MissingHeaderError,
-    NonFiniteValueError,
     UnsupportedDimensionError,
     shown,
 )
@@ -55,14 +57,15 @@ from .interpolator import BatchResult
 _BLOCK_ROWS = 4096  # rows formatted and written at once
 
 
-def parse_rows(fh, ncols: int, path, first_line: int) -> np.ndarray:
+def parse_rows(fh, ncols: int, first_line: int) -> np.ndarray:
     """Parse the rest of an open CSV file as an ``(n, ncols)`` float64 table.
 
     ``fh`` is a seekable text file positioned at line ``first_line``.
     Every cell is read as ``float()`` reads it, bit for bit, but by
     numpy's text reader: cells may be quoted with ``"``, ``#`` is not a
     comment marker, and Python literal spellings such as ``1_0`` are
-    rejected. Empty lines are skipped.
+    rejected. Empty lines are skipped. Errors name no file; a file's
+    name is put in front of them by :func:`_open_text`.
 
     Raises
     ------
@@ -83,8 +86,7 @@ def parse_rows(fh, ncols: int, path, first_line: int) -> np.ndarray:
     except ValueError as exc:
         problem = str(exc)
     fh.seek(start)
-    raise (_bad_line(fh, ncols, path, first_line)
-           or GridFormatError(f"{path}: {problem}"))
+    raise _bad_line(fh, ncols, first_line) or GridFormatError(problem)
 
 
 def _loadtxt(lines, dtype=np.float64) -> np.ndarray:
@@ -93,7 +95,7 @@ def _loadtxt(lines, dtype=np.float64) -> np.ndarray:
                       comments=None, quotechar='"')
 
 
-def _bad_line(lines, ncols, path, first_line):
+def _bad_line(lines, ncols, first_line):
     """The error for the first line that does not parse as ``ncols`` numbers.
 
     Runs only after the whole table failed to parse, so it may afford one
@@ -106,13 +108,21 @@ def _bad_line(lines, ncols, path, first_line):
             width = _loadtxt([line]).shape[1]
         except ValueError:
             return GridFormatError(
-                f"{path}: line {number} has a non-numeric cell: "
-                f"{line.rstrip()!r}")
+                f"line {number} has a non-numeric cell: {line.rstrip()!r}")
         if width != ncols:
             return IncompleteGridError(
-                f"{path}: line {number} has {width} columns, "
-                f"expected {ncols}")
+                f"line {number} has {width} columns, expected {ncols}")
     return None
+
+
+@contextlib.contextmanager
+def _named(name):
+    """Re-raise a ``HypersplineError`` raised in the block as the same
+    type, its message led by ``name: ``."""
+    try:
+        yield
+    except HypersplineError as exc:
+        raise type(exc)(f"{name}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -123,7 +133,9 @@ def _open_text(path, mode="r"):
     spreadsheet programs write one; files written never get one. A file
     that cannot be opened, or anything but a path (such as a file
     descriptor), raises ``InvalidArgumentError`` naming it and the
-    reason; bytes that do not decode raise ``GridFormatError`` naming it.
+    reason. Every ``HypersplineError`` raised in the block, and the
+    ``GridFormatError`` of bytes that do not decode, is re-raised with
+    the file's name in front of its message.
     """
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidArgumentError(
@@ -136,12 +148,12 @@ def _open_text(path, mode="r"):
         raise InvalidArgumentError(
             f"cannot open {path}: {getattr(exc, 'strerror', None) or exc}"
         ) from None
-    with fh:
+    with fh, _named(path):
         try:
             yield fh
         except UnicodeDecodeError as exc:
             raise GridFormatError(
-                f"{path}: not UTF-8 text ({exc.reason}: "
+                f"not UTF-8 text ({exc.reason}: "
                 f"{exc.object[exc.start:exc.end]!r})") from None
 
 
@@ -168,55 +180,54 @@ def load_grid_csv(path) -> RegularGrid:
 
     Raises
     ------
-    MissingHeaderError, IrregularSpacingError, IncompleteGridError,
-    NonFiniteValueError, GridFormatError
+    MissingHeaderError, IrregularSpacingError, TooFewPointsError,
+    IncompleteGridError, NonFiniteValueError, GridFormatError
+        If the file's contents are not a grid, naming the file.
     InvalidArgumentError
-        If the file cannot be opened.
+        If the file cannot be opened, or its header names a component
+        as ``grid.as_component_names`` does not allow.
     """
     with _open_text(path) as fh:
         header, dim, number, _ = _read_header(fh)
         if not header:
-            raise MissingHeaderError(f"{path}: file is empty or blank")
+            raise MissingHeaderError("file is empty or blank")
         if dim not in SUPPORTED_DIMS:
             raise MissingHeaderError(
-                f"{path}: header must start with x,y,z or x,y,z,t, "
-                f"got {header[:4]}")
+                f"header must start with x,y,z or x,y,z,t, got {header[:4]}")
         component_names = header[dim:]
         if not component_names:
-            raise MissingHeaderError(f"{path}: no field columns in header")
+            raise MissingHeaderError("no field columns in header")
         m = len(component_names)
-        rows = parse_rows(fh, dim + m, path, number + 1)
-    if rows.shape[0] == 0:
-        raise IncompleteGridError(f"{path}: no data rows")
-    if not np.all(np.isfinite(rows[:, :dim])):
-        raise NonFiniteValueError(f"{path}: non-finite coordinate")
-    if not np.all(np.isfinite(rows[:, dim:])):
-        raise NonFiniteValueError(f"{path}: non-finite field value")
+        as_component_names(component_names, m)
+        rows = parse_rows(fh, dim + m, number + 1)
+        if rows.shape[0] == 0:
+            raise IncompleteGridError("no data rows")
 
-    axes = []
-    index = []
-    for d in range(dim):
-        uniq, inverse = np.unique(rows[:, d], return_inverse=True)
-        axes.append(infer_axis(uniq))
-        index.append(inverse)
-    counts = tuple(a.count for a in axes)
-    expected = math.prod(counts)
-    if rows.shape[0] != expected:
-        raise IncompleteGridError(
-            f"{path}: got {rows.shape[0]} rows, expected {expected} "
-            f"({'x'.join(map(str, counts))})")
+        axes = []
+        index = []
+        for d in range(dim):
+            uniq, inverse = np.unique(rows[:, d], return_inverse=True)
+            with _named(f"axis {AXIS_NAMES[d]}"):
+                axes.append(infer_axis(uniq))
+            index.append(inverse)
+        counts = tuple(a.count for a in axes)
+        expected = math.prod(counts)
+        if rows.shape[0] != expected:
+            raise IncompleteGridError(
+                f"got {rows.shape[0]} rows, expected {expected} "
+                f"({'x'.join(map(str, counts))})")
 
-    # flat vertex index with x varying fastest, the layout of the samples
-    flat = np.ravel_multi_index(index[::-1], counts[::-1])
-    if np.bincount(flat, minlength=expected).max() > 1:
-        repeat = np.ones(expected, dtype=bool)
-        repeat[np.unique(flat, return_index=True)[1]] = False
-        coord = tuple(rows[np.argmax(repeat), :dim].tolist())
-        raise IncompleteGridError(f"{path}: duplicate vertex {coord}")
-    values = np.empty((expected, m))
-    values[flat] = rows[:, dim:]
-    return RegularGrid(axes, values, components=m,
-                       component_names=component_names)
+        # flat vertex index with x varying fastest, the layout of the samples
+        flat = np.ravel_multi_index(index[::-1], counts[::-1])
+        if np.bincount(flat, minlength=expected).max() > 1:
+            repeat = np.ones(expected, dtype=bool)
+            repeat[np.unique(flat, return_index=True)[1]] = False
+            coord = tuple(rows[np.argmax(repeat), :dim].tolist())
+            raise IncompleteGridError(f"duplicate vertex {coord}")
+        values = np.empty((expected, m))
+        values[flat] = rows[:, dim:]
+        return RegularGrid(axes, values, components=m,
+                           component_names=component_names)
 
 
 def load_points_csv(path, dim: int) -> np.ndarray:
@@ -244,7 +255,7 @@ def load_points_csv(path, dim: int) -> np.ndarray:
             number += 1
         else:
             fh.seek(start)
-        return parse_rows(fh, dim, path, number)
+        return parse_rows(fh, dim, number)
 
 
 def _write_rows(fh, table, row_format, ok=None, bad_format="",

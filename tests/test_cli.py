@@ -216,6 +216,26 @@ class TestQuery:
         assert "error" in err
         assert "line 1 has a non-numeric cell: '1.5,abc,1.5,1.5'" in err
 
+    def test_error_names_the_file_at_fault(self, lin4d, tmp_path, capsys):
+        # an irregular grid's error named no file, so a query of a grid
+        # and a points file did not say which one was at fault
+        grid = tmp_path / "grid.csv"
+        grid.write_text("".join(
+            "5.0" + line[3:] if line.startswith("4.0,") else line
+            for line in Path(lin4d).read_text(encoding="utf-8")
+            .splitlines(keepends=True)), encoding="utf-8")
+        good = tmp_path / "good.csv"
+        good.write_text("1.5,1.5,1.5,1.5\n", encoding="utf-8")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1.5,1.5,1.5,1.5\n1.5,abc,1.5,1.5\n", encoding="utf-8")
+        for grid_path, pts, message in [
+                (lin4d, bad, f"{bad}: line 2 has a non-numeric cell: "
+                             f"'1.5,abc,1.5,1.5'"),
+                (grid, good, f"{grid}: axis x: gap 1.0 at index 0 deviates "
+                             f"from uniform spacing 1.25")]:
+            assert main(["query", str(grid_path), "--points", str(pts)]) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_short_points_row_exits_2(self, lin4d, tmp_path, capsys):
         pts = tmp_path / "pts.csv"
         pts.write_text("x,y,z,t\n1.5,1.5,1.5,1.5\n1.5,1.5,1.5\n",

@@ -401,14 +401,15 @@ def files(tmp_path_factory):
 @SETTINGS
 @given(data=file_bytes)
 def test_file_loaders_raise_only_typed_errors(files, data):
+    # and each error, raised once the file is open, names the file
     path = files / "drawn.csv"
     path.write_bytes(data)
     for load in (load_grid_csv, lambda p: load_points_csv(p, 3),
                  lambda p: load_points_csv(p, 4)):
         try:
             load(path)
-        except HypersplineError:
-            pass
+        except HypersplineError as exc:
+            assert str(exc).startswith(f"{path}: ")
 
 
 @pytest.fixture(scope="module")

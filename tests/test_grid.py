@@ -340,10 +340,11 @@ class TestRegularGrid:
 
     @pytest.mark.parametrize("names", [
         ["a,b"], ["a\nb"], ["b\r"], [" a"], ["a "], ['"a"'], ["t"],
-        ["f", "x"], ["f", "f"], ["error"], ["f", "df_dx"], ["df_dt", "f"]],
+        ["f", "x"], ["f", "f"], ["error"], ["f", "df_dx"], ["df_dt", "f"],
+        [""]],
         ids=["comma", "newline", "return", "leading-space", "trailing-space",
              "quoted", "t", "x", "repeated", "error", "gradient",
-             "gradient-t-first"])
+             "gradient-t-first", "empty"])
     def test_rejects_names_a_csv_header_cannot_carry(self, names):
         # each was written into a grid file that did not read back with
         # the same names, or at all ("t" first on a 3D grid reads as 4D);
@@ -361,19 +362,20 @@ class TestRegularGrid:
         max_size=5))
     def test_component_names_follow_the_earlier_rule(self, names):
         # each label once in a results header rejects what the earlier
-        # rule did, an explicit set of taken names, with the same message
+        # rule did, an explicit set of taken names, with the same message;
+        # the rule has since gained the empty name
         def earlier_rule(labels):
             taken = {"error", *AXIS_NAMES,
                      *(f"d{c}_d{a}" for c in labels for a in AXIS_NAMES)}
             for name in labels:
-                if (name != name.strip() or name in taken
+                if (not name or name != name.strip() or name in taken
                         or any(c in name for c in ',"\r\n')):
                     return InvalidArgumentError(
                         f"component name {shown(name)} would not read back "
-                        f"from a CSV header: it holds a comma, quote, line "
-                        f"break or surrounding space, repeats a name, or is "
-                        f"an axis name, 'error' or another component's "
-                        f"gradient column")
+                        f"from a CSV header: it is empty, holds a comma, "
+                        f"quote, line break or surrounding space, repeats a "
+                        f"name, or is an axis name, 'error' or another "
+                        f"component's gradient column")
                 taken.add(name)
             return tuple(labels)
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from hyperspline import (
     MissingHeaderError,
     NonFiniteValueError,
     RegularGrid,
+    TooFewPointsError,
     UnsupportedDimensionError,
     load_grid_csv,
     write_grid_csv,
@@ -158,7 +160,8 @@ class TestLoadGridCsv:
     def test_nan_coordinate(self, tmp_path):
         rows = rows_4d()
         rows[7] = "nan,1,0,0,5"
-        with pytest.raises(NonFiniteValueError, match="non-finite coordinate"):
+        with pytest.raises(NonFiniteValueError,
+                           match="axis x: axis coordinates must be finite"):
             load_grid_csv(write_lines(tmp_path / "g.csv",
                                       ["x,y,z,t,f"] + rows))
 
@@ -399,6 +402,53 @@ class TestFileErrors:
         path = write_lines(tmp_path / "p.csv", ["1,2,3"])
         with pytest.raises(UnsupportedDimensionError):
             load_points_csv(path, dim)
+
+
+def lattice_rows(*coords):
+    """Grid CSV rows over the product of each axis's coordinate cells,
+    x varying fastest, with the value 1 at every vertex."""
+    return [",".join(cells[::-1]) + ",1"
+            for cells in itertools.product(*coords[::-1])]
+
+
+class TestErrorsNameTheFile:
+    # each error of a file's contents starts with its name, an axis's
+    # error names the axis too; at first the axis, grid and component
+    # name errors named neither, and a trailing comma in the header
+    # blamed line 2
+    COLS = [["0", "1", "2", "3"]] * 4
+    COLLIDING = [f"1000000000000000.{i}" for i in range(4)]  # 3 in float64
+
+    @pytest.mark.parametrize("header, rows, error, message", [
+        ("x,y,z,t,f", lattice_rows(*COLS[:3], ["0", "1", "2", "4"]),
+         IrregularSpacingError, "axis t: gap 1.0 at index 0 deviates from "
+         "uniform spacing 1.3333333333333333"),
+        ("x,y,z,t,f", lattice_rows(*COLS[:2], ["0", "1", "2"], COLS[3]),
+         TooFewPointsError,
+         "axis z: need at least 4 coordinates to define an axis, got 3"),
+        ("x,y,z,t,f", lattice_rows(COLS[0], COLLIDING, *COLS[2:]),
+         TooFewPointsError,
+         "axis y: need at least 4 coordinates to define an axis, got 3"),
+        ("x,y,z,t,f", ["nan" + row[1:] if row == "3,3,3,3,1" else row
+                       for row in lattice_rows(*COLS)],
+         NonFiniteValueError, "axis x: axis coordinates must be finite"),
+        ("x,y,z,t,f", [row[:-1] + "nan" if row == "3,3,3,3,1" else row
+                       for row in lattice_rows(*COLS)],
+         NonFiniteValueError, "grid samples must all be finite"),
+        ("x,y,z,t,f,f", [row + ",1" for row in lattice_rows(*COLS)],
+         InvalidArgumentError, "component name 'f' would not read back"),
+        ("x,y,z,t,f,", lattice_rows(*COLS),
+         InvalidArgumentError, "component name '' would not read back"),
+        ("x,y,z,t,", lattice_rows(*COLS),
+         InvalidArgumentError, "component name '' would not read back"),
+    ], ids=["irregular", "too-few", "colliding", "nan-coordinate",
+            "nan-sample", "repeated-name", "trailing-comma", "empty-name"])
+    def test_grid_errors_start_with_the_path(self, tmp_path, header, rows,
+                                             error, message):
+        path = write_lines(tmp_path / "g.csv", [header] + rows)
+        with pytest.raises(error) as info:
+            load_grid_csv(path)
+        assert str(info.value).startswith(f"{path}: {message}")
 
 
 def grid_lines(grid):
