@@ -247,8 +247,12 @@ def quadrupole_field() -> AnalyticField:
 
 
 def sample(afield: AnalyticField, axes) -> RegularGrid:
-    """Evaluate an analytic field at every vertex of the given axes."""
-    axes = tuple(axes)
+    """Evaluate an analytic field at every vertex of the given axes;
+    InvalidArgumentError unless every axis is an :class:`Axis`."""
+    axes = tuple(axes) if np.iterable(axes) else (axes,)
+    if not all(isinstance(a, Axis) for a in axes):
+        raise InvalidArgumentError(
+            f"axes must be a sequence of Axis, got {shown(axes)}")
     if len(axes) != afield.dim:
         raise DimensionMismatchError(
             f"field is {afield.dim}-dimensional, got {len(axes)} axes")
@@ -301,8 +305,8 @@ def convergence_study(afield: AnalyticField, lo, hi,
     ``{"order": fitted slope, "errors": max error per level,
     "spacings": largest spacing per level}``. Raises
     InvalidArgumentError unless ``lo < hi``, both finite, on every axis,
-    ``base_count >= 4``, ``n_levels >= 2``, ``n_probes >= 1`` and
-    ``seed`` is one ``np.random.default_rng`` accepts.
+    ``base_count >= 4``, ``n_levels >= 2`` and ``n_probes >= 1`` are
+    integers, and ``seed`` is one ``np.random.default_rng`` accepts.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
@@ -313,10 +317,9 @@ def convergence_study(afield: AnalyticField, lo, hi,
         raise InvalidArgumentError(
             f"need finite lo < hi on every axis, got lo={lo.tolist()}, "
             f"hi={hi.tolist()}")
-    if base_count < 4 or n_levels < 2 or n_probes < 1:
-        raise InvalidArgumentError(
-            f"need base_count >= 4, n_levels >= 2 and n_probes >= 1, got "
-            f"{shown(base_count)}, {shown(n_levels)} and {shown(n_probes)}")
+    _count(base_count, "base_count", 4)
+    _count(n_levels, "n_levels", 2)
+    _count(n_probes, "n_probes")
     coarse_h = (hi - lo) / (base_count - 1)
     rng = _rng(seed)
     probes = rng.uniform(lo + 1.05 * coarse_h, hi - 1.05 * coarse_h,
@@ -366,11 +369,11 @@ def catmull_rom_1d(f_m1: float, f_0: float, f_1: float, f_2: float,
 # otherwise, as a check that measured nothing must not pass.
 
 
-def _count(n, name: str) -> None:
-    """Raise InvalidArgumentError unless ``n`` is an integer >= 1."""
-    if not is_integer(n) or n < 1:
+def _count(n, name: str, least: int = 1) -> None:
+    """Raise InvalidArgumentError unless ``n`` is an integer >= ``least``."""
+    if not is_integer(n) or n < least:
         raise InvalidArgumentError(
-            f"{name} must be an integer >= 1, got {shown(n)}")
+            f"{name} must be an integer >= {least}, got {shown(n)}")
 
 
 def check_operators_exact(dim: int):

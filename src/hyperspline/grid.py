@@ -38,10 +38,11 @@ Which bases a policy admits is decided once, in the grid's region
 table: per policy one row of Python numbers per axis, ``(origin,
 spacing, lo, hi, cmin, cmax)``, the valid bases ``[lo, hi]`` and the
 coordinates ``[cmin, cmax]`` they cover. The domain methods, both
-locates and the checked gather read it. Each of them takes a
+locates and the checked gather read it; :func:`locate_points` in one
+pass over a ``(dim, n)`` copy of the points. Each of them takes a
 policy as a ``BoundaryPolicy`` or its value (``"strict"``,
 ``"linear-ghost"``), as ``Interpolator`` does; the table is keyed by
-both, so a query converts nothing.
+the member, so only a query given a value converts it.
 
 Module contents:
     BoundaryPolicy -- Strict / LinearGhost enum
@@ -387,11 +388,10 @@ class RegularGrid:
         # the region table, the one statement of the boundary rule: Strict
         # admits the bases one cell in from each side, whose neighborhoods
         # are all real samples; LinearGhost, reading ghosts, admits all.
-        # Keyed by each policy and its value.
         self._regions = {}
         for p, i in ((BoundaryPolicy.STRICT, 1),
                      (BoundaryPolicy.LINEAR_GHOST, 0)):
-            self._regions[p] = self._regions[p.value] = tuple(
+            self._regions[p] = tuple(
                 (a.origin, a.spacing, i, a.count - 2 - i,
                  a.coordinate(i), a.coordinate(a.count - 1 - i))
                 for a in axes)
@@ -579,8 +579,8 @@ def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
     inside the queryable domain. Every base, NaN points' included, is
     clamped into ``grid.element_base_range(policy)``, so it can be
     gathered unchecked; a point far outside may overflow to inf silently,
-    as the mask flags it. One pass per axis, on its region-table row and
-    column of coordinates.
+    as the mask flags it. One pass over a ``(dim, n)`` copy of the
+    points, each field of the region table's rows a ``(dim, 1)`` column.
 
     Raises
     ------
@@ -593,23 +593,18 @@ def locate_points(grid: RegularGrid, points, policy: BoundaryPolicy):
     if points.ndim != 2 or points.shape[1] != grid.dim:
         raise DimensionMismatchError(
             f"points must have shape (n, {grid.dim}), got {points.shape}")
-    n = points.shape[0]
-    bases = np.empty((n, grid.dim), dtype=np.int64)
-    u = np.empty((grid.dim, n))
-    ok = np.ones(n, dtype=bool)
-    for d, (origin, spacing, lo, hi, cmin, cmax) in enumerate(
-            grid._rows(policy)):
-        x = points[:, d]
-        ok &= (x >= cmin) & (x <= cmax)
-        b = np.floor((x - origin) / spacing)
-        b = np.where(np.isfinite(b), b, lo)
-        # np.clip's bits, without its dispatch; the bound goes first, as
-        # np.maximum(-0.0, 0.0) would return +0.0 where np.clip keeps -0.0
-        b = np.minimum(hi, np.maximum(lo, b))
-        bases[:, d] = b
-        u[d] = np.minimum(1.0, np.maximum(0.0, (x - (origin + b * spacing))
-                                          / spacing))
-    return bases, u, ok
+    x = np.ascontiguousarray(points.T)
+    origin, spacing, lo, hi, cmin, cmax = (
+        np.array(grid._rows(policy)).T[..., None])
+    ok = ((x >= cmin) & (x <= cmax)).all(axis=0)
+    b = np.floor((x - origin) / spacing)
+    b = np.where(np.isfinite(b), b, lo)
+    # np.clip's bits, without its dispatch; the bound goes first, as
+    # np.maximum(-0.0, 0.0) would return +0.0 where np.clip keeps -0.0
+    b = np.minimum(hi, np.maximum(lo, b))
+    u = np.minimum(1.0, np.maximum(0.0, (x - (origin + b * spacing))
+                                   / spacing))
+    return b.T.astype(np.int64), u, ok
 
 
 def _stencils(grid: RegularGrid, bases: np.ndarray) -> np.ndarray:

@@ -140,15 +140,18 @@ def _open_text(path, mode="r"):
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidArgumentError(
             f"cannot open {shown(path)}: not a file path")
+    # a bytes path shows as its name, not its repr; a path-like is left
+    # to str(), as os.fsdecode would fail on one that returns no path
+    name = os.fsdecode(path) if isinstance(path, bytes) else path
     try:
         fh = open(path, mode, encoding="utf-8" if mode == "w" else
                   "utf-8-sig", newline="")
     # TypeError: a path-like that returns no path; ValueError: a NUL
     except (OSError, TypeError, ValueError) as exc:
         raise InvalidArgumentError(
-            f"cannot open {path}: {getattr(exc, 'strerror', None) or exc}"
+            f"cannot open {name}: {getattr(exc, 'strerror', None) or exc}"
         ) from None
-    with fh, _named(path):
+    with fh, _named(name):
         try:
             yield fh
         except UnicodeDecodeError as exc:

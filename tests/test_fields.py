@@ -157,6 +157,13 @@ class TestSample:
         with pytest.raises(HypersplineError):
             sample(constant_field(3), [Axis(0, 1, 4)] * 4)
 
+    @pytest.mark.parametrize("axes", [[1, 2, 3], [Axis(0, 1, 4)] * 2 + [4],
+                                      None])
+    def test_axes_must_be_axis(self, axes):
+        # numbers for axes raised AttributeError
+        with pytest.raises(InvalidArgumentError, match="sequence of Axis"):
+            sample(constant_field(3), axes)
+
 
 class TestOracle:
     @pytest.mark.parametrize("dim", [3, 4])
@@ -229,9 +236,14 @@ class TestTypedErrors:
         ([0.0] * 3, [np.inf] * 3, {}),
         ([0.0] * 3, [3.0] * 3, {"base_count": 3}),
         ([0.0] * 3, [3.0] * 3, {"n_levels": 1}),
-        ([0.0] * 3, [3.0] * 3, {"n_probes": 0})],
+        ([0.0] * 3, [3.0] * 3, {"n_probes": 0}),
+        # counts that are not integers raised TypeError
+        ([0.0] * 3, [3.0] * 3, {"n_probes": 2.5}),
+        ([0.0] * 3, [3.0] * 3, {"n_levels": 2.5}),
+        ([0.0] * 3, [3.0] * 3, {"base_count": "9"})],
         ids=["reversed", "empty-axis", "nan", "inf", "base_count-3",
-             "n_levels-1", "n_probes-0"])
+             "n_levels-1", "n_probes-0", "n_probes-float", "n_levels-float",
+             "base_count-text"])
     def test_convergence_bad_range_or_counts(self, lo, hi, kwargs):
         with pytest.raises(InvalidArgumentError):
             convergence_study(trig_product_field(3), lo, hi, **kwargs)

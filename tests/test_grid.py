@@ -507,7 +507,9 @@ def coordinates_around(draw, grid, policy):
 class TestBasesRange:
     """``locate_points`` gives every point, inside the domain or not, a
     base within ``element_base_range(policy)``, so the batch path may
-    gather its stencils without checking them again."""
+    gather its stencils without checking them again; and every point
+    inside the domain the base and local coordinates of :func:`locate`,
+    bit for bit, so batch results equal scalar results."""
 
     @settings(derandomize=True, database=None, deadline=None,
               max_examples=100)
@@ -525,6 +527,11 @@ class TestBasesRange:
         dom = np.array(grid.queryable_domain(policy))
         assert ok.tolist() == ((pts >= dom[:, 0]) & (pts <= dom[:, 1])
                                ).all(axis=1).tolist()
+        for i in np.flatnonzero(ok):
+            elem, ui = locate(grid, pts[i], policy)
+            assert (np.array(elem.base, np.int64).tobytes()
+                    == bases[i].tobytes())
+            assert ui.tobytes() == u[:, i].tobytes()
 
 
 class TestNeighborhood:

@@ -450,6 +450,22 @@ class TestErrorsNameTheFile:
             load_grid_csv(path)
         assert str(info.value).startswith(f"{path}: {message}")
 
+    def test_bytes_path_shows_as_its_name(self, tmp_path):
+        # a bytes path showed as its repr: cannot open b'...'
+        missing = os.fsencode(tmp_path / "missing.csv")
+        with pytest.raises(InvalidArgumentError) as info:
+            load_grid_csv(missing)
+        assert str(info.value).startswith(
+            f"cannot open {tmp_path / 'missing.csv'}: ")
+
+    def test_bytes_path_names_its_grid_errors(self, tmp_path):
+        path = write_lines(tmp_path / "g.csv", ["x,y,z,t,f,f"] + [
+            row + ",1" for row in lattice_rows(*self.COLS)])
+        with pytest.raises(InvalidArgumentError) as info:
+            load_grid_csv(os.fsencode(path))
+        assert str(info.value).startswith(
+            f"{path}: component name 'f' would not read back")
+
 
 def grid_lines(grid):
     """Grid CSV lines, cells written with ``repr``, rows in array order."""
