@@ -1,11 +1,13 @@
 """``hyperspline bench``: points/s and per-call latency of ``eval``,
 ``eval_with_gradient`` and ``eval_batch`` on a grid file or a named
-workload, and a bitwise check that batch and per-point results agree.
+workload, a bitwise check that batch and per-point results agree, and a
+sha256 of the last batch's results.
 Only ``hyperspline.cli.cmd_bench`` imports it, so no other command
 compiles it."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import platform
@@ -142,7 +144,8 @@ def _inputs(args):
 def _measure(interp, pts, calls: int) -> dict:
     """Time ``eval`` and ``eval_with_gradient`` on each point and
     ``calls`` ``eval_batch`` calls of all of them, then compare batch and
-    per-point results bit for bit. Prints, and returns, the report."""
+    per-point results bit for bit and hash the last batch's. Prints, and
+    returns, the report."""
     report, per_point = {}, []
     for name, call, args, per_call in (
             ("value-only", interp.eval, pts, 1),
@@ -172,12 +175,17 @@ def _measure(interp, pts, calls: int) -> dict:
     psum = float(np.sum(values)) + float(np.sum(grads))
     bsum = float(np.sum(res.values)) + float(np.sum(res.gradients))
     print(f"checksum_perpoint={psum!r} checksum_batch={bsum!r}")
+    # a float sum can absorb a one-ulp change; a digest of the bytes cannot
+    digest = hashlib.sha256(res.values.tobytes() + res.gradients.tobytes()
+                            + res.ok.tobytes()).hexdigest()
+    print(f"digest_batch={digest}")
     # the guarantee rests on the BLAS build, so check it on this one
     match = (values.tobytes() == res.values.tobytes()
              and grads.tobytes() == res.gradients.tobytes())
     print(f"batch_matches_pointwise={'yes' if match else 'NO'}")
     return {"paths": report, "checksum_perpoint": psum,
-            "checksum_batch": bsum, "batch_matches_pointwise": match}
+            "checksum_batch": bsum, "digest_batch": digest,
+            "batch_matches_pointwise": match}
 
 
 def run(args) -> int:

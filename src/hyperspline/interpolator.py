@@ -21,9 +21,9 @@ multiplies per component in 4D and 224 in 3D.
 
 - The batch kernel, :func:`_stencil_kernel`, behind
   :meth:`Interpolator.eval_batch`, computes values and first partials
-  only. It builds the weights of k points in one points-last table and
-  stacks their products in one ``np.matmul`` per axis on the ``(k,
-  4^dim, m)`` gather. ``eval_batch`` locates all its points at once,
+  only. It builds the weights of k points in one ``(dim, k, 4, 2)``
+  table and stacks their products in one ``np.matmul`` per axis on the
+  ``(k, 4^dim, m)`` gather. ``eval_batch`` locates all its points at once,
   holding their bases and local coordinates (16 * dim bytes per
   point), then gathers, contracts and stores them in one loop over
   chunks whose size the grid sets: as many points as fit 1.5 MB of
@@ -31,19 +31,22 @@ multiplies per component in 4D and 224 in 3D.
   4D, 1024 in 3D, with m = 3), so a chunk's working set stays in L2.
 - The one-point kernel, :func:`_point_kernel`, behind ``eval``,
   ``eval_with_gradient``, ``eval_local`` and ``derivative``, builds one
-  point's ``(dim, 4, 2)`` weights with Horner's rule on rows of the
-  table read where they lie, and makes each axis's product as one 2D
-  ``@``: none of the batch's transposed copy and stacked reshapes,
+  point's ``(dim, 4, 2)`` weights and makes each axis's product as one
+  2D ``@``: none of the batch's transposed copy and stacked reshapes,
   which at k = 1 cost a sixth of the kernel's time. Higher partials are
   its alone: ``derivative`` swaps in the table rows of its orders.
 
-On first partials they agree bit for bit: a weight is the same Horner
-steps on the same table row in either kernel, and a point's product
-has the same shapes and strides whether it stands alone or sits in a
-stack of any k, so BLAS does the same arithmetic for it. So a point's
-row of ``eval_batch``, whatever its chunk, equals its single-point
-query. One kernel for both paths kept the batch level but slowed
-single points by a tenth.
+Both build their weights in the power basis, one power and one product
+per weight table: the powers ``u^(3, 2, 1, 0)`` of each axis, a ``(dim,
+4)`` array per point, times the ``(4, 8)`` table of the weights'
+coefficients, value and derivative interleaved. On first partials the
+kernels agree bit for bit: a point's weights are the same power and the
+same ``(dim, 4) @ (4, 8)`` product in either kernel, and its
+contraction has the same shapes and strides whether it stands alone or
+sits in a stack of any k, so BLAS does the same arithmetic for it. So a
+point's row of ``eval_batch``, whatever its chunk, equals its
+single-point query. One kernel for both paths kept the batch level but
+slowed single points by a tenth.
 
 A single-point query locates with :func:`~hyperspline.grid.locate`,
 which reads the grid's region table on Python floats and returns a
@@ -153,13 +156,15 @@ class BatchResult:
 
 
 def _horner_table() -> np.ndarray:
-    """Coefficients of the Catmull-Rom weights and their derivatives.
+    """Power-basis coefficients of the Catmull-Rom weights and their
+    derivatives.
 
     Entry ``[r, i, j, 0]`` is the coefficient of ``u^(3-i)`` in weight j
     of ``M^T (1, u, u^2, u^3)`` and ``[r, i, j, 1]`` that in its r-th
-    derivative; derivatives are padded with leading zeros, which
-    Horner's rule passes through exactly. All entries are small dyadic
-    rationals.
+    derivative, padded with zeros. So ``_HORNER[r].reshape(4, 8)`` is a
+    matrix that maps the powers ``u^(3, 2, 1, 0)`` of each axis to that
+    axis's weights, value and r-th derivative interleaved. All entries
+    are small dyadic rationals.
     """
     table = np.zeros((4, 4, 4, 2))
     for r in range(4):
@@ -171,6 +176,9 @@ def _horner_table() -> np.ndarray:
 
 
 _HORNER = _horner_table()
+# the exponents of _HORNER's rows; an array, as a tuple is converted on
+# every call
+_POWERS = np.array([3.0, 2.0, 1.0, 0.0])
 
 
 def _stencil_kernel(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -180,16 +188,15 @@ def _stencil_kernel(samples: np.ndarray, u: np.ndarray) -> np.ndarray:
     ``samples`` is ``(k, 4^dim, m)`` as gathered and ``u`` the ``(dim,
     k)`` local coordinates. Returns ``(k, m, 2^dim)`` unit-cell partials:
     entry ``[i, c, s]`` differentiates axis d once if bit d of s is set.
-    Horner's rule runs on a points-last ``(dim, 4, 2, k)`` weight table,
-    one long inner loop a step. Each axis is one matrix product per
-    point, ``(rest, 4) @ (4, 2)``, whose shapes and strides do not
-    depend on k, so every point is computed the same way in any batch.
+    The weights are one power and one stacked product, each point's
+    ``(dim, 4) @ (4, 8)`` as in :func:`_point_kernel`, copied to a
+    ``(dim, k, 4, 2)`` table. Each axis is one matrix product per point,
+    ``(rest, 4) @ (4, 2)``, whose shapes and strides do not depend on k,
+    so every point is computed the same way in any batch.
     """
     k, _, m = samples.shape
-    h = _HORNER[1][..., None]
-    uu = u[:, None, None, :]
-    w = ((h[0] * uu + h[1]) * uu + h[2]) * uu + h[3]
-    w = np.ascontiguousarray(w.transpose(0, 3, 1, 2))
+    w = (u.T[:, :, None] ** _POWERS) @ _HORNER[1].reshape(4, 8)
+    w = np.ascontiguousarray(w.reshape(k, -1, 4, 2).transpose(1, 0, 2, 3))
     part = samples
     # stencil rows run t..x, so the slowest row axis is the last grid
     # axis; each step moves its pair of partials to the end
@@ -207,17 +214,21 @@ def _point_kernel(samples: np.ndarray, u: np.ndarray,
     local coordinates and ``orders`` the derivative order (0..3) on each
     axis, all 1 if None. Returns the ``(m, 2^dim)`` partials: entry
     ``[c, s]`` differentiates axis d ``orders[d]`` times if bit d of s
-    is set. Its first partials are bit for bit
-    ``_stencil_kernel(samples[None], u[:, None])[0]``: the same Horner
-    steps on the same table row, and per axis the batch kernel's
-    per-point product with the same shapes and strides, as one 2D
-    ``matmul``.
+    is set. The ``(dim, 4, 2)`` weights are the powers of ``u`` times
+    the power-basis table, one ``(dim, 4) @ (4, 8)`` product per order;
+    ``orders`` picks each axis's row from the product of its order. Its
+    first partials are bit for bit ``_stencil_kernel(samples[None], u[:,
+    None])[0]``: the same power and weight product, and per axis the
+    batch kernel's per-point product with the same shapes and strides,
+    as one 2D ``matmul``.
     """
     # the table is read at call time, so a patched one reaches the kernel
-    h = (_HORNER[1] if orders is None
-         else _HORNER.take(orders, 0).swapaxes(0, 1))
-    uu = u[:, None, None]
-    w = ((h[0] * uu + h[1]) * uu + h[2]) * uu + h[3]
+    p = u[:, None] ** _POWERS
+    if orders is None:
+        w = p @ _HORNER[1].reshape(4, 8)
+    else:  # (dim, 4) @ (4, 8) for every order, as the rows of order 1 are
+        w = (p @ _HORNER.reshape(4, 4, 8))[orders, range(len(u))]
+    w = w.reshape(-1, 4, 2)
     part = samples
     for d in reversed(range(len(u))):
         part = part.reshape(4, -1).T @ w[d]
@@ -385,6 +396,7 @@ class Interpolator:
             values[s:e] = part[:, :, 0]
             gradients[s:e] = part[:, :, self._gradient_cols] / self._spacings
             del block, part  # so the next gather reuses cache-warm memory
-        values[~ok] = np.nan
-        gradients[~ok] = np.nan
+        if not ok.all():
+            values[~ok] = np.nan
+            gradients[~ok] = np.nan
         return BatchResult(values, gradients, ok)

@@ -140,14 +140,16 @@ def _open_text(path, mode="r"):
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidArgumentError(
             f"cannot open {shown(path)}: not a file path")
-    # a bytes path shows as its name, not its repr; a path-like is left
-    # to str(), as os.fsdecode would fail on one that returns no path
-    name = os.fsdecode(path) if isinstance(path, bytes) else path
+    # a bytes path or a path-like shows as its name, not its repr
     try:
-        fh = open(path, mode, encoding="utf-8" if mode == "w" else
+        name = os.fsdecode(os.fspath(path))
+    except TypeError as exc:  # a path-like that returns no path
+        raise InvalidArgumentError(
+            f"cannot open {shown(path)}: {exc}") from None
+    try:
+        fh = open(name, mode, encoding="utf-8" if mode == "w" else
                   "utf-8-sig", newline="")
-    # TypeError: a path-like that returns no path; ValueError: a NUL
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL
         raise InvalidArgumentError(
             f"cannot open {name}: {getattr(exc, 'strerror', None) or exc}"
         ) from None

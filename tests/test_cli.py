@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -569,6 +570,25 @@ class TestNegativeNumbers:
         assert "result:" not in captured.out
 
 
+def batch_off_by_an_ulp(monkeypatch):
+    """Patch in a stand-in for a BLAS whose batched products round
+    differently: every batch result moves by one ulp, single points do
+    not."""
+    kernel = interpolator._stencil_kernel
+
+    def off_by_an_ulp(samples, u):
+        part = kernel(samples, u)
+        return np.nextafter(part, np.inf) if len(samples) > 1 else part
+
+    monkeypatch.setattr(interpolator, "_stencil_kernel", off_by_an_ulp)
+
+
+def digest_lines(out):
+    """The ``digest_batch`` of each bench run printed in ``out``."""
+    return [ln.split("=", 1)[1] for ln in out.split("\n")
+            if ln.startswith("digest_batch=")]
+
+
 class TestBench:
     def test_zero_points(self, lin4d, capsys):
         assert main(["bench", lin4d, "--n", "0"]) == 0
@@ -632,18 +652,34 @@ class TestBench:
 
     def test_batch_differing_from_pointwise_exits_1(self, lin4d, capsys,
                                                     monkeypatch):
-        # a stand-in for a BLAS whose batched products round differently:
-        # every batch result moves by one ulp, single points do not
-        kernel = interpolator._stencil_kernel
-
-        def off_by_an_ulp(samples, u):
-            part = kernel(samples, u)
-            return np.nextafter(part, np.inf) if len(samples) > 1 else part
-
-        monkeypatch.setattr(interpolator, "_stencil_kernel", off_by_an_ulp)
+        batch_off_by_an_ulp(monkeypatch)
         assert main(["bench", lin4d, "--n", "20"]) == 1
         out = capsys.readouterr().out
         assert "batch_matches_pointwise=NO\n" in out
+
+    def test_digest_is_the_last_batch_bytes(self, lin4d, capsys):
+        # the same seed gives the same digest, and it is the sha256 of
+        # one eval_batch of the run's points
+        from hyperspline import bench
+
+        for _ in range(2):
+            assert main(["bench", lin4d, "--n", "20", "--seed", "4"]) == 0
+        interp = Interpolator(load_grid_csv(lin4d))
+        res = interp.eval_batch(bench._uniform_points(
+            interp, 20, np.random.default_rng(4)))
+        assert digest_lines(capsys.readouterr().out) == [hashlib.sha256(
+            res.values.tobytes() + res.gradients.tobytes()
+            + res.ok.tobytes()).hexdigest()] * 2
+
+    def test_one_ulp_in_the_batch_changes_the_digest(self, lin4d, capsys,
+                                                     monkeypatch):
+        # test_batch_differing_from_pointwise_exits_1's patch; the float
+        # checksum may absorb it, the digest may not
+        assert main(["bench", lin4d, "--n", "20"]) == 0
+        batch_off_by_an_ulp(monkeypatch)
+        assert main(["bench", lin4d, "--n", "20"]) == 1
+        before, after = digest_lines(capsys.readouterr().out)
+        assert before != after
 
 
 class TestBenchWorkload:
@@ -674,6 +710,8 @@ class TestBenchWorkload:
         assert report["paths"]["value-only"]["calls"] == points
         assert report["paths"]["batch"]["calls"] == spec["batch_calls"]
         assert report["checksum_perpoint"] == report["checksum_batch"]
+        assert digest_lines(out) == [report["digest_batch"]]
+        assert len(bytes.fromhex(report["digest_batch"])) == 32
         assert report["batch_matches_pointwise"] is True
 
     def test_one_point_in_every_valid_cell(self):

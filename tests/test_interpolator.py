@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -6,6 +7,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,6 +54,7 @@ from hyperspline.grid import (
     neighborhood_block,
 )
 from hyperspline.interpolator import _point_kernel, _stencil_kernel
+from hyperspline.operators import CATMULL_ROM
 
 STRICT = BoundaryPolicy.STRICT
 GHOST = BoundaryPolicy.LINEAR_GHOST
@@ -907,6 +910,58 @@ class TestSharedKernel:
                     assert np.all(np.abs(got - want)
                                   <= 1e-12 * terms.max(axis=0)), (
                         base, u, orders)
+
+
+@functools.cache
+def exact_weights(u, order):
+    """The ``(4, 2)`` Catmull-Rom weights at ``u``, value and ``order``-th
+    derivative, in exact rational arithmetic on ``CATMULL_ROM``, as
+    float64 (exact for the dyadic ``u`` of the tests)."""
+    basis = [[Fraction(c) for c in row] for row in CATMULL_ROM]
+    u = Fraction(u)
+    return np.array([[sum(basis[i][j] * math.perm(i, r) * u ** (i - r)
+                          for i in range(r, 4)) for r in (0, order)]
+                     for j in range(4)], dtype=float)
+
+
+class TestPowerBasisWeights:
+    # on one-hot stencils (the identity, one component per stencil row)
+    # a kernel returns the product over axes of its weight tables, the
+    # Kronecker product of the 3 axes' (4, 2) tables, and every 4-term
+    # sum has one nonzero term; at u in {0, 1/4, 1/2, 3/4, 1} each
+    # weight and product is a small dyadic rational, so correct weights
+    # give the exact table bit for bit (float == compares every bit but
+    # a zero's sign, which the reference's products set their own way)
+    U = [0.0, 0.25, 0.5, 0.75, 1.0]
+    EYE = np.eye(64)
+
+    def want(self, u, orders):
+        tables = [exact_weights(float(q), r) for q, r in zip(u, orders)]
+        return np.kron(np.kron(tables[2], tables[1]), tables[0])
+
+    def test_batch_kernel_weights_are_exact(self):
+        u = np.array(list(itertools.product(self.U, repeat=3)))
+        got = _stencil_kernel(np.tile(self.EYE, (len(u), 1, 1)), u.T)
+        for q, part in zip(u, got):
+            assert np.array_equal(part, self.want(q, (1, 1, 1))), q
+
+    def test_point_kernel_weights_are_exact(self):
+        for q in itertools.product(self.U, repeat=3):
+            q = np.array(q)
+            got = _point_kernel(self.EYE, q)
+            assert np.array_equal(got, self.want(q, (1, 1, 1))), q
+            for orders in itertools.product(range(4), repeat=3):
+                got = _point_kernel(self.EYE, q, orders)
+                assert np.array_equal(got, self.want(q, orders)), (q, orders)
+
+    @pytest.mark.parametrize("u, vertex", [(0.0, 1), (1.0, 2)])
+    def test_value_weights_at_the_vertices_are_unit_vectors(self, u,
+                                                            vertex):
+        assert np.array_equal(exact_weights(u, 1)[:, 0], np.eye(4)[vertex])
+        row = vertex * (1 + 4 + 16)  # that vertex on every axis
+        for got in (_point_kernel(self.EYE, np.full(3, u)),
+                    _stencil_kernel(self.EYE[None], np.full((3, 1), u))[0]):
+            assert got[:, 0].tobytes() == self.EYE[row].tobytes()
 
 
 # every public way to query one point, plus eval_batch on a one-row batch

@@ -411,6 +411,17 @@ def lattice_rows(*coords):
             for cells in itertools.product(*coords[::-1])]
 
 
+class PathLike:
+    """A path-like that is not a ``pathlib`` path: its ``__fspath__``
+    returns what it was given."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return self.path
+
+
 class TestErrorsNameTheFile:
     # each error of a file's contents starts with its name, an axis's
     # error names the axis too; at first the axis, grid and component
@@ -457,6 +468,28 @@ class TestErrorsNameTheFile:
             load_grid_csv(missing)
         assert str(info.value).startswith(
             f"cannot open {tmp_path / 'missing.csv'}: ")
+
+    @pytest.mark.parametrize("encode", [os.fsencode, str],
+                             ids=["bytes", "str"])
+    def test_path_like_shows_as_its_path(self, tmp_path, encode):
+        # a path-like other than pathlib showed as its repr: cannot open
+        # <...PathLike object at 0x...>
+        missing = tmp_path / "missing.csv"
+        with pytest.raises(InvalidArgumentError) as info:
+            load_grid_csv(PathLike(encode(missing)))
+        assert str(info.value).startswith(f"cannot open {missing}: ")
+        path = write_lines(tmp_path / "g.csv", ["x,y,z,t,f,f"] + [
+            row + ",1" for row in lattice_rows(*self.COLS)])
+        with pytest.raises(InvalidArgumentError) as info:
+            load_grid_csv(PathLike(encode(path)))
+        assert str(info.value).startswith(
+            f"{path}: component name 'f' would not read back")
+
+    def test_path_like_that_returns_no_path(self):
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^cannot open <.*PathLike object at .*>: "
+                                 r".*__fspath__\(\) to return str or bytes"):
+            load_grid_csv(PathLike(3))
 
     def test_bytes_path_names_its_grid_errors(self, tmp_path):
         path = write_lines(tmp_path / "g.csv", ["x,y,z,t,f,f"] + [
