@@ -143,10 +143,11 @@ def _inputs(args):
 
 def _measure(interp, pts, calls: int) -> dict:
     """Time ``eval`` and ``eval_with_gradient`` on each point and
-    ``calls`` ``eval_batch`` calls of all of them, then compare batch and
-    per-point results bit for bit and hash the last batch's. Prints, and
-    returns, the report."""
-    report, per_point = {}, []
+    ``calls`` ``eval_batch`` calls of all of them, then compare the
+    batch's results with both per-point paths' bit for bit and hash the
+    last batch's. Prints, and returns, the report."""
+    report = {}
+    per_point = {"value-only": [], "value+gradient": []}
     for name, call, args, per_call in (
             ("value-only", interp.eval, pts, 1),
             ("value+gradient", interp.eval_with_gradient, pts, 1),
@@ -156,8 +157,8 @@ def _measure(interp, pts, calls: int) -> dict:
             s = time.perf_counter()
             res = call(a)
             dts[i] = time.perf_counter() - s
-            if name == "value+gradient":
-                per_point.append(res)
+            if name in per_point:
+                per_point[name].append(res)
         total = float(dts.sum())
         rate = per_call * len(dts) / total if total > 0 else 0.0
         us = np.sort(dts) * 1e6  # p50, p90 and p99; None for no calls
@@ -170,8 +171,11 @@ def _measure(interp, pts, calls: int) -> dict:
             for k, v in pcts.items())
         print(f"{name:15s}: {rate:.0f} points/s{spread}")
     # res is the last eval_batch result: calls is at least 1
-    values = np.reshape([r.values for r in per_point], res.values.shape)
-    grads = np.reshape([r.gradient for r in per_point], res.gradients.shape)
+    with_gradient = per_point["value+gradient"]
+    values = np.reshape([r.values for r in with_gradient], res.values.shape)
+    grads = np.reshape([r.gradient for r in with_gradient],
+                       res.gradients.shape)
+    values_only = np.reshape(per_point["value-only"], res.values.shape)
     psum = float(np.sum(values)) + float(np.sum(grads))
     bsum = float(np.sum(res.values)) + float(np.sum(res.gradients))
     print(f"checksum_perpoint={psum!r} checksum_batch={bsum!r}")
@@ -181,7 +185,8 @@ def _measure(interp, pts, calls: int) -> dict:
     print(f"digest_batch={digest}")
     # the guarantee rests on the BLAS build, so check it on this one
     match = (values.tobytes() == res.values.tobytes()
-             and grads.tobytes() == res.gradients.tobytes())
+             and grads.tobytes() == res.gradients.tobytes()
+             and values_only.tobytes() == res.values.tobytes())
     print(f"batch_matches_pointwise={'yes' if match else 'NO'}")
     return {"paths": report, "checksum_perpoint": psum,
             "checksum_batch": bsum, "digest_batch": digest,

@@ -31,10 +31,12 @@ multiplies per component in 4D and 224 in 3D.
   4D, 1024 in 3D, with m = 3), so a chunk's working set stays in L2.
 - The one-point kernel, :func:`_point_kernel`, behind ``eval``,
   ``eval_with_gradient``, ``eval_local`` and ``derivative``, builds one
-  point's ``(dim, 4, 2)`` weights and makes each axis's product as one
-  2D ``@``: none of the batch's transposed copy and stacked reshapes,
-  which at k = 1 cost a sixth of the kernel's time. Higher partials are
-  its alone: ``derivative`` swaps in the table rows of its orders.
+  point's ``(dim, 4, 2)`` weights and makes its first-order weight
+  product and each axis's product as one 2D ``np.dot``: none of the
+  batch's transposed copy and stacked reshapes, which at k = 1 cost a
+  sixth of the kernel's time, nor the matmul gufunc's dispatch, which
+  ``np.dot`` skips on its way to the same BLAS gemm. Higher partials
+  are its alone: ``derivative`` swaps in the table rows of its orders.
 
 Both build their weights in the power basis, one power and one product
 per weight table: the powers ``u^(3, 2, 1, 0)`` of each axis, a ``(dim,
@@ -219,19 +221,22 @@ def _point_kernel(samples: np.ndarray, u: np.ndarray,
     ``orders`` picks each axis's row from the product of its order. Its
     first partials are bit for bit ``_stencil_kernel(samples[None], u[:,
     None])[0]``: the same power and weight product, and per axis the
-    batch kernel's per-point product with the same shapes and strides,
-    as one 2D ``matmul``.
+    batch kernel's per-point product with the same shapes and strides.
+    Its 2D products are ``np.dot`` calls, which reach the same BLAS gemm
+    as ``@`` (same sizes, same transpose flag, so the same bits) without
+    the matmul gufunc's dispatch, about 0.6 µs a product at these sizes.
     """
     # the table is read at call time, so a patched one reaches the kernel
     p = u[:, None] ** _POWERS
     if orders is None:
-        w = p @ _HORNER[1].reshape(4, 8)
-    else:  # (dim, 4) @ (4, 8) for every order, as the rows of order 1 are
+        w = np.dot(p, _HORNER[1].reshape(4, 8))
+    else:  # (dim, 4) @ (4, 8) for every order, as the rows of order 1 are;
+        # np.dot on the 3D table would contract differently
         w = (p @ _HORNER.reshape(4, 4, 8))[orders, range(len(u))]
     w = w.reshape(-1, 4, 2)
     part = samples
     for d in reversed(range(len(u))):
-        part = part.reshape(4, -1).T @ w[d]
+        part = np.dot(part.reshape(4, -1).T, w[d])
     return part.reshape(samples.shape[1], -1)
 
 

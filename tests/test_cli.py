@@ -657,6 +657,24 @@ class TestBench:
         out = capsys.readouterr().out
         assert "batch_matches_pointwise=NO\n" in out
 
+    def test_value_only_differing_from_batch_exits_1(self, lin4d, capsys,
+                                                     monkeypatch):
+        # eval alone moves by one ulp; eval_with_gradient and the batch,
+        # and so both checksums, do not
+        eval_ = Interpolator.eval
+
+        def off_by_an_ulp(self, point):
+            return np.nextafter(eval_(self, point), np.inf)
+
+        monkeypatch.setattr(Interpolator, "eval", off_by_an_ulp)
+        assert main(["bench", lin4d, "--n", "20"]) == 1
+        out = capsys.readouterr().out
+        assert "batch_matches_pointwise=NO\n" in out
+        line = next(ln for ln in out.split("\n")
+                    if ln.startswith("checksum_perpoint"))
+        per_point, batch = (c.split("=")[1] for c in line.split())
+        assert per_point == batch
+
     def test_digest_is_the_last_batch_bytes(self, lin4d, capsys):
         # the same seed gives the same digest, and it is the sha256 of
         # one eval_batch of the run's points

@@ -868,8 +868,10 @@ class TestSharedKernel:
                             rtol=0, atol=1e-12 * np.max(terms[:, col]) / scale)
 
     @pytest.mark.parametrize("policy", [STRICT, GHOST])
-    @pytest.mark.parametrize("dim, m", [(3, 1), (3, 3), (4, 1), (4, 3)],
-                             ids=["3-m1", "3", "4-m1", "4"])
+    @pytest.mark.parametrize(
+        "dim, m", [(d, m) for d in (3, 4) for m in (1, 2, 3, 5)],
+        ids=[f"{d}" if m == 3 else f"{d}-m{m}" for d in (3, 4)
+             for m in (1, 2, 3, 5)])
     def test_point_kernel_equals_batch_kernel_bitwise(self, dim, m, policy):
         # the one-point kernel behind every single-point query against the
         # batch kernel's row for that point, byte for byte, and its higher
@@ -881,7 +883,9 @@ class TestSharedKernel:
         # test_higher_orders_match_coefficient_polynomial, taken on the
         # sum of absolute terms over the cell (at u = 1): at u = 0 a column
         # is one coefficient, which both sides form by cancellation from
-        # samples up to 1e3 times its size
+        # samples up to 1e3 times its size. The component counts give the
+        # products row counts 4^(dim-1)·m·2^j that fall differently on
+        # BLAS's row blocks
         rng = np.random.default_rng(70 + 10 * dim + m)
         counts = [6, 5, 7, 5][:dim]
         grid = RegularGrid([Axis(-1.0, 0.5, n) for n in counts],
